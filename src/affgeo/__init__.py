@@ -43,7 +43,7 @@ from .duality import (  # noqa: F401
 )
 from .mechanics import (  # noqa: F401
     InertialFrame, NewtonSpaceTime, ObservedPhase, TimeDepSystem, Trajectory,
-    compare_frames, gauge_transform, integrate, newton_dynamics,
+    compare_frames, energy_drift, gauge_transform, integrate, newton_dynamics,
     timedep_dynamics,
 )
 from .phase import (  # noqa: F401

@@ -8,7 +8,8 @@ trajectory CSVs are written to the output directory (``--out``, the
 ``AFFGEO_OUT`` environment variable, or the working directory).
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 the scenario could
-not be loaded, 3 a runtime domain error interrupted the run.
+not be loaded or holds an invalid value, 3 a runtime domain error
+interrupted the run.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 from importlib import resources
@@ -35,10 +37,9 @@ from .duality import (
     double_special_dual, dual_dimension, pair,
 )
 from .mechanics import (
-    IntegrationError, NewtonSpaceTime, ObservedPhase, TimeDepSystem,
-    compare_frames, gauge_transform, integrate, newton_dynamics,
-    observed_hamiltonian, tau_clock_residual, timedep_dynamics,
-    timedep_event_fn,
+    IntegrationError, MechanicsError, NewtonSpaceTime, ObservedPhase,
+    TimeDepSystem, compare_frames, energy_drift, gauge_transform, integrate,
+    newton_dynamics, tau_clock_residual, timedep_dynamics, timedep_event_fn,
 )
 from .phase import (
     AVBundle, AVMorphism, canonical_poisson, check_affine_reduction,
@@ -84,10 +85,19 @@ def _matrix(raw: str, rows: int, cols: int) -> np.ndarray:
     if raw == "zero":
         return np.zeros((rows, cols))
     data = [_floats(r) for r in raw.split(";") if r.strip()]
-    m = np.array(data, dtype=float)
-    if m.shape != (rows, cols):
-        raise ScenarioError(f"matrix shape {m.shape} != {(rows, cols)}")
-    return m
+    if len(data) != rows or any(len(r) != cols for r in data):
+        raise ScenarioError(f"matrix {raw!r} is not {rows} x {cols}")
+    return np.array(data)
+
+
+def _ints(raw: str, count: int = 0, high: float = math.inf) -> list[int]:
+    """Integers in 1..high from a list, exactly ``count`` of them if set."""
+    parts = raw.replace(",", " ").split()
+    if not parts or count and len(parts) != count or not all(
+            p.isdecimal() and 1 <= int(p) <= high for p in parts):
+        raise ScenarioError(f"bad list {raw!r}: want {count or 'some'} "
+                            f"integers in 1..{high}")
+    return [int(p) for p in parts]
 
 
 def _expr(raw: str, ctx: se.VarContext) -> se.Expression:
@@ -122,7 +132,7 @@ class Scenario:
         if self.kind not in KINDS:
             raise ScenarioError(f"unknown scenario kind {self.kind!r}")
         self.description = self.get("scenario", "description", "")
-        self.seed = int(self.get("scenario", "seed", "0"))
+        self.seed = self.get_int("scenario", "seed", 0)
 
     def get(self, section: str, key: str, default=None) -> str:
         if self.cfg.has_option(section, key):
@@ -131,13 +141,19 @@ class Scenario:
             raise ScenarioError(f"missing field [{section}] {key}")
         return default
 
+    def _number(self, kind, section: str, key: str, default):
+        raw = self.get(section, key, None if default is None else str(default))
+        try:
+            return kind(raw)
+        except ValueError:
+            raise ScenarioError(
+                f"[{section}] {key} = {raw!r} is not {kind.__name__}") from None
+
     def get_float(self, section: str, key: str, default=None) -> float:
-        return float(self.get(section, key,
-                              None if default is None else str(default)))
+        return self._number(float, section, key, default)
 
     def get_int(self, section: str, key: str, default=None) -> int:
-        return int(self.get(section, key,
-                            None if default is None else str(default)))
+        return self._number(int, section, key, default)
 
     def get_bool(self, section: str, key: str, default: bool = False) -> bool:
         raw = self.get(section, key, str(default)).lower()
@@ -196,7 +212,7 @@ def run_affine_verify(sc: Scenario, rng, outdir: Path, report: Report):
 
 
 def run_duality_verify(sc: Scenario, rng, outdir: Path, report: Report):
-    dims = [int(v) for v in _floats(sc.get("params", "dims", "1, 2, 3, 4"))]
+    dims = _ints(sc.get("params", "dims", "1, 2, 3, 4"))
     points = sc.get_int("params", "points", 100)
 
     ok = all(dual_dimension(AffineSpaceSpec(n)) == n + 1 for n in dims)
@@ -249,12 +265,9 @@ def _load_affgebra(sc: Scenario) -> LieAffgebraData:
             c[i, j, k] = 1.0
             c[j, i, k] = -1.0
     elif preset in ("zero", "entries"):
-        for key, raw in sc.items("c"):
-            idx = [int(p) - 1 for p in key.split()]
-            if len(idx) != 3:
-                raise ScenarioError(f"bad structure-constant key {key!r}")
-            i, j, k = idx
-            value = float(raw)
+        for key, _ in sc.items("c"):
+            i, j, k = (n - 1 for n in _ints(key, 3, dim))
+            value = sc.get_float("c", key)
             c[i, j, k] = value
             c[j, i, k] = -value
     else:
@@ -282,9 +295,9 @@ def _sample_points(sc: Scenario, patch: Patch, rng) -> np.ndarray:
     raw = sc.get("base", "samples", "grid:4")
     mode, _, arg = raw.partition(":")
     if mode == "grid":
-        return patch.grid(int(arg or 4))
+        return patch.grid(_ints(arg or "4", 1)[0])
     if mode == "random":
-        return patch.sample(rng, int(arg or 16))
+        return patch.sample(rng, _ints(arg or "16", 1)[0])
     raise ScenarioError(f"unknown sampling mode {raw!r}")
 
 
@@ -294,11 +307,11 @@ def _load_affgebroid(sc: Scenario, patch: Patch) -> LieAffgebroidData:
     zero = se.Const(0.0)
     beta = [[zero] * rank for _ in range(rank)]
     for key, raw in sc.items("beta"):
-        i = int(key) - 1
+        i = _ints(key, 1, rank)[0] - 1
         beta[i] = _expr_list(raw, ctx)
     c = [[[zero] * rank for _ in range(rank)] for _ in range(rank)]
     for key, raw in sc.items("c"):
-        i, j = (int(p) - 1 for p in key.split())
+        i, j = (n - 1 for n in _ints(key, 2, rank))
         comps = _expr_list(raw, ctx)
         c[i][j] = comps
         c[j][i] = [se.neg(e) for e in comps]
@@ -345,7 +358,7 @@ def _check_atiyah_poisson(dim: int, rng, report: Report, n_points: int = 32):
 
 def run_affgebroid_verify(sc: Scenario, rng, outdir: Path, report: Report):
     if sc.get_bool("structure", "atiyah", False):
-        dims = [int(v) for v in _floats(sc.get("structure", "dims", "1, 2"))]
+        dims = _ints(sc.get("structure", "dims", "1, 2"))
         for dim in dims:
             _check_atiyah_poisson(dim, rng, report)
         return
@@ -412,76 +425,70 @@ def run_timedep(sc: Scenario, rng, outdir: Path, report: Report):
     traj = integrate(fld, y0, h, T, event_fn=event_fn, event_names=event_names)
     report.add("finite_trajectory", True, 0.0)
 
-    time_dependent = se.differentiate(H, "t") != se.Const(0.0)
-    if not time_dependent:
-        Hfn = se.compile_fn([H], sys.state_names)
-        values = [Hfn(s)[0] for s in traj.states]
-        drift = max(abs(v - values[0]) for v in values)
-        report.add("energy_drift", drift < 1e-6, drift)
+    _check_energy(fld, traj, H, report)
 
     csv_name = sc.get("output", "trajectory", f"{sc.name}.csv")
     traj.to_csv(outdir / csv_name)
 
 
-def _load_spacetime(sc: Scenario) -> NewtonSpaceTime:
+def _check_energy(fld, traj, source: se.Expression, report: Report):
+    """Energy conservation, checked when ``source`` does not depend on t."""
+    if se.differentiate(source, "t") == se.Const(0.0):
+        drift = energy_drift(fld, traj)
+        report.add("energy_drift", drift < 1e-6, drift)
+
+
+def _check_newton(fld, traj, phi: se.Expression, report: Report):
+    clock = tau_clock_residual(fld, traj)
+    report.add("tau_clock", clock < 1e-12, clock)
+    _check_energy(fld, traj, phi, report)
+
+
+def _newton_inputs(sc: Scenario):
+    """(st, phi, mass, event, momentum, step, duration) of a Newton run."""
     dim = sc.get_int("spacetime", "dim", 3)
     g = None
     if sc.cfg.has_option("spacetime", "metric"):
         g = _matrix(sc.get("spacetime", "metric"), dim, dim)
-    return NewtonSpaceTime(dim, g=g)
-
-
-def _potential(sc: Scenario, st: NewtonSpaceTime) -> se.Expression:
-    q = tuple(f"q{i + 1}" for i in range(st.d))
-    ctx = se.VarContext.make(base=q, time="t")
-    return _expr(sc.get("system", "potential", "0"), ctx)
+    ctx = se.VarContext.make(base=tuple(f"q{i + 1}" for i in range(dim)),
+                             time="t")
+    phi = _expr(sc.get("system", "potential", "0"), ctx)
+    return (NewtonSpaceTime(dim, g=g), phi, sc.get_float("system", "mass", 1.0),
+            _floats(sc.get("initial", "event")),
+            _floats(sc.get("initial", "momentum")),
+            sc.get_float("integration", "step"),
+            sc.get_float("integration", "duration"))
 
 
 def run_newton(sc: Scenario, rng, outdir: Path, report: Report):
-    st = _load_spacetime(sc)
-    phi = _potential(sc, st)
-    m = sc.get_float("system", "mass", 1.0)
+    st, phi, m, x0, p0, h, T = _newton_inputs(sc)
     frame = st.frame(_floats(sc.get("system", "frame"))) \
         if sc.cfg.has_option("system", "frame") else st.rest_frame()
     fld = newton_dynamics(st, frame, m, phi)
-    x0 = _floats(sc.get("initial", "event"))
-    p0 = _floats(sc.get("initial", "momentum"))
-    h = sc.get_float("integration", "step")
-    T = sc.get_float("integration", "duration")
     traj = integrate(fld, [*x0, *p0], h, T,
                      event_fn=fld.event_of, event_names=fld.event_names)
-    clock = tau_clock_residual(fld, traj)
-    report.add("tau_clock", clock < 1e-12, clock)
-    if se.differentiate(phi, "t") == se.Const(0.0):
-        H = observed_hamiltonian(fld)
-        values = [H(s) for s in traj.states]
-        drift = max(abs(v - values[0]) for v in values)
-        report.add("energy_drift", drift < 1e-6, drift)
+    _check_newton(fld, traj, phi, report)
     csv_name = sc.get("output", "trajectory", f"{sc.name}.csv")
     traj.to_csv(outdir / csv_name)
 
 
 def run_compare_frames(sc: Scenario, rng, outdir: Path, report: Report):
-    st = _load_spacetime(sc)
-    phi = _potential(sc, st)
-    m = sc.get_float("system", "mass", 1.0)
-    x0 = _floats(sc.get("initial", "event"))
-    p0 = _floats(sc.get("initial", "momentum"))
-    s0 = sc.get_float("initial", "s", 0.0)
-    initial = ObservedPhase(x0, p0, s0, st.rest_frame())
-    h = sc.get_float("integration", "step")
-    T = sc.get_float("integration", "duration")
+    st, phi, m, x0, p0, h, T = _newton_inputs(sc)
+    initial = ObservedPhase(x0, p0, sc.get_float("initial", "s", 0.0),
+                            st.rest_frame())
     boosts = [_floats(r) for r in sc.get("frames", "boosts").split(";")
               if r.strip()]
+    if not boosts:
+        raise ScenarioError("[frames] boosts lists no boost")
 
-    comparisons = []
-    for i, v in enumerate(boosts):
-        cmp = compare_frames(st, m, phi, initial, v, h, T,
-                             scenario=f"{sc.name}/boost{i + 1}")
-        comparisons.append(cmp.to_dict())
+    comparisons = [compare_frames(st, m, phi, initial, v, h, T,
+                                  scenario=f"{sc.name}/boost{i + 1}")
+                   for i, v in enumerate(boosts)]
+    for i, cmp in enumerate(comparisons):
         report.add(f"frame_independence_boost{i + 1}",
                    cmp.passed, cmp.max_deviation)
-    payload = json.dumps(_jsonify(comparisons), indent=2, sort_keys=True)
+    payload = json.dumps(_jsonify([c.to_dict() for c in comparisons]),
+                         indent=2, sort_keys=True)
     (outdir / f"{sc.name}_comparisons.json").write_text(payload + "\n")
 
     worst = 0.0
@@ -492,15 +499,9 @@ def run_compare_frames(sc: Scenario, rng, outdir: Path, report: Report):
                     abs(back.s - initial.s))
     report.add("gauge_round_trip", worst < 1e-12, worst)
 
-    fld = newton_dynamics(st, st.rest_frame(), m, phi)
-    traj = integrate(fld, [*x0, *p0], h, T)
-    clock = tau_clock_residual(fld, traj)
-    report.add("tau_clock", clock < 1e-12, clock)
-    if se.differentiate(phi, "t") == se.Const(0.0):
-        H = observed_hamiltonian(fld)
-        values = [H(s) for s in traj.states]
-        drift = max(abs(v - values[0]) for v in values)
-        report.add("energy_drift", drift < 1e-6, drift)
+    # the rest-frame world-line every comparison starts from
+    _check_newton(newton_dynamics(st, initial.frame, m, phi),
+                  comparisons[0].trajectories[0], phi, report)
 
 
 def run_reduction_check(sc: Scenario, rng, outdir: Path, report: Report):
@@ -644,6 +645,8 @@ def run_scenario(path: Path, seed: int | None, outdir: Path,
     sc = Scenario(path)
     if seed is not None:
         sc.seed = seed
+    if sc.seed < 0:
+        raise ScenarioError(f"seed {sc.seed} is negative")
     rng = np.random.default_rng(sc.seed)
     outdir.mkdir(parents=True, exist_ok=True)
     report = Report(sc.name)
@@ -710,7 +713,7 @@ def main(argv=None) -> int:
     outdir = Path(args.out or os.environ.get("AFFGEO_OUT") or ".")
     try:
         return run_scenario(path, args.seed, outdir, args.json)
-    except ScenarioError as err:
+    except (ScenarioError, MechanicsError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (se.DomainError, IntegrationError, BracketError,

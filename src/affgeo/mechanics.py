@@ -10,6 +10,9 @@ Two independent dynamics constructions backed by the phase machinery:
   inertial frames, where observed trajectories in different frames must
   trace the same events.
 
+Both engines build a :class:`VectorField` (expressions compiled once)
+carrying its ``energy``, and both run through the one RK4 :func:`integrate`.
+
 Gauge convention.  Boosting an observed phase by a spatial velocity
 ``v`` keeps the event, and maps momentum and the action-like coordinate
 kinematically:
@@ -24,7 +27,9 @@ rules printed with the opposite momentum sign fail both properties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -36,8 +41,8 @@ __all__ = [
     "MechanicsError", "IntegrationError", "VectorField", "Trajectory",
     "integrate", "TimeDepSystem", "timedep_dynamics", "NewtonSpaceTime",
     "InertialFrame", "ObservedPhase", "ObserverSplit", "gauge_transform",
-    "newton_dynamics", "observed_hamiltonian", "compare_frames",
-    "tau_clock_residual",
+    "newton_dynamics", "observed_hamiltonian", "energy_drift",
+    "compare_frames", "tau_clock_residual",
 ]
 
 
@@ -88,14 +93,9 @@ class Trajectory:
     states: np.ndarray
     event_names: tuple[str, ...] = ()
     events: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.times)
-
-    @property
-    def step(self) -> float:
-        return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
 
     def to_csv(self, path) -> None:
         import csv
@@ -114,23 +114,26 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def integrate(fld, y0, h: float, T: float, names=None,
+def integrate(fld: VectorField, y0, h: float, T: float,
               event_fn=None, event_names=()) -> Trajectory:
     """Classical fixed-step fourth-order Runge-Kutta, recording every step.
 
+    Both mechanics engines come through here with a :class:`VectorField`.
+    The duration must be a whole number of steps (to a relative 1e-9).
     Deterministic by construction; raises :class:`IntegrationError` with
     the offending step index if the state stops being finite.
     """
-    if h <= 0:
+    if not h > 0:
         raise MechanicsError("step size must be positive")
-    if T < h:
-        raise MechanicsError("duration must cover at least one step")
-    if names is None:
-        names = getattr(fld, "names", None)
-        if names is None:
-            raise MechanicsError("state names required for a bare callable")
+    if not h <= T < math.inf:
+        raise MechanicsError("duration must be finite and cover one step")
+    n_steps = round(T / h)
+    if abs(T / h - n_steps) > 1e-9 * n_steps:
+        raise MechanicsError(
+            f"duration {T!r} is not a whole number of steps of {h!r}")
     y = np.array(y0, dtype=float)
-    n_steps = int(round(T / h))
+    if y.shape != (len(fld.names),):
+        raise MechanicsError(f"initial state needs {len(fld.names)} components")
     states = np.empty((n_steps + 1, len(y)))
     states[0] = y
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -147,8 +150,7 @@ def integrate(fld, y0, h: float, T: float, names=None,
                 raise IntegrationError("non-finite state", k + 1)
             states[k + 1] = y
     times = h * np.arange(n_steps + 1)
-    traj = Trajectory(tuple(names), times, states,
-                      meta={"step": h, "duration": T})
+    traj = Trajectory(fld.names, times, states)
     if event_fn is not None:
         traj.events = np.array([event_fn(s) for s in states])
         traj.event_names = tuple(event_names)
@@ -172,6 +174,8 @@ class TimeDepSystem:
     def __init__(self, dim: int, hamiltonian: Expression,
                  q_names=None, p_names=None, time: str = "t",
                  energy: str = "e"):
+        if dim < 1:
+            raise MechanicsError("dimension must be positive")
         self.dim = dim
         self.q_names = tuple(q_names or (f"q{i + 1}" for i in range(dim)))
         self.p_names = tuple(p_names or (f"p{i + 1}" for i in range(dim)))
@@ -205,7 +209,7 @@ def timedep_dynamics(sys: TimeDepSystem,
     form (Hamilton's equations plus the unit time component).  The two
     routes are compared on random states before the closed form is
     returned; the bracket route stays available on the result for
-    inspection.
+    inspection, and the Hamiltonian rides along as ``energy``.
     """
     rng = rng or np.random.default_rng(0)
     space = sys.space
@@ -232,17 +236,13 @@ def timedep_dynamics(sys: TimeDepSystem,
     fld = VectorField(order, closed)
     fld.reduction_components = tuple(reduced)
     fld.cross_check_residual = worst
+    fld.energy = sys.H
     return fld
 
 
 def timedep_event_fn(sys: TimeDepSystem):
     """Extractor of the space-time event (q, t) from a dynamics state."""
-    d = sys.dim
-
-    def event(state: np.ndarray) -> np.ndarray:
-        return np.concatenate([state[:d], state[-1:]])
-
-    return event, sys.q_names + (sys.time,)
+    return itemgetter([*range(sys.dim), -1]), sys.q_names + (sys.time,)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +250,6 @@ def timedep_event_fn(sys: TimeDepSystem):
 
 
 def _nullspace_basis(tau: np.ndarray) -> np.ndarray:
-    n = tau.shape[0]
     _, _, vt = np.linalg.svd(tau.reshape(1, -1))
     basis = vt[1:].T  # columns span the kernel
     # deterministic signs: first nonzero entry of each column positive
@@ -273,6 +272,8 @@ class NewtonSpaceTime:
     """
 
     def __init__(self, d: int = 3, tau=None, g=None):
+        if d < 1:
+            raise MechanicsError("space dimension must be positive")
         self.d = d
         self.tau = np.array(tau if tau is not None
                             else np.eye(d + 1)[d], dtype=float)
@@ -297,10 +298,6 @@ class NewtonSpaceTime:
 
     def time_of(self, v) -> float:
         return float(self.tau @ np.asarray(v, float))
-
-    def interval(self, x1, x2) -> float:
-        """Time elapsed from the first event to the second."""
-        return self.time_of(np.asarray(x2, float) - np.asarray(x1, float))
 
     def spatial_vector(self, components) -> np.ndarray:
         return self.spatial_basis @ np.asarray(components, float)
@@ -334,6 +331,8 @@ class InertialFrame:
     def __post_init__(self):
         u = np.asarray(self.u, float)
         object.__setattr__(self, "u", u)
+        if u.shape != (self.spacetime.d + 1,):
+            raise MechanicsError("frame velocity has wrong length")
         if abs(self.spacetime.time_of(u) - 1.0) > 1e-12:
             raise MechanicsError("frame velocity must have unit clock rate")
 
@@ -355,6 +354,9 @@ class ObservedPhase:
         object.__setattr__(self, "x", np.asarray(self.x, float))
         object.__setattr__(self, "p", np.asarray(self.p, float))
         object.__setattr__(self, "s", float(self.s))
+        d = self.frame.spacetime.d
+        if self.x.shape != (d + 1,) or self.p.shape != (d,):
+            raise MechanicsError("event or momentum has wrong length")
 
 
 def _spatial_comps(st: NewtonSpaceTime, v) -> np.ndarray:
@@ -374,8 +376,8 @@ def gauge_transform(phase: ObservedPhase, v, m: float) -> ObservedPhase:
     which boosting by ``v`` and back by ``-v`` restores the phase and
     boosts compose additively.
     """
-    if m <= 0:
-        raise MechanicsError("mass must be positive")
+    if not 0 < m < math.inf:
+        raise MechanicsError("mass must be positive and finite")
     st = phase.frame.spacetime
     c = _spatial_comps(st, v)
     gv = st.g @ c
@@ -406,89 +408,83 @@ class ObserverSplit:
         q = self.spacetime._spatial_proj @ (rel - t * self.frame.u)
         return q, t
 
-    def event(self, q, t: float) -> np.ndarray:
-        return (self.x0 + self.spacetime.spatial_vector(q)
-                + float(t) * self.frame.u)
 
-
-class NewtonField:
-    """Observed dynamics in event form: state is (event, momentum).
-
-    The event velocity is ``g^{-1}(p)/m + u`` (so its clock rate is one
-    identically) and the force is minus the spatial gradient of the
-    potential, read through a fixed observer split that belongs to the
-    system, not to the integration frame.
-    """
-
-    def __init__(self, st: NewtonSpaceTime, frame: InertialFrame, m: float,
-                 phi: Expression, split: ObserverSplit | None = None,
-                 q_names=None, time: str = "t"):
-        if m <= 0:
-            raise MechanicsError("mass must be positive")
-        self.st = st
-        self.frame = frame
-        self.m = float(m)
-        self.split = split or ObserverSplit.default(st)
-        self.q_names = tuple(q_names or (f"q{i + 1}" for i in range(st.d)))
-        self.time = time
-        allowed = set(self.q_names) | {time}
-        extraneous = se.free_vars(phi) - allowed
-        if extraneous:
-            raise MechanicsError(
-                f"potential uses unknown variables {sorted(extraneous)}")
-        self.phi = phi
-        order = self.q_names + (time,)
-        self._grad = se.compile_fn(
-            [se.differentiate(phi, q) for q in self.q_names], order)
-        self.names = tuple(f"x{i + 1}" for i in range(st.d + 1)) \
-            + tuple(f"p{i + 1}" for i in range(st.d))
-
-    def __call__(self, state: np.ndarray) -> np.ndarray:
-        st = self.st
-        x = state[:st.d + 1]
-        p = state[st.d + 1:]
-        xdot = st.spatial_basis @ (st.g_inv @ p) / self.m + self.frame.u
-        q, t = self.split.coordinates(x)
-        pdot = -np.array(self._grad([*q, t]))
-        return np.concatenate([xdot, pdot])
-
-    def initial_state(self, phase: ObservedPhase) -> np.ndarray:
-        return np.concatenate([phase.x, phase.p])
-
-    def event_of(self, state: np.ndarray) -> np.ndarray:
-        return state[:self.st.d + 1]
-
-    @property
-    def event_names(self) -> tuple[str, ...]:
-        return tuple(f"x{i + 1}" for i in range(self.st.d + 1))
+def _affine(coeffs, names, offset: float = 0.0) -> Expression:
+    """``sum_j coeffs[j] * names[j] + offset`` without its zero terms."""
+    out: Expression = se.Const(0.0)
+    for c, name in zip(coeffs, names):
+        if c != 0.0:
+            out = se.add(out, se.mul(se.Const(float(c)), se.Var(name)))
+    return se.add(out, se.Const(float(offset)))
 
 
 def newton_dynamics(st: NewtonSpaceTime, frame: InertialFrame, m: float,
                     phi: Expression,
-                    split: ObserverSplit | None = None) -> NewtonField:
-    return NewtonField(st, frame, m, phi, split)
+                    split: ObserverSplit | None = None) -> VectorField:
+    """Observed dynamics in event form on the state (event, momentum).
+
+    The event velocity is ``g^{-1}(p)/m + u`` (so its clock rate is one
+    identically) and the force is minus the spatial gradient of the
+    potential, read through a fixed observer split that belongs to the
+    system, not to the integration frame.  The split's coordinates
+    ``(q, t)`` are affine in the event coordinates, so both parts are
+    expressions in the state and the field compiles like any other.
+    The observed energy ``p.g^{-1}p/2m + phi(q, t)`` rides along as
+    ``energy``; ``event_of`` and ``event_names`` pick the event columns.
+    """
+    if not 0 < m < math.inf:
+        raise MechanicsError("mass must be positive and finite")
+    split = split or ObserverSplit.default(st)
+    d = st.d
+    q_names = tuple(f"q{i + 1}" for i in range(d))
+    extraneous = se.free_vars(phi) - set(q_names) - {"t"}
+    if extraneous:
+        raise MechanicsError(
+            f"potential uses unknown variables {sorted(extraneous)}")
+    x_names = tuple(f"x{i + 1}" for i in range(d + 1))
+    p_names = tuple(f"p{i + 1}" for i in range(d))
+
+    velocity = st.spatial_basis @ st.g_inv
+    xdot = [se.add(se.div(_affine(row, p_names), se.Const(float(m))),
+                   se.Const(float(u))) for row, u in zip(velocity, frame.u)]
+    # q = P (x - x0 - t u) with t = tau.(x - x0), P the spatial projection
+    to_q = st._spatial_proj @ (np.eye(d + 1) - np.outer(split.frame.u, st.tau))
+    coords = {q: _affine(row, x_names, -(row @ split.x0))
+              for q, row in zip(q_names, to_q)}
+    coords["t"] = _affine(st.tau, x_names, -(st.tau @ split.x0))
+    pdot = [se.neg(se.subst(se.differentiate(phi, q), coords)) for q in q_names]
+
+    fld = VectorField(x_names + p_names, xdot + pdot)
+    kinetic: Expression = se.Const(0.0)
+    for col, p in zip(st.g_inv.T, p_names):  # (p g^{-1}) . p
+        kinetic = se.add(kinetic, se.mul(_affine(col, p_names), se.Var(p)))
+    fld.energy = se.add(se.div(kinetic, se.Const(2.0 * m)),
+                        se.subst(phi, coords))
+    fld.spacetime = st
+    fld.event_names = x_names
+    fld.event_of = itemgetter(slice(0, d + 1))
+    return fld
 
 
-def observed_hamiltonian(fld: NewtonField):
-    """Energy function of the observed dynamics, as a state callable."""
-    st = fld.st
-    phi_fn = se.compile_fn([fld.phi], fld.q_names + (fld.time,))
-
-    def energy(state: np.ndarray) -> float:
-        p = state[st.d + 1:]
-        q, t = fld.split.coordinates(state[:st.d + 1])
-        return float(p @ st.g_inv @ p) / (2.0 * fld.m) + phi_fn([*q, t])[0]
-
-    return energy
+def observed_hamiltonian(fld: VectorField):
+    """The field's ``energy`` as a state callable: the observed energy of
+    a Newtonian field, the Hamiltonian of a time-dependent one."""
+    fn = se.compile_fn([fld.energy], fld.names)
+    return lambda state: fn(state)[0]
 
 
-def tau_clock_residual(fld: NewtonField, traj: Trajectory) -> float:
+def energy_drift(fld: VectorField, traj: Trajectory) -> float:
+    """Largest change of the field's energy along a trajectory."""
+    H = observed_hamiltonian(fld)
+    values = np.array([H(s) for s in traj.states])
+    return float(np.max(np.abs(values - values[0])))
+
+
+def tau_clock_residual(fld: VectorField, traj: Trajectory) -> float:
     """Worst deviation of the clock rate of the event velocity from one."""
-    worst = 0.0
-    for state in traj.states:
-        rate = fld.st.time_of(fld(state)[:fld.st.d + 1])
-        worst = max(worst, abs(rate - 1.0))
-    return worst
+    st = fld.spacetime
+    return max(abs(st.time_of(fld(state)[:st.d + 1]) - 1.0)
+               for state in traj.states)
 
 
 @dataclass
@@ -515,13 +511,13 @@ def compare_frames(st: NewtonSpaceTime, m: float, phi: Expression,
     space-time coordinates, never in frame components, which is the
     form in which frame independence is literally true.
     """
-    fld1 = newton_dynamics(st, initial.frame, m, phi, split)
+    def world_line(phase: ObservedPhase) -> Trajectory:
+        fld = newton_dynamics(st, phase.frame, m, phi, split)
+        return integrate(fld, np.concatenate([phase.x, phase.p]), h, T,
+                         event_fn=fld.event_of, event_names=fld.event_names)
+
     boosted = gauge_transform(initial, v, m)
-    fld2 = newton_dynamics(st, boosted.frame, m, phi, split)
-    t1 = integrate(fld1, fld1.initial_state(initial), h, T,
-                   event_fn=fld1.event_of, event_names=fld1.event_names)
-    t2 = integrate(fld2, fld2.initial_state(boosted), h, T,
-                   event_fn=fld2.event_of, event_names=fld2.event_names)
+    t1, t2 = world_line(initial), world_line(boosted)
     deviation = float(np.max(np.abs(t1.events - t2.events)))
     frames = ([float(x) for x in initial.frame.u],
               [float(x) for x in boosted.frame.u])

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 
 from affgeo import cli
 
@@ -59,6 +61,16 @@ def test_flipped_reduction_scenario_fails(tmp_path, capsys):
     assert run(["run", "reduction_flipped", "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("dim", ["0", "-1"])
+def test_timedep_without_degrees_of_freedom_exits_2(tmp_path, capsys, dim):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(
+        "[scenario]\nkind = timedep\nname = bad\n"
+        f"[system]\ndim = {dim}\nhamiltonian = \"0\"\n"
+        "[integration]\nstep = 0.1\nduration = 1\ninitial = 0\n")
+    assert run(["run", str(bad), "--out", str(tmp_path)]) == 2
+
+
 def test_domain_error_exits_3(tmp_path, capsys):
     bad = tmp_path / "blowup.ini"
     bad.write_text(
@@ -94,3 +106,133 @@ def test_bundled_oscillator_writes_expected_rows(tmp_path, capsys):
     rows = [ln for ln in lines if ln]
     assert len(rows) == 10002  # header plus duration/step + 1 states
     assert rows[0].startswith(b"step,time,q1,p1,t")
+
+
+NEWTON = (
+    "[scenario]\nkind = newton\nname = bad\nseed = {seed}\n"
+    "[spacetime]\ndim = {dim}\nmetric = {metric}\n"
+    "[system]\nmass = {mass}\npotential = \"0\"\n"
+    "[initial]\nevent = 0, 0, 0, 0\nmomentum = {momentum}\n"
+    "[integration]\nstep = {step}\nduration = 1\n")
+
+
+def run_newton_text(tmp_path, capsys, **fields):
+    values = {"seed": 0, "dim": 3, "metric": "identity", "mass": 1.0,
+              "step": 0.1, "momentum": "0.1, 0, 0", **fields}
+    path = tmp_path / "bad.ini"
+    path.write_text(NEWTON.format(**values))
+    code = run(["run", str(path), "--out", str(tmp_path)])
+    return code, capsys.readouterr().err
+
+
+def test_newton_template_runs(tmp_path, capsys):
+    assert run_newton_text(tmp_path, capsys)[0] == 0
+
+
+@pytest.mark.parametrize("fields", [
+    {"mass": -1},
+    {"mass": "nan"},
+    {"mass": "inf"},
+    {"seed": -1},
+    {"seed": "abc"},
+    {"dim": "two"},
+    {"dim": 0},
+    {"step": "fast"},
+    {"metric": "1 0 0; 0 1 0; 0"},
+    {"metric": "1 0 0; 0 -1 0; 0 0 1"},
+    {"step": 0.3},
+    {"step": "nan"},
+    {"momentum": "0.1, 0"},
+])
+def test_bad_newton_field_exits_2(tmp_path, capsys, fields):
+    code, err = run_newton_text(tmp_path, capsys, **fields)
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_negative_seed_option_exits_2(tmp_path, capsys):
+    assert run(["run", "so3_affgebra", "--seed", "-3", "--out", str(tmp_path)]) == 2
+
+
+def test_duration_not_whole_steps_writes_no_csv(tmp_path, capsys):
+    code, err = run_newton_text(tmp_path, capsys, step=0.3)
+    assert code == 2 and "whole number of steps" in err
+    assert not (tmp_path / "bad.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["1 x 2", "1 2 9", "1 2", "0 1 2"])
+def test_bad_structure_constant_key_exits_2(tmp_path, capsys, key):
+    path = tmp_path / "bad.ini"
+    path.write_text("[scenario]\nkind = affgebra-verify\nname = bad\n"
+                    "[structure]\ndim = 3\nc = entries\n"
+                    f"[c]\n{key} = 1.0\n")
+    assert run(["run", str(path), "--out", str(tmp_path)]) == 2
+
+
+AFFGEBROID = (
+    "[scenario]\nkind = affgebroid-verify\nname = bad\n"
+    "[base]\ncoords = q, t\n"
+    "[structure]\nrank = 1\nanchor_ref = \"0\", \"1\"\nanchor1 = \"1\", \"0\"\n")
+
+
+@pytest.mark.parametrize("section", [
+    "[beta]\nx = \"0\"\n",
+    "[beta]\n2 = \"0\"\n",
+    "[beta]\n0 = \"0\"\n",
+    "[c]\n1 = \"0\"\n",
+    "[c]\n1 1 3 = \"0\"\n",
+    "[c]\n1 2 = \"0\"\n",
+])
+def test_bad_affgebroid_index_key_exits_2(tmp_path, capsys, section):
+    path = tmp_path / "bad.ini"
+    path.write_text(AFFGEBROID + section)
+    assert run(["run", str(path), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("samples", ["grid:x", "grid:0", "random:0", "mesh:4"])
+def test_bad_sampling_exits_2(tmp_path, capsys, samples):
+    # no sample points would make every sampled check pass vacuously
+    path = tmp_path / "bad.ini"
+    path.write_text(AFFGEBROID.replace(
+        "coords = q, t\n", f"coords = q, t\nsamples = {samples}\n"))
+    assert run(["run", str(path), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("momentum, boosts", [
+    ("0.1, 0, 0", ";"), ("0.1, 0", "0.1, 0, 0"), ("0.1, 0, 0", "0.1, 0")])
+def test_bad_compare_frames_exits_2(tmp_path, capsys, momentum, boosts):
+    path = tmp_path / "bad.ini"
+    path.write_text(
+        "[scenario]\nkind = compare-frames\nname = bad\n"
+        "[system]\npotential = \"0\"\n"
+        f"[initial]\nevent = 0, 0, 0, 0\nmomentum = {momentum}\n"
+        "[integration]\nstep = 0.1\nduration = 1\n"
+        f"[frames]\nboosts = {boosts}\n")
+    assert run(["run", str(path), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("text", [
+    "kind = duality-verify\n[params]\ndims = 1, inf\n",
+    "kind = duality-verify\n[params]\ndims = 1, 1.5\n",
+    "kind = duality-verify\n[params]\ndims = 0\n",
+    "kind = affgebroid-verify\n[structure]\natiyah = true\ndims = 0\n",
+])
+def test_bad_dimension_list_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.ini"
+    path.write_text("[scenario]\nname = bad\n" + text)
+    assert run(["run", str(path), "--out", str(tmp_path)]) == 2
+
+
+def test_newton_frame_of_wrong_length_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text(NEWTON.format(seed=0, dim=3, metric="identity", mass=1.0,
+                                  step=0.1, momentum="0.1, 0, 0")
+                    .replace("[initial]", "frame = 0.4, 1.0\n[initial]"))
+    assert run(["run", str(path), "--out", str(tmp_path)]) == 2
+
+
+def test_ragged_chart_matrix_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text("[scenario]\nkind = affine-verify\nname = bad\n"
+                    "[space]\ndim = 2\n[charts]\nc = 1 0; 0 | 0 0\n")
+    assert run(["run", str(path), "--out", str(tmp_path)]) == 2

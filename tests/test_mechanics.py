@@ -6,9 +6,9 @@ import pytest
 from affgeo import symexpr as se
 from affgeo.mechanics import (
     IntegrationError, MechanicsError, NewtonSpaceTime, ObservedPhase,
-    TimeDepSystem, VectorField, compare_frames, gauge_transform, integrate,
-    newton_dynamics, observed_hamiltonian, tau_clock_residual,
-    timedep_dynamics, timedep_event_fn,
+    ObserverSplit, TimeDepSystem, VectorField, compare_frames, energy_drift,
+    gauge_transform, integrate, newton_dynamics, observed_hamiltonian,
+    tau_clock_residual, timedep_dynamics, timedep_event_fn,
 )
 from affgeo.symexpr import Const, Var, VarContext, parse
 
@@ -85,6 +85,19 @@ def test_integrate_reports_nonfinite_step():
     assert err.value.step > 0
 
 
+def test_integrate_rejects_duration_off_the_step_grid():
+    fld = VectorField(("x",), (Const(1.0),))
+    with pytest.raises(MechanicsError, match="whole number of steps"):
+        integrate(fld, [0.0], h=0.3, T=1.0)
+    assert len(integrate(fld, [0.0], h=1e-3, T=0.1)) == 101
+
+
+def test_integrate_rejects_wrong_state_length():
+    fld = VectorField(("x", "y"), (Const(1.0), Var("x")))
+    with pytest.raises(MechanicsError, match="components"):
+        integrate(fld, [0.0], h=0.1, T=1.0)
+
+
 def test_oscillator_matches_closed_form():
     fld = timedep_dynamics(osc_system())
     q0, p0 = 1.0, 0.0
@@ -104,6 +117,15 @@ def test_timedep_energy_conservation():
     H = se.compile_fn([sys.H], sys.state_names)
     values = [H(state)[0] for state in traj.states]
     assert max(abs(v - values[0]) for v in values) < 1e-6
+
+
+def test_energy_drift_matches_direct_loop():
+    sys = osc_system()
+    fld = timedep_dynamics(sys)
+    traj = integrate(fld, [1.0, 0.0, 0.0], h=1e-2, T=10.0)
+    H = se.compile_fn([sys.H], sys.state_names)
+    values = [H(state)[0] for state in traj.states]
+    assert energy_drift(fld, traj) == max(abs(v - values[0]) for v in values)
 
 
 def test_trajectory_csv_rows(tmp_path):
@@ -267,3 +289,70 @@ def test_compare_frames_zero_boost_bitwise():
     cmp = compare_frames(st, 1.0, phi, initial, [0.0, 0.0], h=1e-2, T=1.0)
     t1, t2 = cmp.trajectories
     assert np.array_equal(t1.states, t2.states)
+
+
+def reference_newton_field(st, frame, m, phi, split):
+    """The numpy formula of the observed dynamics, evaluated per state."""
+    q_names = [f"q{i + 1}" for i in range(st.d)]
+    grad = se.compile_fn([se.differentiate(phi, q) for q in q_names],
+                         q_names + ["t"])
+    phi_fn = se.compile_fn([phi], q_names + ["t"])
+
+    def field(state):
+        x, p = state[:st.d + 1], state[st.d + 1:]
+        xdot = st.spatial_basis @ (st.g_inv @ p) / m + frame.u
+        q, t = split.coordinates(x)
+        return np.concatenate([xdot, -np.array(grad([*q, t]))])
+
+    def energy(state):
+        p = state[st.d + 1:]
+        q, t = split.coordinates(state[:st.d + 1])
+        return float(p @ st.g_inv @ p) / (2.0 * m) + phi_fn([*q, t])[0]
+
+    return field, energy
+
+
+NEWTON_PHI = "q1^2/2 + q2*q3*t + sin(q1*t) - 0.3*q3"
+
+
+def test_newton_field_matches_reference_off_canonical():
+    st = NewtonSpaceTime(3, tau=[0.3, -0.2, 0.1, 1.1],
+                         g=[[2.0, 0.3, 0.0], [0.3, 1.0, -0.2], [0.0, -0.2, 0.5]])
+    split = ObserverSplit(st, [0.5, -1.0, 2.0, 0.3],
+                          st.rest_frame().boosted([0.1, 0.2, -0.3]))
+    frame = st.rest_frame().boosted([-0.2, 0.1, 0.05])
+    phi = parse(NEWTON_PHI, VarContext.make(base=("q1", "q2", "q3"), time="t"))
+    fld = newton_dynamics(st, frame, 1.7, phi, split)
+    field, energy = reference_newton_field(st, frame, 1.7, phi, split)
+    H = observed_hamiltonian(fld)
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        state = rng.uniform(-1.0, 1.0, 7)
+        assert np.max(np.abs(fld(state) - field(state))) < 1e-14
+        assert abs(H(state) - energy(state)) < 1e-14
+
+
+def test_newton_field_canonical_case_is_bit_identical():
+    st = NewtonSpaceTime(3)
+    split = ObserverSplit.default(st)
+    frame = st.rest_frame().boosted([0.4, 0.0, -0.2])
+    phi = parse(NEWTON_PHI, VarContext.make(base=("q1", "q2", "q3"), time="t"))
+    fld = newton_dynamics(st, frame, 2.0, phi)
+    field, energy = reference_newton_field(st, frame, 2.0, phi, split)
+    H = observed_hamiltonian(fld)
+    rng = np.random.default_rng(6)
+    for _ in range(50):
+        state = rng.uniform(-3.0, 3.0, 7)
+        assert fld(state).tobytes() == field(state).tobytes()
+        # numpy's dot fuses multiply-adds; the compiled energy cannot
+        assert H(state) == pytest.approx(energy(state), rel=1e-15, abs=0)
+
+
+def test_compare_frames_first_world_line_is_the_plain_integration():
+    st = NewtonSpaceTime(2)
+    phi = parse("q1^2/2 + q2", VarContext.make(base=("q1", "q2"), time="t"))
+    initial = ObservedPhase([1.0, 0.0, 0.0], [0.0, 0.5], 0.0, st.rest_frame())
+    cmp = compare_frames(st, 1.0, phi, initial, [0.3, 0.1], h=1e-2, T=1.0)
+    fld = newton_dynamics(st, st.rest_frame(), 1.0, phi)
+    traj = integrate(fld, [1.0, 0.0, 0.0, 0.0, 0.5], h=1e-2, T=1.0)
+    assert np.array_equal(cmp.trajectories[0].states, traj.states)
