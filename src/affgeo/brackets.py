@@ -36,13 +36,13 @@ import numpy as np
 from . import symexpr as se
 from .affine import AffineSpaceSpec
 from .duality import SpecialAffineSpace, SpecialDualSpace, iota_sharp, special_dual
-from .reporting import Report
+from .reporting import Report, first_worst, per_point_max
 from .symexpr import Expression
 
 __all__ = [
     "BracketError", "NonAffineSectionError", "Patch", "random_polynomial",
     "LieAffgebraData", "LieAffgebroidData", "HullAlgebroidData",
-    "bracket", "verify_affgebra", "verify_affgebroid", "hull_extend",
+    "verify_affgebra", "verify_affgebroid", "hull_extend",
     "AffJacobiBracket", "aff_jacobi_bracket", "is_aff_poisson",
     "AffPoissonResult", "atiyah_algebroid", "affgebra_to_affgebroid",
     "jet_bundle_affgebroid",
@@ -85,7 +85,9 @@ class Patch:
         return se.VarContext.make(base=self.names)
 
     def env(self, point) -> dict[str, float]:
-        return dict(zip(self.names, np.atleast_1d(np.asarray(point, float))))
+        """Coordinates of one point; of an ``(N, dim)`` block of points,
+        one array per coordinate (a sample set for ``se.evaluate``)."""
+        return dict(zip(self.names, np.atleast_1d(np.asarray(point, float)).T))
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         if self.dim == 0:
@@ -173,23 +175,19 @@ def verify_affgebra(data: LieAffgebraData) -> Report:
     points = [np.zeros(n)] + [e for e in np.eye(n)]
     labels = ["o"] + [f"o+e{i + 1}" for i in range(n)]
 
-    worst, witness = 0.0, None
-    for (la, ua), (lb, ub) in itertools.product(zip(labels, points), repeat=2):
-        r = float(np.max(np.abs(data.bracket(ua, ub) + data.bracket(ub, ua))))
-        if r > worst:
-            worst, witness = r, {"pair": [la, lb], "residual": r}
-    report.add("skew", worst <= tol, worst, witness if worst > tol else None)
+    def add(check, key, arity, residual):
+        cases = list(itertools.product(range(n + 1), repeat=arity))
+        worst, at = first_worst([np.max(np.abs(residual(*(points[i] for i in c))))
+                                 for c in cases])
+        passed = worst <= tol
+        report.add(check, passed, worst, None if passed else
+                   {key: [labels[i] for i in cases[at[0]]], "residual": worst})
 
-    worst, witness = 0.0, None
-    for (l1, u1), (l2, u2), (l3, u3) in itertools.product(
-            zip(labels, points), repeat=3):
-        total = (data.second_linear(u1, data.bracket(u2, u3))
-                 + data.second_linear(u2, data.bracket(u3, u1))
-                 + data.second_linear(u3, data.bracket(u1, u2)))
-        r = float(np.max(np.abs(total)))
-        if r > worst:
-            worst, witness = r, {"triple": [l1, l2, l3], "residual": r}
-    report.add("jacobi", worst <= tol, worst, witness if worst > tol else None)
+    add("skew", "pair", 2, lambda u, w: data.bracket(u, w) + data.bracket(w, u))
+    add("jacobi", "triple", 3, lambda u1, u2, u3: (
+        data.second_linear(u1, data.bracket(u2, u3))
+        + data.second_linear(u2, data.bracket(u3, u1))
+        + data.second_linear(u3, data.bracket(u1, u2))))
     return report
 
 
@@ -230,34 +228,28 @@ class LieAffgebroidData:
         self._check_antisymmetry()
 
     def _check_antisymmetry(self):
-        pts = self.patch.grid(3)
-        for i in range(self.rank):
-            for j in range(self.rank):
-                for k in range(self.rank):
-                    s = self.c[i][j][k] + self.c[j][i][k]
-                    for p in pts:
-                        if abs(se.evaluate(s, self.patch.env(p))) > 1e-12:
-                            raise BracketError(
-                                f"structure functions not antisymmetric at "
-                                f"(i={i}, j={j}, k={k})")
+        env = self.patch.env(self.patch.grid(3))
+        for i, j, k in itertools.product(range(self.rank), repeat=3):
+            s = se.evaluate(self.c[i][j][k] + self.c[j][i][k], env)
+            if not np.all(np.abs(s) <= 1e-12):
+                raise BracketError(f"structure functions not antisymmetric "
+                                   f"at (i={i}, j={j}, k={k})")
 
     # -- anchor ------------------------------------------------------------
 
     def anchor_of(self, f) -> list[Expression]:
         """Vector field of the section ``a0 + f^i v_i``."""
-        f = _coerce_section(f, self.rank)
-        comps = list(self.anchor_ref)
-        for i in range(self.rank):
-            comps = [se.add(ca, se.mul(f[i], li))
-                     for ca, li in zip(comps, self.anchor_lin[i])]
-        return comps
+        return self._anchor(self.anchor_ref, f)
 
     def anchor_model(self, W) -> list[Expression]:
         """Vector field of the model section ``W^i v_i``."""
-        W = _coerce_section(W, self.rank)
-        comps = [se.Const(0.0)] * self.patch.dim
+        return self._anchor([se.Const(0.0)] * self.patch.dim, W)
+
+    def _anchor(self, comps, f) -> list[Expression]:
+        """``comps`` plus the frame anchors weighted by ``f``."""
+        f, comps = _coerce_section(f, self.rank), list(comps)
         for i in range(self.rank):
-            comps = [se.add(ca, se.mul(W[i], li))
+            comps = [se.add(ca, se.mul(f[i], li))
                      for ca, li in zip(comps, self.anchor_lin[i])]
         return comps
 
@@ -276,17 +268,18 @@ class LieAffgebroidData:
         g = _coerce_section(g, self.rank)
         if self.bracket_fn is not None:
             return _coerce_section(self.bracket_fn(f, g), self.rank)
-        return self._expansion(f, g)
+        return self._expansion(f, g, [se.sub(b, a) for a, b in zip(f, g)])
 
-    def _expansion(self, f, g) -> list[Expression]:
+    def _expansion(self, f, g, d) -> list[Expression]:
+        """The structure-function expansion with ``d`` where ``g - f``
+        enters: the bracket, or with ``g = d = W`` its second-slot part."""
         n = self.rank
-        rho0 = self.anchor_ref
         out: list[Expression] = []
         for k in range(n):
             term: Expression = se.Const(0.0)
             for j in range(n):
-                term = se.add(term, se.mul(se.sub(g[j], f[j]), self.beta[j][k]))
-            term = se.add(term, self.apply_field(rho0, se.sub(g[k], f[k])))
+                term = se.add(term, se.mul(d[j], self.beta[j][k]))
+            term = se.add(term, self.apply_field(self.anchor_ref, d[k]))
             for i in range(n):
                 for j in range(n):
                     term = se.add(term, se.mul(se.mul(f[i], g[j]), self.c[i][j][k]))
@@ -308,28 +301,9 @@ class LieAffgebroidData:
         f = _coerce_section(f, self.rank)
         W = _coerce_section(W, self.rank)
         if self.bracket_fn is not None:
-            zero = [se.Const(0.0)] * self.rank
-            plus = self.bracket(f, [se.add(a, b) for a, b in zip(zero, W)])
-            base = self.bracket(f, zero)
-            return [se.sub(a, b) for a, b in zip(plus, base)]
-        n = self.rank
-        out: list[Expression] = []
-        for k in range(n):
-            term: Expression = se.Const(0.0)
-            for j in range(n):
-                term = se.add(term, se.mul(W[j], self.beta[j][k]))
-            term = se.add(term, self.apply_field(self.anchor_ref, W[k]))
-            for i in range(n):
-                for j in range(n):
-                    term = se.add(term, se.mul(se.mul(f[i], W[j]), self.c[i][j][k]))
-            for i in range(n):
-                term = se.add(term, se.mul(
-                    f[i], self.apply_field(self.anchor_lin[i], W[k])))
-            for j in range(n):
-                term = se.sub(term, se.mul(
-                    W[j], self.apply_field(self.anchor_lin[j], f[k])))
-            out.append(term)
-        return out
+            base = self.bracket(f, [se.Const(0.0)] * self.rank)
+            return [se.sub(a, b) for a, b in zip(self.bracket(f, W), base)]
+        return self._expansion(f, W, W)
 
     # -- helpers -----------------------------------------------------------
 
@@ -338,31 +312,27 @@ class LieAffgebroidData:
             raise BracketError("no distinguished section on this bundle")
         return SpecialAffineSpace(AffineSpaceSpec(self.rank), self.v)
 
-    def eval_section(self, comps, point) -> np.ndarray:
-        env = self.patch.env(point)
-        return np.array([se.evaluate(cp, env) for cp in comps])
-
-
-def bracket(data, a, b):
-    """Bracket of two sections: numeric over a point, symbolic over a patch.
-
-    ``data`` is either bracket data over a point (arguments are
-    coordinate arrays) or over a patch (arguments are coefficient
-    expressions relative to the frame).
-    """
-    return data.bracket(a, b)
-
 
 def _max_abs(data: LieAffgebroidData, comps, points) -> tuple[float, dict | None]:
-    worst, witness = 0.0, None
-    for p in points:
-        vals = data.eval_section(comps, p)
-        r = float(np.max(np.abs(vals))) if len(vals) else 0.0
-        if r > worst:
-            worst = r
-            witness = {"point": [float(x) for x in np.atleast_1d(p)],
-                       "residual": r}
+    """Largest ``|component|`` over the ``(N, dim)`` sample points, and
+    the first point that reaches it as witness (None without points)."""
+    env = data.patch.env(points)
+    r = per_point_max((se.evaluate(c, env) for c in comps), len(points))
+    worst, at = first_worst(r)
+    witness = {"point": points[at[0]].tolist(), "residual": worst} if at else None
     return worst, witness
+
+
+def _add_worst(report: Report, check: str, results, tol: float, key=None):
+    """Add the worst of several ``_max_abs`` results: the first case, then
+    the first point, that reaches it (``key`` names the case index)."""
+    worst, at = first_worst([w for w, _ in results])
+    if worst < tol:
+        report.add(check, True, worst)
+    else:
+        witness = results[at[0]][1]
+        report.add(check, False, worst,
+                   witness if key is None else dict(witness, **{key: at[0]}))
 
 
 def _random_sections(data: LieAffgebroidData, rng, count: int):
@@ -379,19 +349,13 @@ def verify_affgebroid(data: LieAffgebroidData, sample_points,
     checks evaluate symbolic residuals at the supplied base points.
     """
     rng = rng or np.random.default_rng(0)
-    pts = np.asarray(sample_points, float)
+    pts = np.asarray(sample_points, float).reshape(len(sample_points), data.patch.dim)
     report = Report("affgebroid")
 
     secs = _random_sections(data, rng, 3)
+    _add_worst(report, "skew",
+               [_max_abs(data, data.bracket(f, f), pts) for f in secs], tol)
 
-    worst, witness = 0.0, None
-    for f in secs:
-        w, wit = _max_abs(data, data.bracket(f, f), pts)
-        if w > worst:
-            worst, witness = w, wit
-    report.add("skew", worst < tol, worst, witness if worst >= tol else None)
-
-    worst, witness = 0.0, None
     f1, f2, f3 = secs
     cyc = [(f1, f2, f3), (f2, f3, f1), (f3, f1, f2)]
     total = [se.Const(0.0)] * data.rank
@@ -399,11 +363,10 @@ def verify_affgebroid(data: LieAffgebroidData, sample_points,
         inner = data.bracket(b, cthird)
         outer = data.second_linear(a, inner)
         total = [se.add(t, o) for t, o in zip(total, outer)]
-    worst, witness = _max_abs(data, total, pts)
-    report.add("jacobi", worst < tol, worst, witness if worst >= tol else None)
+    _add_worst(report, "jacobi", [_max_abs(data, total, pts)], tol)
 
     # Leibniz: bracket of a section against (coefficient * frame section)
-    worst, witness = 0.0, None
+    results = []
     f = secs[0]
     for i in range(data.rank):
         coeff = random_polynomial(data.patch, rng)
@@ -417,29 +380,20 @@ def verify_affgebroid(data: LieAffgebroidData, sample_points,
         rhs = [se.add(se.mul(coeff, b), se.mul(deriv, u))
                for b, u in zip(base, unit)]
         residual = [se.sub(a, b) for a, b in zip(lhs, rhs)]
-        w, wit = _max_abs(data, residual, pts)
-        if w > worst:
-            worst, witness = w, (dict(wit, frame=i) if wit else None)
-    report.add("leibniz", worst < tol, worst, witness if worst >= tol else None)
+        results.append(_max_abs(data, residual, pts))
+    _add_worst(report, "leibniz", results, tol, key="frame")
 
     # anchor morphism: anchor of a bracket is the commutator of anchors
-    worst, witness = 0.0, None
+    results = []
     for f, g in [(f1, f2), (f2, f3)]:
         br = data.bracket(f, g)
         lhs = data.anchor_model(br)
         X, Y = data.anchor_of(f), data.anchor_of(g)
         comm = [se.sub(data.apply_field(X, Y[a]), data.apply_field(Y, X[a]))
                 for a in range(data.patch.dim)]
-        residual = [se.sub(a, b) for a, b in zip(lhs, comm)]
-        for p in pts:
-            env = data.patch.env(p)
-            r = max((abs(se.evaluate(rr, env)) for rr in residual), default=0.0)
-            if r > worst:
-                worst = r
-                witness = {"point": [float(x) for x in np.atleast_1d(p)],
-                           "residual": r}
-    report.add("anchor_morphism", worst < tol, worst,
-               witness if worst >= tol else None)
+        results.append(_max_abs(data, [se.sub(a, b) for a, b in zip(lhs, comm)],
+                                pts))
+    _add_worst(report, "anchor_morphism", results, tol)
     return report
 
 
@@ -461,19 +415,13 @@ class HullAlgebroidData:
         self.data = data
 
     def anchor(self, h, comps) -> list[Expression]:
-        h = h if isinstance(h, Expression) else se.Const(float(h))
-        comps = _coerce_section(comps, self.data.rank)
-        out = [se.mul(h, a) for a in self.data.anchor_ref]
-        for i in range(self.data.rank):
-            out = [se.add(o, se.mul(comps[i], li))
-                   for o, li in zip(out, self.data.anchor_lin[i])]
-        return out
+        return self.data._anchor([se.mul(_as_expr(h), a)
+                                  for a in self.data.anchor_ref], comps)
 
     def bracket(self, X, Y) -> tuple[Expression, list[Expression]]:
         h, f = X
         h2, g = Y
-        h = h if isinstance(h, Expression) else se.Const(float(h))
-        h2 = h2 if isinstance(h2, Expression) else se.Const(float(h2))
+        h, h2 = _as_expr(h), _as_expr(h2)
         f = _coerce_section(f, self.data.rank)
         g = _coerce_section(g, self.data.rank)
         data = self.data
@@ -664,11 +612,11 @@ def is_aff_poisson(data: LieAffgebroidData,
     rng = rng or np.random.default_rng(0)
     sd = _dual_quotient(data)
     names = sd.quotient_var_names()
-    pts = (np.asarray(sample_points, float) if sample_points is not None
-           else data.patch.sample(rng, 8))
+    pts = (data.patch.sample(rng, 8) if sample_points is None else np.asarray(
+        sample_points, float).reshape(len(sample_points), data.patch.dim))
 
     # derivation side: lam = {sigma, sigma' + 1} - {sigma, sigma'}
-    worst_d, witness = 0.0, None
+    defects, envs = [], []
     for _ in range(3):
         sigma = se.Const(rng.uniform(-1, 1))
         for name in names:
@@ -678,18 +626,15 @@ def is_aff_poisson(data: LieAffgebroidData,
                      aff_jacobi_bracket(data, sigma, sigma2))
         f = se.Var(names[0]) if names else se.Const(1.0)
         g = (se.Var(data.patch.names[0]) if data.patch.dim else se.Const(1.0))
-        defect = se.mul(lam, se.mul(f, g))
-        for p in pts:
-            env = data.patch.env(p)
-            env.update({n: rng.uniform(-2, 2) for n in names})
-            r = abs(se.evaluate(defect, env))
-            if r > worst_d:
-                worst_d = r
-                witness = {"point": dict(env), "residual": r}
+        env = data.patch.env(pts)
+        env.update(zip(names, rng.uniform(-2, 2, size=(len(pts), len(names))).T))
+        defects.append(per_point_max(
+            [se.evaluate(se.mul(lam, se.mul(f, g)), env)], len(pts)))
+        envs.append(env)
+    worst_d, at = first_worst(defects)
     derivation_ok = worst_d < tol
 
     # centrality side: hull brackets of v against the frame, and the anchor
-    worst_c = 0.0
     hull = HullAlgebroidData(data)
     v_sec = (se.Const(0.0), [se.Const(float(x)) for x in data.v])
     frame = [(se.Const(1.0), [se.Const(0.0)] * data.rank)]
@@ -697,12 +642,11 @@ def is_aff_poisson(data: LieAffgebroidData,
         comps = [se.Const(1.0) if j == i else se.Const(0.0)
                  for j in range(data.rank)]
         frame.append((se.Const(0.0), comps))
+    central = data.anchor_model(list(data.v))
     for X in frame:
         weight, comps = hull.bracket(v_sec, X)
-        w, _ = _max_abs(data, [weight] + comps, pts)
-        worst_c = max(worst_c, w)
-    w, _ = _max_abs(data, data.anchor_model(list(data.v)), pts)
-    worst_c = max(worst_c, w)
+        central += [weight] + comps
+    worst_c, _ = _max_abs(data, central, pts)
     centrality_ok = worst_c < CENTRALITY_TOL
 
     return AffPoissonResult(
@@ -711,7 +655,9 @@ def is_aff_poisson(data: LieAffgebroidData,
         centrality_ok=centrality_ok,
         derivation_residual=worst_d,
         centrality_residual=worst_c,
-        witness=witness if not derivation_ok else None,
+        witness=None if derivation_ok else {
+            "point": {n: float(v[at[1]]) for n, v in envs[at[0]].items()},
+            "residual": worst_d},
     )
 
 

@@ -43,10 +43,10 @@ from .mechanics import (
 )
 from .phase import (
     AVBundle, AVMorphism, canonical_poisson, check_affine_reduction,
-    eq1_aff_poisson, omega_Z, sample_envs, section_one_form, bold_d_oneform,
-    TimePhaseSpace,
+    eq1_aff_poisson, omega_Z, sample_envs, sample_points, section_one_form,
+    bold_d_oneform, TimePhaseSpace,
 )
-from .reporting import Report
+from .reporting import Report, first_worst, worst_abs
 
 KINDS = ("affine-verify", "duality-verify", "affgebra-verify",
          "affgebroid-verify", "timedep", "newton", "compare-frames",
@@ -180,34 +180,32 @@ def run_affine_verify(sc: Scenario, rng, outdir: Path, report: Report):
     charts = spec.charts
     samples = sc.get_int("params", "samples", 64)
 
-    worst = 0.0
-    for _ in range(16):
-        pts = [spec.point(rng.uniform(-3, 3, dim), chart=charts[rng.integers(len(charts))])
-               for _ in range(3)]
-        worst = max(worst, cocycle_check(*pts))
+    worst, _ = first_worst([cocycle_check(*[
+        spec.point(rng.uniform(-3, 3, dim), chart=charts[rng.integers(len(charts))])
+        for _ in range(3)]) for _ in range(16)])
     report.add("cocycle_across_charts", worst < 1e-12, worst)
 
     phi = BiAffineMap(C=rng.normal(size=(dim, dim, dim)),
                       D=rng.normal(size=(dim, dim)),
                       E=rng.normal(size=(dim, dim)),
                       F=rng.normal(size=dim))
-    worst = 0.0
+    residuals = []
     for _ in range(samples):
         x, y = rng.uniform(-2, 2, dim), rng.uniform(-2, 2, dim)
         u, w = rng.uniform(-2, 2, dim), rng.uniform(-2, 2, dim)
-        r1 = phi.apply(x + u, y) - phi.apply(x, y) - phi.part_first(u, y)
-        r2 = phi.apply(x, y + w) - phi.apply(x, y) - phi.part_second(x, w)
-        worst = max(worst, float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
+        residuals += [phi.apply(x + u, y) - phi.apply(x, y) - phi.part_first(u, y),
+                      phi.apply(x, y + w) - phi.apply(x, y) - phi.part_second(x, w)]
+    worst, _ = first_worst(np.abs(residuals))
     report.add("biaffine_part_identities", worst < 1e-12, worst)
 
     amap = AffineMap(spec, spec, rng.normal(size=(dim, dim)), rng.normal(size=dim))
-    worst = 0.0
+    residuals = []
     for _ in range(16):
         ref = rng.uniform(-2, 2, dim)
         base = amap.apply(spec.point(ref)).coords
-        for chart in charts:
-            moved = amap.apply(spec.convert_point(spec.point(ref), chart)).coords
-            worst = max(worst, float(np.max(np.abs(moved - base))))
+        residuals += [amap.apply(spec.convert_point(spec.point(ref), chart)).coords
+                      - base for chart in charts]
+    worst, _ = first_worst(np.abs(residuals))
     report.add("map_chart_invariance", worst < 1e-12, worst)
 
 
@@ -218,7 +216,7 @@ def run_duality_verify(sc: Scenario, rng, outdir: Path, report: Report):
     ok = all(dual_dimension(AffineSpaceSpec(n)) == n + 1 for n in dims)
     report.add("dual_dimension", ok, 0.0)
 
-    worst = 0.0
+    residuals = []
     for n in dims:
         v = rng.normal(size=n)
         while np.linalg.norm(v) < 0.3:
@@ -226,7 +224,8 @@ def run_duality_verify(sc: Scenario, rng, outdir: Path, report: Report):
         maps = double_special_dual(SpecialAffineSpace(AffineSpaceSpec(n), v))
         for _ in range(points):
             x = rng.uniform(-5, 5, n)
-            worst = max(worst, float(np.max(np.abs(maps.backward(maps.forward(x)) - x))))
+            residuals.append(np.max(np.abs(maps.backward(maps.forward(x)) - x)))
+    worst, _ = first_worst(residuals)
     report.add("double_dual_round_trip", worst < 1e-12, worst)
 
     av = AVCoordinates(base=("x",))
@@ -239,7 +238,7 @@ def run_duality_verify(sc: Scenario, rng, outdir: Path, report: Report):
         exact &= se.subst(F, {"s": sigma}) == se.Const(0.0)
     report.add("F_section_identities", exact, 0.0)
 
-    worst = 0.0
+    residuals = []
     h = 1e-4
     for n in dims:
         space = AffineSpaceSpec(n)
@@ -249,7 +248,8 @@ def run_duality_verify(sc: Scenario, rng, outdir: Path, report: Report):
             c = rng.normal()
             f0 = pair(X, DualElement(space, w, c))
             f1 = pair(X, DualElement(space, w, c + h))
-            worst = max(worst, abs((f1 - f0) / h))
+            residuals.append(abs((f1 - f0) / h))
+    worst, _ = first_worst(residuals)
     report.add("pairing_vertical_invariance", worst < 1e-9, worst)
 
 
@@ -340,14 +340,15 @@ def _check_atiyah_poisson(dim: int, rng, report: Report, n_points: int = 32):
             e = se.add(e, se.mul(random_polynomial(patch, rng), se.Var(w)))
         return e
 
-    worst = 0.0
+    diffs = []
     pairs = list(zip(names, wnames))
     for _ in range(2):
         s1, s2 = random_affine(), random_affine()
         ours = aff_jacobi_bracket(data, s1, s2)
         oracle = canonical_poisson(s1, s2, pairs)
-        for env in sample_envs(names + wnames, rng, n_points):
-            worst = max(worst, abs(se.evaluate(ours, env) - se.evaluate(oracle, env)))
+        point = sample_points(names + wnames, rng, n_points)
+        diffs.append(se.evaluate(ours, point) - se.evaluate(oracle, point))
+    worst = worst_abs(diffs, n_points)
     report.add(f"dual_bracket_matches_poisson_dim{dim}", worst < 1e-9, worst)
 
     result = is_aff_poisson(data, rng=rng)
@@ -374,15 +375,12 @@ def run_affgebroid_verify(sc: Scenario, rng, outdir: Path, report: Report):
                  [random_polynomial(patch, rng) for _ in range(data.rank)])
                 for _ in range(3)]
 
-        worst = 0.0
+        env, n = patch.env(pts), len(pts)
         f, g = secs[0][1], secs[1][1]
         weight, comps = hull.bracket((1.0, f), (1.0, g))
-        direct = data.bracket(f, g)
-        for p in pts:
-            env = patch.env(p)
-            worst = max(worst, abs(se.evaluate(weight, env)))
-            for a, b in zip(comps, direct):
-                worst = max(worst, abs(se.evaluate(a, env) - se.evaluate(b, env)))
+        worst = worst_abs([se.evaluate(weight, env)] + [
+            se.evaluate(a, env) - se.evaluate(b, env)
+            for a, b in zip(comps, data.bracket(f, g))], n)
         report.add("hull_restriction", worst < 1e-12, worst)
 
         total_w = se.Const(0.0)
@@ -391,17 +389,11 @@ def run_affgebroid_verify(sc: Scenario, rng, outdir: Path, report: Report):
             w, comps = hull.bracket(secs[X], hull.bracket(secs[Y], secs[Z]))
             total_w = se.add(total_w, w)
             total_c = [se.add(a, b) for a, b in zip(total_c, comps)]
-        worst = 0.0
-        for p in pts:
-            env = patch.env(p)
-            worst = max(worst, abs(se.evaluate(total_w, env)))
-            worst = max(worst, max(abs(se.evaluate(e, env)) for e in total_c))
+        worst = worst_abs([se.evaluate(e, env) for e in [total_w, *total_c]], n)
         report.add("hull_jacobi", worst < 1e-9, worst)
 
-        worst = 0.0
-        residual = hull.one_cocycle_residual(secs[0], secs[1])
-        for p in pts:
-            worst = max(worst, abs(se.evaluate(residual, patch.env(p))))
+        worst = worst_abs([se.evaluate(
+            hull.one_cocycle_residual(secs[0], secs[1]), env)], n)
         report.add("hull_unit_cocycle_closed", worst < 1e-9, worst)
 
 
@@ -520,19 +512,19 @@ def run_reduction_check(sc: Scenario, rng, outdir: Path, report: Report):
         mesh = np.meshgrid(*([grid] * (2 * n)), indexing="ij")
         envs = [dict(zip(coords + momenta, vals))
                 for vals in zip(*[m.ravel() for m in mesh])]
-        worst = 0.0
-        for i in range(len(raw_sections)):
-            worst = max(worst, base.max_difference(omega_Z(z, via=f"s{i + 1}"), envs))
+        worst, _ = first_worst([base.max_difference(omega_Z(z, via=f"s{i + 1}"), envs)
+                                for i in range(len(raw_sections))])
         report.add("omega_trivialization_invariance", worst < 1e-12, worst)
 
-        worst = 0.0
+        residuals = []
         for _ in range(4):
             sigma = random_polynomial(z.patch, rng, degree=3)
             name = f"r{rng.integers(1e9)}"
             z.register(name, sigma)
             two = bold_d_oneform(section_one_form(z, name))
-            for env in sample_envs(coords, rng, 8):
-                worst = max(worst, float(np.max(np.abs(two.matrix(env)))))
+            residuals += [np.abs(two.matrix(env))
+                          for env in sample_envs(coords, rng, 8)]
+        worst, _ = first_worst(residuals)
         report.add("bold_d_squared_zero", worst < 1e-12, worst)
 
     if sc.get_bool("checks", "eq1", False):
@@ -543,14 +535,11 @@ def run_reduction_check(sc: Scenario, rng, outdir: Path, report: Report):
         down = eq1_aff_poisson(space, s1, s2, rng=rng)
         up = canonical_poisson(space.section_function(s1),
                                space.section_function(s2), space.pairs)
-        worst = 0.0
-        for env in sample_envs(space.names, rng, 16):
-            worst = max(worst, abs(se.evaluate(down, env) - se.evaluate(up, env)))
+        point = sample_points(space.names, rng, 16)
+        worst = worst_abs([se.evaluate(down, point) - se.evaluate(up, point)], 16)
         report.add("eq1_descends_to_cotangent_bracket", worst < 1e-9, worst)
-        residual = se.differentiate(up, space.energy)
-        worst = 0.0
-        for env in sample_envs(space.names, rng, 16):
-            worst = max(worst, abs(se.evaluate(residual, env)))
+        worst = worst_abs([se.evaluate(se.differentiate(up, space.energy),
+                                       sample_points(space.names, rng, 16))], 16)
         report.add("eq1_fiber_constancy", worst < 1e-9, worst)
 
     mode = sc.get("checks", "reduction", "none")

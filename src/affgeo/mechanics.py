@@ -34,7 +34,8 @@ from operator import itemgetter
 import numpy as np
 
 from . import symexpr as se
-from .phase import TimePhaseSpace, canonical_poisson
+from .phase import TimePhaseSpace, canonical_poisson, sample_points
+from .reporting import worst_abs
 from .symexpr import Expression
 
 __all__ = [
@@ -222,12 +223,10 @@ def timedep_dynamics(sys: TimeDepSystem,
         out = canonical_poisson(sys.F, se.Var(name), space.pairs)
         reduced.append(se.subst(out, {space.energy: 0.0}))
 
-    worst = 0.0
-    for _ in range(n_check):
-        env = {n: float(rng.uniform(-2, 2)) for n in sys.state_names}
-        for a, b in zip(closed, reduced):
-            worst = max(worst, abs(se.evaluate(a, env) - se.evaluate(b, env)))
-    if worst >= tol:
+    point = sample_points(sys.state_names, rng, n_check, -2.0, 2.0)
+    worst = worst_abs([se.evaluate(a, point) - se.evaluate(b, point)
+                       for a, b in zip(closed, reduced)], n_check)
+    if not worst < tol:
         raise MechanicsError(
             f"bracket-generated dynamics deviates from the closed form "
             f"({worst:.3e})")

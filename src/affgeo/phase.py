@@ -16,14 +16,14 @@ import numpy as np
 
 from . import symexpr as se
 from .brackets import Patch
-from .reporting import Report
+from .reporting import Report, first_worst, per_point_max, worst_abs
 from .symexpr import Expression
 
 __all__ = [
     "AVBundle", "PhasePoint", "AffineOneForm", "TwoForm", "PhaseError",
     "FiberConstancyError", "bold_d", "section_one_form", "bold_d_oneform",
     "omega_Z", "canonical_poisson", "TimePhaseSpace", "eq1_aff_poisson",
-    "AVMorphism", "check_affine_reduction", "sample_envs",
+    "AVMorphism", "check_affine_reduction", "sample_envs", "sample_points",
 ]
 
 
@@ -69,10 +69,6 @@ class AVBundle:
             except KeyError:
                 raise PhaseError(f"unknown section {sigma!r}") from None
         return sigma if isinstance(sigma, Expression) else se.Const(float(sigma))
-
-    def gradient(self, sigma) -> list[Expression]:
-        e = self.section(sigma)
-        return [se.differentiate(e, n) for n in self.patch.names]
 
 
 @dataclass(frozen=True)
@@ -167,11 +163,11 @@ class TwoForm:
     def max_difference(self, other: "TwoForm", envs) -> float:
         if self.coords != other.coords:
             raise PhaseError("two-forms live in different coordinates")
-        worst = 0.0
-        for env in envs:
-            worst = max(worst, float(np.max(np.abs(
-                self.matrix(env) - other.matrix(env)))))
-        return worst
+        point, zero = _stacked(envs), se.Const(0.0)
+        return worst_abs([se.evaluate(self.terms.get(key, zero), point)
+                          - se.evaluate(other.terms.get(key, zero), point)
+                          for key in self.terms.keys() | other.terms.keys()],
+                         len(envs))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -251,10 +247,23 @@ def canonical_poisson(F: Expression, G: Expression, pairs) -> Expression:
     return out
 
 
+def sample_points(names, rng: np.random.Generator, count: int,
+                  low: float = -1.0, high: float = 1.0) -> dict[str, np.ndarray]:
+    """``count`` uniform points drawn as one ``(count, len(names))`` block,
+    one column per name: a sample set for array ``se.evaluate``."""
+    return dict(zip(names, rng.uniform(low, high, size=(count, len(names))).T))
+
+
 def sample_envs(names, rng: np.random.Generator, count: int,
                 low: float = -1.0, high: float = 1.0) -> list[dict[str, float]]:
-    return [{n: float(rng.uniform(low, high)) for n in names}
-            for _ in range(count)]
+    """The points :func:`sample_points` draws, one dict per point."""
+    rows = rng.uniform(low, high, size=(count, len(names))).tolist()
+    return [dict(zip(names, row)) for row in rows]
+
+
+def _stacked(envs) -> dict[str, np.ndarray]:
+    """Per-point dicts as one sample set for array ``se.evaluate``."""
+    return {n: np.array([env[n] for env in envs]) for n in (envs[0] if envs else ())}
 
 
 @dataclass(frozen=True)
@@ -309,10 +318,9 @@ def eq1_aff_poisson(space: TimePhaseSpace, sigma: Expression,
     G = space.section_function(sigma2)
     upstairs = canonical_poisson(F, G, space.pairs)
     variation = se.differentiate(upstairs, space.energy)
-    worst = 0.0
-    for env in sample_envs(space.names, rng, n_samples):
-        worst = max(worst, abs(se.evaluate(variation, env)))
-    if worst >= tol:
+    worst = worst_abs([se.evaluate(
+        variation, sample_points(space.names, rng, n_samples))], n_samples)
+    if not worst < tol:
         raise FiberConstancyError(
             f"bracket varies along the energy direction (residual {worst:.3e})")
     return se.subst(upstairs, {space.energy: 0.0})
@@ -366,16 +374,14 @@ def check_affine_reduction(rho: AVMorphism, bracket_z, bracket_y,
     target bracket.
     """
     report = Report("affine-reduction")
-    worst, witness = 0.0, None
-    for idx, (sigma, sigma2) in enumerate(section_pairs):
+    point, residuals = _stacked(envs), []
+    for sigma, sigma2 in section_pairs:
         lhs = bracket_z(rho.pullback(sigma), rho.pullback(sigma2))
         rhs = rho.pullback_function(bracket_y(sigma, sigma2))
-        residual = se.sub(lhs, rhs)
-        for env in envs:
-            r = abs(se.evaluate(residual, env))
-            if r > worst:
-                worst = r
-                witness = {"pair": idx, "point": dict(env), "residual": r}
-    report.add("reduction_identity", worst < tol, worst,
-               witness if worst >= tol else None)
+        residuals.append(per_point_max([se.evaluate(se.sub(lhs, rhs), point)],
+                                       len(envs)))
+    worst, at = first_worst(residuals)
+    passed = worst < tol
+    report.add("reduction_identity", passed, worst, None if passed else
+               {"pair": at[0], "point": dict(envs[at[1]]), "residual": worst})
     return report

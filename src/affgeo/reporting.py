@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 @dataclass
@@ -27,7 +30,10 @@ class Report:
 
     def add(self, check: str, passed: bool, residual: float,
             witness: dict | None = None) -> CheckResult:
-        result = CheckResult(check, bool(passed), float(residual), witness)
+        """Record a check; a non-finite residual always fails it."""
+        residual = float(residual)
+        result = CheckResult(check, bool(passed) and math.isfinite(residual),
+                             residual, witness)
         self.checks.append(result)
         return result
 
@@ -45,3 +51,28 @@ class Report:
         return {"scenario": self.scenario,
                 "checks": [c.to_dict() for c in self.checks],
                 "pass": self.passed}
+
+
+def per_point_max(values, count: int) -> np.ndarray:
+    """Largest ``|value|`` at each of ``count`` sample points, NaN
+    propagating; ``values`` are arrays of length ``count`` or floats."""
+    out = np.zeros(count)
+    for v in values:
+        out = np.maximum(out, np.abs(v))
+    return out
+
+
+def worst_abs(values, count: int) -> float:
+    """The largest ``|value|`` over all of :func:`per_point_max`."""
+    return first_worst(per_point_max(values, count))[0]
+
+
+def first_worst(residuals) -> tuple[float, tuple[int, ...]]:
+    """The largest residual (NaN above all) and the index of its first
+    occurrence in C order: with one row per case, the first case, then
+    the first point, that reaches it.  Empty input gives ``(0.0, ())``."""
+    r = np.asarray(residuals, float)
+    if r.size == 0:
+        return 0.0, ()
+    at = int(np.argmax(r))
+    return float(r.flat[at]), tuple(int(i) for i in np.unravel_index(at, r.shape))

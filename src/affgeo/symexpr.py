@@ -3,8 +3,9 @@
 Expressions are immutable ASTs over real literals, named variables,
 the binary operations ``+ - * /``, integer powers ``^``, and the unary
 functions ``sin cos exp sqrt`` plus negation.  They support exact
-symbolic partial differentiation, substitution, pointwise evaluation
-and printing to a form that re-parses to an equivalent expression.
+symbolic partial differentiation, substitution, evaluation at one point
+or at a whole sample set in one walk of the tree, and printing to a form
+that re-parses to an equivalent expression.
 
 Grammar accepted by :func:`parse` (whitespace insignificant)::
 
@@ -25,15 +26,17 @@ is decided by evaluation in the test suites, not by canonical forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Union
+
+import numpy as np
 
 __all__ = [
     "Expression", "Const", "Var", "Add", "Sub", "Mul", "Div", "Pow", "Neg",
     "Call", "VarContext", "ExpressionError", "ExprSyntaxError",
     "UnknownIdentifierError", "UnboundVariableError", "DomainError",
     "parse", "differentiate", "evaluate", "subst", "free_vars", "to_text",
-    "grad", "compile_fn", "const", "var",
+    "compile_fn",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt")
@@ -169,14 +172,6 @@ ZERO = Const(0.0)
 ONE = Const(1.0)
 
 
-def const(value: float) -> Const:
-    return Const(value)
-
-
-def var(name: str) -> Var:
-    return Var(name)
-
-
 def _coerce(x: ExprLike) -> Expression:
     if isinstance(x, Expression):
         return x
@@ -268,10 +263,11 @@ def pow_(base: Expression, exponent: int) -> Expression:
         return ONE
     if exponent == 1:
         return base
-    if isinstance(base, Const):
-        if base.value == 0.0 and exponent < 0:
-            return Pow(base, exponent)  # defer the domain error to evaluation
-        return Const(base.value ** exponent)
+    if isinstance(base, Const) and not (base.value == 0.0 and exponent < 0):
+        try:
+            return Const(base.value ** exponent)
+        except OverflowError:
+            pass  # leave the node; evaluation reports the domain error
     return Pow(base, exponent)
 
 
@@ -498,9 +494,20 @@ class _Parser:
         raise ExprSyntaxError("expected a value", at)
 
 
+def _nonfinite(e: Expression) -> bool:
+    if isinstance(e, Const):
+        return not math.isfinite(e.value)
+    return any(_nonfinite(getattr(e, f.name)) for f in fields(e)
+               if isinstance(getattr(e, f.name), Expression))
+
+
 def parse(text: str, ctx: VarContext) -> Expression:
-    """Parse ``text`` against the grammar, resolving variables in ``ctx``."""
-    return _Parser(text, ctx).parse()
+    """Parse ``text`` against the grammar, resolving variables in ``ctx``;
+    a constant that is or folds to inf (``1e200*1e200``) is an error."""
+    e = _Parser(text, ctx).parse()
+    if _nonfinite(e):
+        raise ExprSyntaxError("constant out of the float range", 0)
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -545,19 +552,33 @@ def differentiate(e: Expression, v: str) -> Expression:
     raise TypeError(f"cannot differentiate {type(e).__name__}")
 
 
-def grad(e: Expression, names: Iterable[str]) -> list[Expression]:
-    return [differentiate(e, n) for n in names]
+def _any(mask) -> bool:
+    return mask if isinstance(mask, bool) else bool(mask.any())
 
 
-def evaluate(e: Expression, point: Mapping[str, float]) -> float:
-    """Evaluate ``e`` with all free variables bound by ``point``."""
+def _each(fn, x):
+    return np.array([fn(v) for v in x.tolist()]) if isinstance(x, np.ndarray) else fn(x)
+
+
+def evaluate(e: Expression,
+             point: Mapping[str, float | np.ndarray]) -> float | np.ndarray:
+    """Evaluate ``e`` with all free variables bound by ``point``.
+
+    ``point`` may bind names to equal-length 1-D float arrays, one value
+    per sample point: one walk of the tree then gives the per-point
+    values (a float where ``e`` uses no array), bit for bit those of a
+    loop over the points.  ``+ - * /`` and negation are numpy ufuncs,
+    which round as Python floats do; ``^`` and the functions apply
+    Python's ``**`` and :mod:`math` to each element.
+    """
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
         try:
-            return float(point[e.name])
+            value = point[e.name]
         except KeyError:
             raise UnboundVariableError(e.name) from None
+        return value if isinstance(value, np.ndarray) else float(value)
     if isinstance(e, Add):
         return evaluate(e.left, point) + evaluate(e.right, point)
     if isinstance(e, Sub):
@@ -566,22 +587,25 @@ def evaluate(e: Expression, point: Mapping[str, float]) -> float:
         return evaluate(e.left, point) * evaluate(e.right, point)
     if isinstance(e, Div):
         denom = evaluate(e.right, point)
-        if denom == 0.0:
+        if _any(denom == 0.0):
             raise DomainError("division by zero")
         return evaluate(e.left, point) / denom
     if isinstance(e, Pow):
-        base = evaluate(e.base, point)
-        if base == 0.0 and e.exponent < 0:
+        base, k = evaluate(e.base, point), e.exponent
+        if k < 0 and _any(base == 0.0):
             raise DomainError("zero raised to a negative power")
-        return base ** e.exponent
+        try:
+            return _each(lambda b: b ** k, base)
+        except OverflowError:
+            raise DomainError("power overflow") from None
     if isinstance(e, Neg):
         return -evaluate(e.operand, point)
     if isinstance(e, Call):
         x = evaluate(e.arg, point)
-        if e.func == "sqrt" and x < 0.0:
+        if e.func == "sqrt" and _any(x < 0.0):
             raise DomainError("sqrt of a negative number")
         try:
-            return _APPLY[e.func](x)
+            return _each(_APPLY[e.func], x)
         except OverflowError:
             raise DomainError(f"{e.func} overflow") from None
     raise TypeError(f"cannot evaluate {type(e).__name__}")
@@ -639,7 +663,7 @@ _PREC_ATOM = 5
 
 
 def _fmt_number(value: float) -> str:
-    if value == int(value) and abs(value) < 1e16:
+    if abs(value) < 1e16 and value == int(value):
         return str(int(value))
     return repr(value)
 
@@ -666,7 +690,7 @@ def _render(e: Expression) -> tuple[str, int]:
         r = _paren(e.right, _PREC_MUL + 1)
         return f"{l}{op}{r}", _PREC_MUL
     if isinstance(e, Neg):
-        return f"-{_paren(e.operand, _PREC_POW)}", _PREC_NEG
+        return f"-{_paren(e.operand, _PREC_ATOM)}", _PREC_NEG  # "-x^2" is (-x)^2
     if isinstance(e, Pow):
         return f"{_paren(e.base, _PREC_ATOM)}^{e.exponent}", _PREC_POW
     if isinstance(e, Call):
@@ -723,4 +747,5 @@ def compile_fn(exprs: Iterable[Expression], names: Iterable[str]):
     index = {n: i for i, n in enumerate(names)}
     body = ", ".join(_codegen(e, index) for e in exprs)
     code = f"lambda _y: [{body}]"
-    return eval(code, {"_m": math})  # noqa: S307 - generated from our own AST
+    constants = {"_m": math, "inf": math.inf, "nan": math.nan}  # repr of non-finite
+    return eval(code, constants)  # noqa: S307 - generated from our own AST

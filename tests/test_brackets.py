@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from affgeo.brackets import (
     BracketError, LieAffgebraData, LieAffgebroidData, NonAffineSectionError,
     Patch, aff_jacobi_bracket, affgebra_to_affgebroid, atiyah_algebroid,
     jet_bundle_affgebroid, hull_extend, is_aff_poisson, random_polynomial,
-    verify_affgebra, verify_affgebroid,
+    verify_affgebra, verify_affgebroid, _max_abs,
 )
 from affgeo.symexpr import Const, Var, evaluate, parse, VarContext
 
@@ -350,3 +352,73 @@ def test_bracket_object_requires_distinguished_section():
     from affgeo.brackets import AffJacobiBracket
     with pytest.raises(BracketError):
         AffJacobiBracket(jet_bundle_affgebroid())
+
+
+# --- sampled residuals: witnesses and non-finite values --------------------
+
+
+def _nan_at_middle_point(name):
+    """Zero at -1 and 1, NaN at 0: inf - inf from an overflowing square."""
+    x = Var(name)
+    big = se.Mul(Const(1e300), se.Mul(se.Add(x, Const(1.0)), se.Sub(x, Const(1.0))))
+    return se.Sub(se.Mul(big, big), se.Mul(big, big))
+
+
+def test_max_abs_witness_is_the_first_of_equal_worst_points():
+    patch = Patch.box(("q", "t"))
+    data = jet_bundle_affgebroid()
+    pts = patch.grid(3)  # q runs slowest: t = -1, 0, 1 for each q
+    worst, witness = _max_abs(data, [se.mul(Var("t"), Var("t"))], pts)
+    assert worst == 1.0
+    assert witness == {"point": [-1.0, -1.0], "residual": 1.0}
+    worst, witness = _max_abs(data, [Var("q"), se.neg(Var("q"))], pts[3:])
+    assert worst == 1.0 and witness["point"] == [1.0, -1.0]
+
+
+def _line_bundle(bracket_fn=None):
+    zero = Const(0.0)
+    return LieAffgebroidData(Patch.box(("q",)), 1, [[zero]], [[[zero]]], [zero],
+                             [[Const(1.0)]], bracket_fn=bracket_fn)
+
+
+def test_max_abs_reports_a_nan_point():
+    with np.errstate(all="ignore"):
+        worst, witness = _max_abs(_line_bundle(),
+                                  [Const(5.0), _nan_at_middle_point("q")],
+                                  Patch.box(("q",)).grid(3))
+    assert math.isnan(worst) and witness["point"] == [0.0]
+
+
+def test_sampled_check_with_nan_at_one_grid_point_fails():
+    data = _line_bundle(bracket_fn=lambda f, g: [_nan_at_middle_point("q")])
+    with np.errstate(all="ignore"):
+        report = verify_affgebroid(data, data.patch.grid(3),
+                                   rng=np.random.default_rng(0))
+    skew = report["skew"]
+    assert not skew.passed and math.isnan(skew.residual)
+    assert skew.witness["point"] == [0.0]
+    assert not report.passed
+
+
+def test_verify_affgebra_with_nan_in_D_fails():
+    D = np.eye(2)
+    D[1, 0] = math.nan
+    report = verify_affgebra(LieAffgebraData(D, np.zeros((2, 2, 2))))
+    assert not report["skew"].passed and not report["jacobi"].passed
+    assert report["skew"].witness["pair"] == ["o", "o"]  # D @ 0 is NaN
+
+
+def test_affgebroid_construction_rejects_nan_structure_functions():
+    zero = Const(0.0)
+    with pytest.raises(BracketError):
+        LieAffgebroidData(Patch.box(("q", "t")), 1, [[zero]], [[[Const(math.nan)]]],
+                          [zero, Const(1.0)], [[Const(1.0), zero]])
+
+
+def test_points_of_a_line_may_be_given_as_a_flat_list():
+    data = _line_bundle(bracket_fn=lambda f, g: [se.mul(Var("q"), se.sub(g[0], f[0]))])
+    grid = data.patch.grid(5)
+    flat = verify_affgebroid(data, grid.ravel().tolist(), rng=np.random.default_rng(4))
+    column = verify_affgebroid(data, grid, rng=np.random.default_rng(4))
+    assert not column.passed
+    assert flat.to_dict() == column.to_dict()

@@ -236,3 +236,31 @@ def test_ragged_chart_matrix_exits_2(tmp_path, capsys):
     path.write_text("[scenario]\nkind = affine-verify\nname = bad\n"
                     "[space]\ndim = 2\n[charts]\nc = 1 0; 0 | 0 0\n")
     assert run(["run", str(path), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("potential", ["1e400*q1", "1e200*1e200*q1"])
+def test_non_finite_constant_in_a_scenario_exits_2(tmp_path, capsys, potential):
+    path = tmp_path / "bad.ini"
+    path.write_text(NEWTON.format(seed=0, dim=3, metric="identity", mass=1.0,
+                                  step=0.1, momentum="0.1, 0, 0").replace(
+        "potential = \"0\"", f"potential = \"{potential}\""))
+    assert run(["run", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: bad expression")
+
+
+def test_power_overflow_in_a_sampled_check_exits_3(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text(AFFGEBROID.replace("coords = q, t\n", "coords = q, t\nhigh = 10\n")
+                    + "[beta]\n1 = \"q^400\"\n")
+    assert run(["run", str(path), "--out", str(tmp_path)]) == 3
+    assert "power overflow" in capsys.readouterr().err
+
+
+def test_nan_structure_matrix_fails_the_check(tmp_path, capsys):
+    path = tmp_path / "nan.ini"
+    path.write_text("[scenario]\nkind = affgebra-verify\nname = nan\n"
+                    "[structure]\ndim = 2\nD = 1 0; nan 1\n")
+    assert run(["run", str(path), "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "nan_report.json").read_text())
+    assert [c["pass"] for c in report["checks"]] == [False, False]
+    assert all("witness" in c for c in report["checks"])

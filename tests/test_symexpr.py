@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -150,6 +151,11 @@ def test_print_parse_round_trip(e, ):
         assert evaluate(reparsed, pt) == pytest.approx(evaluate(e, pt), abs=1e-12)
 
 
+def test_print_parse_round_trip_negated_power():
+    e = se.neg(se.pow_(Var("x"), 2))
+    assert evaluate(parse(to_text(e), CTX_XY), {"x": 1.1}) == evaluate(e, {"x": 1.1})
+
+
 def test_print_parse_round_trip_division():
     e = se.div(Var("x") + 1.0, Var("y") ** 2 + 1.0)
     reparsed = parse(to_text(e), CTX_XY)
@@ -171,3 +177,111 @@ def test_var_context_roles():
     assert ctx.with_role("time") == ("t",)
     with pytest.raises(ValueError):
         VarContext.make(base=("a", "a"))
+
+
+# --- non-finite constants, overflow, and evaluation over a sample set -------
+
+
+@pytest.mark.parametrize("text", ["1e400*x", "1e200*1e200*x", "x + 1e308*(1e308*y)",
+                                  "-1e400"])
+def test_parse_rejects_non_finite_constants(text):
+    with pytest.raises(ExprSyntaxError):
+        parse(text, CTX_XY)
+
+
+def test_non_finite_constant_from_the_api_prints_and_compiles():
+    assert to_text(Const(math.inf)) == "inf"
+    assert to_text(Const(-math.inf)) == "-inf"
+    assert to_text(Const(math.nan)) == "nan"
+    fn = se.compile_fn([Const(math.inf), se.mul(Const(-math.inf), Var("x"))], ["x"])
+    assert fn([2.0]) == [math.inf, -math.inf]
+
+
+def test_power_overflow_is_a_domain_error():
+    e = parse("x^400", CTX_XY)
+    with pytest.raises(DomainError):
+        evaluate(e, {"x": 10.0})
+    with pytest.raises(DomainError):
+        evaluate(e, {"x": np.array([0.5, 10.0])})
+    assert evaluate(e, {"x": np.array([0.5, 1.0])})[1] == 1.0
+
+
+def test_folding_an_overflowing_power_defers_to_evaluation():
+    e = parse("1e200^2*x", CTX_XY)
+    with pytest.raises(DomainError):
+        evaluate(e, {"x": 1.0})
+
+
+def test_array_evaluation_domain_errors():
+    xs = np.array([1.0, 0.0, 2.0])
+    with pytest.raises(DomainError):
+        evaluate(parse("y/x", CTX_XY), {"x": xs, "y": 1.0})
+    with pytest.raises(DomainError):
+        evaluate(parse("sqrt(x - 1)", CTX_XY), {"x": xs})
+    with pytest.raises(DomainError):
+        evaluate(parse("x^-2", CTX_XY), {"x": xs})
+    with pytest.raises(DomainError):
+        evaluate(parse("exp(1000*x)", CTX_XY), {"x": xs})
+
+
+def test_array_evaluation_of_a_constant_is_a_float():
+    assert evaluate(parse("2*3 + 1", CTX_XY), {"x": np.zeros(4)}) == 7.0
+
+
+@pytest.mark.parametrize("e", [se.Pow(Var("x"), k) for k in range(-3, 7)]
+                         + [se.Call(f, Var("y")) for f in se.FUNCTIONS])
+def test_array_powers_and_functions_round_as_python_does(e):
+    # numpy's own power and exp differ from Python's in the last bit for
+    # a few percent of arguments; the array path must not use them
+    xy = np.random.default_rng(5).uniform(0.01, 2.0, size=(1000, 2))
+    array = evaluate(e, {"x": xy[:, 0], "y": xy[:, 1]})
+    scalar = np.array([evaluate(e, {"x": x, "y": y}) for x, y in xy.tolist()])
+    assert array.view(np.uint64).tolist() == scalar.view(np.uint64).tolist()
+
+
+def _safe(arg):
+    return se.Add(Const(1.5), se.Mul(arg, arg))
+
+
+def all_kinds(max_leaves=10):
+    """Strategy for trees that use every node kind, built without the
+    simplifier; divisors, ``sqrt`` and ``exp`` get safe arguments."""
+    def extend(children):
+        pairs = st.tuples(children, children)
+        return st.one_of(
+            pairs.map(lambda ab: se.Add(*ab)),
+            pairs.map(lambda ab: se.Sub(*ab)),
+            pairs.map(lambda ab: se.Mul(*ab)),
+            pairs.map(lambda ab: se.Div(ab[0], _safe(ab[1]))),
+            st.tuples(children, st.integers(-3, 6)).map(lambda bk: se.Pow(*bk)),
+            children.map(se.Neg),
+            children.map(lambda e: se.Call("sin", e)),
+            children.map(lambda e: se.Call("cos", e)),
+            children.map(lambda e: se.Call("exp", se.Call("sin", e))),
+            children.map(lambda e: se.Call("sqrt", _safe(e))),
+        )
+    return st.recursive(_leaf(None), extend, max_leaves=max_leaves)
+
+
+def _outcome(fn):
+    """The values, or None when evaluation failed at some point."""
+    try:
+        return fn()
+    except (DomainError, ValueError):  # math.sin(inf) raises ValueError
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(all_kinds(), st.integers(0, 2**32 - 1))
+def test_array_evaluation_matches_point_by_point_bit_for_bit(e, seed):
+    xy = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(50, 2))
+    scalar = _outcome(lambda: np.array(
+        [evaluate(e, {"x": x, "y": y}) for x, y in xy.tolist()]))
+    with np.errstate(all="ignore"):
+        array = _outcome(lambda: np.broadcast_to(
+            evaluate(e, {"x": xy[:, 0], "y": xy[:, 1]}), (50,)))
+    if scalar is None:
+        assert array is None
+    else:
+        assert array.dtype == np.float64
+        assert array.view(np.uint64).tolist() == scalar.view(np.uint64).tolist()
