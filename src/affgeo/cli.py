@@ -8,8 +8,8 @@ trajectory CSVs are written to the output directory (``--out``, the
 ``AFFGEO_OUT`` environment variable, or the working directory).
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 the scenario could
-not be loaded or holds an invalid value, 3 a runtime domain error
-interrupted the run.
+not be loaded, holds an invalid value or expressions too deep for the
+symbolic layer, 3 a runtime domain error interrupted the run.
 """
 
 from __future__ import annotations
@@ -704,6 +704,12 @@ def main(argv=None) -> int:
         return run_scenario(path, args.seed, outdir, args.json)
     except (ScenarioError, MechanicsError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # parse bounds the depth of its trees, but a derivative can be
+        # deeper than its source (a chain of quotients about threefold)
+        print(f"error: expressions too deep for the symbolic layer (parsed "
+              f"trees have at most {se.MAX_DEPTH} levels)", file=sys.stderr)
         return 2
     except (se.DomainError, IntegrationError, BracketError,
             AffineGeometryError) as err:

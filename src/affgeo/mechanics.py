@@ -64,9 +64,12 @@ class IntegrationError(RuntimeError):
 class VectorField:
     """First-order field with named state components.
 
-    Components are expressions in the state names; evaluation goes
-    through a compiled closure, so fields are cheap inside integration
-    loops while the expressions stay inspectable.
+    Components are expressions in the state names, compiled once by
+    :func:`symexpr.compile_field` into one function of the state values,
+    so fields are cheap inside integration loops while the expressions
+    stay inspectable.  Calling the field on an array evaluates it on
+    ``np.float64`` values: a zero divisor or a power overflow gives inf
+    or nan there, as numpy does.
     """
 
     def __init__(self, names, components):
@@ -76,10 +79,10 @@ class VectorField:
             for c in components)
         if len(self.components) != len(self.names):
             raise MechanicsError("one component per state variable required")
-        self._fn = se.compile_fn(self.components, self.names)
+        self._fn = se.compile_field(self.components, self.names)
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
-        return np.array(self._fn(y))
+        return np.array(self._fn(*np.asarray(y, dtype=float)))
 
     def evaluate_at(self, env: dict[str, float]) -> np.ndarray:
         return np.array([se.evaluate(c, env) for c in self.components])
@@ -99,20 +102,65 @@ class Trajectory:
         return len(self.times)
 
     def to_csv(self, path) -> None:
+        """Header, then ``step,time,states...,events...`` with each value
+        as ``%.17g`` (round-trips), lines ended by CRLF."""
         import csv
+        columns = [self.times[:, None], self.states]
+        if self.events is not None:
+            columns.append(self.events)
+        table = np.hstack(columns)
+        row = "%d" + ",%.17g" * table.shape[1] + "\r\n"
         with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["step", "time", *self.names, *self.event_names])
-            for k in range(len(self.times)):
-                row = [str(k), _fmt(self.times[k])]
-                row += [_fmt(v) for v in self.states[k]]
-                if self.events is not None:
-                    row += [_fmt(v) for v in self.events[k]]
-                writer.writerow(row)
+            csv.writer(handle).writerow(
+                ["step", "time", *self.names, *self.event_names])
+            handle.writelines(row % (k, *values)
+                              for k, values in enumerate(table.tolist()))
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+_RK4_KERNELS = {}
+
+
+def _rk4_kernel(n: int):
+    """The RK4 loop for states of ``n`` components, generated on first use.
+
+    ``kernel(f, h, steps, append, *y)`` takes up to ``steps`` steps of
+    ``f(*y) -> tuple`` from ``y`` and appends each new state as a tuple.
+    It returns False, without appending, at the first state that is not
+    finite, and True after the last step.  The stages and the update are
+    the array formulas ``y + (0.5*h)*k1``, ``y + h*k3`` and
+    ``y + (h/6)*(((k1 + 2*k2) + 2*k3) + k4)``, component by component,
+    so the states are bit for bit those of the same loop on arrays.
+    """
+    kernel = _RK4_KERNELS.get(n)
+    if kernel is None:
+        def each(term, sep=", "):
+            return sep.join(term.format(i=i) for i in range(n))
+
+        def tup(term):  # "(x0, x1, )" unpacks or builds any length
+            return f"({each(term)}{', ' if n else ''})"
+
+        y, finite = each("y{i}"), each("-_inf < y{i} < _inf", " and ") or "True"
+        stage_b, stage_c = each("y{i} + hh*a{i}"), each("y{i} + hh*b{i}")
+        stage_d = each("y{i} + h*c{i}")
+        update = tup("y{i} + h6*(((a{i} + 2.0*b{i}) + 2.0*c{i}) + d{i})")
+        source = f"""def rk4(f, h, steps, append, {y}):
+    hh = 0.5 * h
+    h6 = h / 6.0
+    for _ in range(steps):
+        {tup("a{i}")} = f({y})
+        {tup("b{i}")} = f({stage_b})
+        {tup("c{i}")} = f({stage_c})
+        {tup("d{i}")} = f({stage_d})
+        {tup("y{i}")} = {update}
+        if not ({finite}):
+            return False
+        append({tup("y{i}")})
+    return True
+"""
+        namespace = {"_inf": math.inf}
+        exec(source, namespace)  # noqa: S102 - generated from fixed text
+        kernel = _RK4_KERNELS[n] = namespace["rk4"]
+    return kernel
 
 
 def integrate(fld: VectorField, y0, h: float, T: float,
@@ -121,8 +169,19 @@ def integrate(fld: VectorField, y0, h: float, T: float,
 
     Both mechanics engines come through here with a :class:`VectorField`.
     The duration must be a whole number of steps (to a relative 1e-9).
+    The steps run on Python floats through the field's compiled function
+    and the generated loop of :func:`_rk4_kernel`.  Where Python floats
+    raise on a zero divisor or a power overflow, that one step is taken
+    again on ``np.float64`` values, which give inf or nan as numpy does,
+    so the states are those of the same RK4 loop on numpy arrays.
     Deterministic by construction; raises :class:`IntegrationError` with
-    the offending step index if the state stops being finite.
+    the offending step index if the state stops being finite or the
+    field hits a domain error (``exp`` overflow, ``sqrt`` of a negative).
+
+    ``event_fn`` maps state components to event components and is
+    applied once, to the columns of the states: an ``itemgetter`` of
+    component indices (as :func:`timedep_event_fn` and a Newtonian
+    field's ``event_of`` are) or any map that works component-wise.
     """
     if not h > 0:
         raise MechanicsError("step size must be positive")
@@ -135,25 +194,27 @@ def integrate(fld: VectorField, y0, h: float, T: float,
     y = np.array(y0, dtype=float)
     if y.shape != (len(fld.names),):
         raise MechanicsError(f"initial state needs {len(fld.names)} components")
-    states = np.empty((n_steps + 1, len(y)))
-    states[0] = y
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for k in range(n_steps):
+    kernel = _rk4_kernel(len(y))
+    rows = [tuple(y.tolist())]
+    try:
+        while len(rows) <= n_steps:
             try:
-                k1 = fld(y)
-                k2 = fld(y + 0.5 * h * k1)
-                k3 = fld(y + 0.5 * h * k2)
-                k4 = fld(y + h * k3)
-            except (ZeroDivisionError, OverflowError, ValueError) as err:
-                raise IntegrationError(f"domain error ({err})", k + 1) from None
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(y)):
-                raise IntegrationError("non-finite state", k + 1)
-            states[k + 1] = y
+                finite = kernel(fld._fn, h, n_steps + 1 - len(rows),
+                                rows.append, *rows[-1])
+            except (ZeroDivisionError, OverflowError):
+                with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                    finite = kernel(fld._fn, h, 1, rows.append, *np.array(rows[-1]))
+                if finite:
+                    rows[-1] = tuple(map(float, rows[-1]))
+            if not finite:
+                raise IntegrationError("non-finite state", len(rows))
+    except (ZeroDivisionError, OverflowError, ValueError) as err:
+        raise IntegrationError(f"domain error ({err})", len(rows)) from None
+    states = np.array(rows, dtype=float).reshape(n_steps + 1, len(y))
     times = h * np.arange(n_steps + 1)
     traj = Trajectory(fld.names, times, states)
     if event_fn is not None:
-        traj.events = np.array([event_fn(s) for s in states])
+        traj.events = np.array(event_fn(states.T)).T
         traj.event_names = tuple(event_names)
     return traj
 
@@ -240,7 +301,8 @@ def timedep_dynamics(sys: TimeDepSystem,
 
 
 def timedep_event_fn(sys: TimeDepSystem):
-    """Extractor of the space-time event (q, t) from a dynamics state."""
+    """Extractor of the space-time event (q, t) from the components of a
+    dynamics state, with the event names."""
     return itemgetter([*range(sys.dim), -1]), sys.q_names + (sys.time,)
 
 
@@ -472,18 +534,26 @@ def observed_hamiltonian(fld: VectorField):
     return lambda state: fn(state)[0]
 
 
+def _columns(fld: VectorField, traj: Trajectory) -> dict[str, np.ndarray]:
+    return dict(zip(fld.names, traj.states.T))
+
+
 def energy_drift(fld: VectorField, traj: Trajectory) -> float:
-    """Largest change of the field's energy along a trajectory."""
-    H = observed_hamiltonian(fld)
-    values = np.array([H(s) for s in traj.states])
+    """Largest change of the field's energy along a trajectory, from one
+    evaluation of ``energy`` over all the states."""
+    values = np.broadcast_to(se.evaluate(fld.energy, _columns(fld, traj)),
+                             traj.times.shape)
     return float(np.max(np.abs(values - values[0])))
 
 
 def tau_clock_residual(fld: VectorField, traj: Trajectory) -> float:
     """Worst deviation of the clock rate of the event velocity from one."""
     st = fld.spacetime
-    return max(abs(st.time_of(fld(state)[:st.d + 1]) - 1.0)
-               for state in traj.states)
+    point = _columns(fld, traj)
+    velocity = np.empty((len(traj), st.d + 1))
+    for i, component in enumerate(fld.components[:st.d + 1]):
+        velocity[:, i] = se.evaluate(component, point)
+    return float(np.max(np.abs(velocity @ st.tau - 1.0)))
 
 
 @dataclass

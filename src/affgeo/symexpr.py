@@ -4,8 +4,9 @@ Expressions are immutable ASTs over real literals, named variables,
 the binary operations ``+ - * /``, integer powers ``^``, and the unary
 functions ``sin cos exp sqrt`` plus negation.  They support exact
 symbolic partial differentiation, substitution, evaluation at one point
-or at a whole sample set in one walk of the tree, and printing to a form
-that re-parses to an equivalent expression.
+or at a whole sample set in one walk of the tree, printing to a form
+that re-parses to an equivalent expression, and compilation into one
+function of positional values for integrator loops (:func:`compile_field`).
 
 Grammar accepted by :func:`parse` (whitespace insignificant)::
 
@@ -36,10 +37,12 @@ __all__ = [
     "Call", "VarContext", "ExpressionError", "ExprSyntaxError",
     "UnknownIdentifierError", "UnboundVariableError", "DomainError",
     "parse", "differentiate", "evaluate", "subst", "free_vars", "to_text",
-    "compile_fn",
+    "compile_field", "compile_fn", "MAX_DEPTH", "MAX_NESTING",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt")
+MAX_NESTING = 100  # brackets, calls and unary minus inside one another
+MAX_DEPTH = 400  # levels of a parsed tree; a leaf is one level
 
 ExprLike = Union["Expression", int, float]
 
@@ -403,6 +406,7 @@ class _Parser:
         self.ctx = ctx
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -471,42 +475,68 @@ class _Parser:
         kind, value, at = self.advance()
         if kind == _TOK_NUM:
             return Const(float(value))
-        if kind == _TOK_OP and value == "-":
-            self.pos -= 1
-            self.advance()
-            return neg(self.base())
-        if kind == _TOK_OP and value == "(":
-            e = self.expr()
-            self.expect_op(")")
+        if kind == _TOK_OP and value in "-(":
+            self.nest(at)
+            if value == "-":
+                e = neg(self.base())
+            else:
+                e = self.expr()
+                self.expect_op(")")
+            self.nesting -= 1
             return e
         if kind == _TOK_IDENT:
             nk, nv, _ = self.peek()
             if nk == _TOK_OP and nv == "(":
                 if value not in FUNCTIONS:
                     raise UnknownIdentifierError(value, at)
+                self.nest(at)
                 self.advance()
                 arg = self.expr()
                 self.expect_op(")")
+                self.nesting -= 1
                 return call(value, arg)
             if value not in self.ctx:
                 raise UnknownIdentifierError(value, at)
             return Var(value)
         raise ExprSyntaxError("expected a value", at)
 
+    def nest(self, at: int) -> None:
+        """Enter a bracket, call or unary minus; the parser recurses there."""
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            raise ExprSyntaxError(
+                f"expression nested deeper than {MAX_NESTING} levels", at)
 
-def _nonfinite(e: Expression) -> bool:
-    if isinstance(e, Const):
-        return not math.isfinite(e.value)
-    return any(_nonfinite(getattr(e, f.name)) for f in fields(e)
-               if isinstance(getattr(e, f.name), Expression))
+
+def _check_tree(e: Expression) -> None:
+    """Reject a tree deeper than MAX_DEPTH or with a non-finite constant."""
+    stack = [(e, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(
+                f"expression tree deeper than {MAX_DEPTH} levels", 0)
+        if isinstance(node, Const) and not math.isfinite(node.value):
+            raise ExprSyntaxError("constant out of the float range", 0)
+        stack.extend((getattr(node, f.name), depth + 1) for f in fields(node)
+                     if isinstance(getattr(node, f.name), Expression))
 
 
 def parse(text: str, ctx: VarContext) -> Expression:
-    """Parse ``text`` against the grammar, resolving variables in ``ctx``;
-    a constant that is or folds to inf (``1e200*1e200``) is an error."""
+    """Parse ``text`` against the grammar, resolving variables in ``ctx``.
+
+    A constant that is or folds to inf (``1e200*1e200``) is an error, and
+    so is input past the depth the recursive walkers (``differentiate``,
+    ``subst``, ``evaluate``, printing) handle within Python's default
+    recursion limit: brackets, calls and unary minus nested more than
+    :data:`MAX_NESTING` deep, or a tree deeper than :data:`MAX_DEPTH`
+    levels (a sum of ``MAX_DEPTH - 1`` products, say).  Near the limit,
+    comparing two equal deep operands (``a - a``, while simplifying) and
+    derivatives deeper than their source can still raise
+    ``RecursionError``.
+    """
     e = _Parser(text, ctx).parse()
-    if _nonfinite(e):
-        raise ExprSyntaxError("constant out of the float range", 0)
+    _check_tree(e)
     return e
 
 
@@ -714,38 +744,76 @@ def to_text(e: Expression) -> str:
 # ---------------------------------------------------------------------------
 # Compilation (hot loops only; `evaluate` is the contract-carrying API)
 
+_BINARY = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+_NAMESPACE = {"inf": math.inf, "nan": math.nan,
+              **{f"_{f}": getattr(math, f) for f in FUNCTIONS}}
 
-def _codegen(e: Expression, index: Mapping[str, int]) -> str:
-    if isinstance(e, Const):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return f"_y[{index[e.name]}]"
-    if isinstance(e, Add):
-        return f"({_codegen(e.left, index)} + {_codegen(e.right, index)})"
-    if isinstance(e, Sub):
-        return f"({_codegen(e.left, index)} - {_codegen(e.right, index)})"
-    if isinstance(e, Mul):
-        return f"({_codegen(e.left, index)} * {_codegen(e.right, index)})"
-    if isinstance(e, Div):
-        return f"({_codegen(e.left, index)} / {_codegen(e.right, index)})"
-    if isinstance(e, Pow):
-        return f"({_codegen(e.base, index)} ** {e.exponent})"
-    if isinstance(e, Neg):
-        return f"(-{_codegen(e.operand, index)})"
-    if isinstance(e, Call):
-        return f"_m.{e.func}({_codegen(e.arg, index)})"
-    raise TypeError(f"cannot compile {type(e).__name__}")
+
+def _constant(value: float) -> str:
+    text = repr(value)  # inf and nan are bound in the namespace
+    return f"({text})" if text.startswith("-") else text
+
+
+def _emit(e: Expression, args: Mapping[str, str], lines: list[str]) -> str:
+    """Append one assignment per interior node of ``e`` to ``lines``, in
+    the order Python would evaluate the nested expression; return the
+    operand that holds the value of ``e``."""
+    values: list[str] = []
+    stack: list[tuple[Expression, bool]] = [(e, False)]
+    while stack:
+        node, ready = stack.pop()
+        if isinstance(node, Const):
+            values.append(_constant(node.value))
+        elif isinstance(node, Var):
+            values.append(args[node.name])
+        elif not ready:
+            stack.append((node, True))
+            children = [getattr(node, f.name) for f in fields(node)]
+            stack.extend((c, False) for c in reversed(children)
+                         if isinstance(c, Expression))
+        else:
+            if isinstance(node, Pow):
+                code = f"{values.pop()} ** {node.exponent}"
+            elif isinstance(node, Neg):
+                code = f"-{values.pop()}"
+            elif isinstance(node, Call):
+                code = f"_{node.func}({values.pop()})"
+            else:
+                right = values.pop()
+                code = f"{values.pop()} {_BINARY[type(node)]} {right}"
+            lines.append(f"    _t{len(lines)} = {code}")
+            values.append(f"_t{len(lines) - 1}")
+    return values.pop()
+
+
+def compile_field(exprs: Iterable[Expression], names: Iterable[str]):
+    """Compile expressions into one function ``f(*values) -> tuple``.
+
+    The function takes one positional value per name in ``names`` and
+    returns one value per expression.  Its body is three-address code:
+    one local per interior node, assigned in the order Python evaluates
+    the nested expression, so a tree of any depth compiles.  The
+    arithmetic is that of the arguments: Python floats raise
+    ``ZeroDivisionError`` for a zero divisor and ``OverflowError`` for a
+    power overflow where ``np.float64`` values give inf or nan; ``exp``
+    overflow raises ``OverflowError`` and ``sqrt`` of a negative number
+    ``ValueError`` either way.
+    """
+    args = {n: f"_y{i}" for i, n in enumerate(names)}
+    lines: list[str] = []
+    results = [_emit(e, args, lines) for e in exprs]
+    source = "\n".join([f"def _field({', '.join([*args.values(), ''])}):", *lines,
+                        f"    return ({', '.join([*results, ''])})"])
+    namespace = dict(_NAMESPACE)
+    exec(source, namespace)  # noqa: S102 - generated from our own AST
+    return namespace["_field"]
 
 
 def compile_fn(exprs: Iterable[Expression], names: Iterable[str]):
-    """Compile expressions into one fast callable ``f(values) -> list``.
+    """Compile expressions into one callable ``f(values) -> list``.
 
-    ``values`` is indexed positionally following ``names``.  Intended
-    for integrator inner loops; domain errors surface as ``ValueError``
-    or ``ZeroDivisionError`` from the generated code.
+    ``values`` is indexed positionally following ``names``; the body is
+    that of :func:`compile_field`, so domain errors surface the same way.
     """
-    index = {n: i for i, n in enumerate(names)}
-    body = ", ".join(_codegen(e, index) for e in exprs)
-    code = f"lambda _y: [{body}]"
-    constants = {"_m": math, "inf": math.inf, "nan": math.nan}  # repr of non-finite
-    return eval(code, constants)  # noqa: S307 - generated from our own AST
+    fn = compile_field(exprs, names)
+    return lambda values: list(fn(*values))

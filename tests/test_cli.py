@@ -264,3 +264,61 @@ def test_nan_structure_matrix_fails_the_check(tmp_path, capsys):
     report = json.loads((tmp_path / "nan_report.json").read_text())
     assert [c["pass"] for c in report["checks"]] == [False, False]
     assert all("witness" in c for c in report["checks"])
+
+
+TIMEDEP = (
+    "[scenario]\nkind = timedep\nname = deep\n"
+    "[system]\ndim = 1\nhamiltonian = \"p1^2/2 + {expr}\"\n"
+    "[integration]\nstep = 0.1\nduration = 1\ninitial = 1.0, 0.0, 0.0\n")
+
+
+def run_deep(tmp_path, capsys, engine, expr):
+    path = tmp_path / "deep.ini"
+    if engine == "newton":
+        path.write_text(NEWTON.format(seed=0, dim=3, metric="identity", mass=1.0,
+                                      step=0.1, momentum="0.1, 0, 0").replace(
+            "potential = \"0\"", f"potential = \"{expr}\""))
+    else:
+        path.write_text(TIMEDEP.format(expr=expr))
+    code = run(["run", str(path), "--out", str(tmp_path)])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("engine", ["newton", "timedep"])
+def test_sum_of_300_terms_runs(tmp_path, capsys, engine):
+    # the nested generated code used to hit Python's limit of 200 parentheses
+    code, err = run_deep(tmp_path, capsys, engine, "+".join(["0.001*q1"] * 300))
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("engine", ["newton", "timedep"])
+@pytest.mark.parametrize("expr", [
+    "+".join(["0.001*q1"] * 3000),
+    "*".join(["q1"] * 3000),
+    "(" * 2000 + "q1" + ")" * 2000,
+    "sin(" * 2000 + "q1" + ")" * 2000,
+    "-" * 2000 + "q1",
+])
+def test_expression_past_the_depth_limit_exits_2(tmp_path, capsys, engine, expr):
+    code, err = run_deep(tmp_path, capsys, engine, expr)
+    assert code == 2
+    assert err.startswith("error: bad expression") and "deeper than" in err
+
+
+def test_recursion_past_the_symbolic_layer_exits_2(tmp_path, capsys, monkeypatch):
+    # a derivative can be deeper than the tree parse admitted
+    def too_deep(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+    monkeypatch.setattr(cli, "run_scenario", too_deep)
+    assert run(["run", "newton_free", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: expressions too deep")
+
+
+@pytest.mark.parametrize("expr", [
+    "q1" + "/q1" * 399,
+    "(" + "+".join(["q1"] * 399) + ")-(" + "+".join(["q1"] * 399) + ")",
+])
+def test_deep_derived_expressions_never_end_in_a_traceback(tmp_path, capsys, expr):
+    code, err = run_deep(tmp_path, capsys, "newton", expr)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err

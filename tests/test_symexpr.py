@@ -285,3 +285,63 @@ def test_array_evaluation_matches_point_by_point_bit_for_bit(e, seed):
     else:
         assert array.dtype == np.float64
         assert array.view(np.uint64).tolist() == scalar.view(np.uint64).tolist()
+
+
+# --- compiled fields and the depth limits of parse ---------------------------
+
+
+def test_compile_field_takes_positional_values_and_returns_a_tuple():
+    e = parse("sin(x)*y + x^3/(y^2+1)", CTX_XY)
+    fn = se.compile_field([e, Const(2.0), Var("y")], ["x", "y"])
+    assert fn(0.3, -1.1) == (evaluate(e, {"x": 0.3, "y": -1.1}), 2.0, -1.1)
+    assert se.compile_field([], [])() == ()
+
+
+def test_compile_field_parenthesizes_negative_constants():
+    # "-2.0 ** 2" would be -(2.0 ** 2)
+    fn = se.compile_field([se.Pow(Const(-2.0), 2), se.Neg(Const(-0.5))], ["x"])
+    assert fn(0.0) == (4.0, 0.5)
+
+
+def test_compile_field_handles_trees_of_any_depth():
+    e = Var("x")
+    for k in range(3000):
+        e = se.Add(e, se.Mul(Const(0.5), Var("y")))
+    assert se.compile_field([e], ["x", "y"])(1.0, 2.0) == (3001.0,)
+    assert se.compile_fn([e], ["x", "y"])([1.0, 2.0]) == [3001.0]
+
+
+def _compiled_outcome(e, x, y):
+    try:
+        return se.compile_field([e], ["x", "y"])(x, y)[0]
+    except (ZeroDivisionError, OverflowError, ValueError):
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(all_kinds(), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+def test_compiled_field_matches_evaluate_bit_for_bit(e, x, y):
+    expected = _outcome(lambda: evaluate(e, {"x": x, "y": y}))
+    got = _compiled_outcome(e, x, y)
+    if expected is None or got is None:
+        assert expected is None and got is None
+    else:
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+
+def test_parse_admits_trees_up_to_max_depth():
+    # a sum of n products is n + 1 levels deep
+    n = se.MAX_DEPTH - 1
+    e = parse("+".join(["2*x"] * n), CTX_XY)
+    assert evaluate(e, {"x": 1.0}) == 2.0 * n
+    with pytest.raises(ExprSyntaxError, match="deeper than"):
+        parse("+".join(["2*x"] * (n + 1)), CTX_XY)
+
+
+@pytest.mark.parametrize("open_, close", [("(", ")"), ("sin(", ")"), ("-", "")])
+def test_parse_admits_nesting_up_to_max_nesting(open_, close):
+    k = se.MAX_NESTING
+    parse(open_ * k + "x" + close * k, CTX_XY)
+    with pytest.raises(ExprSyntaxError, match="deeper than") as err:
+        parse(open_ * 2000 + "x" + close * 2000, CTX_XY)
+    assert err.value.position == k * len(open_)
