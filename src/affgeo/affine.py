@@ -54,9 +54,6 @@ class _Transition:
     def invert(self, y: np.ndarray) -> np.ndarray:
         return np.linalg.solve(self.matrix, y - self.offset)
 
-    def invert_vector(self, w: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(self.matrix, w)
-
 
 class AffineSpaceSpec:
     """Affine space of dimension ``n`` with named charts.
@@ -85,6 +82,8 @@ class AffineSpaceSpec:
         b = _frozen(offset)
         if m.shape != (self.dim, self.dim) or b.shape != (self.dim,):
             raise AffineGeometryError(f"chart {name!r}: wrong transition shape")
+        if not (np.isfinite(m).all() and np.isfinite(b).all()):
+            raise AffineGeometryError(f"chart {name!r}: transition is not finite")
         if np.linalg.cond(m) > _MAX_CONDITION:
             raise AffineGeometryError(f"chart {name!r}: transition is singular")
         round_trip = m @ np.linalg.inv(m)
@@ -121,11 +120,6 @@ class AffineSpaceSpec:
     def convert_point(self, p: "AffinePoint", chart: str) -> "AffinePoint":
         ref = self.to_reference(p)
         return AffinePoint(self, chart, _frozen(self._transition(chart).invert(ref)))
-
-    def convert_vector(self, v: "TangentVec", chart: str) -> "TangentVec":
-        ref = self.vector_to_reference(v)
-        return TangentVec(self, chart,
-                          _frozen(self._transition(chart).invert_vector(ref)))
 
 
 @dataclass(frozen=True)

@@ -177,11 +177,8 @@ def verify_affgebra(data: LieAffgebraData) -> Report:
 
     def add(check, key, arity, residual):
         cases = list(itertools.product(range(n + 1), repeat=arity))
-        worst, at = first_worst([np.max(np.abs(residual(*(points[i] for i in c))))
-                                 for c in cases])
-        passed = worst <= tol
-        report.add(check, passed, worst, None if passed else
-                   {key: [labels[i] for i in cases[at[0]]], "residual": worst})
+        report.check(check, [np.abs(residual(*(points[i] for i in c))) for c in cases],
+                     tol, lambda at: {key: [labels[i] for i in cases[at[0]]]})
 
     add("skew", "pair", 2, lambda u, w: data.bracket(u, w) + data.bracket(w, u))
     add("jacobi", "triple", 3, lambda u1, u2, u3: (
@@ -313,26 +310,10 @@ class LieAffgebroidData:
         return SpecialAffineSpace(AffineSpaceSpec(self.rank), self.v)
 
 
-def _max_abs(data: LieAffgebroidData, comps, points) -> tuple[float, dict | None]:
-    """Largest ``|component|`` over the ``(N, dim)`` sample points, and
-    the first point that reaches it as witness (None without points)."""
+def _point_residuals(data: LieAffgebroidData, comps, points) -> np.ndarray:
+    """Largest ``|component|`` at each of the ``(N, dim)`` sample points."""
     env = data.patch.env(points)
-    r = per_point_max((se.evaluate(c, env) for c in comps), len(points))
-    worst, at = first_worst(r)
-    witness = {"point": points[at[0]].tolist(), "residual": worst} if at else None
-    return worst, witness
-
-
-def _add_worst(report: Report, check: str, results, tol: float, key=None):
-    """Add the worst of several ``_max_abs`` results: the first case, then
-    the first point, that reaches it (``key`` names the case index)."""
-    worst, at = first_worst([w for w, _ in results])
-    if worst < tol:
-        report.add(check, True, worst)
-    else:
-        witness = results[at[0]][1]
-        report.add(check, False, worst,
-                   witness if key is None else dict(witness, **{key: at[0]}))
+    return per_point_max((se.evaluate(c, env) for c in comps), len(points))
 
 
 def _random_sections(data: LieAffgebroidData, rng, count: int):
@@ -352,9 +333,12 @@ def verify_affgebroid(data: LieAffgebroidData, sample_points,
     pts = np.asarray(sample_points, float).reshape(len(sample_points), data.patch.dim)
     report = Report("affgebroid")
 
+    def at_point(at):  # at = (case, point)
+        return {"point": pts[at[1]].tolist()}
+
     secs = _random_sections(data, rng, 3)
-    _add_worst(report, "skew",
-               [_max_abs(data, data.bracket(f, f), pts) for f in secs], tol)
+    report.check("skew", [_point_residuals(data, data.bracket(f, f), pts)
+                          for f in secs], tol, at_point)
 
     f1, f2, f3 = secs
     cyc = [(f1, f2, f3), (f2, f3, f1), (f3, f1, f2)]
@@ -363,7 +347,7 @@ def verify_affgebroid(data: LieAffgebroidData, sample_points,
         inner = data.bracket(b, cthird)
         outer = data.second_linear(a, inner)
         total = [se.add(t, o) for t, o in zip(total, outer)]
-    _add_worst(report, "jacobi", [_max_abs(data, total, pts)], tol)
+    report.check("jacobi", [_point_residuals(data, total, pts)], tol, at_point)
 
     # Leibniz: bracket of a section against (coefficient * frame section)
     results = []
@@ -380,8 +364,9 @@ def verify_affgebroid(data: LieAffgebroidData, sample_points,
         rhs = [se.add(se.mul(coeff, b), se.mul(deriv, u))
                for b, u in zip(base, unit)]
         residual = [se.sub(a, b) for a, b in zip(lhs, rhs)]
-        results.append(_max_abs(data, residual, pts))
-    _add_worst(report, "leibniz", results, tol, key="frame")
+        results.append(_point_residuals(data, residual, pts))
+    report.check("leibniz", results, tol,
+                 lambda at: {**at_point(at), "frame": at[0]})
 
     # anchor morphism: anchor of a bracket is the commutator of anchors
     results = []
@@ -391,9 +376,9 @@ def verify_affgebroid(data: LieAffgebroidData, sample_points,
         X, Y = data.anchor_of(f), data.anchor_of(g)
         comm = [se.sub(data.apply_field(X, Y[a]), data.apply_field(Y, X[a]))
                 for a in range(data.patch.dim)]
-        results.append(_max_abs(data, [se.sub(a, b) for a, b in zip(lhs, comm)],
-                                pts))
-    _add_worst(report, "anchor_morphism", results, tol)
+        results.append(_point_residuals(
+            data, [se.sub(a, b) for a, b in zip(lhs, comm)], pts))
+    report.check("anchor_morphism", results, tol, at_point)
     return report
 
 
@@ -646,7 +631,7 @@ def is_aff_poisson(data: LieAffgebroidData,
     for X in frame:
         weight, comps = hull.bracket(v_sec, X)
         central += [weight] + comps
-    worst_c, _ = _max_abs(data, central, pts)
+    worst_c = first_worst(_point_residuals(data, central, pts))[0]
     centrality_ok = worst_c < CENTRALITY_TOL
 
     return AffPoissonResult(

@@ -46,7 +46,7 @@ from .phase import (
     eq1_aff_poisson, omega_Z, sample_envs, sample_points, section_one_form,
     bold_d_oneform, TimePhaseSpace,
 )
-from .reporting import Report, first_worst, worst_abs
+from .reporting import Report, first_worst, per_point_max
 
 KINDS = ("affine-verify", "duality-verify", "affgebra-verify",
          "affgebroid-verify", "timedep", "newton", "compare-frames",
@@ -171,19 +171,21 @@ class Scenario:
 
 def run_affine_verify(sc: Scenario, rng, outdir: Path, report: Report):
     dim = sc.get_int("space", "dim")
-    spec = AffineSpaceSpec(dim)
-    for name, raw in sc.items("charts"):
-        if "|" not in raw:
-            raise ScenarioError(f"chart {name!r} must look like 'rows | offset'")
-        mat_raw, off_raw = raw.split("|", 1)
-        spec.add_chart(name, _matrix(mat_raw, dim, dim), _floats(off_raw))
+    try:
+        spec = AffineSpaceSpec(dim)
+        for name, raw in sc.items("charts"):
+            if "|" not in raw:
+                raise ScenarioError(f"chart {name!r} must look like 'rows | offset'")
+            mat_raw, off_raw = raw.split("|", 1)
+            spec.add_chart(name, _matrix(mat_raw, dim, dim), _floats(off_raw))
+    except AffineGeometryError as err:
+        raise ScenarioError(str(err)) from None
     charts = spec.charts
     samples = sc.get_int("params", "samples", 64)
 
-    worst, _ = first_worst([cocycle_check(*[
+    report.check("cocycle_across_charts", [cocycle_check(*[
         spec.point(rng.uniform(-3, 3, dim), chart=charts[rng.integers(len(charts))])
-        for _ in range(3)]) for _ in range(16)])
-    report.add("cocycle_across_charts", worst < 1e-12, worst)
+        for _ in range(3)]) for _ in range(16)], 1e-12)
 
     phi = BiAffineMap(C=rng.normal(size=(dim, dim, dim)),
                       D=rng.normal(size=(dim, dim)),
@@ -195,8 +197,7 @@ def run_affine_verify(sc: Scenario, rng, outdir: Path, report: Report):
         u, w = rng.uniform(-2, 2, dim), rng.uniform(-2, 2, dim)
         residuals += [phi.apply(x + u, y) - phi.apply(x, y) - phi.part_first(u, y),
                       phi.apply(x, y + w) - phi.apply(x, y) - phi.part_second(x, w)]
-    worst, _ = first_worst(np.abs(residuals))
-    report.add("biaffine_part_identities", worst < 1e-12, worst)
+    report.check("biaffine_part_identities", np.abs(residuals), 1e-12)
 
     amap = AffineMap(spec, spec, rng.normal(size=(dim, dim)), rng.normal(size=dim))
     residuals = []
@@ -205,8 +206,7 @@ def run_affine_verify(sc: Scenario, rng, outdir: Path, report: Report):
         base = amap.apply(spec.point(ref)).coords
         residuals += [amap.apply(spec.convert_point(spec.point(ref), chart)).coords
                       - base for chart in charts]
-    worst, _ = first_worst(np.abs(residuals))
-    report.add("map_chart_invariance", worst < 1e-12, worst)
+    report.check("map_chart_invariance", np.abs(residuals), 1e-12)
 
 
 def run_duality_verify(sc: Scenario, rng, outdir: Path, report: Report):
@@ -225,8 +225,7 @@ def run_duality_verify(sc: Scenario, rng, outdir: Path, report: Report):
         for _ in range(points):
             x = rng.uniform(-5, 5, n)
             residuals.append(np.max(np.abs(maps.backward(maps.forward(x)) - x)))
-    worst, _ = first_worst(residuals)
-    report.add("double_dual_round_trip", worst < 1e-12, worst)
+    report.check("double_dual_round_trip", residuals, 1e-12)
 
     av = AVCoordinates(base=("x",))
     ctx = av.context()
@@ -249,8 +248,7 @@ def run_duality_verify(sc: Scenario, rng, outdir: Path, report: Report):
             f0 = pair(X, DualElement(space, w, c))
             f1 = pair(X, DualElement(space, w, c + h))
             residuals.append(abs((f1 - f0) / h))
-    worst, _ = first_worst(residuals)
-    report.add("pairing_vertical_invariance", worst < 1e-9, worst)
+    report.check("pairing_vertical_invariance", residuals, 1e-9)
 
 
 def _load_affgebra(sc: Scenario) -> LieAffgebraData:
@@ -348,13 +346,14 @@ def _check_atiyah_poisson(dim: int, rng, report: Report, n_points: int = 32):
         oracle = canonical_poisson(s1, s2, pairs)
         point = sample_points(names + wnames, rng, n_points)
         diffs.append(se.evaluate(ours, point) - se.evaluate(oracle, point))
-    worst = worst_abs(diffs, n_points)
-    report.add(f"dual_bracket_matches_poisson_dim{dim}", worst < 1e-9, worst)
+    report.check(f"dual_bracket_matches_poisson_dim{dim}",
+                 [per_point_max([d], n_points) for d in diffs], 1e-9)
 
     result = is_aff_poisson(data, rng=rng)
     report.add(f"aff_poisson_criteria_agree_dim{dim}",
                result.criteria_agree and bool(result),
-               max(result.derivation_residual, result.centrality_residual))
+               first_worst([result.derivation_residual,
+                            result.centrality_residual])[0], result.witness)
 
 
 def run_affgebroid_verify(sc: Scenario, rng, outdir: Path, report: Report):
@@ -376,12 +375,16 @@ def run_affgebroid_verify(sc: Scenario, rng, outdir: Path, report: Report):
                 for _ in range(3)]
 
         env, n = patch.env(pts), len(pts)
+
+        def sampled(name, values, tol):
+            report.check(name, per_point_max(values, n), tol,
+                         lambda at: {"point": pts[at[0]].tolist()})
+
         f, g = secs[0][1], secs[1][1]
         weight, comps = hull.bracket((1.0, f), (1.0, g))
-        worst = worst_abs([se.evaluate(weight, env)] + [
+        sampled("hull_restriction", [se.evaluate(weight, env)] + [
             se.evaluate(a, env) - se.evaluate(b, env)
-            for a, b in zip(comps, data.bracket(f, g))], n)
-        report.add("hull_restriction", worst < 1e-12, worst)
+            for a, b in zip(comps, data.bracket(f, g))], 1e-12)
 
         total_w = se.Const(0.0)
         total_c = [se.Const(0.0)] * data.rank
@@ -389,12 +392,9 @@ def run_affgebroid_verify(sc: Scenario, rng, outdir: Path, report: Report):
             w, comps = hull.bracket(secs[X], hull.bracket(secs[Y], secs[Z]))
             total_w = se.add(total_w, w)
             total_c = [se.add(a, b) for a, b in zip(total_c, comps)]
-        worst = worst_abs([se.evaluate(e, env) for e in [total_w, *total_c]], n)
-        report.add("hull_jacobi", worst < 1e-9, worst)
-
-        worst = worst_abs([se.evaluate(
-            hull.one_cocycle_residual(secs[0], secs[1]), env)], n)
-        report.add("hull_unit_cocycle_closed", worst < 1e-9, worst)
+        sampled("hull_jacobi", [se.evaluate(e, env) for e in [total_w, *total_c]], 1e-9)
+        sampled("hull_unit_cocycle_closed", [se.evaluate(
+            hull.one_cocycle_residual(secs[0], secs[1]), env)], 1e-9)
 
 
 def run_timedep(sc: Scenario, rng, outdir: Path, report: Report):
@@ -405,8 +405,7 @@ def run_timedep(sc: Scenario, rng, outdir: Path, report: Report):
     H = _expr(sc.get("system", "hamiltonian"), ctx)
     sys = TimeDepSystem(dim, H)
     fld = timedep_dynamics(sys, rng=rng)
-    report.add("dynamics_agreement", fld.cross_check_residual < 1e-12,
-               fld.cross_check_residual)
+    report.check("dynamics_agreement", fld.cross_check_residual, 1e-12)
 
     h = sc.get_float("integration", "step")
     T = sc.get_float("integration", "duration")
@@ -426,13 +425,11 @@ def run_timedep(sc: Scenario, rng, outdir: Path, report: Report):
 def _check_energy(fld, traj, source: se.Expression, report: Report):
     """Energy conservation, checked when ``source`` does not depend on t."""
     if se.differentiate(source, "t") == se.Const(0.0):
-        drift = energy_drift(fld, traj)
-        report.add("energy_drift", drift < 1e-6, drift)
+        report.check("energy_drift", energy_drift(fld, traj), 1e-6)
 
 
 def _check_newton(fld, traj, phi: se.Expression, report: Report):
-    clock = tau_clock_residual(fld, traj)
-    report.add("tau_clock", clock < 1e-12, clock)
+    report.check("tau_clock", tau_clock_residual(fld, traj), 1e-12)
     _check_energy(fld, traj, phi, report)
 
 
@@ -483,13 +480,11 @@ def run_compare_frames(sc: Scenario, rng, outdir: Path, report: Report):
                          indent=2, sort_keys=True)
     (outdir / f"{sc.name}_comparisons.json").write_text(payload + "\n")
 
-    worst = 0.0
-    for v in boosts:
-        back = gauge_transform(gauge_transform(initial, v, m),
-                               [-x for x in v], m)
-        worst = max(worst, float(np.max(np.abs(back.p - initial.p))),
-                    abs(back.s - initial.s))
-    report.add("gauge_round_trip", worst < 1e-12, worst)
+    backs = [gauge_transform(gauge_transform(initial, v, m), [-x for x in v], m)
+             for v in boosts]
+    report.check("gauge_round_trip",
+                 [np.abs([*(b.p - initial.p), b.s - initial.s]) for b in backs],
+                 1e-12, lambda at: {"boost": boosts[at[0]]})
 
     # the rest-frame world-line every comparison starts from
     _check_newton(newton_dynamics(st, initial.frame, m, phi),
@@ -512,9 +507,9 @@ def run_reduction_check(sc: Scenario, rng, outdir: Path, report: Report):
         mesh = np.meshgrid(*([grid] * (2 * n)), indexing="ij")
         envs = [dict(zip(coords + momenta, vals))
                 for vals in zip(*[m.ravel() for m in mesh])]
-        worst, _ = first_worst([base.max_difference(omega_Z(z, via=f"s{i + 1}"), envs)
-                                for i in range(len(raw_sections))])
-        report.add("omega_trivialization_invariance", worst < 1e-12, worst)
+        report.check("omega_trivialization_invariance",
+                     [base.max_difference(omega_Z(z, via=f"s{i + 1}"), envs)
+                      for i in range(len(raw_sections))], 1e-12)
 
         residuals = []
         for _ in range(4):
@@ -524,8 +519,7 @@ def run_reduction_check(sc: Scenario, rng, outdir: Path, report: Report):
             two = bold_d_oneform(section_one_form(z, name))
             residuals += [np.abs(two.matrix(env))
                           for env in sample_envs(coords, rng, 8)]
-        worst, _ = first_worst(residuals)
-        report.add("bold_d_squared_zero", worst < 1e-12, worst)
+        report.check("bold_d_squared_zero", residuals, 1e-12)
 
     if sc.get_bool("checks", "eq1", False):
         space = TimePhaseSpace(q=("q",), p=("p",))
@@ -536,11 +530,11 @@ def run_reduction_check(sc: Scenario, rng, outdir: Path, report: Report):
         up = canonical_poisson(space.section_function(s1),
                                space.section_function(s2), space.pairs)
         point = sample_points(space.names, rng, 16)
-        worst = worst_abs([se.evaluate(down, point) - se.evaluate(up, point)], 16)
-        report.add("eq1_descends_to_cotangent_bracket", worst < 1e-9, worst)
-        worst = worst_abs([se.evaluate(se.differentiate(up, space.energy),
-                                       sample_points(space.names, rng, 16))], 16)
-        report.add("eq1_fiber_constancy", worst < 1e-9, worst)
+        report.check("eq1_descends_to_cotangent_bracket", per_point_max(
+            [se.evaluate(down, point) - se.evaluate(up, point)], 16), 1e-9)
+        report.check("eq1_fiber_constancy", per_point_max([se.evaluate(
+            se.differentiate(up, space.energy),
+            sample_points(space.names, rng, 16))], 16), 1e-9)
 
     mode = sc.get("checks", "reduction", "none")
     if mode != "none":

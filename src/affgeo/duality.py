@@ -164,11 +164,6 @@ class SpecialDualSpace:
         """Dimension as an affine space: same as the underlying space."""
         return self.special.dim
 
-    @property
-    def model_dim(self) -> int:
-        """The model spans the w-directions plus the constant function."""
-        return len(self.model_basis) + 1
-
     def is_member(self, d: DualElement, tol: float = 1e-12) -> bool:
         return abs(d.linear_part_on(self.special.v) - 1.0) <= tol
 
@@ -185,11 +180,6 @@ class SpecialDualSpace:
     def quotient_var_names(self) -> tuple[str, ...]:
         """Coordinates on the quotient of the dual by the one(A) direction."""
         return tuple(f"w{j + 1}" for j in self.free_indices)
-
-    def quotient_coords(self, d: DualElement) -> np.ndarray:
-        if not self.is_member(d):
-            raise AffineGeometryError("not a member of the special dual")
-        return d.w[list(self.free_indices)].copy()
 
 
 def special_dual(special: SpecialAffineSpace) -> SpecialDualSpace:

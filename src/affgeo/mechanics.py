@@ -338,13 +338,14 @@ class NewtonSpaceTime:
         self.d = d
         self.tau = np.array(tau if tau is not None
                             else np.eye(d + 1)[d], dtype=float)
-        if self.tau.shape != (d + 1,):
-            raise MechanicsError("clock covector has wrong length")
+        if self.tau.shape != (d + 1,) or not np.isfinite(self.tau).all():
+            raise MechanicsError("clock covector must be finite, of length d + 1")
         if np.linalg.norm(self.tau) == 0.0:
             raise MechanicsError("clock covector must be nonzero")
         self.g = np.array(g if g is not None else np.eye(d), dtype=float)
-        if self.g.shape != (d, d) or np.max(np.abs(self.g - self.g.T)) > 1e-12:
-            raise MechanicsError("metric must be a symmetric d x d matrix")
+        if self.g.shape != (d, d) or not np.isfinite(self.g).all() \
+                or np.max(np.abs(self.g - self.g.T)) > 1e-12:
+            raise MechanicsError("metric must be a finite symmetric d x d matrix")
         try:
             np.linalg.cholesky(self.g)
         except np.linalg.LinAlgError:

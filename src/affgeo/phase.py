@@ -16,7 +16,7 @@ import numpy as np
 
 from . import symexpr as se
 from .brackets import Patch
-from .reporting import Report, first_worst, per_point_max, worst_abs
+from .reporting import Report, per_point_max, worst_abs
 from .symexpr import Expression
 
 __all__ = [
@@ -380,8 +380,6 @@ def check_affine_reduction(rho: AVMorphism, bracket_z, bracket_y,
         rhs = rho.pullback_function(bracket_y(sigma, sigma2))
         residuals.append(per_point_max([se.evaluate(se.sub(lhs, rhs), point)],
                                        len(envs)))
-    worst, at = first_worst(residuals)
-    passed = worst < tol
-    report.add("reduction_identity", passed, worst, None if passed else
-               {"pair": at[0], "point": dict(envs[at[1]]), "residual": worst})
+    report.check("reduction_identity", residuals, tol,
+                 lambda at: {"pair": at[0], "point": dict(envs[at[1]])})
     return report

@@ -1,4 +1,14 @@
-"""Check results and reports shared by the verifiers and the CLI."""
+"""Check results and reports shared by the verifiers and the CLI.
+
+One rule decides every thresholded check, in :meth:`Report.check`: the
+residuals are reduced with :func:`first_worst`, which ranks NaN above
+every value, and the check passes iff that worst residual is below the
+tolerance.  So a non-finite residual never passes, and a failing check
+always names a witness: where the first worst residual sits, and its
+value.  :meth:`Report.add` records checks whose verdict is given (a
+boolean by nature, or a library call's); it too fails a non-finite
+residual, and gives a failing check at least its residual as witness.
+"""
 
 from __future__ import annotations
 
@@ -30,12 +40,28 @@ class Report:
 
     def add(self, check: str, passed: bool, residual: float,
             witness: dict | None = None) -> CheckResult:
-        """Record a check; a non-finite residual always fails it."""
+        """Record a check with a given verdict; a non-finite residual
+        fails it.  A passing check carries no witness, and a failing one
+        ``witness`` or else ``{"residual": residual}``."""
         residual = float(residual)
-        result = CheckResult(check, bool(passed) and math.isfinite(residual),
-                             residual, witness)
+        passed = bool(passed) and math.isfinite(residual)
+        result = CheckResult(check, passed, residual,
+                             None if passed else witness or {"residual": residual})
         self.checks.append(result)
         return result
+
+    def check(self, name: str, residuals, tol: float,
+              witness=None) -> CheckResult:
+        """Record the check "worst of ``residuals`` < ``tol``".
+
+        On failure the witness is ``witness(index)`` of the first worst
+        residual (an index tuple as :func:`first_worst` gives it), or
+        ``{"index": [...]}``, with ``"residual"`` added."""
+        worst, at = first_worst(residuals)
+        if worst < tol:
+            return self.add(name, True, worst)
+        where = witness(at) if witness else {"index": list(at)}
+        return self.add(name, False, worst, {**where, "residual": worst})
 
     @property
     def passed(self) -> bool:

@@ -562,7 +562,7 @@ def differentiate(e: Expression, v: str) -> Expression:
             return div(differentiate(e.left, v), e.right)
         num = sub(mul(differentiate(e.left, v), e.right),
                   mul(e.left, differentiate(e.right, v)))
-        return div(num, pow_(e.right, 2))
+        return ZERO if _is_const(num, 0.0) else div(num, pow_(e.right, 2))
     if isinstance(e, Pow):
         inner = differentiate(e.base, v)
         return mul(mul(Const(e.exponent), pow_(e.base, e.exponent - 1)), inner)
@@ -570,6 +570,8 @@ def differentiate(e: Expression, v: str) -> Expression:
         return neg(differentiate(e.operand, v))
     if isinstance(e, Call):
         inner = differentiate(e.arg, v)
+        if _is_const(inner, 0.0):
+            return ZERO
         if e.func == "sin":
             outer: Expression = call("cos", e.arg)
         elif e.func == "cos":

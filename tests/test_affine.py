@@ -83,6 +83,19 @@ def test_singular_transition_rejected():
         spec.add_chart("bad", [[1.0, 1.0], [1.0, 1.0]], [0.0, 0.0])
 
 
+@pytest.mark.parametrize("matrix, offset", [
+    ([[np.nan, 0.0], [0.0, 1.0]], [0.0, 0.0]),
+    ([[np.inf, 0.0], [0.0, 1.0]], [0.0, 0.0]),
+    ([[1.0, 0.0], [0.0, 1.0]], [np.nan, 0.0]),
+    ([[1.0, 0.0], [0.0, 1.0]], [0.0, -np.inf]),
+])
+def test_non_finite_transition_rejected(matrix, offset):
+    spec = AffineSpaceSpec(2)
+    with pytest.raises(AffineGeometryError, match="not finite"):
+        spec.add_chart("bad", matrix, offset)
+    assert spec.charts == ("ref",)
+
+
 def test_linear_part_examples():
     spec1 = AffineSpaceSpec(1)
     translation = AffineMap(spec1, spec1, [[1.0]], [5.0])

@@ -8,8 +8,9 @@ from affgeo.brackets import (
     BracketError, LieAffgebraData, LieAffgebroidData, NonAffineSectionError,
     Patch, aff_jacobi_bracket, affgebra_to_affgebroid, atiyah_algebroid,
     jet_bundle_affgebroid, hull_extend, is_aff_poisson, random_polynomial,
-    verify_affgebra, verify_affgebroid, _max_abs,
+    verify_affgebra, verify_affgebroid,
 )
+from affgeo.reporting import Report, per_point_max
 from affgeo.symexpr import Const, Var, evaluate, parse, VarContext
 
 EPS3 = np.zeros((3, 3, 3))
@@ -364,15 +365,23 @@ def _nan_at_middle_point(name):
     return se.Sub(se.Mul(big, big), se.Mul(big, big))
 
 
-def test_max_abs_witness_is_the_first_of_equal_worst_points():
+def _point_check(data, comps, pts):
+    """A sampled check as ``verify_affgebroid`` records it."""
+    env = data.patch.env(pts)
+    residuals = per_point_max([evaluate(c, env) for c in comps], len(pts))
+    return Report("x").check("c", residuals, 1e-9,
+                             lambda at: {"point": pts[at[0]].tolist()})
+
+
+def test_point_witness_is_the_first_of_equal_worst_points():
     patch = Patch.box(("q", "t"))
     data = jet_bundle_affgebroid()
     pts = patch.grid(3)  # q runs slowest: t = -1, 0, 1 for each q
-    worst, witness = _max_abs(data, [se.mul(Var("t"), Var("t"))], pts)
-    assert worst == 1.0
-    assert witness == {"point": [-1.0, -1.0], "residual": 1.0}
-    worst, witness = _max_abs(data, [Var("q"), se.neg(Var("q"))], pts[3:])
-    assert worst == 1.0 and witness["point"] == [1.0, -1.0]
+    check = _point_check(data, [se.mul(Var("t"), Var("t"))], pts)
+    assert check.residual == 1.0
+    assert check.witness == {"point": [-1.0, -1.0], "residual": 1.0}
+    check = _point_check(data, [Var("q"), se.neg(Var("q"))], pts[3:])
+    assert check.residual == 1.0 and check.witness["point"] == [1.0, -1.0]
 
 
 def _line_bundle(bracket_fn=None):
@@ -381,12 +390,12 @@ def _line_bundle(bracket_fn=None):
                              [[Const(1.0)]], bracket_fn=bracket_fn)
 
 
-def test_max_abs_reports_a_nan_point():
+def test_point_check_reports_a_nan_point():
     with np.errstate(all="ignore"):
-        worst, witness = _max_abs(_line_bundle(),
-                                  [Const(5.0), _nan_at_middle_point("q")],
-                                  Patch.box(("q",)).grid(3))
-    assert math.isnan(worst) and witness["point"] == [0.0]
+        check = _point_check(_line_bundle(),
+                             [Const(5.0), _nan_at_middle_point("q")],
+                             Patch.box(("q",)).grid(3))
+    assert math.isnan(check.residual) and check.witness["point"] == [0.0]
 
 
 def test_sampled_check_with_nan_at_one_grid_point_fails():

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -59,6 +60,24 @@ def test_failing_scenario_exits_1_with_witness(tmp_path, capsys):
 
 def test_flipped_reduction_scenario_fails(tmp_path, capsys):
     assert run(["run", "reduction_flipped", "--out", str(tmp_path)]) == 1
+
+
+def test_nan_gauge_parameter_fails_the_round_trip_with_a_witness(tmp_path, capsys):
+    # Python's max used to drop the NaN and report a pass with residual 0
+    path = tmp_path / "nan.ini"
+    path.write_text(
+        "[scenario]\nkind = compare-frames\nname = nan\n"
+        "[system]\npotential = \"0\"\n"
+        "[initial]\nevent = 0, 0, 0, 0\nmomentum = 0.1, 0, 0\ns = nan\n"
+        "[integration]\nstep = 0.1\nduration = 1\n"
+        "[frames]\nboosts = 0.1 0 0; 0 0.2 0\n")
+    assert run(["run", str(path), "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "nan_report.json").read_text())
+    check = [c for c in report["checks"] if c["check_name"] == "gauge_round_trip"][0]
+    assert check["pass"] is False and math.isnan(check["max_residual"])
+    assert check["witness"]["boost"] == [0.1, 0.0, 0.0]
+    assert math.isnan(check["witness"]["residual"])
+    assert "witness:" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("dim", ["0", "-1"])
@@ -143,6 +162,8 @@ def test_newton_template_runs(tmp_path, capsys):
     {"step": 0.3},
     {"step": "nan"},
     {"momentum": "0.1, 0"},
+    {"metric": "inf 0 0; 0 1 0; 0 0 1"},
+    {"metric": "nan 0 0; 0 1 0; 0 0 1"},
 ])
 def test_bad_newton_field_exits_2(tmp_path, capsys, fields):
     code, err = run_newton_text(tmp_path, capsys, **fields)
@@ -231,6 +252,16 @@ def test_newton_frame_of_wrong_length_exits_2(tmp_path, capsys):
     assert run(["run", str(path), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("chart", ["nan 0; 0 1 | 0 0", "inf 0; 0 1 | 0 0",
+                                   "1 0; 0 1 | nan 0"])
+def test_non_finite_chart_exits_2(tmp_path, capsys, chart):
+    path = tmp_path / "bad.ini"
+    path.write_text("[scenario]\nkind = affine-verify\nname = bad\n"
+                    f"[space]\ndim = 2\n[charts]\nc = {chart}\n")
+    assert run(["run", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: chart 'c'")
+
+
 def test_ragged_chart_matrix_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text("[scenario]\nkind = affine-verify\nname = bad\n"
@@ -282,6 +313,15 @@ def run_deep(tmp_path, capsys, engine, expr):
         path.write_text(TIMEDEP.format(expr=expr))
     code = run(["run", str(path), "--out", str(tmp_path)])
     return code, capsys.readouterr().err
+
+
+def test_hamiltonian_with_a_variable_divisor_runs(tmp_path, capsys):
+    # differentiate once left 0/(1 + q1^2)^2, which failed the unit-slope test
+    code, err = run_deep(tmp_path, capsys, "timedep", "1/(1 + q1^2)")
+    assert (code, err) == (0, "")
+    report = json.loads((tmp_path / "deep_report.json").read_text())
+    drift = [c for c in report["checks"] if c["check_name"] == "energy_drift"][0]
+    assert drift["pass"] is True
 
 
 @pytest.mark.parametrize("engine", ["newton", "timedep"])

@@ -158,6 +158,14 @@ def test_spacetime_validation():
         NewtonSpaceTime(1).frame([1.0, 3.0])  # clock rate 3
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_spacetime_rejects_non_finite_data(bad):
+    with pytest.raises(MechanicsError):
+        NewtonSpaceTime(2, g=[[bad, 0.0], [0.0, 1.0]])
+    with pytest.raises(MechanicsError):
+        NewtonSpaceTime(2, tau=[0.0, bad, 1.0])
+
+
 def test_frame_level_set():
     st = NewtonSpaceTime(3)
     u = st.frame([0.2, -0.1, 0.0, 1.0])

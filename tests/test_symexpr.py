@@ -61,6 +61,12 @@ def test_differentiate_independent():
     assert differentiate(parse("x^2", CTX_XY), "y") == Const(0.0)
 
 
+def test_differentiate_independent_quotient_and_root_fold_to_zero():
+    # the quotient rule used to leave 0/(1 + q^2)^2
+    assert differentiate(parse("1/(1 + q^2)", CTX_PQ), "p") == Const(0.0)
+    assert differentiate(parse("sqrt(1 + q^2)", CTX_PQ), "p") == Const(0.0)
+
+
 def test_evaluate_basic():
     assert evaluate(parse("x^2 + 3*y", CTX_XY), {"x": 2, "y": 1}) == 7.0
     assert evaluate(parse("sin(x)", CTX_XY), {"x": 0.0}) == 0.0
