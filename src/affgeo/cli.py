@@ -181,7 +181,7 @@ def run_affine_verify(sc: Scenario, rng, outdir: Path, report: Report):
     except AffineGeometryError as err:
         raise ScenarioError(str(err)) from None
     charts = spec.charts
-    samples = sc.get_int("params", "samples", 64)
+    samples = _ints(sc.get("params", "samples", "64"), 1)[0]
 
     report.check("cocycle_across_charts", [cocycle_check(*[
         spec.point(rng.uniform(-3, 3, dim), chart=charts[rng.integers(len(charts))])
@@ -211,7 +211,7 @@ def run_affine_verify(sc: Scenario, rng, outdir: Path, report: Report):
 
 def run_duality_verify(sc: Scenario, rng, outdir: Path, report: Report):
     dims = _ints(sc.get("params", "dims", "1, 2, 3, 4"))
-    points = sc.get_int("params", "points", 100)
+    points = _ints(sc.get("params", "points", "100"), 1)[0]
 
     ok = all(dual_dimension(AffineSpaceSpec(n)) == n + 1 for n in dims)
     report.add("dual_dimension", ok, 0.0)

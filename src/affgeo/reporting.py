@@ -3,11 +3,12 @@
 One rule decides every thresholded check, in :meth:`Report.check`: the
 residuals are reduced with :func:`first_worst`, which ranks NaN above
 every value, and the check passes iff that worst residual is below the
-tolerance.  So a non-finite residual never passes, and a failing check
-always names a witness: where the first worst residual sits, and its
-value.  :meth:`Report.add` records checks whose verdict is given (a
-boolean by nature, or a library call's); it too fails a non-finite
-residual, and gives a failing check at least its residual as witness.
+tolerance.  So a non-finite residual never passes, nor does an empty
+residual set, and a failing check always names a witness: where the
+first worst residual sits, and its value.  :meth:`Report.add` records
+checks whose verdict is given (a boolean by nature, or a library
+call's); it too fails a non-finite residual, and gives a failing check
+at least its residual as witness.
 """
 
 from __future__ import annotations
@@ -56,7 +57,11 @@ class Report:
 
         On failure the witness is ``witness(index)`` of the first worst
         residual (an index tuple as :func:`first_worst` gives it), or
-        ``{"index": [...]}``, with ``"residual"`` added."""
+        ``{"index": [...]}``, with ``"residual"`` added.  No residuals at
+        all fail the check, with the witness ``{"samples": 0}``."""
+        residuals = np.asarray(residuals, float)
+        if residuals.size == 0:
+            return self.add(name, False, 0.0, {"samples": 0})
         worst, at = first_worst(residuals)
         if worst < tol:
             return self.add(name, True, worst)

@@ -8,6 +8,10 @@ or at a whole sample set in one walk of the tree, printing to a form
 that re-parses to an equivalent expression, and compilation into one
 function of positional values for integrator loops (:func:`compile_field`).
 
+Trees share subtrees: a derivative reuses the nodes of its source.  So
+each interior node caches the derivatives taken of it, and
+:func:`evaluate` evaluates each shared node once per call.
+
 Grammar accepted by :func:`parse` (whitespace insignificant)::
 
     expr   := term (('+'|'-') term)*
@@ -79,9 +83,14 @@ class DomainError(ExpressionError):
 
 
 class Expression:
-    """Base node.  Instances are immutable and freely shareable."""
+    """Base node.  Instances are immutable and freely shareable.
 
-    __slots__ = ()
+    The one slot of the base, ``_partials``, is not a dataclass field: it
+    holds the derivatives :func:`differentiate` took of the node, by
+    variable name, and takes no part in ``==``, ``hash`` or ``repr``.
+    """
+
+    __slots__ = ("_partials",)
 
     def __add__(self, other: ExprLike) -> "Expression":
         return add(self, _coerce(other))
@@ -183,6 +192,26 @@ def _coerce(x: ExprLike) -> Expression:
     raise TypeError(f"cannot use {type(x).__name__} as an expression")
 
 
+def _equal(a: Expression, b: Expression) -> bool:
+    """``a == b``, compared with an explicit stack instead of recursion;
+    a node shared by both sides (a cached derivative, say) is equal at
+    once."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        if type(x) is not type(y):
+            return False
+        for name in type(x).__slots__:
+            cx, cy = getattr(x, name), getattr(y, name)
+            if isinstance(cx, Expression):
+                stack.append((cx, cy))
+            elif cx is not cy and cx != cy:
+                return False
+    return True
+
+
 def _is_const(e: Expression, value: float | None = None) -> bool:
     if not isinstance(e, Const):
         return False
@@ -200,9 +229,9 @@ def add(a: Expression, b: Expression) -> Expression:
         return b
     if _is_const(b, 0.0):
         return a
-    if isinstance(a, Neg) and a.operand == b:
+    if isinstance(a, Neg) and _equal(a.operand, b):
         return ZERO
-    if isinstance(b, Neg) and b.operand == a:
+    if isinstance(b, Neg) and _equal(b.operand, a):
         return ZERO
     # fold constants of nested sums: c1 + (c2 + x) -> (c1+c2) + x
     if isinstance(a, Const) and isinstance(b, Add) and isinstance(b.left, Const):
@@ -217,7 +246,7 @@ def sub(a: Expression, b: Expression) -> Expression:
         return Const(a.value - b.value)
     if _is_const(b, 0.0):
         return a
-    if a == b:
+    if _equal(a, b):
         return ZERO
     if _is_const(a, 0.0):
         return neg(b)
@@ -531,7 +560,6 @@ def parse(text: str, ctx: VarContext) -> Expression:
     recursion limit: brackets, calls and unary minus nested more than
     :data:`MAX_NESTING` deep, or a tree deeper than :data:`MAX_DEPTH`
     levels (a sum of ``MAX_DEPTH - 1`` products, say).  Near the limit,
-    comparing two equal deep operands (``a - a``, while simplifying) and
     derivatives deeper than their source can still raise
     ``RecursionError``.
     """
@@ -545,43 +573,60 @@ def parse(text: str, ctx: VarContext) -> Expression:
 
 
 def differentiate(e: Expression, v: str) -> Expression:
-    """Exact symbolic partial derivative of ``e`` with respect to ``v``."""
+    """Exact symbolic partial derivative of ``e`` with respect to ``v``.
+
+    Each interior node keeps the derivatives taken of it, so asking again
+    for the partial of a node, or of a subtree it shares with another
+    expression, returns the same object without walking the subtree.
+    """
     if isinstance(e, Const):
         return ZERO
     if isinstance(e, Var):
         return ONE if e.name == v else ZERO
+    try:
+        partials = e._partials
+    except AttributeError:
+        partials = {}
+        object.__setattr__(e, "_partials", partials)
+    else:
+        d = partials.get(v)
+        if d is not None:
+            return d
     if isinstance(e, Add):
-        return add(differentiate(e.left, v), differentiate(e.right, v))
-    if isinstance(e, Sub):
-        return sub(differentiate(e.left, v), differentiate(e.right, v))
-    if isinstance(e, Mul):
-        return add(mul(differentiate(e.left, v), e.right),
-                   mul(e.left, differentiate(e.right, v)))
-    if isinstance(e, Div):
+        d = add(differentiate(e.left, v), differentiate(e.right, v))
+    elif isinstance(e, Sub):
+        d = sub(differentiate(e.left, v), differentiate(e.right, v))
+    elif isinstance(e, Mul):
+        d = add(mul(differentiate(e.left, v), e.right),
+                mul(e.left, differentiate(e.right, v)))
+    elif isinstance(e, Div):
         if isinstance(e.right, Const):
-            return div(differentiate(e.left, v), e.right)
-        num = sub(mul(differentiate(e.left, v), e.right),
-                  mul(e.left, differentiate(e.right, v)))
-        return ZERO if _is_const(num, 0.0) else div(num, pow_(e.right, 2))
-    if isinstance(e, Pow):
+            d = div(differentiate(e.left, v), e.right)
+        else:
+            num = sub(mul(differentiate(e.left, v), e.right),
+                      mul(e.left, differentiate(e.right, v)))
+            d = ZERO if _is_const(num, 0.0) else div(num, pow_(e.right, 2))
+    elif isinstance(e, Pow):
         inner = differentiate(e.base, v)
-        return mul(mul(Const(e.exponent), pow_(e.base, e.exponent - 1)), inner)
-    if isinstance(e, Neg):
-        return neg(differentiate(e.operand, v))
-    if isinstance(e, Call):
+        d = mul(mul(Const(e.exponent), pow_(e.base, e.exponent - 1)), inner)
+    elif isinstance(e, Neg):
+        d = neg(differentiate(e.operand, v))
+    elif isinstance(e, Call):
         inner = differentiate(e.arg, v)
         if _is_const(inner, 0.0):
-            return ZERO
-        if e.func == "sin":
-            outer: Expression = call("cos", e.arg)
+            d = ZERO
+        elif e.func == "sin":
+            d = mul(call("cos", e.arg), inner)
         elif e.func == "cos":
-            outer = neg(call("sin", e.arg))
+            d = mul(neg(call("sin", e.arg)), inner)
         elif e.func == "exp":
-            outer = call("exp", e.arg)
+            d = mul(call("exp", e.arg), inner)
         else:  # sqrt
-            return div(inner, mul(Const(2.0), call("sqrt", e.arg)))
-        return mul(outer, inner)
-    raise TypeError(f"cannot differentiate {type(e).__name__}")
+            d = div(inner, mul(Const(2.0), call("sqrt", e.arg)))
+    else:
+        raise TypeError(f"cannot differentiate {type(e).__name__}")
+    partials[v] = d
+    return d
 
 
 def _any(mask) -> bool:
@@ -601,8 +646,16 @@ def evaluate(e: Expression,
     values (a float where ``e`` uses no array), bit for bit those of a
     loop over the points.  ``+ - * /`` and negation are numpy ufuncs,
     which round as Python floats do; ``^`` and the functions apply
-    Python's ``**`` and :mod:`math` to each element.
+    Python's ``**`` and :mod:`math` to each element.  A node shared by
+    several parents (derivatives share subtrees with their source) is
+    evaluated once per call, the first time the walk reaches it.
     """
+    return _evaluate(e, point, {})
+
+
+def _evaluate(e: Expression, point, done: dict) -> float | np.ndarray:
+    """The walk of :func:`evaluate`; ``done`` maps ``id`` of each interior
+    node evaluated so far to its value (the root keeps them all alive)."""
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
@@ -611,36 +664,42 @@ def evaluate(e: Expression,
         except KeyError:
             raise UnboundVariableError(e.name) from None
         return value if isinstance(value, np.ndarray) else float(value)
+    value = done.get(id(e))
+    if value is not None:
+        return value
     if isinstance(e, Add):
-        return evaluate(e.left, point) + evaluate(e.right, point)
-    if isinstance(e, Sub):
-        return evaluate(e.left, point) - evaluate(e.right, point)
-    if isinstance(e, Mul):
-        return evaluate(e.left, point) * evaluate(e.right, point)
-    if isinstance(e, Div):
-        denom = evaluate(e.right, point)
+        value = _evaluate(e.left, point, done) + _evaluate(e.right, point, done)
+    elif isinstance(e, Sub):
+        value = _evaluate(e.left, point, done) - _evaluate(e.right, point, done)
+    elif isinstance(e, Mul):
+        value = _evaluate(e.left, point, done) * _evaluate(e.right, point, done)
+    elif isinstance(e, Div):
+        denom = _evaluate(e.right, point, done)
         if _any(denom == 0.0):
             raise DomainError("division by zero")
-        return evaluate(e.left, point) / denom
-    if isinstance(e, Pow):
-        base, k = evaluate(e.base, point), e.exponent
+        value = _evaluate(e.left, point, done) / denom
+    elif isinstance(e, Pow):
+        base, k = _evaluate(e.base, point, done), e.exponent
         if k < 0 and _any(base == 0.0):
             raise DomainError("zero raised to a negative power")
         try:
-            return _each(lambda b: b ** k, base)
+            value = _each(lambda b: b ** k, base)
         except OverflowError:
             raise DomainError("power overflow") from None
-    if isinstance(e, Neg):
-        return -evaluate(e.operand, point)
-    if isinstance(e, Call):
-        x = evaluate(e.arg, point)
+    elif isinstance(e, Neg):
+        value = -_evaluate(e.operand, point, done)
+    elif isinstance(e, Call):
+        x = _evaluate(e.arg, point, done)
         if e.func == "sqrt" and _any(x < 0.0):
             raise DomainError("sqrt of a negative number")
         try:
-            return _each(_APPLY[e.func], x)
+            value = _each(_APPLY[e.func], x)
         except OverflowError:
             raise DomainError(f"{e.func} overflow") from None
-    raise TypeError(f"cannot evaluate {type(e).__name__}")
+    else:
+        raise TypeError(f"cannot evaluate {type(e).__name__}")
+    done[id(e)] = value
+    return value
 
 
 def subst(e: Expression, bindings: Mapping[str, ExprLike]) -> Expression:

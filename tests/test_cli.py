@@ -244,6 +244,19 @@ def test_bad_dimension_list_exits_2(tmp_path, capsys, text):
     assert run(["run", str(path), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("text", [
+    "kind = affine-verify\n[space]\ndim = 2\n[params]\nsamples = 0\n",
+    "kind = affine-verify\n[space]\ndim = 2\n[params]\nsamples = -3\n",
+    "kind = duality-verify\n[params]\npoints = 0\n",
+    "kind = duality-verify\n[params]\npoints = -1\n",
+])
+def test_sample_count_below_one_exits_2(tmp_path, capsys, text):
+    # no samples would make the sampled checks pass vacuously
+    path = tmp_path / "bad.ini"
+    path.write_text("[scenario]\nname = bad\n" + text)
+    assert run(["run", str(path), "--out", str(tmp_path)]) == 2
+
+
 def test_newton_frame_of_wrong_length_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text(NEWTON.format(seed=0, dim=3, metric="identity", mass=1.0,

@@ -34,6 +34,14 @@ def test_first_worst_of_nothing_is_zero():
     assert first_worst([]) == (0.0, ())
 
 
+@pytest.mark.parametrize("residuals", [[], np.zeros((3, 0))])
+def test_check_of_no_residuals_fails(residuals):
+    report = Report("x")
+    check = report.check("x", residuals, 1e-9)
+    assert not check.passed and not report.passed
+    assert check.witness == {"samples": 0}
+
+
 def test_per_point_max_broadcasts_constants_and_propagates_nan():
     out = per_point_max([np.array([1.0, -3.0, 0.5]), -2.0,
                          np.array([0.0, math.nan, 0.0])], 3)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -351,3 +352,112 @@ def test_parse_admits_nesting_up_to_max_nesting(open_, close):
     with pytest.raises(ExprSyntaxError, match="deeper than") as err:
         parse(open_ * 2000 + "x" + close * 2000, CTX_XY)
     assert err.value.position == k * len(open_)
+
+
+# --- recursion headroom, structural comparison and the per-node caches -------
+
+
+def _chain(link, depth):
+    e = Var("x")
+    for _ in range(depth - 1):
+        e = link(e)
+    return e
+
+
+LINKS = {"add": lambda e: se.Add(e, Var("x")), "mul": lambda e: se.Mul(e, Var("x")),
+         "sin": lambda e: se.Call("sin", e)}
+
+
+def _same_bits(e):
+    """Evaluate ``e`` on floats and on arrays; the values must agree."""
+    xs = [-0.9, 0.3, 1.0]
+    scalar = np.array([evaluate(e, {"x": x}) for x in xs])
+    array = np.broadcast_to(evaluate(e, {"x": np.array(xs)}), (3,))
+    assert array.view(np.uint64).tolist() == scalar.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("kind", LINKS)
+def test_walkers_take_one_frame_per_level(kind):
+    e = _chain(LINKS[kind], se.MAX_DEPTH - 1)
+    _same_bits(e)
+    _same_bits(differentiate(e, "x"))  # deeper than e for products
+    # twice the depth parse admits still fits under the default limit of
+    # 1000 frames; a walker that took two frames per level would not
+    deep = _chain(LINKS[kind], 2 * se.MAX_DEPTH)
+    differentiate(deep, "x")
+    _same_bits(deep)
+
+
+def test_simplifier_compares_deep_operands_without_recursion():
+    total = "+".join(["x"] * (se.MAX_DEPTH - 1))
+    assert parse(f"({total}) - ({total})", CTX_XY) == Const(0.0)
+    assert parse(f"-({total}) + ({total})", CTX_XY) == Const(0.0)
+
+
+def _rebuild(e):
+    """An unshared copy of ``e`` that has never been differentiated."""
+    return type(e)(*[_rebuild(c) if isinstance(c, se.Expression) else c
+                     for c in (getattr(e, f.name) for f in dataclasses.fields(e))])
+
+
+@settings(max_examples=150, deadline=None)
+@given(all_kinds(), all_kinds())
+def test_structural_comparison_agrees_with_equality(e, f):
+    assert se._equal(e, f) == (e == f)
+    assert se._equal(e, _rebuild(e)) and e == _rebuild(e)
+    assert se._equal(e, e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(all_kinds(), st.sampled_from(["x", "y"]))
+def test_derivatives_are_cached_per_node(e, v):
+    w = "y" if v == "x" else "x"
+    before = (hash(e), repr(e), [f.name for f in dataclasses.fields(e)])
+    first, other = differentiate(e, v), differentiate(e, w)
+    assert differentiate(e, v) is first and differentiate(e, w) is other
+    assert first == differentiate(_rebuild(e), v)
+    assert other == differentiate(_rebuild(e), w)
+    assert (hash(e), repr(e), [f.name for f in dataclasses.fields(e)]) == before
+    assert e == _rebuild(e) and hash(e) == hash(_rebuild(e))
+
+
+def _result(fn):
+    """The bits of the values, or the type and message of the error."""
+    try:
+        with np.errstate(all="ignore"):
+            return np.asarray(fn(), float).view(np.uint64).tolist()
+    except (DomainError, ValueError) as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(all_kinds(), all_kinds(), st.integers(0, 2**32 - 1))
+def test_shared_subtrees_evaluate_as_unshared_copies(t, u, seed):
+    # derivatives share subtrees with their source, and the DAG reuses t
+    dt = differentiate(t, "x")
+    dag = se.Add(se.Mul(t, se.Sub(dt, u)), se.Div(dt, se.Add(se.Neg(t), u)))
+    tree = _rebuild(dag)
+    xy = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(20, 2))
+    for point in ({"x": xy[0, 0], "y": xy[0, 1]}, {"x": xy[:, 0], "y": xy[:, 1]}):
+        assert _result(lambda: evaluate(dag, point)) == _result(lambda: evaluate(tree, point))
+
+
+def test_a_shared_node_is_evaluated_once_per_call(monkeypatch):
+    calls = []
+    monkeypatch.setitem(se._APPLY, "sin", lambda v: calls.append(v) or math.sin(v))
+    s = se.Call("sin", Var("x"))
+    dag = se.Add(se.Mul(s, s), se.Neg(s))
+    for _ in range(2):
+        assert evaluate(dag, {"x": 0.5}) == math.sin(0.5) * math.sin(0.5) - math.sin(0.5)
+    evaluate(dag, {"x": np.array([0.1, 0.2])})
+    assert calls == [0.5, 0.5, 0.1, 0.2]
+
+
+def test_a_shared_node_that_fails_raises_the_unshared_error():
+    bad = se.Div(Var("x"), se.Sub(Var("y"), Var("y")))
+    dag = se.Add(se.Call("sqrt", bad), se.Mul(bad, bad))
+    for point in ({"x": 1.0, "y": 2.0}, {"x": np.ones(3), "y": np.zeros(3)}):
+        with pytest.raises(DomainError, match="division by zero"):
+            evaluate(dag, point)
+        assert _result(lambda: evaluate(dag, point)) == \
+            _result(lambda: evaluate(_rebuild(dag), point))
