@@ -29,7 +29,7 @@ cli
 
 from . import affine, brackets, duality, mechanics, phase, symexpr  # noqa: F401
 from .affine import (  # noqa: F401
-    AffineMap, AffineSpaceSpec, BiAffineMap, biaffine_parts, cocycle_check,
+    AffineMap, AffineSpaceSpec, BiAffineMap, cocycle_check,
     difference, linear_part,
 )
 from .brackets import (  # noqa: F401

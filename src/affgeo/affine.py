@@ -11,14 +11,12 @@ executable statement: compute in two charts, compare.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "AffineGeometryError", "AffineSpaceSpec", "AffinePoint", "TangentVec",
-    "AffineMap", "BiAffineMap", "BiAffineParts", "difference",
-    "cocycle_check", "linear_part", "biaffine_parts",
+    "AffineMap", "BiAffineMap", "difference", "cocycle_check", "linear_part",
 ]
 
 # Construction-time identities use this tolerance; anything downstream
@@ -234,13 +232,3 @@ class BiAffineMap:
         u = np.asarray(u, dtype=float)
         w = np.asarray(w, dtype=float)
         return np.einsum("kij,i,j->k", self.C, u, w)
-
-
-class BiAffineParts(NamedTuple):
-    first: object     # (u, y) -> linear in u
-    second: object    # (x, w) -> linear in w
-    bilinear: object  # (u, w) -> bilinear
-
-
-def biaffine_parts(phi: BiAffineMap) -> BiAffineParts:
-    return BiAffineParts(phi.part_first, phi.part_second, phi.bilinear_part)

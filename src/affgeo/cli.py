@@ -1,27 +1,32 @@
 """Command-line front end: run scenario files, emit reports and CSVs.
 
-Scenario files are flat INI text: ``key = value`` lines under
-``[section]`` headers, with expressions quoted and parsed by the
-expression language.  Runs are deterministic given the seed recorded
-in the scenario (overridable with ``--seed``); a JSON report and any
-trajectory CSVs are written to the output directory (``--out``, the
-``AFFGEO_OUT`` environment variable, or the working directory).
+Scenario files are INI text with quoted expressions.  ``KINDS`` holds one
+table per scenario kind of every key a file may set, with its type,
+default and range; :class:`Scenario` rejects anything else and hands the
+runners typed values.  Runs are deterministic given the seed (the file's
+or ``--seed``).  The JSON report and any CSVs go to the output directory
+(``--out``, ``$AFFGEO_OUT`` or the working directory) and nowhere else.
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 the scenario could
-not be loaded, holds an invalid value or expressions too deep for the
-symbolic layer, 3 a runtime domain error interrupted the run.
+Exit codes: 0 all checks pass, 1 a check failed, 2 the scenario could not
+be loaded (an unknown section or key, a key its mode does not read, a
+missing key, a value of the wrong type or out of range), holds a value the
+library rejects or expressions too deep for the symbolic layer, 3 a
+runtime domain error interrupted the run.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import os
+import re
 import sys
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,15 +47,11 @@ from .mechanics import (
     newton_dynamics, tau_clock_residual, timedep_dynamics, timedep_event_fn,
 )
 from .phase import (
-    AVBundle, AVMorphism, canonical_poisson, check_affine_reduction,
+    AVBundle, AVMorphism, PhaseError, canonical_poisson, check_affine_reduction,
     eq1_aff_poisson, omega_Z, sample_envs, sample_points, section_one_form,
     bold_d_oneform, TimePhaseSpace,
 )
 from .reporting import Report, first_worst, per_point_max
-
-KINDS = ("affine-verify", "duality-verify", "affgebra-verify",
-         "affgebroid-verify", "timedep", "newton", "compare-frames",
-         "reduction-check")
 
 
 class ScenarioError(Exception):
@@ -58,111 +59,193 @@ class ScenarioError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Scenario parsing helpers
+# Loading.  A value type is a function ``(raw, bound) -> value`` raising
+# ValueError; ``bound`` reads a range limit given as another (section, key).
 
 
-def _strip_quotes(raw: str) -> str:
-    raw = raw.strip()
-    if len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "\"'":
-        return raw[1:-1]
-    return raw
+def _show(limit) -> str:
+    return f"[{limit[0]}] {limit[1]}" if isinstance(limit, tuple) else f"{limit:g}"
 
 
-def _floats(raw: str) -> list[float]:
-    parts = raw.replace(",", " ").split()
-    try:
-        return [float(p) for p in parts]
-    except ValueError as err:
-        raise ScenarioError(f"bad number list {raw!r}: {err}") from None
+def Match(pattern: str, what: str, convert=str):
+    def parse(raw, bound):
+        if not re.fullmatch(pattern, raw):
+            raise ValueError(f"want {what}")
+        return convert(raw)
+    return parse
 
 
-def _matrix(raw: str, rows: int, cols: int) -> np.ndarray:
-    raw = raw.strip()
-    if raw == "identity":
-        if rows != cols:
-            raise ScenarioError("identity matrix requires a square shape")
-        return np.eye(rows)
-    if raw == "zero":
-        return np.zeros((rows, cols))
-    data = [_floats(r) for r in raw.split(";") if r.strip()]
-    if len(data) != rows or any(len(r) != cols for r in data):
-        raise ScenarioError(f"matrix {raw!r} is not {rows} x {cols}")
-    return np.array(data)
+def Enum(*choices):
+    return Match("|".join(map(re.escape, choices)), "one of " + ", ".join(choices))
 
 
-def _ints(raw: str, count: int = 0, high: float = math.inf) -> list[int]:
-    """Integers in 1..high from a list, exactly ``count`` of them if set."""
-    parts = raw.replace(",", " ").split()
-    if not parts or count and len(parts) != count or not all(
-            p.isdecimal() and 1 <= int(p) <= high for p in parts):
-        raise ScenarioError(f"bad list {raw!r}: want {count or 'some'} "
-                            f"integers in 1..{high}")
-    return [int(p) for p in parts]
+def Int(lo, hi=math.inf):
+    def parse(raw, bound):
+        if re.fullmatch(r"-?[0-9]+", raw) and bound(lo) <= int(raw) <= bound(hi):
+            return int(raw)
+        raise ValueError(f"want an integer in {_show(lo)}..{_show(hi)}")
+    return parse
 
 
-def _expr(raw: str, ctx: se.VarContext) -> se.Expression:
-    try:
-        return se.parse(_strip_quotes(raw), ctx)
-    except se.ExpressionError as err:
-        raise ScenarioError(f"bad expression {raw!r}: {err}") from None
+def Float(above=None, finite=True):
+    """A float, finite unless ``finite`` is false, above ``above`` if set."""
+    def parse(raw, bound):
+        value = float(raw)
+        if finite and not math.isfinite(value):
+            raise ValueError("want a finite number")
+        if above and not value > bound(above):
+            raise ValueError(f"want a number above {_show(above)}")
+        return value
+    return parse
 
 
-def _expr_list(raw: str, ctx: se.VarContext) -> list[se.Expression]:
-    pieces = [p for p in raw.split(",") if p.strip()]
-    return [_expr(p, ctx) for p in pieces]
+def List(item, sep=r"[\s,]+", distinct=False):
+    """A non-empty list of ``item`` values separated by ``sep``."""
+    def parse(raw, bound):
+        values = [item(p.strip(), bound) for p in re.split(sep, raw) if p.strip()]
+        if not values or distinct and len(set(values)) < len(values):
+            raise ValueError(f"want a non-empty list{' of distinct items' * distinct}")
+        return values
+    return parse
 
 
-class Scenario:
+QUOTED = r"\"[^\"]*\"|'[^']*'"
+BOOL = Match("true|false", "true or false", lambda raw: raw == "true")
+FILE_NAME = Match(r"(?!\.\.?$)[^/\\\0]+", "a plain file name")  # outputs stay in --out
+NAMES = List(Match(r"[A-Za-z_]\w*", "a name"), ",", distinct=True)
+EXPR = Match(QUOTED, "a quoted expression", lambda raw: raw[1:-1])
+EXPRS = Match(rf"({QUOTED})(\s*,\s*({QUOTED}))*", "quoted expressions and commas",
+              lambda raw: [q[1:-1] for q in re.findall(QUOTED, raw)])
+FLOATS = List(Float(finite=False))
+INTS = List(Int(1))
+ROWS = List(FLOATS, ";")
+
+
+def MATRIX(raw, bound):
+    """Rows of equal length separated by ``;``, or ``identity`` or ``zero``."""
+    if raw in ("identity", "zero"):
+        return raw
+    rows = ROWS(raw, bound)
+    if len({len(r) for r in rows}) > 1:
+        raise ValueError("want rows of equal length")
+    return rows
+
+
+def CHART(raw, bound):
+    rows, offset = Match(r"[^|]*\|.*", "'rows | offset'")(raw, bound).split("|", 1)
+    return MATRIX(rows.strip(), bound), FLOATS(offset, bound)
+
+
+def SAMPLES(raw, bound):
+    """``grid:<n>`` points per axis (4 if left out) or ``random:<n>`` (16)."""
+    spec = Match(r"(grid|random)(:.*)?", "grid:<n> or random:<n>")(raw, bound)
+    mode, _, n = spec.partition(":")
+    return mode, Int(1)(n or {"grid": "4", "random": "16"}[mode], bound)
+
+
+REQUIRED = "required"
+
+
+class Key(NamedTuple):
+    """One key in the table of a scenario kind.
+
+    ``key`` is a name, or a pattern in which ``<name>`` stands for any text
+    and ``<i> <j> <k>`` for integers in ``index`` = (lo, hi); its value is
+    then a dict from the tuple of those names or integers to the value.  The
+    key is read only if ``when`` = (section, key, value) holds.
+    """
+    section: str
+    key: str
+    type: object
+    default: str | None = None
+    when: tuple | None = None
+    index: tuple | None = None
+
+    @functools.lru_cache(maxsize=4096)  # the same keys recur in every file
+    def match(self, key: str):
+        return re.fullmatch(re.sub(r"<[ijk]>", "(0|[1-9][0-9]*)", self.key)
+                            .replace("<name>", "(.+)"), key)
+
+
+class Scenario(dict):
+    """A scenario file checked against the table of its kind.
+
+    It maps each (section, key) of the table to the typed value: the
+    file's, else the default, else None (also for a key not read).
+    """
+
     def __init__(self, path: Path):
-        self.path = path
-        parser = configparser.ConfigParser(delimiters=("=",),
-                                           comment_prefixes=("#", ";"),
-                                           inline_comment_prefixes=None,
-                                           interpolation=None)
+        parser = configparser.ConfigParser(
+            delimiters=("=",), comment_prefixes=("#", ";"),
+            inline_comment_prefixes=None, interpolation=None, default_section="")
+        parser.optionxform = str  # keys are case-sensitive
         try:
             with open(path) as handle:
                 parser.read_file(handle)
         except (OSError, configparser.Error) as err:
             raise ScenarioError(f"cannot load {path}: {err}") from None
-        self.cfg = parser
-        if not parser.has_section("scenario"):
-            raise ScenarioError("missing [scenario] section")
-        self.name = self.get("scenario", "name", path.stem)
-        self.kind = self.get("scenario", "kind")
-        if self.kind not in KINDS:
-            raise ScenarioError(f"unknown scenario kind {self.kind!r}")
-        self.description = self.get("scenario", "description", "")
-        self.seed = self.get_int("scenario", "seed", 0)
+        raw = {s: dict(parser[s]) for s in parser.sections()}
+        self._read(COMMON[:1], raw)
+        self.kind = self["scenario", "kind"]
+        table = COMMON + KINDS[self.kind][1]
+        for section, keys in raw.items():
+            entries = [e for e in table if e.section == section]
+            if not entries:
+                raise ScenarioError(f"unknown section [{section}] for kind {self.kind}")
+            for key in keys:
+                if not any(e.match(key) for e in entries):
+                    raise ScenarioError(f"unknown key [{section}] {key} for kind {self.kind}")
+        self._read(table[1:], raw)
+        self.name = self["scenario", "name"] or path.stem
+        self.seed = self["scenario", "seed"]
 
-    def get(self, section: str, key: str, default=None) -> str:
-        if self.cfg.has_option(section, key):
-            return self.cfg.get(section, key).strip()
-        if default is None:
-            raise ScenarioError(f"missing field [{section}] {key}")
-        return default
-
-    def _number(self, kind, section: str, key: str, default):
-        raw = self.get(section, key, None if default is None else str(default))
+    def _parse(self, e: Key, key: str, raw: str, kind=None):
+        def bound(limit):
+            return self[limit] if isinstance(limit, tuple) else limit
         try:
-            return kind(raw)
-        except ValueError:
-            raise ScenarioError(
-                f"[{section}] {key} = {raw!r} is not {kind.__name__}") from None
+            return (kind or e.type)(raw.strip(), bound)
+        except ValueError as err:
+            raise ScenarioError(f"[{e.section}] {key} = {raw!r}: {err}") from None
 
-    def get_float(self, section: str, key: str, default=None) -> float:
-        return self._number(float, section, key, default)
+    def _read(self, entries: list[Key], raw) -> None:
+        for e in entries:
+            given = {k: v for k, v in raw.get(e.section, {}).items() if e.match(k)}
+            if e.when and self[e.when[:2]] != e.when[2]:
+                if given:
+                    s, k, v = e.when
+                    raise ScenarioError(f"[{e.section}] {next(iter(given))} is read only "
+                                        f"when [{s}] {k} = {str(v).lower()}")
+                self[e.section, e.key] = None
+                continue
+            if not given and e.default == REQUIRED:
+                raise ScenarioError(f"missing [{e.section}] {e.key}")
+            if not given and e.default is not None:
+                given = {e.key: e.default}
+            value = {}  # from the names or indices in a key (none for a plain key)
+            for k, v in given.items():
+                at = e.match(k).groups()
+                if e.index:
+                    at = tuple(self._parse(e, k, i, Int(*e.index)) for i in at)
+                value[at] = self._parse(e, k, v)
+            self[e.section, e.key] = value if "<" in e.key else value.get(())
 
-    def get_int(self, section: str, key: str, default=None) -> int:
-        return self._number(int, section, key, default)
 
-    def get_bool(self, section: str, key: str, default: bool = False) -> bool:
-        raw = self.get(section, key, str(default)).lower()
-        return raw in ("1", "true", "yes", "on")
+def _matrix(value, n: int) -> np.ndarray:
+    """A matrix key's value as an array; ``identity`` and ``zero`` are n x n."""
+    if value in ("identity", "zero"):
+        return np.eye(n) if value == "identity" else np.zeros((n, n))
+    return np.array(value)
 
-    def items(self, section: str) -> list[tuple[str, str]]:
-        if not self.cfg.has_section(section):
-            return []
-        return list(self.cfg.items(section))
+
+def _expr(text: str, ctx: se.VarContext) -> se.Expression:
+    try:
+        return se.parse(text, ctx)
+    except se.ExpressionError as err:
+        raise ScenarioError(f"bad expression {text!r}: {err}") from None
+
+
+def _exprs(texts: list[str], ctx: se.VarContext) -> list[se.Expression]:
+    return [_expr(t, ctx) for t in texts]
 
 
 # ---------------------------------------------------------------------------
@@ -170,29 +253,22 @@ class Scenario:
 
 
 def run_affine_verify(sc: Scenario, rng, outdir: Path, report: Report):
-    dim = sc.get_int("space", "dim")
+    dim = sc["space", "dim"]
     try:
         spec = AffineSpaceSpec(dim)
-        for name, raw in sc.items("charts"):
-            if "|" not in raw:
-                raise ScenarioError(f"chart {name!r} must look like 'rows | offset'")
-            mat_raw, off_raw = raw.split("|", 1)
-            spec.add_chart(name, _matrix(mat_raw, dim, dim), _floats(off_raw))
+        for (name,), (rows, offset) in sc["charts", "<name>"].items():
+            spec.add_chart(name, _matrix(rows, dim), offset)
     except AffineGeometryError as err:
         raise ScenarioError(str(err)) from None
     charts = spec.charts
-    samples = _ints(sc.get("params", "samples", "64"), 1)[0]
-
     report.check("cocycle_across_charts", [cocycle_check(*[
         spec.point(rng.uniform(-3, 3, dim), chart=charts[rng.integers(len(charts))])
         for _ in range(3)]) for _ in range(16)], 1e-12)
 
-    phi = BiAffineMap(C=rng.normal(size=(dim, dim, dim)),
-                      D=rng.normal(size=(dim, dim)),
-                      E=rng.normal(size=(dim, dim)),
-                      F=rng.normal(size=dim))
+    phi = BiAffineMap(C=rng.normal(size=(dim, dim, dim)), D=rng.normal(size=(dim, dim)),
+                      E=rng.normal(size=(dim, dim)), F=rng.normal(size=dim))
     residuals = []
-    for _ in range(samples):
+    for _ in range(sc["params", "samples"]):
         x, y = rng.uniform(-2, 2, dim), rng.uniform(-2, 2, dim)
         u, w = rng.uniform(-2, 2, dim), rng.uniform(-2, 2, dim)
         residuals += [phi.apply(x + u, y) - phi.apply(x, y) - phi.part_first(u, y),
@@ -210,11 +286,9 @@ def run_affine_verify(sc: Scenario, rng, outdir: Path, report: Report):
 
 
 def run_duality_verify(sc: Scenario, rng, outdir: Path, report: Report):
-    dims = _ints(sc.get("params", "dims", "1, 2, 3, 4"))
-    points = _ints(sc.get("params", "points", "100"), 1)[0]
-
-    ok = all(dual_dimension(AffineSpaceSpec(n)) == n + 1 for n in dims)
-    report.add("dual_dimension", ok, 0.0)
+    dims = sc["params", "dims"]
+    report.add("dual_dimension",
+               all(dual_dimension(AffineSpaceSpec(n)) == n + 1 for n in dims), 0.0)
 
     residuals = []
     for n in dims:
@@ -222,16 +296,15 @@ def run_duality_verify(sc: Scenario, rng, outdir: Path, report: Report):
         while np.linalg.norm(v) < 0.3:
             v = rng.normal(size=n)
         maps = double_special_dual(SpecialAffineSpace(AffineSpaceSpec(n), v))
-        for _ in range(points):
+        for _ in range(sc["params", "points"]):
             x = rng.uniform(-5, 5, n)
             residuals.append(np.max(np.abs(maps.backward(maps.forward(x)) - x)))
     report.check("double_dual_round_trip", residuals, 1e-12)
 
     av = AVCoordinates(base=("x",))
-    ctx = av.context()
     exact = True
     for raw in ("x^2", "3*x + 1", "sin(x)"):
-        sigma = se.parse(raw, ctx)
+        sigma = se.parse(raw, av.context())
         F = F_of_section(sigma, av)
         exact &= se.differentiate(F, "s") == se.Const(1.0)
         exact &= se.subst(F, {"s": sigma}) == se.Const(0.0)
@@ -243,94 +316,53 @@ def run_duality_verify(sc: Scenario, rng, outdir: Path, report: Report):
         space = AffineSpaceSpec(n)
         X = HullPoint.embed_vector(space.vector(rng.normal(size=n)))
         for _ in range(8):
-            w = rng.normal(size=n)
-            c = rng.normal()
+            w, c = rng.normal(size=n), rng.normal()
             f0 = pair(X, DualElement(space, w, c))
             f1 = pair(X, DualElement(space, w, c + h))
             residuals.append(abs((f1 - f0) / h))
     report.check("pairing_vertical_invariance", residuals, 1e-9)
 
 
-def _load_affgebra(sc: Scenario) -> LieAffgebraData:
-    dim = sc.get_int("structure", "dim")
-    D = _matrix(sc.get("structure", "D", "zero"), dim, dim)
+def run_affgebra_verify(sc: Scenario, rng, outdir: Path, report: Report):
+    dim, preset = sc["structure", "dim"], sc["structure", "c"]
+    if preset == "cross3" and dim != 3:
+        raise ScenarioError("cross3 structure constants need dim = 3")
     c = np.zeros((dim, dim, dim))
-    preset = sc.get("structure", "c", "entries")
-    if preset == "cross3":
-        if dim != 3:
-            raise ScenarioError("cross3 structure constants need dim = 3")
-        for (i, j, k) in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
-            c[i, j, k] = 1.0
-            c[j, i, k] = -1.0
-    elif preset in ("zero", "entries"):
-        for key, _ in sc.items("c"):
-            i, j, k = (n - 1 for n in _ints(key, 3, dim))
-            value = sc.get_float("c", key)
-            c[i, j, k] = value
-            c[j, i, k] = -value
-    else:
-        raise ScenarioError(f"unknown structure-constant preset {preset!r}")
+    for (i, j, k), value in ({(1, 2, 3): 1.0, (2, 3, 1): 1.0, (3, 1, 2): 1.0}
+                             if preset == "cross3" else sc["c", "<i> <j> <k>"] or {}).items():
+        c[i - 1, j - 1, k - 1] = value
+        c[j - 1, i - 1, k - 1] = -value
     try:
-        return LieAffgebraData(D, c)
+        data = LieAffgebraData(_matrix(sc["structure", "D"], dim), c)
     except BracketError as err:
         raise ScenarioError(str(err)) from None
-
-
-def run_affgebra_verify(sc: Scenario, rng, outdir: Path, report: Report):
-    data = _load_affgebra(sc)
-    result = verify_affgebra(data)
-    report.checks.extend(result.checks)
-
-
-def _base_patch(sc: Scenario) -> Patch:
-    coords = tuple(p.strip() for p in sc.get("base", "coords").split(",") if p.strip())
-    low = sc.get_float("base", "low", -1.0)
-    high = sc.get_float("base", "high", 1.0)
-    return Patch.box(coords, low, high)
-
-
-def _sample_points(sc: Scenario, patch: Patch, rng) -> np.ndarray:
-    raw = sc.get("base", "samples", "grid:4")
-    mode, _, arg = raw.partition(":")
-    if mode == "grid":
-        return patch.grid(_ints(arg or "4", 1)[0])
-    if mode == "random":
-        return patch.sample(rng, _ints(arg or "16", 1)[0])
-    raise ScenarioError(f"unknown sampling mode {raw!r}")
+    report.checks.extend(verify_affgebra(data).checks)
 
 
 def _load_affgebroid(sc: Scenario, patch: Patch) -> LieAffgebroidData:
-    ctx = patch.context()
-    rank = sc.get_int("structure", "rank")
+    ctx, rank = patch.context(), sc["structure", "rank"]
     zero = se.Const(0.0)
     beta = [[zero] * rank for _ in range(rank)]
-    for key, raw in sc.items("beta"):
-        i = _ints(key, 1, rank)[0] - 1
-        beta[i] = _expr_list(raw, ctx)
+    for (i,), texts in sc["structure", "beta<i>"].items():
+        beta[i - 1] = _exprs(texts, ctx)
     c = [[[zero] * rank for _ in range(rank)] for _ in range(rank)]
-    for key, raw in sc.items("c"):
-        i, j = (n - 1 for n in _ints(key, 2, rank))
-        comps = _expr_list(raw, ctx)
-        c[i][j] = comps
-        c[j][i] = [se.neg(e) for e in comps]
-    anchor_ref = _expr_list(sc.get("structure", "anchor_ref"), ctx)
-    anchor_lin = []
-    for i in range(rank):
-        anchor_lin.append(_expr_list(sc.get("structure", f"anchor{i + 1}"), ctx))
-    v = None
-    if sc.cfg.has_option("structure", "v"):
-        v = _floats(sc.get("structure", "v"))
+    for (i, j), texts in sc["c", "<i> <j>"].items():
+        c[i - 1][j - 1] = _exprs(texts, ctx)
+        c[j - 1][i - 1] = [se.neg(e) for e in c[i - 1][j - 1]]
+    anchors = sc["structure", "anchor<i>"]  # the library wants one per index
     try:
-        return LieAffgebroidData(patch, rank, beta, c, anchor_ref, anchor_lin, v=v)
+        return LieAffgebroidData(
+            patch, rank, beta, c, _exprs(sc["structure", "anchor_ref"], ctx),
+            [_exprs(anchors[i], ctx) for i in sorted(anchors)], v=sc["structure", "v"])
     except BracketError as err:
         raise ScenarioError(str(err)) from None
 
 
 def _check_atiyah_poisson(dim: int, rng, report: Report, n_points: int = 32):
     names = tuple(f"x{i + 1}" for i in range(dim))
+    wnames = tuple(f"w{j + 1}" for j in range(dim))
     patch = Patch.box(names)
     data = atiyah_algebroid(patch)
-    wnames = tuple(f"w{j + 1}" for j in range(dim))
 
     def random_affine():
         e = random_polynomial(patch, rng)
@@ -339,11 +371,10 @@ def _check_atiyah_poisson(dim: int, rng, report: Report, n_points: int = 32):
         return e
 
     diffs = []
-    pairs = list(zip(names, wnames))
     for _ in range(2):
         s1, s2 = random_affine(), random_affine()
         ours = aff_jacobi_bracket(data, s1, s2)
-        oracle = canonical_poisson(s1, s2, pairs)
+        oracle = canonical_poisson(s1, s2, list(zip(names, wnames)))
         point = sample_points(names + wnames, rng, n_points)
         diffs.append(se.evaluate(ours, point) - se.evaluate(oracle, point))
     report.check(f"dual_bracket_matches_poisson_dim{dim}",
@@ -357,159 +388,127 @@ def _check_atiyah_poisson(dim: int, rng, report: Report, n_points: int = 32):
 
 
 def run_affgebroid_verify(sc: Scenario, rng, outdir: Path, report: Report):
-    if sc.get_bool("structure", "atiyah", False):
-        dims = _ints(sc.get("structure", "dims", "1, 2"))
-        for dim in dims:
+    if sc["structure", "atiyah"]:
+        for dim in sc["structure", "dims"]:
             _check_atiyah_poisson(dim, rng, report)
         return
-    patch = _base_patch(sc)
+    patch = Patch.box(sc["base", "coords"], sc["base", "low"], sc["base", "high"])
     data = _load_affgebroid(sc, patch)
-    pts = _sample_points(sc, patch, rng)
+    mode, count = sc["base", "samples"]
+    pts = patch.grid(count) if mode == "grid" else patch.sample(rng, count)
     result = verify_affgebroid(data, pts, rng=rng)
     report.checks.extend(result.checks)
     # hull checks only make sense on a structure that verified
-    if result.passed and sc.get_bool("checks", "hull", False):
-        hull = hull_extend(data, pts, rng=rng)
-        secs = [(random_polynomial(patch, rng),
-                 [random_polynomial(patch, rng) for _ in range(data.rank)])
-                for _ in range(3)]
+    if not (result.passed and sc["checks", "hull"]):
+        return
+    hull = hull_extend(data, pts, rng=rng)
+    secs = [(random_polynomial(patch, rng),
+             [random_polynomial(patch, rng) for _ in range(data.rank)]) for _ in range(3)]
+    env, n = patch.env(pts), len(pts)
 
-        env, n = patch.env(pts), len(pts)
+    def sampled(name, values, tol):
+        report.check(name, per_point_max(values, n), tol,
+                     lambda at: {"point": pts[at[0]].tolist()})
 
-        def sampled(name, values, tol):
-            report.check(name, per_point_max(values, n), tol,
-                         lambda at: {"point": pts[at[0]].tolist()})
+    f, g = secs[0][1], secs[1][1]
+    weight, comps = hull.bracket((1.0, f), (1.0, g))
+    sampled("hull_restriction", [se.evaluate(weight, env)] + [
+        se.evaluate(a, env) - se.evaluate(b, env)
+        for a, b in zip(comps, data.bracket(f, g))], 1e-12)
 
-        f, g = secs[0][1], secs[1][1]
-        weight, comps = hull.bracket((1.0, f), (1.0, g))
-        sampled("hull_restriction", [se.evaluate(weight, env)] + [
-            se.evaluate(a, env) - se.evaluate(b, env)
-            for a, b in zip(comps, data.bracket(f, g))], 1e-12)
-
-        total_w = se.Const(0.0)
-        total_c = [se.Const(0.0)] * data.rank
-        for X, Y, Z in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
-            w, comps = hull.bracket(secs[X], hull.bracket(secs[Y], secs[Z]))
-            total_w = se.add(total_w, w)
-            total_c = [se.add(a, b) for a, b in zip(total_c, comps)]
-        sampled("hull_jacobi", [se.evaluate(e, env) for e in [total_w, *total_c]], 1e-9)
-        sampled("hull_unit_cocycle_closed", [se.evaluate(
-            hull.one_cocycle_residual(secs[0], secs[1]), env)], 1e-9)
+    total = [se.Const(0.0)] * (data.rank + 1)  # weight, then components
+    for X, Y, Z in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
+        w, comps = hull.bracket(secs[X], hull.bracket(secs[Y], secs[Z]))
+        total = [se.add(a, b) for a, b in zip(total, [w, *comps])]
+    sampled("hull_jacobi", [se.evaluate(e, env) for e in total], 1e-9)
+    sampled("hull_unit_cocycle_closed", [se.evaluate(
+        hull.one_cocycle_residual(secs[0], secs[1]), env)], 1e-9)
 
 
 def run_timedep(sc: Scenario, rng, outdir: Path, report: Report):
-    dim = sc.get_int("system", "dim")
-    q = tuple(f"q{i + 1}" for i in range(dim))
-    p = tuple(f"p{i + 1}" for i in range(dim))
-    ctx = se.VarContext.make(base=q + p, time="t")
-    H = _expr(sc.get("system", "hamiltonian"), ctx)
+    dim = sc["system", "dim"]
+    ctx = se.VarContext.make(base=[f"{v}{i + 1}" for v in "qp" for i in range(dim)],
+                             time="t")
+    H = _expr(sc["system", "hamiltonian"], ctx)
     sys = TimeDepSystem(dim, H)
     fld = timedep_dynamics(sys, rng=rng)
     report.check("dynamics_agreement", fld.cross_check_residual, 1e-12)
 
-    h = sc.get_float("integration", "step")
-    T = sc.get_float("integration", "duration")
-    y0 = _floats(sc.get("integration", "initial"))
-    if len(y0) == 2 * dim:
+    y0 = sc["integration", "initial"]
+    if len(y0) == 2 * dim:  # the initial time may be left out
         y0 = y0 + [0.0]
-    event_fn, event_names = timedep_event_fn(sys)
-    traj = integrate(fld, y0, h, T, event_fn=event_fn, event_names=event_names)
+    traj = integrate(fld, y0, sc["integration", "step"], sc["integration", "duration"],
+                     *timedep_event_fn(sys))
     report.add("finite_trajectory", True, 0.0)
-
     _check_energy(fld, traj, H, report)
-
-    csv_name = sc.get("output", "trajectory", f"{sc.name}.csv")
-    traj.to_csv(outdir / csv_name)
+    traj.to_csv(outdir / (sc["output", "trajectory"] or f"{sc.name}.csv"))
 
 
-def _check_energy(fld, traj, source: se.Expression, report: Report):
-    """Energy conservation, checked when ``source`` does not depend on t."""
+def _check_energy(fld, traj, source: se.Expression, report: Report, clock=False):
+    """Energy conservation if ``source`` is free of t; after the clock rate if ``clock``."""
+    if clock:
+        report.check("tau_clock", tau_clock_residual(fld, traj), 1e-12)
     if se.differentiate(source, "t") == se.Const(0.0):
         report.check("energy_drift", energy_drift(fld, traj), 1e-6)
 
 
-def _check_newton(fld, traj, phi: se.Expression, report: Report):
-    report.check("tau_clock", tau_clock_residual(fld, traj), 1e-12)
-    _check_energy(fld, traj, phi, report)
-
-
 def _newton_inputs(sc: Scenario):
     """(st, phi, mass, event, momentum, step, duration) of a Newton run."""
-    dim = sc.get_int("spacetime", "dim", 3)
-    g = None
-    if sc.cfg.has_option("spacetime", "metric"):
-        g = _matrix(sc.get("spacetime", "metric"), dim, dim)
-    ctx = se.VarContext.make(base=tuple(f"q{i + 1}" for i in range(dim)),
-                             time="t")
-    phi = _expr(sc.get("system", "potential", "0"), ctx)
-    return (NewtonSpaceTime(dim, g=g), phi, sc.get_float("system", "mass", 1.0),
-            _floats(sc.get("initial", "event")),
-            _floats(sc.get("initial", "momentum")),
-            sc.get_float("integration", "step"),
-            sc.get_float("integration", "duration"))
+    dim, g = sc["spacetime", "dim"], sc["spacetime", "metric"]
+    ctx = se.VarContext.make(base=[f"q{i + 1}" for i in range(dim)], time="t")
+    st = NewtonSpaceTime(dim, g=None if g is None else _matrix(g, dim))
+    return (st, _expr(sc["system", "potential"], ctx), sc["system", "mass"],
+            sc["initial", "event"], sc["initial", "momentum"],
+            sc["integration", "step"], sc["integration", "duration"])
 
 
 def run_newton(sc: Scenario, rng, outdir: Path, report: Report):
     st, phi, m, x0, p0, h, T = _newton_inputs(sc)
-    frame = st.frame(_floats(sc.get("system", "frame"))) \
-        if sc.cfg.has_option("system", "frame") else st.rest_frame()
-    fld = newton_dynamics(st, frame, m, phi)
+    u = sc["system", "frame"]
+    fld = newton_dynamics(st, st.rest_frame() if u is None else st.frame(u), m, phi)
     traj = integrate(fld, [*x0, *p0], h, T,
                      event_fn=fld.event_of, event_names=fld.event_names)
-    _check_newton(fld, traj, phi, report)
-    csv_name = sc.get("output", "trajectory", f"{sc.name}.csv")
-    traj.to_csv(outdir / csv_name)
+    _check_energy(fld, traj, phi, report, clock=True)
+    traj.to_csv(outdir / (sc["output", "trajectory"] or f"{sc.name}.csv"))
 
 
 def run_compare_frames(sc: Scenario, rng, outdir: Path, report: Report):
     st, phi, m, x0, p0, h, T = _newton_inputs(sc)
-    initial = ObservedPhase(x0, p0, sc.get_float("initial", "s", 0.0),
-                            st.rest_frame())
-    boosts = [_floats(r) for r in sc.get("frames", "boosts").split(";")
-              if r.strip()]
-    if not boosts:
-        raise ScenarioError("[frames] boosts lists no boost")
-
+    initial = ObservedPhase(x0, p0, sc["initial", "s"], st.rest_frame())
+    boosts = sc["frames", "boosts"]
     comparisons = [compare_frames(st, m, phi, initial, v, h, T,
                                   scenario=f"{sc.name}/boost{i + 1}")
                    for i, v in enumerate(boosts)]
     for i, cmp in enumerate(comparisons):
-        report.add(f"frame_independence_boost{i + 1}",
-                   cmp.passed, cmp.max_deviation)
-    payload = json.dumps(_jsonify([c.to_dict() for c in comparisons]),
-                         indent=2, sort_keys=True)
-    (outdir / f"{sc.name}_comparisons.json").write_text(payload + "\n")
+        report.add(f"frame_independence_boost{i + 1}", cmp.passed, cmp.max_deviation)
+    (outdir / f"{sc.name}_comparisons.json").write_text(
+        _dumps([c.to_dict() for c in comparisons], indent=2) + "\n")
 
     backs = [gauge_transform(gauge_transform(initial, v, m), [-x for x in v], m)
              for v in boosts]
     report.check("gauge_round_trip",
                  [np.abs([*(b.p - initial.p), b.s - initial.s]) for b in backs],
                  1e-12, lambda at: {"boost": boosts[at[0]]})
-
     # the rest-frame world-line every comparison starts from
-    _check_newton(newton_dynamics(st, initial.frame, m, phi),
-                  comparisons[0].trajectories[0], phi, report)
+    _check_energy(newton_dynamics(st, initial.frame, m, phi),
+                  comparisons[0].trajectories[0], phi, report, clock=True)
 
 
 def run_reduction_check(sc: Scenario, rng, outdir: Path, report: Report):
-    if sc.get_bool("checks", "omega", False):
-        coords = tuple(p.strip() for p in
-                       sc.get("forms", "coords", "x").split(",") if p.strip())
+    if sc["checks", "omega"]:
+        coords = tuple(sc["forms", "coords"])
         z = AVBundle(Patch.box(coords))
-        ctx = z.patch.context()
-        raw_sections = [p for p in sc.get("forms", "sections").split(",") if p.strip()]
-        for i, raw in enumerate(raw_sections):
-            z.register(f"s{i + 1}", _expr(raw, ctx))
+        for i, text in enumerate(sc["forms", "sections"]):
+            z.register(f"s{i + 1}", _expr(text, z.patch.context()))
         base = omega_Z(z)
-        n = len(coords)
-        momenta = tuple(f"p{i + 1}" for i in range(n))
-        grid = np.linspace(-1.5, 1.5, 5)
-        mesh = np.meshgrid(*([grid] * (2 * n)), indexing="ij")
+        momenta = tuple(f"p{i + 1}" for i in range(len(coords)))
+        mesh = np.meshgrid(*([np.linspace(-1.5, 1.5, 5)] * (2 * len(coords))),
+                           indexing="ij")
         envs = [dict(zip(coords + momenta, vals))
                 for vals in zip(*[m.ravel() for m in mesh])]
         report.check("omega_trivialization_invariance",
                      [base.max_difference(omega_Z(z, via=f"s{i + 1}"), envs)
-                      for i in range(len(raw_sections))], 1e-12)
+                      for i in range(len(sc["forms", "sections"]))], 1e-12)
 
         residuals = []
         for _ in range(4):
@@ -517,15 +516,14 @@ def run_reduction_check(sc: Scenario, rng, outdir: Path, report: Report):
             name = f"r{rng.integers(1e9)}"
             z.register(name, sigma)
             two = bold_d_oneform(section_one_form(z, name))
-            residuals += [np.abs(two.matrix(env))
-                          for env in sample_envs(coords, rng, 8)]
+            residuals += [np.abs(two.matrix(env)) for env in sample_envs(coords, rng, 8)]
         report.check("bold_d_squared_zero", residuals, 1e-12)
 
-    if sc.get_bool("checks", "eq1", False):
-        space = TimePhaseSpace(q=("q",), p=("p",))
-        ctx = se.VarContext.make(base=space.base_names)
-        s1 = _expr(sc.get("sections", "sigma1"), ctx)
-        s2 = _expr(sc.get("sections", "sigma2"), ctx)
+    space = TimePhaseSpace(q=("q",), p=("p",))
+    ctx = se.VarContext.make(base=space.base_names)
+    if sc["checks", "eq1"]:
+        s1 = _expr(sc["sections", "sigma1"], ctx)
+        s2 = _expr(sc["sections", "sigma2"], ctx)
         down = eq1_aff_poisson(space, s1, s2, rng=rng)
         up = canonical_poisson(space.section_function(s1),
                                space.section_function(s2), space.pairs)
@@ -536,95 +534,136 @@ def run_reduction_check(sc: Scenario, rng, outdir: Path, report: Report):
             se.differentiate(up, space.energy),
             sample_points(space.names, rng, 16))], 16), 1e-9)
 
-    mode = sc.get("checks", "reduction", "none")
-    if mode != "none":
-        space = TimePhaseSpace(q=("q",), p=("p",))
-        ctx = se.VarContext.make(base=space.base_names)
-        pairs_up = space.pairs
+    if sc["checks", "reduction"] == "none":
+        return
+    flip = sc["checks", "reduction"] == "flipped"
 
-        def bracket_z(f, g):
-            return canonical_poisson(f, g, pairs_up)
+    def bracket_z(f, g):
+        return canonical_poisson(f, g, space.pairs)
 
-        def bracket_y(a, b):
+    def bracket_y(a, b):
+        if not flip:
             return eq1_aff_poisson(space, a, b, rng=np.random.default_rng(sc.seed))
+        F = se.sub(se.neg(se.Var(space.energy)), a)
+        G = se.sub(se.neg(se.Var(space.energy)), b)
+        return se.subst(canonical_poisson(F, G, space.pairs), {space.energy: 0.0})
 
-        def bracket_y_flipped(a, b):
-            F = se.sub(se.neg(se.Var(space.energy)), a)
-            G = se.sub(se.neg(se.Var(space.energy)), b)
-            return se.subst(canonical_poisson(F, G, pairs_up),
-                            {space.energy: 0.0})
-
-        sections = [
-            (se.neg(_expr("p^2/2 + q*t", ctx)), se.neg(_expr("q*p - t", ctx))),
-            (_expr("sin(q)*t", ctx), _expr("p + q^2", ctx)),
-        ]
-        base_map = {n: se.Var(n) for n in space.base_names}
-        envs = sample_envs(space.names, rng, 12)
-        if mode == "standard":
-            rho = AVMorphism(base_map, se.sub(se.Var("e"), se.Var("r")), "r")
-            result = check_affine_reduction(rho, bracket_z, bracket_y,
-                                            sections, envs)
-        elif mode == "flipped":
-            rho = AVMorphism(base_map, se.add(se.Var("e"), se.Var("r")), "r")
-            result = check_affine_reduction(rho, bracket_z, bracket_y_flipped,
-                                            sections, envs)
-        else:
-            raise ScenarioError(f"unknown reduction mode {mode!r}")
-        report.checks.extend(result.checks)
+    sections = [(se.neg(_expr("p^2/2 + q*t", ctx)), se.neg(_expr("q*p - t", ctx))),
+                (_expr("sin(q)*t", ctx), _expr("p + q^2", ctx))]
+    envs = sample_envs(space.names, rng, 12)
+    rho = AVMorphism({n: se.Var(n) for n in space.base_names},
+                     (se.add if flip else se.sub)(se.Var("e"), se.Var("r")), "r")
+    report.checks.extend(
+        check_affine_reduction(rho, bracket_z, bracket_y, sections, envs).checks)
 
 
-RUNNERS = {
-    "affine-verify": run_affine_verify,
-    "duality-verify": run_duality_verify,
-    "affgebra-verify": run_affgebra_verify,
-    "affgebroid-verify": run_affgebroid_verify,
-    "timedep": run_timedep,
-    "newton": run_newton,
-    "compare-frames": run_compare_frames,
-    "reduction-check": run_reduction_check,
+# ---------------------------------------------------------------------------
+# One table per scenario kind, with the runner that reads it
+
+
+NEWTON = [
+    Key("spacetime", "dim", Int(1), "3"),
+    Key("spacetime", "metric", MATRIX),
+    Key("system", "potential", EXPR, '"0"'),
+    Key("system", "mass", Float(), "1.0"),
+    Key("initial", "event", FLOATS, REQUIRED),
+    Key("initial", "momentum", FLOATS, REQUIRED),
+    Key("integration", "step", Float(), REQUIRED),
+    Key("integration", "duration", Float(), REQUIRED),
+]
+NO_ATIYAH = ("structure", "atiyah", False)
+RANK = (1, ("structure", "rank"))
+KINDS = {
+    "affine-verify": (run_affine_verify, [
+        Key("space", "dim", Int(1), REQUIRED),
+        Key("charts", "<name>", CHART),
+        Key("params", "samples", Int(1), "64"),
+    ]),
+    "duality-verify": (run_duality_verify, [
+        Key("params", "dims", INTS, "1, 2, 3, 4"),
+        Key("params", "points", Int(1), "100"),
+    ]),
+    "affgebra-verify": (run_affgebra_verify, [
+        Key("structure", "dim", Int(1), REQUIRED),
+        Key("structure", "D", MATRIX, "zero"),
+        Key("structure", "c", Enum("entries", "zero", "cross3"), "entries"),
+        Key("c", "<i> <j> <k>", Float(), when=("structure", "c", "entries"),
+            index=(1, ("structure", "dim"))),
+    ]),
+    "affgebroid-verify": (run_affgebroid_verify, [
+        Key("structure", "atiyah", BOOL, "false"),
+        Key("structure", "dims", INTS, "1, 2", ("structure", "atiyah", True)),
+        Key("base", "coords", NAMES, REQUIRED, NO_ATIYAH),
+        Key("base", "low", Float(), "-1", NO_ATIYAH),
+        Key("base", "high", Float(above=("base", "low")), "1", NO_ATIYAH),
+        Key("base", "samples", SAMPLES, "grid:4", NO_ATIYAH),
+        Key("structure", "rank", Int(1), REQUIRED, NO_ATIYAH),
+        Key("structure", "anchor_ref", EXPRS, REQUIRED, NO_ATIYAH),
+        Key("structure", "anchor<i>", EXPRS, None, NO_ATIYAH, RANK),
+        Key("structure", "beta<i>", EXPRS, None, NO_ATIYAH, RANK),
+        Key("structure", "v", FLOATS, None, NO_ATIYAH),
+        Key("c", "<i> <j>", EXPRS, None, NO_ATIYAH, RANK),
+        Key("checks", "hull", BOOL, "false", NO_ATIYAH),
+    ]),
+    "timedep": (run_timedep, [
+        Key("system", "dim", Int(1), REQUIRED),
+        Key("system", "hamiltonian", EXPR, REQUIRED),
+        Key("integration", "step", Float(), REQUIRED),
+        Key("integration", "duration", Float(), REQUIRED),
+        Key("integration", "initial", FLOATS, REQUIRED),
+        Key("output", "trajectory", FILE_NAME),
+    ]),
+    "newton": (run_newton, NEWTON + [
+        Key("system", "frame", FLOATS),
+        Key("output", "trajectory", FILE_NAME),
+    ]),
+    "compare-frames": (run_compare_frames, NEWTON + [
+        Key("initial", "s", Float(finite=False), "0"),
+        Key("frames", "boosts", ROWS, REQUIRED),
+    ]),
+    "reduction-check": (run_reduction_check, [
+        Key("checks", "omega", BOOL, "false"),
+        Key("checks", "eq1", BOOL, "false"),
+        Key("checks", "reduction", Enum("none", "standard", "flipped"), "none"),
+        Key("forms", "coords", NAMES, "x", ("checks", "omega", True)),
+        Key("forms", "sections", EXPRS, REQUIRED, ("checks", "omega", True)),
+        Key("sections", "sigma1", EXPR, REQUIRED, ("checks", "eq1", True)),
+        Key("sections", "sigma2", EXPR, REQUIRED, ("checks", "eq1", True)),
+    ]),
 }
+# Keys of every kind; the name defaults to the file's stem.
+COMMON = [
+    Key("scenario", "kind", Enum(*KINDS), REQUIRED),
+    Key("scenario", "name", FILE_NAME),
+    Key("scenario", "description", Match(".*", "text"), ""),
+    Key("scenario", "seed", Int(0), "0"),
+]
 
 
 # ---------------------------------------------------------------------------
 # Entry points
 
 
-def bundled_dir():
-    return resources.files("affgeo") / "scenarios"
-
-
 def bundled_scenarios() -> list[Path]:
-    root = bundled_dir()
-    return sorted(Path(str(p)) for p in root.iterdir()
-                  if p.name.endswith(".ini"))
+    root = resources.files("affgeo") / "scenarios"
+    return sorted(Path(str(p)) for p in root.iterdir() if p.name.endswith(".ini"))
 
 
 def resolve_scenario(arg: str) -> Path:
     path = Path(arg)
+    if not path.is_file():
+        path = Path(str(resources.files("affgeo") / "scenarios" / f"{arg}.ini"))
     if path.is_file():
         return path
-    candidate = Path(str(bundled_dir() / f"{arg}.ini"))
-    if candidate.is_file():
-        return candidate
     raise ScenarioError(f"no scenario file or bundled scenario named {arg!r}")
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
+def _dumps(obj, **kwargs) -> str:
+    """JSON text of ``obj``, with numpy scalars written as Python values."""
+    return json.dumps(obj, sort_keys=True, default=np.generic.item, **kwargs)
 
 
-def run_scenario(path: Path, seed: int | None, outdir: Path,
-                 as_json: bool) -> int:
+def run_scenario(path: Path, seed: int | None, outdir: Path, as_json: bool) -> int:
     sc = Scenario(path)
     if seed is not None:
         sc.seed = seed
@@ -633,34 +672,27 @@ def run_scenario(path: Path, seed: int | None, outdir: Path,
     rng = np.random.default_rng(sc.seed)
     outdir.mkdir(parents=True, exist_ok=True)
     report = Report(sc.name)
-    RUNNERS[sc.kind](sc, rng, outdir, report)
+    KINDS[sc.kind][0](sc, rng, outdir, report)
 
-    payload = _jsonify({**report.to_dict(), "kind": sc.kind, "seed": sc.seed})
-    report_path = outdir / f"{sc.name}_report.json"
-    report_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
+    payload = _dumps({**report.to_dict(), "kind": sc.kind, "seed": sc.seed}, indent=2)
+    (outdir / f"{sc.name}_report.json").write_text(payload + "\n")
     if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(payload)
     else:
         for c in report.checks:
-            status = "PASS" if c.passed else "FAIL"
-            print(f"  {c.check}: {status} (residual {c.residual:.3e})")
+            print(f"  {c.check}: {'PASS' if c.passed else 'FAIL'} (residual {c.residual:.3e})")
             if c.witness is not None and not c.passed:
-                print(f"    witness: {json.dumps(_jsonify(c.witness), sort_keys=True)}")
+                print(f"    witness: {_dumps(c.witness)}")
         print(f"scenario {sc.name}: {'PASS' if report.passed else 'FAIL'}")
     return 0 if report.passed else 1
 
 
 def list_scenarios(as_json: bool, kind: str | None) -> int:
-    rows = []
-    for path in bundled_scenarios():
-        sc = Scenario(path)
-        if kind and sc.kind != kind:
-            continue
-        rows.append({"name": sc.name, "kind": sc.kind,
-                     "description": sc.description})
+    rows = [{"name": sc.name, "kind": sc.kind, "description": sc["scenario", "description"]}
+            for sc in map(Scenario, bundled_scenarios())
+            if not kind or sc.kind == kind]
     if as_json:
-        print(json.dumps(rows, indent=2, sort_keys=True))
+        print(_dumps(rows, indent=2))
         return 0
     width = max((len(r["name"]) for r in rows), default=4)
     kwidth = max((len(r["kind"]) for r in rows), default=4)
@@ -687,16 +719,10 @@ def main(argv=None) -> int:
 
     if args.command == "list":
         return list_scenarios(args.json, args.kind)
-
-    try:
-        path = resolve_scenario(args.scenario)
-    except ScenarioError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     outdir = Path(args.out or os.environ.get("AFFGEO_OUT") or ".")
     try:
-        return run_scenario(path, args.seed, outdir, args.json)
-    except (ScenarioError, MechanicsError) as err:
+        return run_scenario(resolve_scenario(args.scenario), args.seed, outdir, args.json)
+    except (ScenarioError, MechanicsError, PhaseError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except RecursionError:

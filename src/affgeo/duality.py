@@ -167,9 +167,6 @@ class SpecialDualSpace:
     def is_member(self, d: DualElement, tol: float = 1e-12) -> bool:
         return abs(d.linear_part_on(self.special.v) - 1.0) <= tol
 
-    def in_model(self, d: DualElement, tol: float = 1e-12) -> bool:
-        return abs(d.linear_part_on(self.special.v)) <= tol
-
     def element(self, free_w, c: float) -> SpecialDualElement:
         """Member with the given free w-components and constant term."""
         w = self.origin.w.copy()

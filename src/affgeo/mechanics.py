@@ -84,9 +84,6 @@ class VectorField:
     def __call__(self, y: np.ndarray) -> np.ndarray:
         return np.array(self._fn(*np.asarray(y, dtype=float)))
 
-    def evaluate_at(self, env: dict[str, float]) -> np.ndarray:
-        return np.array([se.evaluate(c, env) for c in self.components])
-
 
 @dataclass
 class Trajectory:
@@ -377,12 +374,6 @@ class NewtonSpaceTime:
         """The frame defined by the clock covector itself."""
         u = self.tau / float(self.tau @ self.tau)
         return InertialFrame(self, u)
-
-    def split_velocity(self, v, frame: "InertialFrame"):
-        """Split a model vector into (spatial part, time component)."""
-        v = np.asarray(v, float)
-        dt = self.time_of(v)
-        return v - dt * frame.u, dt
 
 
 @dataclass(frozen=True)

@@ -374,9 +374,6 @@ class VarContext:
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.entries)
 
-    def with_role(self, role: str) -> tuple[str, ...]:
-        return tuple(n for n, r in self.entries if r == role)
-
     def __contains__(self, name: str) -> bool:
         return any(n == name for n, _ in self.entries)
 

@@ -255,7 +255,7 @@ def test_criterion_8_timedep_dynamics_recovery():
             H = random_polynomial(patch, rng, degree=2)
             fld = timedep_dynamics(TimeDepSystem(1, H), rng=rng)
             for env in grid_envs:
-                closed = fld.evaluate_at(env)
+                closed = np.array([evaluate(c, env) for c in fld.components])
                 reduced = np.array([evaluate(c, env)
                                     for c in fld.reduction_components])
                 assert np.max(np.abs(closed - reduced)) < 1e-12

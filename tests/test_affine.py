@@ -3,7 +3,7 @@ import pytest
 
 from affgeo.affine import (
     AffineGeometryError, AffineMap, AffineSpaceSpec, BiAffineMap,
-    biaffine_parts, cocycle_check, difference, linear_part,
+    cocycle_check, difference, linear_part,
 )
 
 
@@ -131,10 +131,9 @@ def test_linear_part_of_composition():
 def test_biaffine_quadratic_example():
     # Phi(x, y) = xy + x + y + 1 on R x R
     phi = BiAffineMap(C=[[[1.0]]], D=[[1.0]], E=[[1.0]], F=[1.0])
-    parts = biaffine_parts(phi)
-    assert parts.bilinear([2.0], [3.0]) == pytest.approx([6.0])
-    assert parts.first([2.0], [3.0]) == pytest.approx([2.0 * 3.0 + 2.0])
-    assert parts.second([2.0], [3.0]) == pytest.approx([2.0 * 3.0 + 3.0])
+    assert phi.bilinear_part([2.0], [3.0]) == pytest.approx([6.0])
+    assert phi.part_first([2.0], [3.0]) == pytest.approx([2.0 * 3.0 + 2.0])
+    assert phi.part_second([2.0], [3.0]) == pytest.approx([2.0 * 3.0 + 3.0])
 
 
 def test_biaffine_constant_has_zero_parts():

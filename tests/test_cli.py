@@ -197,9 +197,9 @@ AFFGEBROID = (
 
 
 @pytest.mark.parametrize("section", [
-    "[beta]\nx = \"0\"\n",
-    "[beta]\n2 = \"0\"\n",
-    "[beta]\n0 = \"0\"\n",
+    "betax = \"0\"\n",
+    "beta2 = \"0\"\n",
+    "beta0 = \"0\"\n",
     "[c]\n1 = \"0\"\n",
     "[c]\n1 1 3 = \"0\"\n",
     "[c]\n1 2 = \"0\"\n",
@@ -295,7 +295,7 @@ def test_non_finite_constant_in_a_scenario_exits_2(tmp_path, capsys, potential):
 def test_power_overflow_in_a_sampled_check_exits_3(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text(AFFGEBROID.replace("coords = q, t\n", "coords = q, t\nhigh = 10\n")
-                    + "[beta]\n1 = \"q^400\"\n")
+                    + "beta1 = \"q^400\"\n")
     assert run(["run", str(path), "--out", str(tmp_path)]) == 3
     assert "power overflow" in capsys.readouterr().err
 
@@ -375,3 +375,83 @@ def test_deep_derived_expressions_never_end_in_a_traceback(tmp_path, capsys, exp
     code, err = run_deep(tmp_path, capsys, "newton", expr)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
+
+
+# --- the scenario schema: every key is read, typed and in range -------------
+
+AFFINE = "[scenario]\nkind = affine-verify\nname = bad\n[space]\ndim = 2\n"
+AFFGEBRA = "[scenario]\nkind = affgebra-verify\nname = bad\n[structure]\ndim = 3\n"
+ATIYAH = "[scenario]\nkind = affgebroid-verify\nname = bad\n[structure]\natiyah = true\n"
+OMEGA = ("[scenario]\nkind = reduction-check\nname = bad\n"
+         "[checks]\nomega = true\n[forms]\ncoords = x\nsections = \"x^2\"\n")
+
+
+def run_text(tmp_path, capsys, text):
+    path = tmp_path / "scenario.ini"
+    path.write_text(text)
+    out = tmp_path / "out"
+    code = run(["run", str(path), "--out", str(out)])
+    return code, capsys.readouterr().err, out
+
+
+@pytest.mark.parametrize("text", [
+    AFFINE + "[params]\nsamplez = 3\n",
+    AFFINE + "[parms]\nsamples = 3\n",
+    AFFGEBROID + "[checks]\nhull = ture\n",
+    AFFGEBRA.replace("dim = 3\n", "dim = 3\nc = cross3\n") + "[c]\n1 2 3 = 1.0\n",
+    AFFGEBRA.replace("dim = 3\n", "dim = 3\nc = zero\n") + "[c]\n1 2 3 = 1.0\n",
+    ATIYAH + "[base]\ncoords = x\n",
+    ATIYAH + "rank = 1\n",
+    AFFGEBROID.replace("coords = q, t\n", "coords = q, t\nlow = 1\nhigh = -1\n"),
+    AFFGEBROID.replace("coords = q, t\n", "coords = q, t\nlow = nan\n"),
+    AFFGEBROID.replace("rank = 1\n", "rank = 0\n"),
+    OMEGA.replace("sections = \"x^2\"\n", "sections =\n"),
+    AFFINE.replace("[space]\ndim = 2\n", "[DEFAULT]\ndim = 2\n"),
+    AFFGEBRA.replace("[structure]\n", "[structure]\nd = identity\n"),
+], ids=["misspelled-key", "misspelled-section", "non-bool", "cross3-with-entries",
+        "zero-with-entries", "atiyah-with-base", "atiyah-with-rank", "empty-box",
+        "nan-bound", "rank-0", "no-sections", "default-section", "key-case"])
+def test_misread_input_exits_2(tmp_path, capsys, text):
+    code, err, out = run_text(tmp_path, capsys, text)
+    assert code == 2
+    assert err.startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    AFFGEBRA.replace("dim = 3", "dim = 0"),
+    AFFGEBRA.replace("dim = 3", "dim = -1"),
+    AFFGEBROID.replace("coords = q, t", "coords = q, q"),
+    OMEGA.replace("coords = x", "coords = x, x"),
+    OMEGA.replace("coords = x", "coords = p1").replace("x^2", "p1^2"),
+], ids=["affgebra-dim-0", "affgebra-dim-neg", "duplicate-base-coords",
+        "duplicate-form-coords", "coords-collide-with-momenta"])
+def test_input_that_raised_a_traceback_exits_2(tmp_path, capsys, text):
+    code, err, _ = run_text(tmp_path, capsys, text)
+    assert code == 2
+    assert err.startswith("error:")
+
+
+TIMEDEP_OUT = (
+    "[scenario]\nkind = timedep\nname = {name}\n"
+    "[system]\ndim = 1\nhamiltonian = \"p1^2/2\"\n"
+    "[integration]\nstep = 0.1\nduration = 1\ninitial = 1.0, 0.0\n"
+    "[output]\ntrajectory = {trajectory}\n")
+
+
+@pytest.mark.parametrize("name, trajectory", [
+    ("../escaped", "x.csv"),
+    ("ok", "{absolute}"),
+    ("ok", "sub/x.csv"),
+    ("ok", ".."),
+])
+def test_outputs_stay_inside_the_output_directory(tmp_path, capsys, name, trajectory):
+    work = tmp_path / "work"
+    work.mkdir()
+    absolute = tmp_path / "elsewhere.csv"
+    text = TIMEDEP_OUT.format(name=name, trajectory=trajectory.format(absolute=absolute))
+    code, err, out = run_text(work, capsys, text)
+    assert code == 2
+    assert err.startswith("error:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["work"]
+    assert sorted(p.name for p in work.iterdir()) == ["scenario.ini"]

