@@ -196,6 +196,9 @@ class Scenario(dict):
                 if not any(e.match(key) for e in entries):
                     raise ScenarioError(f"unknown key [{section}] {key} for kind {self.kind}")
         self._read(table[1:], raw)
+        if self.kind == "reduction-check" and [self["checks", k] for k in (
+                "omega", "eq1", "reduction")] == [False, False, "none"]:
+            raise ScenarioError("reduction-check runs no check: set omega, eq1 or reduction")
         self.name = self["scenario", "name"] or path.stem
         self.seed = self["scenario", "seed"]
 
@@ -476,9 +479,7 @@ def run_compare_frames(sc: Scenario, rng, outdir: Path, report: Report):
     st, phi, m, x0, p0, h, T = _newton_inputs(sc)
     initial = ObservedPhase(x0, p0, sc["initial", "s"], st.rest_frame())
     boosts = sc["frames", "boosts"]
-    comparisons = [compare_frames(st, m, phi, initial, v, h, T,
-                                  scenario=f"{sc.name}/boost{i + 1}")
-                   for i, v in enumerate(boosts)]
+    comparisons = compare_frames(st, m, phi, initial, boosts, h, T, scenario=sc.name)
     for i, cmp in enumerate(comparisons):
         report.add(f"frame_independence_boost{i + 1}", cmp.passed, cmp.max_deviation)
     (outdir / f"{sc.name}_comparisons.json").write_text(
@@ -489,9 +490,9 @@ def run_compare_frames(sc: Scenario, rng, outdir: Path, report: Report):
     report.check("gauge_round_trip",
                  [np.abs([*(b.p - initial.p), b.s - initial.s]) for b in backs],
                  1e-12, lambda at: {"boost": boosts[at[0]]})
-    # the rest-frame world-line every comparison starts from
-    _check_energy(newton_dynamics(st, initial.frame, m, phi),
-                  comparisons[0].trajectories[0], phi, report, clock=True)
+    # the rest-frame world-line every comparison shares
+    _check_energy(comparisons[0].field, comparisons[0].trajectories[0], phi, report,
+                  clock=True)
 
 
 def run_reduction_check(sc: Scenario, rng, outdir: Path, report: Report):

@@ -80,6 +80,31 @@ def test_nan_gauge_parameter_fails_the_round_trip_with_a_witness(tmp_path, capsy
     assert "witness:" in capsys.readouterr().out
 
 
+def test_compare_frames_builds_and_integrates_each_world_line_once(
+        tmp_path, capsys, monkeypatch):
+    from affgeo import mechanics
+    calls = {"integrate": 0, "newton_dynamics": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(mechanics, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        for module in (mechanics, cli):
+            monkeypatch.setattr(module, name, counted)
+    path = tmp_path / "frames.ini"
+    path.write_text(
+        "[scenario]\nkind = compare-frames\nname = frames\n"
+        "[system]\npotential = \"(q1^2 + q2^2 + q3^2)/2\"\n"
+        "[initial]\nevent = 1, 0, 0, 0\nmomentum = 0, 0.5, -0.2\ns = 0.3\n"
+        "[integration]\nstep = 0.01\nduration = 1\n"
+        "[frames]\nboosts = 0.3 0 0; 0 0.2 -0.1; 0.15 0.15 0.15\n")
+    assert run(["run", str(path), "--out", str(tmp_path)]) == 0
+    # the rest frame once, then each of the three boosts
+    assert calls == {"integrate": 4, "newton_dynamics": 4}
+    comparisons = json.loads((tmp_path / "frames_comparisons.json").read_text())
+    assert [c["scenario"] for c in comparisons] == [
+        "frames/boost1", "frames/boost2", "frames/boost3"]
+
+
 @pytest.mark.parametrize("dim", ["0", "-1"])
 def test_timedep_without_degrees_of_freedom_exits_2(tmp_path, capsys, dim):
     bad = tmp_path / "bad.ini"
@@ -408,9 +433,12 @@ def run_text(tmp_path, capsys, text):
     OMEGA.replace("sections = \"x^2\"\n", "sections =\n"),
     AFFINE.replace("[space]\ndim = 2\n", "[DEFAULT]\ndim = 2\n"),
     AFFGEBRA.replace("[structure]\n", "[structure]\nd = identity\n"),
+    "[scenario]\nkind = reduction-check\nname = bad\n",
+    OMEGA.replace("omega = true", "omega = false").split("[forms]")[0],
 ], ids=["misspelled-key", "misspelled-section", "non-bool", "cross3-with-entries",
         "zero-with-entries", "atiyah-with-base", "atiyah-with-rank", "empty-box",
-        "nan-bound", "rank-0", "no-sections", "default-section", "key-case"])
+        "nan-bound", "rank-0", "no-sections", "default-section", "key-case",
+        "reduction-runs-no-check", "reduction-checks-all-off"])
 def test_misread_input_exits_2(tmp_path, capsys, text):
     code, err, out = run_text(tmp_path, capsys, text)
     assert code == 2

@@ -279,8 +279,8 @@ def test_compare_frames_free_particle():
     st = NewtonSpaceTime(3)
     initial = ObservedPhase([0.0, 0.0, 0.0, 0.0], [0.1, -0.2, 0.0], 0.0,
                             st.rest_frame())
-    cmp = compare_frames(st, 1.0, Const(0.0), initial, [0.3, 0.1, -0.4],
-                         h=1e-2, T=10.0)
+    [cmp] = compare_frames(st, 1.0, Const(0.0), initial, [[0.3, 0.1, -0.4]],
+                           h=1e-2, T=10.0)
     assert cmp.max_deviation < 1e-12
 
 
@@ -290,8 +290,8 @@ def test_compare_frames_harmonic():
     phi = parse("(q1^2 + q2^2 + q3^2)/2", ctx)
     initial = ObservedPhase([1.0, 0.0, 0.0, 0.0], [0.0, 0.5, 0.0], 0.0,
                             st.rest_frame())
-    cmp = compare_frames(st, 1.0, phi, initial, [0.3, 0.0, 0.0],
-                         h=1e-3, T=10.0)
+    [cmp] = compare_frames(st, 1.0, phi, initial, [[0.3, 0.0, 0.0]],
+                           h=1e-3, T=10.0)
     assert cmp.passed
     assert cmp.max_deviation < 1e-6
 
@@ -301,7 +301,7 @@ def test_compare_frames_zero_boost_bitwise():
     ctx = VarContext.make(base=("q1", "q2", "t"))
     phi = parse("q1 + 2*q2", ctx)
     initial = ObservedPhase([0.0, 1.0, 0.0], [0.2, 0.0], 0.0, st.rest_frame())
-    cmp = compare_frames(st, 1.0, phi, initial, [0.0, 0.0], h=1e-2, T=1.0)
+    [cmp] = compare_frames(st, 1.0, phi, initial, [[0.0, 0.0]], h=1e-2, T=1.0)
     t1, t2 = cmp.trajectories
     assert np.array_equal(t1.states, t2.states)
 
@@ -367,10 +367,34 @@ def test_compare_frames_first_world_line_is_the_plain_integration():
     st = NewtonSpaceTime(2)
     phi = parse("q1^2/2 + q2", VarContext.make(base=("q1", "q2"), time="t"))
     initial = ObservedPhase([1.0, 0.0, 0.0], [0.0, 0.5], 0.0, st.rest_frame())
-    cmp = compare_frames(st, 1.0, phi, initial, [0.3, 0.1], h=1e-2, T=1.0)
+    [cmp] = compare_frames(st, 1.0, phi, initial, [[0.3, 0.1]], h=1e-2, T=1.0)
     fld = newton_dynamics(st, st.rest_frame(), 1.0, phi)
     traj = integrate(fld, [1.0, 0.0, 0.0, 0.0, 0.5], h=1e-2, T=1.0)
     assert np.array_equal(cmp.trajectories[0].states, traj.states)
+
+
+def test_compare_frames_of_several_boosts_equal_one_boost_calls():
+    st = NewtonSpaceTime(3)
+    phi = parse(NEWTON_PHI, VarContext.make(base=("q1", "q2", "q3"), time="t"))
+    initial = ObservedPhase([1.0, 0.0, 0.0, 0.0], [0.0, 0.5, -0.2], 0.3,
+                            st.rest_frame())
+    boosts = [[0.3, 0.0, 0.0], [0.0, 0.2, -0.1], [0.15, 0.15, 0.15]]
+    together = compare_frames(st, 1.0, phi, initial, boosts, h=1e-2, T=2.0,
+                              tol=1e-12, scenario="s")
+    assert [c.scenario for c in together] == ["s/boost1", "s/boost2", "s/boost3"]
+    rest = together[0].trajectories[0]
+    for v, cmp in zip(boosts, together):
+        [alone] = compare_frames(st, 1.0, phi, initial, [v], h=1e-2, T=2.0, tol=1e-12)
+        assert alone.scenario == "compare-frames/boost1"
+        assert cmp.trajectories[0] is rest  # integrated once, shared
+        assert cmp.field is together[0].field
+        assert cmp.frames == alone.frames
+        assert (cmp.max_deviation, cmp.passed) == (alone.max_deviation, alone.passed)
+        for mine, theirs in zip(cmp.trajectories, alone.trajectories):
+            assert mine.states.tobytes() == theirs.states.tobytes()
+            assert mine.events.tobytes() == theirs.events.tobytes()
+    assert together[0].field.components == newton_dynamics(
+        st, st.rest_frame(), 1.0, phi).components
 
 
 # --- error paths of the integrator ------------------------------------------
@@ -562,6 +586,23 @@ def test_csv_bytes_match_the_csv_writer(tmp_path_factory, rows, n, n_events, dat
     traj.to_csv(out / "new.csv")
     reference_csv(traj, out / "old.csv")
     assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
+
+
+def test_csv_formats_copied_columns_once_and_near_copies_apart(tmp_path):
+    states = np.array([[0.0, 1.5, 0.1], [-2.0, 0.0, 1e-300], [0.25, -0.0, 7.0]])
+    events = np.column_stack([
+        states[:, 0],                                         # a bit-for-bit copy
+        np.where(states[:, 1] == 0.0, -states[:, 1], states[:, 1]),  # zeros flipped
+        np.nextafter(states[:, 2], np.inf),                   # 1 ulp above
+        states[:, 2],
+    ])
+    traj = Trajectory(("a", "b", "c"), np.array([0.0, 0.5, 1.0]), states,
+                      ("a", "b~", "c~", "c"), events)
+    traj.to_csv(tmp_path / "new.csv")
+    reference_csv(traj, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    rows = (tmp_path / "new.csv").read_text().splitlines()
+    assert rows[2] == "1,0.5,-2,0,1e-300,-2,-0,1.0000000000000002e-300,1e-300"
 
 
 def test_timedep_trajectory_csv_matches_the_csv_writer(tmp_path):
