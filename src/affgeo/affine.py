@@ -56,22 +56,20 @@ class _Transition:
 class AffineSpaceSpec:
     """Affine space of dimension ``n`` with named charts.
 
-    ``charts`` maps a chart name to ``(matrix, offset)``: the affine
-    transition sending that chart's coordinates to the reference
-    chart.  The reference chart gets the identity transition.
+    :meth:`add_chart` names a chart by its affine transition
+    ``(matrix, offset)`` to the reference chart ``"ref"``, which has the
+    identity transition.
     """
 
-    def __init__(self, dim: int, reference: str = "ref",
-                 charts: dict[str, tuple] | None = None):
+    reference = "ref"
+
+    def __init__(self, dim: int):
         if dim < 1:
             raise AffineGeometryError("dimension must be positive")
         self.dim = dim
-        self.reference = reference
         self._transitions: dict[str, _Transition] = {
-            reference: _Transition(_frozen(np.eye(dim)), _frozen(np.zeros(dim)))
+            self.reference: _Transition(_frozen(np.eye(dim)), _frozen(np.zeros(dim)))
         }
-        for name, (matrix, offset) in (charts or {}).items():
-            self.add_chart(name, matrix, offset)
 
     def add_chart(self, name: str, matrix, offset) -> None:
         if name in self._transitions:

@@ -137,7 +137,7 @@ class LieAffgebraData:
     forces the reconstructed bracket to be skew.
     """
 
-    def __init__(self, D, c, v=None):
+    def __init__(self, D, c):
         self.D = np.array(D, dtype=float)
         self.c = np.array(c, dtype=float)
         n = self.D.shape[0]
@@ -146,7 +146,6 @@ class LieAffgebraData:
         if np.max(np.abs(self.c + self.c.transpose(1, 0, 2))) > 1e-15:
             raise BracketError("structure constants are not antisymmetric")
         self.n = n
-        self.v = None if v is None else np.array(v, dtype=float)
 
     def bracket(self, u, w) -> np.ndarray:
         """Full bracket of ``o + u`` with ``o + w``."""
@@ -322,12 +321,12 @@ def _random_sections(data: LieAffgebroidData, rng, count: int):
 
 
 def verify_affgebroid(data: LieAffgebroidData, sample_points,
-                      rng: np.random.Generator | None = None,
-                      tol: float = JACOBI_TOL) -> Report:
+                      rng: np.random.Generator | None = None) -> Report:
     """Sampled axiom verification: skew, Jacobi, Leibniz, anchor morphism.
 
     Coefficients of the probe sections are random polynomials; all
-    checks evaluate symbolic residuals at the supplied base points.
+    checks evaluate symbolic residuals at the supplied base points,
+    to :data:`JACOBI_TOL`.
     """
     rng = rng or np.random.default_rng(0)
     pts = np.asarray(sample_points, float).reshape(len(sample_points), data.patch.dim)
@@ -338,7 +337,7 @@ def verify_affgebroid(data: LieAffgebroidData, sample_points,
 
     secs = _random_sections(data, rng, 3)
     report.check("skew", [_point_residuals(data, data.bracket(f, f), pts)
-                          for f in secs], tol, at_point)
+                          for f in secs], JACOBI_TOL, at_point)
 
     f1, f2, f3 = secs
     cyc = [(f1, f2, f3), (f2, f3, f1), (f3, f1, f2)]
@@ -347,7 +346,7 @@ def verify_affgebroid(data: LieAffgebroidData, sample_points,
         inner = data.bracket(b, cthird)
         outer = data.second_linear(a, inner)
         total = [se.add(t, o) for t, o in zip(total, outer)]
-    report.check("jacobi", [_point_residuals(data, total, pts)], tol, at_point)
+    report.check("jacobi", [_point_residuals(data, total, pts)], JACOBI_TOL, at_point)
 
     # Leibniz: bracket of a section against (coefficient * frame section)
     results = []
@@ -365,7 +364,7 @@ def verify_affgebroid(data: LieAffgebroidData, sample_points,
                for b, u in zip(base, unit)]
         residual = [se.sub(a, b) for a, b in zip(lhs, rhs)]
         results.append(_point_residuals(data, residual, pts))
-    report.check("leibniz", results, tol,
+    report.check("leibniz", results, JACOBI_TOL,
                  lambda at: {**at_point(at), "frame": at[0]})
 
     # anchor morphism: anchor of a bracket is the commutator of anchors
@@ -378,7 +377,7 @@ def verify_affgebroid(data: LieAffgebroidData, sample_points,
                 for a in range(data.patch.dim)]
         results.append(_point_residuals(
             data, [se.sub(a, b) for a, b in zip(lhs, comm)], pts))
-    report.check("anchor_morphism", results, tol, at_point)
+    report.check("anchor_morphism", results, JACOBI_TOL, at_point)
     return report
 
 
@@ -578,9 +577,7 @@ class AffPoissonResult:
 
 
 def is_aff_poisson(data: LieAffgebroidData,
-                   rng: np.random.Generator | None = None,
-                   sample_points=None,
-                   tol: float = JACOBI_TOL) -> AffPoissonResult:
+                   rng: np.random.Generator | None = None) -> AffPoissonResult:
     """Decide whether the induced dual bracket is aff-Poisson.
 
     Two independent criteria are evaluated and compared:
@@ -593,12 +590,15 @@ def is_aff_poisson(data: LieAffgebroidData,
       which for a first-order operator equals ``-lam * f * g``.
     * centrality test: the distinguished section commutes with the
       frame in the hull and is killed by the anchor.
+
+    Both are evaluated at 8 random base points; the derivation residual
+    must stay below :data:`JACOBI_TOL`, the centrality residual below
+    :data:`CENTRALITY_TOL`.
     """
     rng = rng or np.random.default_rng(0)
     sd = _dual_quotient(data)
     names = sd.quotient_var_names()
-    pts = (data.patch.sample(rng, 8) if sample_points is None else np.asarray(
-        sample_points, float).reshape(len(sample_points), data.patch.dim))
+    pts = data.patch.sample(rng, 8)
 
     # derivation side: lam = {sigma, sigma' + 1} - {sigma, sigma'}
     defects, envs = [], []
@@ -617,7 +617,7 @@ def is_aff_poisson(data: LieAffgebroidData,
             [se.evaluate(se.mul(lam, se.mul(f, g)), env)], len(pts)))
         envs.append(env)
     worst_d, at = first_worst(defects)
-    derivation_ok = worst_d < tol
+    derivation_ok = worst_d < JACOBI_TOL
 
     # centrality side: hull brackets of v against the frame, and the anchor
     hull = HullAlgebroidData(data)
@@ -676,28 +676,25 @@ def atiyah_algebroid(patch: Patch) -> LieAffgebroidData:
 
 
 def affgebra_to_affgebroid(data: LieAffgebraData, v=None) -> LieAffgebroidData:
-    """View bracket data over a point as bundle data over an empty patch."""
+    """View bracket data over a point as bundle data over an empty patch,
+    with ``v`` the distinguished model section, if any."""
     n = data.n
     beta = [[se.Const(data.D[k, i]) for k in range(n)] for i in range(n)]
     c = [[[se.Const(data.c[i, j, k]) for k in range(n)]
           for j in range(n)] for i in range(n)]
-    vv = v if v is not None else data.v
-    return LieAffgebroidData(Patch(), n, beta, c, [], [[] for _ in range(n)],
-                             v=vv)
+    return LieAffgebroidData(Patch(), n, beta, c, [], [[] for _ in range(n)], v=v)
 
 
-def jet_bundle_affgebroid(bracket_backend: str = "expansion",
-                        patch: Patch | None = None) -> LieAffgebroidData:
+def jet_bundle_affgebroid(bracket_backend: str = "expansion") -> LieAffgebroidData:
     """First-jet prolongations of curves on a plane fibred over time.
 
     The bundle consists of the tangent vectors projecting to the unit
     time vector; the reference section is the time direction, the
     model frame the spatial direction, and the anchor the inclusion
-    into the tangent bundle.  With ``bracket_backend="commutator"`` the
-    bracket is computed as an honest vector-field commutator instead
-    of through structure functions.
+    into the tangent bundle, over the box ``(q, t)`` in ``[-1, 1]^2``.
+    With ``bracket_backend="commutator"`` the bracket is computed as an
+    honest vector-field commutator instead of through structure functions.
     """
-    patch = patch or Patch.box(("q", "t"))
     zero = se.Const(0.0)
     one_ = se.Const(1.0)
     beta = [[zero]]
@@ -717,5 +714,5 @@ def jet_bundle_affgebroid(bracket_backend: str = "expansion",
                                   se.mul(gq, se.differentiate(fq, "q"))))]
     elif bracket_backend != "expansion":
         raise BracketError(f"unknown bracket backend {bracket_backend!r}")
-    return LieAffgebroidData(patch, 1, beta, c, anchor_ref, anchor_lin,
+    return LieAffgebroidData(Patch.box(("q", "t")), 1, beta, c, anchor_ref, anchor_lin,
                              bracket_fn=bracket_fn)

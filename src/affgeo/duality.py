@@ -164,8 +164,8 @@ class SpecialDualSpace:
         """Dimension as an affine space: same as the underlying space."""
         return self.special.dim
 
-    def is_member(self, d: DualElement, tol: float = 1e-12) -> bool:
-        return abs(d.linear_part_on(self.special.v) - 1.0) <= tol
+    def is_member(self, d: DualElement) -> bool:
+        return abs(d.linear_part_on(self.special.v) - 1.0) <= 1e-12
 
     def element(self, free_w, c: float) -> SpecialDualElement:
         """Member with the given free w-components and constant term."""
@@ -226,7 +226,7 @@ class AVCoordinates:
     """
 
     base: tuple[str, ...]
-    s: str = "s"
+    s = "s"
 
     def __post_init__(self):
         if self.s in self.base:

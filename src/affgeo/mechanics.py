@@ -11,7 +11,8 @@ Two independent dynamics constructions backed by the phase machinery:
   trace the same events.
 
 Both engines build a :class:`VectorField` (expressions compiled once)
-carrying its ``energy``, and both run through the one RK4 :func:`integrate`.
+carrying its ``energy`` and naming its ``events``, and both run through
+the one RK4 :func:`integrate`.
 
 Gauge convention.  Boosting an observed phase by a spatial velocity
 ``v`` keeps the event, and maps momentum and the action-like coordinate
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -69,11 +69,15 @@ class VectorField:
     so fields are cheap inside integration loops while the expressions
     stay inspectable.  Calling the field on an array evaluates it on
     ``np.float64`` values: a zero divisor or a power overflow gives inf
-    or nan there, as numpy does.
+    or nan there, as numpy does.  ``events`` names the state components
+    that locate the event; :func:`integrate` copies their columns into the
+    trajectory.
     """
 
-    def __init__(self, names, components):
+    def __init__(self, names, components, events=()):
         self.names = tuple(names)
+        self.events = tuple(events)
+        self._event_index = [self.names.index(e) for e in self.events]
         self.components = tuple(
             c if isinstance(c, Expression) else se.Const(float(c))
             for c in components)
@@ -164,8 +168,7 @@ def _rk4_kernel(n: int):
     return kernel
 
 
-def integrate(fld: VectorField, y0, h: float, T: float,
-              event_fn=None, event_names=()) -> Trajectory:
+def integrate(fld: VectorField, y0, h: float, T: float) -> Trajectory:
     """Classical fixed-step fourth-order Runge-Kutta, recording every step.
 
     Both mechanics engines come through here with a :class:`VectorField`.
@@ -178,11 +181,8 @@ def integrate(fld: VectorField, y0, h: float, T: float,
     Deterministic by construction; raises :class:`IntegrationError` with
     the offending step index if the state stops being finite or the
     field hits a domain error (``exp`` overflow, ``sqrt`` of a negative).
-
-    ``event_fn`` maps state components to event components and is
-    applied once, to the columns of the states: an ``itemgetter`` of
-    component indices (as :func:`timedep_event_fn` and a Newtonian
-    field's ``event_of`` are) or any map that works component-wise.
+    The columns of the field's ``events`` are copied into the trajectory's
+    ``events``, none where the field names no events.
     """
     if not h > 0:
         raise MechanicsError("step size must be positive")
@@ -214,9 +214,9 @@ def integrate(fld: VectorField, y0, h: float, T: float,
     states = np.array(rows, dtype=float).reshape(n_steps + 1, len(y))
     times = h * np.arange(n_steps + 1)
     traj = Trajectory(fld.names, times, states)
-    if event_fn is not None:
-        traj.events = np.array(event_fn(states.T)).T
-        traj.event_names = tuple(event_names)
+    if fld.events:
+        traj.events = states.T[fld._event_index].T
+        traj.event_names = fld.events
     return traj
 
 
@@ -227,26 +227,22 @@ def integrate(fld: VectorField, y0, h: float, T: float,
 class TimeDepSystem:
     """Hamiltonian system on positions x time, driven through the quotient.
 
-    The Hamiltonian is an expression in the position names, momentum
-    names, and time.  The section it defines on the energy quotient
-    assigns minus the Hamiltonian, and the attached function upstairs is
-    ``energy + H``; both defining identities of that function are checked
-    exactly at construction.
+    The Hamiltonian is an expression in the positions ``q1..qn``, the
+    momenta ``p1..pn`` and the time ``t``.  The section it defines on the
+    energy quotient assigns minus the Hamiltonian, and the attached
+    function upstairs is ``e + H``; both defining identities of that
+    function are checked exactly at construction.
     """
 
-    def __init__(self, dim: int, hamiltonian: Expression,
-                 q_names=None, p_names=None, time: str = "t",
-                 energy: str = "e"):
+    def __init__(self, dim: int, hamiltonian: Expression):
         if dim < 1:
             raise MechanicsError("dimension must be positive")
         self.dim = dim
-        self.q_names = tuple(q_names or (f"q{i + 1}" for i in range(dim)))
-        self.p_names = tuple(p_names or (f"p{i + 1}" for i in range(dim)))
-        self.time = time
-        self.space = TimePhaseSpace(self.q_names, self.p_names, time, energy)
+        self.space = TimePhaseSpace(tuple(f"q{i + 1}" for i in range(dim)),
+                                    tuple(f"p{i + 1}" for i in range(dim)))
         self.H = hamiltonian
-        allowed = set(self.space.base_names)
-        extraneous = se.free_vars(hamiltonian) - allowed
+        energy = self.space.energy
+        extraneous = se.free_vars(hamiltonian) - set(self.space.base_names)
         if extraneous:
             raise MechanicsError(
                 f"Hamiltonian uses unknown variables {sorted(extraneous)}")
@@ -259,25 +255,25 @@ class TimeDepSystem:
 
     @property
     def state_names(self) -> tuple[str, ...]:
-        return self.q_names + self.p_names + (self.time,)
+        return self.space.q + self.space.p + (self.space.time,)
 
 
 def timedep_dynamics(sys: TimeDepSystem,
-                     rng: np.random.Generator | None = None,
-                     n_check: int = 40, tol: float = 1e-12) -> VectorField:
+                     rng: np.random.Generator | None = None) -> VectorField:
     """Dynamics of a time-dependent system on ``(q, p, t)``.
 
     Computed twice: through the bracket of the attached function on the
     full cotangent space pushed down along the quotient, and in closed
     form (Hamilton's equations plus the unit time component).  The two
-    routes are compared on random states before the closed form is
-    returned; the bracket route stays available on the result for
-    inspection, and the Hamiltonian rides along as ``energy``.
+    routes are compared on 40 random states, to 1e-12, before the closed
+    form is returned; the bracket route stays available on the result for
+    inspection, the Hamiltonian rides along as ``energy``, and the events
+    are ``(q, t)``.
     """
     rng = rng or np.random.default_rng(0)
-    space = sys.space
-    closed = [se.differentiate(sys.H, p) for p in sys.p_names]
-    closed += [se.neg(se.differentiate(sys.H, q)) for q in sys.q_names]
+    space, n_check = sys.space, 40
+    closed = [se.differentiate(sys.H, p) for p in space.p]
+    closed += [se.neg(se.differentiate(sys.H, q)) for q in space.q]
     closed += [se.Const(1.0)]
 
     reduced = []
@@ -288,23 +284,16 @@ def timedep_dynamics(sys: TimeDepSystem,
     point = sample_points(sys.state_names, rng, n_check, -2.0, 2.0)
     worst = worst_abs([se.evaluate(a, point) - se.evaluate(b, point)
                        for a, b in zip(closed, reduced)], n_check)
-    if not worst < tol:
+    if not worst < 1e-12:
         raise MechanicsError(
             f"bracket-generated dynamics deviates from the closed form "
             f"({worst:.3e})")
 
-    order = sys.q_names + sys.p_names + (sys.time,)
-    fld = VectorField(order, closed)
+    fld = VectorField(sys.state_names, closed, events=space.q + (space.time,))
     fld.reduction_components = tuple(reduced)
     fld.cross_check_residual = worst
     fld.energy = sys.H
     return fld
-
-
-def timedep_event_fn(sys: TimeDepSystem):
-    """Extractor of the space-time event (q, t) from the components of a
-    dynamics state, with the event names."""
-    return itemgetter([*range(sys.dim), -1]), sys.q_names + (sys.time,)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +476,7 @@ def newton_dynamics(st: NewtonSpaceTime, frame: InertialFrame, m: float,
     ``(q, t)`` are affine in the event coordinates, so both parts are
     expressions in the state and the field compiles like any other.
     The observed energy ``p.g^{-1}p/2m + phi(q, t)`` rides along as
-    ``energy``; ``event_of`` and ``event_names`` pick the event columns.
+    ``energy``, and the events are the ``x`` components.
     """
     if not 0 < m < math.inf:
         raise MechanicsError("mass must be positive and finite")
@@ -511,15 +500,13 @@ def newton_dynamics(st: NewtonSpaceTime, frame: InertialFrame, m: float,
     coords["t"] = _affine(st.tau, x_names, -(st.tau @ split.x0))
     pdot = [se.neg(se.subst(se.differentiate(phi, q), coords)) for q in q_names]
 
-    fld = VectorField(x_names + p_names, xdot + pdot)
+    fld = VectorField(x_names + p_names, xdot + pdot, events=x_names)
     kinetic: Expression = se.Const(0.0)
     for col, p in zip(st.g_inv.T, p_names):  # (p g^{-1}) . p
         kinetic = se.add(kinetic, se.mul(_affine(col, p_names), se.Var(p)))
     fld.energy = se.add(se.div(kinetic, se.Const(2.0 * m)),
                         se.subst(phi, coords))
     fld.spacetime = st
-    fld.event_names = x_names
-    fld.event_of = itemgetter(slice(0, d + 1))
     return fld
 
 
@@ -569,7 +556,7 @@ class FrameComparison:
 
 def compare_frames(st: NewtonSpaceTime, m: float, phi: Expression,
                    initial: ObservedPhase, boosts, h: float, T: float,
-                   split: ObserverSplit | None = None, tol: float = 1e-6,
+                   split: ObserverSplit | None = None,
                    scenario: str = "") -> list[FrameComparison]:
     """Integrate the same initial phase in a frame and in each of its boosts.
 
@@ -578,18 +565,19 @@ def compare_frames(st: NewtonSpaceTime, m: float, phi: Expression,
     ``trajectories[0]`` of every comparison; each boosted world-line is
     compared with it event by event in space-time coordinates, never in
     frame components, which is the form in which frame independence is
-    literally true.  Comparison ``i`` (from 1) is named
-    ``<scenario>/boost<i>``, the scenario defaulting to ``compare-frames``.
+    literally true, and passes below 1e-6.  Comparison ``i`` (from 1) is
+    named ``<scenario>/boost<i>``, the scenario defaulting to
+    ``compare-frames``.
     """
     phases = [initial, *(gauge_transform(initial, v, m) for v in boosts)]
     fields = [newton_dynamics(st, phase.frame, m, phi, split) for phase in phases]
-    lines = [integrate(fld, np.concatenate([phase.x, phase.p]), h, T,
-                       event_fn=fld.event_of, event_names=fld.event_names)
+    lines = [integrate(fld, np.concatenate([phase.x, phase.p]), h, T)
              for fld, phase in zip(fields, phases)]
     out = []
     for i in range(1, len(phases)):
         deviation = float(np.max(np.abs(lines[0].events - lines[i].events)))
         frames = ([float(x) for x in initial.frame.u], [float(x) for x in phases[i].frame.u])
         out.append(FrameComparison(f"{scenario or 'compare-frames'}/boost{i}", frames,
-                                   deviation, deviation < tol, (lines[0], lines[i]), fields[0]))
+                                   deviation, deviation < 1e-6, (lines[0], lines[i]),
+                                   fields[0]))
     return out

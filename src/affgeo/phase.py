@@ -44,11 +44,10 @@ class AVBundle:
     a function on the base by construction.
     """
 
-    def __init__(self, patch: Patch, s: str = "s"):
-        if s in patch.names:
+    def __init__(self, patch: Patch):
+        if "s" in patch.names:
             raise PhaseError("fiber coordinate name collides with the base")
         self.patch = patch
-        self.s = s
         self.sections: dict[str, Expression] = {}
         self.register("zero", se.Const(0.0))
         self.reference = "zero"
@@ -196,9 +195,9 @@ def bold_d_oneform(alpha: AffineOneForm) -> TwoForm:
     return TwoForm(names, terms)
 
 
-def omega_Z(bundle: AVBundle, via: str | None = None,
-            momentum_names: tuple[str, ...] | None = None) -> TwoForm:
-    """Canonical symplectic form of the phase bundle, in tag coordinates.
+def omega_Z(bundle: AVBundle, via: str | None = None) -> TwoForm:
+    """Canonical symplectic form of the phase bundle, in tag coordinates
+    (the base names, then momenta ``p1..pn``).
 
     Computed as the pullback of the cotangent form ``sum dp_i ^ dx_i``
     through the trivialization induced by the section ``via``; the
@@ -208,8 +207,7 @@ def omega_Z(bundle: AVBundle, via: str | None = None,
     via = via or bundle.reference
     base = bundle.patch.names
     n = len(base)
-    if momentum_names is None:
-        momentum_names = tuple(f"p{i + 1}" for i in range(n))
+    momentum_names = tuple(f"p{i + 1}" for i in range(n))
     if set(momentum_names) & set(base):
         raise PhaseError("momentum names collide with base names")
     coords = base + momentum_names
@@ -270,15 +268,15 @@ def _stacked(envs) -> dict[str, np.ndarray]:
 class TimePhaseSpace:
     """Cotangent coordinates of a space-time split into space and time.
 
-    Positions ``q`` plus the time variable, momenta ``p`` plus the
-    energy variable conjugate to time.  The quotient along the energy
-    direction is realized by dropping that coordinate.
+    Positions ``q`` plus the time ``t``, momenta ``p`` plus the energy
+    ``e`` conjugate to time.  The quotient along the energy direction is
+    realized by dropping that coordinate.
     """
 
     q: tuple[str, ...]
     p: tuple[str, ...]
-    time: str = "t"
-    energy: str = "e"
+    time = "t"
+    energy = "e"
 
     def __post_init__(self):
         if len(self.q) != len(self.p):
@@ -305,13 +303,12 @@ class TimePhaseSpace:
 
 def eq1_aff_poisson(space: TimePhaseSpace, sigma: Expression,
                     sigma2: Expression,
-                    rng: np.random.Generator | None = None,
-                    n_samples: int = 16, tol: float = 1e-9) -> Expression:
+                    rng: np.random.Generator | None = None) -> Expression:
     """Bracket of two sections of the energy-quotient projection.
 
     Computes the canonical bracket of the attached functions upstairs,
-    verifies the result is constant along the quotient fibers, and
-    returns the descended expression.
+    verifies the result is constant along the quotient fibers (to 1e-9 at
+    16 random points), and returns the descended expression.
     """
     rng = rng or np.random.default_rng(0)
     F = space.section_function(sigma)
@@ -319,8 +316,8 @@ def eq1_aff_poisson(space: TimePhaseSpace, sigma: Expression,
     upstairs = canonical_poisson(F, G, space.pairs)
     variation = se.differentiate(upstairs, space.energy)
     worst = worst_abs([se.evaluate(
-        variation, sample_points(space.names, rng, n_samples))], n_samples)
-    if not worst < tol:
+        variation, sample_points(space.names, rng, 16))], 16)
+    if not worst < 1e-9:
         raise FiberConstancyError(
             f"bracket varies along the energy direction (residual {worst:.3e})")
     return se.subst(upstairs, {space.energy: 0.0})
@@ -366,12 +363,12 @@ class AVMorphism:
 
 
 def check_affine_reduction(rho: AVMorphism, bracket_z, bracket_y,
-                           section_pairs, envs, tol: float = 1e-9) -> Report:
+                           section_pairs, envs) -> Report:
     """Residual of the reduction identity at sample points.
 
     For every supplied pair of target sections, compares the source
     bracket of the pulled-back sections against the pullback of the
-    target bracket.
+    target bracket, to 1e-9.
     """
     report = Report("affine-reduction")
     point, residuals = _stacked(envs), []
@@ -380,6 +377,6 @@ def check_affine_reduction(rho: AVMorphism, bracket_z, bracket_y,
         rhs = rho.pullback_function(bracket_y(sigma, sigma2))
         residuals.append(per_point_max([se.evaluate(se.sub(lhs, rhs), point)],
                                        len(envs)))
-    report.check("reduction_identity", residuals, tol,
+    report.check("reduction_identity", residuals, 1e-9,
                  lambda at: {"pair": at[0], "point": dict(envs[at[1]])})
     return report

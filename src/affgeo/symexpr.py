@@ -31,6 +31,7 @@ is decided by evaluation in the test suites, not by canonical forms.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Union
 
@@ -334,48 +335,25 @@ _APPLY = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "sqrt": _safe_sqrt}
 # ---------------------------------------------------------------------------
 # Variable contexts
 
-ROLE_BASE = "base"
-ROLE_FIBER = "fiber"
-ROLE_TIME = "time"
-ROLE_AV = "av"
-_ROLES = (ROLE_BASE, ROLE_FIBER, ROLE_TIME, ROLE_AV)
-
 
 @dataclass(frozen=True)
 class VarContext:
-    """Ordered variable names, each with a role.
+    """The ordered, unique variable names an expression may use."""
 
-    Roles partition the list: ``base`` coordinates, ``fiber``
-    coordinates, the ``time`` variable and the ``av`` fiber coordinate.
-    """
-
-    entries: tuple[tuple[str, str], ...]
+    names: tuple[str, ...]
 
     def __post_init__(self):
-        names = [n for n, _ in self.entries]
-        if len(set(names)) != len(names):
+        if len(set(self.names)) != len(self.names):
             raise ValueError("variable names must be unique")
-        for name, role in self.entries:
-            if role not in _ROLES:
-                raise ValueError(f"unknown role {role!r} for variable {name!r}")
 
     @classmethod
     def make(cls, base: Iterable[str] = (), fiber: Iterable[str] = (),
              time: str | None = None, av: str | None = None) -> "VarContext":
-        entries = [(n, ROLE_BASE) for n in base]
-        entries += [(n, ROLE_FIBER) for n in fiber]
-        if time is not None:
-            entries.append((time, ROLE_TIME))
-        if av is not None:
-            entries.append((av, ROLE_AV))
-        return cls(tuple(entries))
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.entries)
+        """The names ``base``, then ``fiber``, then ``time`` and ``av`` if set."""
+        return cls((*base, *fiber, *(n for n in (time, av) if n is not None)))
 
     def __contains__(self, name: str) -> bool:
-        return any(n == name for n, _ in self.entries)
+        return name in self.names
 
 
 # ---------------------------------------------------------------------------
@@ -385,44 +363,22 @@ _TOK_NUM = "num"
 _TOK_IDENT = "ident"
 _TOK_OP = "op"
 _TOK_END = "end"
+# One token, or a run of whitespace.  Numbers and names are ASCII, so a
+# superscript digit is an unexpected character, not a number.
+_TOKEN = re.compile(r"(?P<num>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+                    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()])|\s+")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            tokens.append((_TOK_NUM, text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append((_TOK_IDENT, text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*/^()":
-            tokens.append((_TOK_OP, ch, i))
-            i += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append((_TOK_END, "", n))
+    tokens, i = [], 0
+    while i < len(text):
+        m = _TOKEN.match(text, i)
+        if m is None:
+            raise ExprSyntaxError(f"unexpected character {text[i]!r}", i)
+        if m.lastgroup:
+            tokens.append((m.lastgroup, m.group(), i))
+        i = m.end()
+    tokens.append((_TOK_END, "", len(text)))
     return tokens
 
 

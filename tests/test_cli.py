@@ -353,6 +353,13 @@ def run_deep(tmp_path, capsys, engine, expr):
     return code, capsys.readouterr().err
 
 
+@pytest.mark.parametrize("expr", ["1.2.3*q1^2", "1..*q1", "q1*\u00b2", "q1^\u00b2"])
+def test_malformed_number_in_a_scenario_exits_2(tmp_path, capsys, expr):
+    code, err = run_deep(tmp_path, capsys, "timedep", expr)
+    assert code == 2
+    assert err.startswith("error: bad expression") and "at offset" in err
+
+
 def test_hamiltonian_with_a_variable_divisor_runs(tmp_path, capsys):
     # differentiate once left 0/(1 + q1^2)^2, which failed the unit-slope test
     code, err = run_deep(tmp_path, capsys, "timedep", "1/(1 + q1^2)")
@@ -435,10 +442,11 @@ def run_text(tmp_path, capsys, text):
     AFFGEBRA.replace("[structure]\n", "[structure]\nd = identity\n"),
     "[scenario]\nkind = reduction-check\nname = bad\n",
     OMEGA.replace("omega = true", "omega = false").split("[forms]")[0],
+    OMEGA.replace("x", "x\u03b8"),
 ], ids=["misspelled-key", "misspelled-section", "non-bool", "cross3-with-entries",
         "zero-with-entries", "atiyah-with-base", "atiyah-with-rank", "empty-box",
         "nan-bound", "rank-0", "no-sections", "default-section", "key-case",
-        "reduction-runs-no-check", "reduction-checks-all-off"])
+        "reduction-runs-no-check", "reduction-checks-all-off", "non-ascii-name"])
 def test_misread_input_exits_2(tmp_path, capsys, text):
     code, err, out = run_text(tmp_path, capsys, text)
     assert code == 2

@@ -11,7 +11,7 @@ from affgeo.mechanics import (
     IntegrationError, MechanicsError, NewtonSpaceTime, ObservedPhase,
     ObserverSplit, TimeDepSystem, VectorField, compare_frames, energy_drift,
     gauge_transform, integrate, newton_dynamics, observed_hamiltonian,
-    tau_clock_residual, timedep_dynamics, timedep_event_fn,
+    tau_clock_residual, timedep_dynamics,
 )
 from affgeo.symexpr import Const, Var, VarContext, parse
 from affgeo.mechanics import Trajectory
@@ -135,10 +135,7 @@ def test_energy_drift_matches_direct_loop():
 
 def test_trajectory_csv_rows(tmp_path):
     fld = timedep_dynamics(osc_system())
-    sys = osc_system()
-    event_fn, event_names = timedep_event_fn(sys)
-    traj = integrate(fld, [1.0, 0.0, 0.0], h=1e-3, T=10.0,
-                     event_fn=event_fn, event_names=event_names)
+    traj = integrate(fld, [1.0, 0.0, 0.0], h=1e-3, T=10.0)
     path = tmp_path / "traj.csv"
     traj.to_csv(path)
     lines = path.read_bytes().split(b"\r\n")
@@ -380,11 +377,11 @@ def test_compare_frames_of_several_boosts_equal_one_boost_calls():
                             st.rest_frame())
     boosts = [[0.3, 0.0, 0.0], [0.0, 0.2, -0.1], [0.15, 0.15, 0.15]]
     together = compare_frames(st, 1.0, phi, initial, boosts, h=1e-2, T=2.0,
-                              tol=1e-12, scenario="s")
+                              scenario="s")
     assert [c.scenario for c in together] == ["s/boost1", "s/boost2", "s/boost3"]
     rest = together[0].trajectories[0]
     for v, cmp in zip(boosts, together):
-        [alone] = compare_frames(st, 1.0, phi, initial, [v], h=1e-2, T=2.0, tol=1e-12)
+        [alone] = compare_frames(st, 1.0, phi, initial, [v], h=1e-2, T=2.0)
         assert alone.scenario == "compare-frames/boost1"
         assert cmp.trajectories[0] is rest  # integrated once, shared
         assert cmp.field is together[0].field
@@ -606,15 +603,38 @@ def test_csv_formats_copied_columns_once_and_near_copies_apart(tmp_path):
 
 
 def test_timedep_trajectory_csv_matches_the_csv_writer(tmp_path):
-    sys = osc_system()
-    event_fn, event_names = timedep_event_fn(sys)
-    traj = integrate(timedep_dynamics(sys), [1.0, 0.0, 0.0], h=1e-2, T=10.0,
-                     event_fn=event_fn, event_names=event_names)
+    traj = integrate(timedep_dynamics(osc_system()), [1.0, 0.0, 0.0], h=1e-2, T=10.0)
     # the events are picked from the columns at once, as from each state
-    assert np.array_equal(traj.events, [event_fn(s) for s in traj.states])
+    assert traj.event_names == ("q1", "t")
+    assert np.array_equal(traj.events, [[s[0], s[-1]] for s in traj.states])
     traj.to_csv(tmp_path / "new.csv")
     reference_csv(traj, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_fields_name_their_event_columns():
+    ctx = VarContext.make(base=("q1", "q2", "p1", "p2"), time="t")
+    timedep = timedep_dynamics(TimeDepSystem(2, parse("p1^2/2 + p2^2/2 + q1*q2*t", ctx)))
+    st = NewtonSpaceTime(2)
+    newton = newton_dynamics(st, st.rest_frame(), 1.0, Const(0.0))
+    for fld, y0, events in [(timedep, [1.0, 0.5, 0.0, 0.2, 0.0], ("q1", "q2", "t")),
+                            (newton, [1.0, 0.0, 0.0, 0.3, -0.1], ("x1", "x2", "x3"))]:
+        assert fld.events == events
+        traj = integrate(fld, y0, h=0.1, T=1.0)
+        assert traj.event_names == events
+        columns = [traj.states[:, fld.names.index(e)] for e in events]
+        assert traj.events.tobytes() == np.column_stack(columns).tobytes()
+
+
+def test_a_field_without_events_gives_a_trajectory_without_events(tmp_path):
+    fld = VectorField(("x", "v"), (Var("v"), se.neg(Var("x"))))
+    assert fld.events == ()
+    traj = integrate(fld, [1.0, 0.0], h=0.1, T=1.0)
+    assert traj.events is None and traj.event_names == ()
+    traj.to_csv(tmp_path / "plain.csv")
+    lines = (tmp_path / "plain.csv").read_text().splitlines()
+    assert lines[0] == "step,time,x,v"
+    assert all(len(line.split(",")) == 4 for line in lines)
 
 
 # --- energy and clock checks over the whole trajectory at once --------------

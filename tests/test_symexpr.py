@@ -49,6 +49,20 @@ def test_parse_numbers():
     assert evaluate(e, {}) == pytest.approx(2.015)
 
 
+@pytest.mark.parametrize("text, position", [("1.2.3", 3), ("1..", 2), ("x*\u00b2", 2),
+                                            ("x^\u00b2", 2)])
+def test_parse_rejects_malformed_numbers_with_an_offset(text, position):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(text, CTX_XY)
+    assert err.value.position == position
+
+
+@pytest.mark.parametrize("text, value", [("3.", 3.0), (".5", 0.5), ("1.e5", 1e5),
+                                         ("1e-05", 1e-05), ("2E+3", 2e3)])
+def test_parse_accepts_every_decimal_form(text, value):
+    assert parse(text, CTX_XY) == Const(value)
+
+
 def test_differentiate_power_rule():
     e = parse("x^2 + 3*y", CTX_XY)
     assert differentiate(e, "x") == se.mul(Const(2.0), Var("x"))
@@ -181,7 +195,7 @@ def test_compile_matches_evaluate():
 def test_var_context_roles():
     ctx = VarContext.make(base=("q1",), fiber=("p1",), time="t", av="s")
     assert ctx.names == ("q1", "p1", "t", "s")
-    assert ctx.entries == (("q1", "base"), ("p1", "fiber"), ("t", "time"), ("s", "av"))
+    assert VarContext.make(av="s", time="t", base=("x",)).names == ("x", "t", "s")
     with pytest.raises(ValueError):
         VarContext.make(base=("a", "a"))
 
