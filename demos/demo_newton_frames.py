@@ -35,14 +35,14 @@ print(f"\nmax world-line deviation between the frames: {cmp.max_deviation:.3e}")
 print("frame independence holds:", cmp.passed)
 
 # the observed dynamics is a compiled VectorField on (event, momentum)
-fld = newton_dynamics(st, st.rest_frame(), 1.0, phi)
+[fld] = newton_dynamics(st, [st.rest_frame()], 1.0, phi)
 traj = integrate(fld, [*initial.x, *initial.p], h=1e-2, T=5.0)
 print("state components:", ", ".join(fld.names))
 print(f"clock-rate residual along the trajectory: "
       f"{tau_clock_residual(fld, traj):.3e}")
 print(f"energy drift along the trajectory: {energy_drift(fld, traj):.3e}")
 
-free = newton_dynamics(st, st.frame([0.4, 0.0, -0.2, 1.0]), 1.0, se.Const(0.0))
+[free] = newton_dynamics(st, [st.frame([0.4, 0.0, -0.2, 1.0])], 1.0, se.Const(0.0))
 track = integrate(free, [1.0, 2.0, 3.0, 0.0, 0.0, 0.0, 0.0], h=1e-2, T=2.0)
 print("free particle at rest in a drifting frame ends at:",
       track.states[-1, :4])

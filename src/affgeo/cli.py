@@ -8,10 +8,12 @@ or ``--seed``).  The JSON report and any CSVs go to the output directory
 (``--out``, ``$AFFGEO_OUT`` or the working directory) and nowhere else.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 the scenario could not
-be loaded (an unknown section or key, a key its mode does not read, a
-missing key, a value of the wrong type or out of range), holds a value the
-library rejects, a malformed expression or one too deep for the symbolic
-layer, 3 a runtime domain error interrupted the run.
+be loaded (a file that is not UTF-8 text, an unknown section or key, a key
+its mode does not read, a missing key, a value of the wrong type or out of
+range), holds a value the library rejects, a malformed expression or one
+too deep for the symbolic layer, or the output directory cannot be
+created (``--out`` names a file), 3 a runtime domain error interrupted the
+run.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ import numpy as np
 from . import symexpr as se
 from .affine import AffineGeometryError, AffineMap, AffineSpaceSpec, BiAffineMap, cocycle_check
 from .brackets import (
-    BracketError, LieAffgebraData, LieAffgebroidData, Patch,
-    aff_jacobi_bracket, atiyah_algebroid, hull_extend, is_aff_poisson,
+    BracketError, HullAlgebroidData, LieAffgebraData, LieAffgebroidData, Patch,
+    aff_jacobi_bracket, atiyah_algebroid, is_aff_poisson,
     random_polynomial, verify_affgebra, verify_affgebroid,
 )
 from .duality import (
@@ -180,9 +182,9 @@ class Scenario(dict):
             inline_comment_prefixes=None, interpolation=None, default_section="")
         parser.optionxform = str  # keys are case-sensitive
         try:
-            with open(path) as handle:
+            with open(path, encoding="utf-8") as handle:
                 parser.read_file(handle)
-        except (OSError, configparser.Error) as err:
+        except (OSError, UnicodeDecodeError, configparser.Error) as err:
             raise ScenarioError(f"cannot load {path}: {err}") from None
         raw = {s: dict(parser[s]) for s in parser.sections()}
         self._read(COMMON[:1], raw)
@@ -401,10 +403,11 @@ def run_affgebroid_verify(sc: Scenario, rng, outdir: Path, report: Report):
     pts = patch.grid(count) if mode == "grid" else patch.sample(rng, count)
     result = verify_affgebroid(data, pts, rng=rng)
     report.checks.extend(result.checks)
-    # hull checks only make sense on a structure that verified
+    # hull checks only make sense on a structure that verified, as this one
+    # just did on pts: hull_extend would verify it again
     if not (result.passed and sc["checks", "hull"]):
         return
-    hull = hull_extend(data, pts, rng=rng)
+    hull = HullAlgebroidData(data)
     secs = [(random_polynomial(patch, rng),
              [random_polynomial(patch, rng) for _ in range(data.rank)]) for _ in range(3)]
     env, n = patch.env(pts), len(pts)
@@ -466,7 +469,7 @@ def _newton_inputs(sc: Scenario):
 def run_newton(sc: Scenario, rng, outdir: Path, report: Report):
     st, phi, m, x0, p0, h, T = _newton_inputs(sc)
     u = sc["system", "frame"]
-    fld = newton_dynamics(st, st.rest_frame() if u is None else st.frame(u), m, phi)
+    [fld] = newton_dynamics(st, [st.rest_frame() if u is None else st.frame(u)], m, phi)
     traj = integrate(fld, [*x0, *p0], h, T)
     _check_energy(fld, traj, phi, report, clock=True)
     traj.to_csv(outdir / (sc["output", "trajectory"] or f"{sc.name}.csv"))
@@ -477,8 +480,12 @@ def run_compare_frames(sc: Scenario, rng, outdir: Path, report: Report):
     initial = ObservedPhase(x0, p0, sc["initial", "s"], st.rest_frame())
     boosts = sc["frames", "boosts"]
     comparisons = compare_frames(st, m, phi, initial, boosts, h, T, scenario=sc.name)
-    for i, cmp in enumerate(comparisons):
-        report.add(f"frame_independence_boost{i + 1}", cmp.passed, cmp.max_deviation)
+    for i, (cmp, v) in enumerate(zip(comparisons, boosts)):
+        rest, boosted = cmp.trajectories  # a failure names the step of the worst deviation
+        step = int(np.argmax(np.max(np.abs(rest.events - boosted.events), axis=1)))
+        report.add(f"frame_independence_boost{i + 1}", cmp.passed, cmp.max_deviation,
+                   {"boost": v, "step": step, "time": float(rest.times[step]),
+                    "residual": cmp.max_deviation})
     (outdir / f"{sc.name}_comparisons.json").write_text(
         _dumps([c.to_dict() for c in comparisons], indent=2) + "\n")
 
@@ -668,7 +675,10 @@ def run_scenario(path: Path, seed: int | None, outdir: Path, as_json: bool) -> i
     if sc.seed < 0:
         raise ScenarioError(f"seed {sc.seed} is negative")
     rng = np.random.default_rng(sc.seed)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ScenarioError(f"cannot create output directory {outdir}: {err}") from None
     report = Report(sc.name)
     KINDS[sc.kind][0](sc, rng, outdir, report)
 

@@ -464,10 +464,10 @@ def _affine(coeffs, names, offset: float = 0.0) -> Expression:
     return se.add(out, se.Const(float(offset)))
 
 
-def newton_dynamics(st: NewtonSpaceTime, frame: InertialFrame, m: float,
-                    phi: Expression,
-                    split: ObserverSplit | None = None) -> VectorField:
-    """Observed dynamics in event form on the state (event, momentum).
+def newton_dynamics(st: NewtonSpaceTime, frames, m: float, phi: Expression,
+                    split: ObserverSplit | None = None) -> list[VectorField]:
+    """Observed dynamics in event form on the state (event, momentum), one
+    field for each of ``frames``.
 
     The event velocity is ``g^{-1}(p)/m + u`` (so its clock rate is one
     identically) and the force is minus the spatial gradient of the
@@ -476,7 +476,10 @@ def newton_dynamics(st: NewtonSpaceTime, frame: InertialFrame, m: float,
     ``(q, t)`` are affine in the event coordinates, so both parts are
     expressions in the state and the field compiles like any other.
     The observed energy ``p.g^{-1}p/2m + phi(q, t)`` rides along as
-    ``energy``, and the events are the ``x`` components.
+    ``energy``, and the events are the ``x`` components.  Only the frame
+    velocity ``u`` differs from frame to frame, so the velocity rows
+    ``g^{-1}(p)/m``, the force and the energy are built once and shared
+    by every field returned.
     """
     if not 0 < m < math.inf:
         raise MechanicsError("mass must be positive and finite")
@@ -490,24 +493,27 @@ def newton_dynamics(st: NewtonSpaceTime, frame: InertialFrame, m: float,
     x_names = tuple(f"x{i + 1}" for i in range(d + 1))
     p_names = tuple(f"p{i + 1}" for i in range(d))
 
-    velocity = st.spatial_basis @ st.g_inv
-    xdot = [se.add(se.div(_affine(row, p_names), se.Const(float(m))),
-                   se.Const(float(u))) for row, u in zip(velocity, frame.u)]
+    rows = [se.div(_affine(row, p_names), se.Const(float(m)))
+            for row in st.spatial_basis @ st.g_inv]
     # q = P (x - x0 - t u) with t = tau.(x - x0), P the spatial projection
     to_q = st._spatial_proj @ (np.eye(d + 1) - np.outer(split.frame.u, st.tau))
     coords = {q: _affine(row, x_names, -(row @ split.x0))
               for q, row in zip(q_names, to_q)}
     coords["t"] = _affine(st.tau, x_names, -(st.tau @ split.x0))
     pdot = [se.neg(se.subst(se.differentiate(phi, q), coords)) for q in q_names]
-
-    fld = VectorField(x_names + p_names, xdot + pdot, events=x_names)
     kinetic: Expression = se.Const(0.0)
     for col, p in zip(st.g_inv.T, p_names):  # (p g^{-1}) . p
         kinetic = se.add(kinetic, se.mul(_affine(col, p_names), se.Var(p)))
-    fld.energy = se.add(se.div(kinetic, se.Const(2.0 * m)),
-                        se.subst(phi, coords))
-    fld.spacetime = st
-    return fld
+    energy = se.add(se.div(kinetic, se.Const(2.0 * m)), se.subst(phi, coords))
+
+    fields = []
+    for frame in frames:
+        xdot = [se.add(row, se.Const(float(u))) for row, u in zip(rows, frame.u)]
+        fld = VectorField(x_names + p_names, xdot + pdot, events=x_names)
+        fld.energy = energy
+        fld.spacetime = st
+        fields.append(fld)
+    return fields
 
 
 def observed_hamiltonian(fld: VectorField):
@@ -561,6 +567,10 @@ def compare_frames(st: NewtonSpaceTime, m: float, phi: Expression,
     """Integrate the same initial phase in a frame and in each of its boosts.
 
     The initial data for each boost comes from the gauge transformation.
+    One :func:`newton_dynamics` call builds the field of the frame and of
+    every boost, which share all but the frame velocity; fields whose
+    velocities have their zero components in the same places compile
+    to one shape.
     The frame's own world-line is integrated once and is
     ``trajectories[0]`` of every comparison; each boosted world-line is
     compared with it event by event in space-time coordinates, never in
@@ -570,7 +580,7 @@ def compare_frames(st: NewtonSpaceTime, m: float, phi: Expression,
     ``compare-frames``.
     """
     phases = [initial, *(gauge_transform(initial, v, m) for v in boosts)]
-    fields = [newton_dynamics(st, phase.frame, m, phi, split) for phase in phases]
+    fields = newton_dynamics(st, [phase.frame for phase in phases], m, phi, split)
     lines = [integrate(fld, np.concatenate([phase.x, phase.p]), h, T)
              for fld, phase in zip(fields, phases)]
     out = []

@@ -759,25 +759,23 @@ def to_text(e: Expression) -> str:
 # Compilation (hot loops only; `evaluate` is the contract-carrying API)
 
 _BINARY = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
-_NAMESPACE = {"inf": math.inf, "nan": math.nan,
-              **{f"_{f}": getattr(math, f) for f in FUNCTIONS}}
+_NAMESPACE = {f"_{f}": getattr(math, f) for f in FUNCTIONS}
+_FIELD_FACTORIES = {}  # factory source -> compiled factory, one per field shape
 
 
-def _constant(value: float) -> str:
-    text = repr(value)  # inf and nan are bound in the namespace
-    return f"({text})" if text.startswith("-") else text
-
-
-def _emit(e: Expression, args: Mapping[str, str], lines: list[str]) -> str:
+def _emit(e: Expression, args: Mapping[str, str], lines: list[str],
+          constants: list[float]) -> str:
     """Append one assignment per interior node of ``e`` to ``lines``, in
-    the order Python would evaluate the nested expression; return the
-    operand that holds the value of ``e``."""
+    the order Python would evaluate the nested expression, and the value
+    of each constant to ``constants``, named ``_c<k>`` in the code; return
+    the operand that holds the value of ``e``."""
     values: list[str] = []
     stack: list[tuple[Expression, bool]] = [(e, False)]
     while stack:
         node, ready = stack.pop()
         if isinstance(node, Const):
-            values.append(_constant(node.value))
+            values.append(f"_c{len(constants)}")
+            constants.append(node.value)
         elif isinstance(node, Var):
             values.append(args[node.name])
         elif not ready:
@@ -795,7 +793,7 @@ def _emit(e: Expression, args: Mapping[str, str], lines: list[str]) -> str:
             else:
                 right = values.pop()
                 code = f"{values.pop()} {_BINARY[type(node)]} {right}"
-            lines.append(f"    _t{len(lines)} = {code}")
+            lines.append(f"        _t{len(lines)} = {code}")
             values.append(f"_t{len(lines) - 1}")
     return values.pop()
 
@@ -806,21 +804,32 @@ def compile_field(exprs: Iterable[Expression], names: Iterable[str]):
     The function takes one positional value per name in ``names`` and
     returns one value per expression.  Its body is three-address code:
     one local per interior node, assigned in the order Python evaluates
-    the nested expression, so a tree of any depth compiles.  The
-    arithmetic is that of the arguments: Python floats raise
-    ``ZeroDivisionError`` for a zero divisor and ``OverflowError`` for a
-    power overflow where ``np.float64`` values give inf or nan; ``exp``
-    overflow raises ``OverflowError`` and ``sqrt`` of a negative number
-    ``ValueError`` either way.
+    the nested expression, so a tree of any depth compiles.  Constants
+    are closure variables, not literals, so the code depends only on the
+    shape of the expressions: each shape is compiled once, into a factory
+    cached for the life of the process, and each call binds its own
+    constants by calling that factory.  The arithmetic is that of the
+    arguments: Python floats raise ``ZeroDivisionError`` for a zero
+    divisor and ``OverflowError`` for a power overflow where
+    ``np.float64`` values give inf or nan; ``exp`` overflow raises
+    ``OverflowError`` and ``sqrt`` of a negative number ``ValueError``
+    either way.
     """
     args = {n: f"_y{i}" for i, n in enumerate(names)}
     lines: list[str] = []
-    results = [_emit(e, args, lines) for e in exprs]
-    source = "\n".join([f"def _field({', '.join([*args.values(), ''])}):", *lines,
-                        f"    return ({', '.join([*results, ''])})"])
-    namespace = dict(_NAMESPACE)
-    exec(source, namespace)  # noqa: S102 - generated from our own AST
-    return namespace["_field"]
+    constants: list[float] = []
+    results = [_emit(e, args, lines, constants) for e in exprs]
+    source = "\n".join([
+        f"def _make({', '.join(f'_c{k}' for k in range(len(constants)))}):",
+        f"    def _field({', '.join([*args.values(), ''])}):", *lines,
+        f"        return ({', '.join([*results, ''])})",
+        "    return _field"])
+    make = _FIELD_FACTORIES.get(source)
+    if make is None:
+        namespace = dict(_NAMESPACE)
+        exec(source, namespace)  # noqa: S102 - generated from our own AST
+        make = _FIELD_FACTORIES[source] = namespace["_make"]
+    return make(*constants)
 
 
 def compile_fn(exprs: Iterable[Expression], names: Iterable[str]):

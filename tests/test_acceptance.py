@@ -300,7 +300,7 @@ def test_criterion_9_frame_independence():
             assert np.max(np.abs(back.p - initial.p)) < 1e-12
             assert abs(back.s - initial.s) < 1e-12
 
-        fld = newton_dynamics(st, st.rest_frame(), 1.0, potentials["harmonic"])
+        [fld] = newton_dynamics(st, [st.rest_frame()], 1.0, potentials["harmonic"])
         traj = integrate(fld, [1.0, 0.0, 0.0, 0.0, 0.0, 0.5, -0.2],
                          h=1e-3, T=10.0)
         assert tau_clock_residual(fld, traj) < 1e-12

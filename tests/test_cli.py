@@ -98,11 +98,81 @@ def test_compare_frames_builds_and_integrates_each_world_line_once(
         "[integration]\nstep = 0.01\nduration = 1\n"
         "[frames]\nboosts = 0.3 0 0; 0 0.2 -0.1; 0.15 0.15 0.15\n")
     assert run(["run", str(path), "--out", str(tmp_path)]) == 0
-    # the rest frame once, then each of the three boosts
-    assert calls == {"integrate": 4, "newton_dynamics": 4}
+    # one call builds the fields of the rest frame and the three boosts,
+    # and each world-line is integrated once
+    assert calls == {"integrate": 4, "newton_dynamics": 1}
     comparisons = json.loads((tmp_path / "frames_comparisons.json").read_text())
     assert [c["scenario"] for c in comparisons] == [
         "frames/boost1", "frames/boost2", "frames/boost3"]
+
+
+def test_a_failing_frame_check_names_the_boost_and_the_worst_step(
+        tmp_path, capsys, monkeypatch):
+    from affgeo import mechanics
+    from affgeo.mechanics import ObservedPhase
+
+    transform = mechanics.gauge_transform
+
+    def unboosted_momentum(phase, v, m):  # a planted defect: p is not boosted
+        good = transform(phase, v, m)
+        return ObservedPhase(good.x, phase.p, good.s, good.frame)
+    monkeypatch.setattr(mechanics, "gauge_transform", unboosted_momentum)
+    path = tmp_path / "frames.ini"
+    path.write_text(
+        "[scenario]\nkind = compare-frames\nname = frames\n"
+        "[system]\npotential = \"(q1^2 + q2^2 + q3^2)/2\"\n"
+        "[initial]\nevent = 1, 0, 0, 0\nmomentum = 0, 0.5, -0.2\ns = 0.3\n"
+        "[integration]\nstep = 0.01\nduration = 1\n"
+        "[frames]\nboosts = 0.3 0 0; 0 0.2 -0.1\n")
+    assert run(["run", str(path), "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "frames_report.json").read_text())
+    checks = {c["check_name"]: c for c in report["checks"]}
+    for name, boost in [("frame_independence_boost1", [0.3, 0.0, 0.0]),
+                        ("frame_independence_boost2", [0.0, 0.2, -0.1])]:
+        check = checks[name]
+        witness = check["witness"]
+        assert check["pass"] is False and check["max_residual"] > 1e-6
+        assert witness["boost"] == boost
+        assert witness["residual"] == check["max_residual"]
+        # momentum left unboosted drifts the world-line apart: worst at the end
+        assert witness["step"] == 100 and witness["time"] == pytest.approx(1.0)
+    assert checks["gauge_round_trip"]["pass"] is True
+    assert "witness:" in capsys.readouterr().out
+
+
+def test_a_scenario_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_bytes(b"\xff\xfe[scenario]\nkind = newton\n")
+    out = tmp_path / "out"
+    assert run(["run", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot load") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_an_output_path_that_is_a_file_exits_2(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n")
+    assert run(["run", "newton_free", "--out", str(afile)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot create output directory")
+    assert afile.read_text() == "keep\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
+
+def test_a_hull_scenario_verifies_its_structure_once(tmp_path, capsys, monkeypatch):
+    from affgeo import brackets
+    calls = []
+
+    def counted(*args, _original=brackets.verify_affgebroid, **kwargs):
+        calls.append(1)
+        return _original(*args, **kwargs)
+    for module in (brackets, cli):
+        monkeypatch.setattr(module, "verify_affgebroid", counted)
+    assert run(["run", "jet_bundle_hull", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "jet_bundle_hull_report.json").read_text())
+    assert {"hull_restriction", "hull_jacobi", "hull_unit_cocycle_closed"} <= {
+        c["check_name"] for c in report["checks"]}
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("dim", ["0", "-1"])

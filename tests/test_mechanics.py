@@ -218,7 +218,7 @@ def test_gauge_boosts_compose_additively():
 def test_free_particle_at_rest_drifts_with_frame():
     st = NewtonSpaceTime(3)
     u = st.frame([0.4, 0.0, -0.2, 1.0])
-    fld = newton_dynamics(st, u, m=1.0, phi=Const(0.0))
+    [fld] = newton_dynamics(st, [u], m=1.0, phi=Const(0.0))
     x0 = np.array([1.0, 2.0, 3.0, 0.0])
     traj = integrate(fld, np.concatenate([x0, np.zeros(3)]), h=0.01, T=2.0)
     expected = x0 + traj.times[-1] * u.u
@@ -229,7 +229,7 @@ def test_newton_observer_split_dynamics():
     # with the rest-frame split the equations read qdot = p/m, tdot = 1
     st = NewtonSpaceTime(1)
     ctx = VarContext.make(base=("q1", "t"))
-    fld = newton_dynamics(st, st.rest_frame(), m=2.0, phi=parse("q1^2/2", ctx))
+    [fld] = newton_dynamics(st, [st.rest_frame()], m=2.0, phi=parse("q1^2/2", ctx))
     state = np.array([0.5, 0.0, 1.2])  # (x_spatial, x_time, p)
     out = fld(state)
     assert out[0] == pytest.approx(1.2 / 2.0)   # qdot
@@ -240,8 +240,8 @@ def test_newton_observer_split_dynamics():
 def test_newton_harmonic_oscillator_with_drift_closed_form():
     st = NewtonSpaceTime(1)
     u = st.frame([0.3, 1.0])
-    fld = newton_dynamics(st, u, m=1.0,
-                          phi=parse("q1^2/2", VarContext.make(base=("q1", "t"))))
+    [fld] = newton_dynamics(st, [u], m=1.0,
+                            phi=parse("q1^2/2", VarContext.make(base=("q1", "t"))))
     y0, p0 = 1.0, 0.25
     traj = integrate(fld, [y0, 0.0, p0], h=1e-3, T=10.0)
     ydot0 = p0 + 0.3
@@ -257,15 +257,15 @@ def test_tau_clock_along_trajectories():
     st = NewtonSpaceTime(2)
     u = st.frame([0.1, -0.5, 1.0])
     ctx = VarContext.make(base=("q1", "q2", "t"))
-    fld = newton_dynamics(st, u, m=1.5, phi=parse("q1^2/2 + q2^2/2", ctx))
+    [fld] = newton_dynamics(st, [u], m=1.5, phi=parse("q1^2/2 + q2^2/2", ctx))
     traj = integrate(fld, [1.0, 0.0, 0.0, 0.2, -0.1], h=1e-2, T=5.0)
     assert tau_clock_residual(fld, traj) < 1e-12
 
 
 def test_newton_energy_conservation():
     st = NewtonSpaceTime(1)
-    fld = newton_dynamics(st, st.rest_frame(), m=1.0,
-                          phi=parse("q1^2/2", VarContext.make(base=("q1", "t"))))
+    [fld] = newton_dynamics(st, [st.rest_frame()], m=1.0,
+                            phi=parse("q1^2/2", VarContext.make(base=("q1", "t"))))
     traj = integrate(fld, [1.0, 0.0, 0.0], h=1e-3, T=10.0)
     H = observed_hamiltonian(fld)
     values = [H(s) for s in traj.states]
@@ -334,7 +334,7 @@ def test_newton_field_matches_reference_off_canonical():
                           st.rest_frame().boosted([0.1, 0.2, -0.3]))
     frame = st.rest_frame().boosted([-0.2, 0.1, 0.05])
     phi = parse(NEWTON_PHI, VarContext.make(base=("q1", "q2", "q3"), time="t"))
-    fld = newton_dynamics(st, frame, 1.7, phi, split)
+    [fld] = newton_dynamics(st, [frame], 1.7, phi, split)
     field, energy = reference_newton_field(st, frame, 1.7, phi, split)
     H = observed_hamiltonian(fld)
     rng = np.random.default_rng(5)
@@ -349,7 +349,7 @@ def test_newton_field_canonical_case_is_bit_identical():
     split = ObserverSplit.default(st)
     frame = st.rest_frame().boosted([0.4, 0.0, -0.2])
     phi = parse(NEWTON_PHI, VarContext.make(base=("q1", "q2", "q3"), time="t"))
-    fld = newton_dynamics(st, frame, 2.0, phi)
+    [fld] = newton_dynamics(st, [frame], 2.0, phi)
     field, energy = reference_newton_field(st, frame, 2.0, phi, split)
     H = observed_hamiltonian(fld)
     rng = np.random.default_rng(6)
@@ -365,7 +365,7 @@ def test_compare_frames_first_world_line_is_the_plain_integration():
     phi = parse("q1^2/2 + q2", VarContext.make(base=("q1", "q2"), time="t"))
     initial = ObservedPhase([1.0, 0.0, 0.0], [0.0, 0.5], 0.0, st.rest_frame())
     [cmp] = compare_frames(st, 1.0, phi, initial, [[0.3, 0.1]], h=1e-2, T=1.0)
-    fld = newton_dynamics(st, st.rest_frame(), 1.0, phi)
+    [fld] = newton_dynamics(st, [st.rest_frame()], 1.0, phi)
     traj = integrate(fld, [1.0, 0.0, 0.0, 0.0, 0.5], h=1e-2, T=1.0)
     assert np.array_equal(cmp.trajectories[0].states, traj.states)
 
@@ -391,7 +391,35 @@ def test_compare_frames_of_several_boosts_equal_one_boost_calls():
             assert mine.states.tobytes() == theirs.states.tobytes()
             assert mine.events.tobytes() == theirs.events.tobytes()
     assert together[0].field.components == newton_dynamics(
-        st, st.rest_frame(), 1.0, phi).components
+        st, [st.rest_frame()], 1.0, phi)[0].components
+
+
+
+def test_newton_dynamics_of_several_frames_equal_one_frame_calls():
+    st = NewtonSpaceTime(3, g=[[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 1.5]])
+    phi = parse(NEWTON_PHI, VarContext.make(base=("q1", "q2", "q3"), time="t"))
+    rest = st.rest_frame()
+    frames = [rest] + [rest.boosted(v) for v in
+                       ([0.3, 0.0, 0.0], [0.1, 0.2, -0.1], [0.15, 0.15, 0.15])]
+    split = ObserverSplit(st, [0.1, -0.2, 0.0, 0.3], frames[2])
+    fields = newton_dynamics(st, frames, 1.7, phi, split)
+    assert len(fields) == 4
+    y0 = [1.0, 0.0, 0.0, 0.0, 0.0, 0.5, -0.2]
+    for frame, fld in zip(frames, fields):
+        [alone] = newton_dynamics(st, [frame], 1.7, phi, split)
+        assert fld.components == alone.components
+        assert fld.energy == alone.energy and fld.events == alone.events
+        mine, theirs = integrate(fld, y0, 1e-2, 1.0), integrate(alone, y0, 1e-2, 1.0)
+        assert mine.states.tobytes() == theirs.states.tobytes()
+        assert mine.events.tobytes() == theirs.events.tobytes()
+        # the frame-independent parts are built once and shared
+        assert fld.energy is fields[0].energy
+        assert all(a is b for a, b in zip(fld.components[4:], fields[0].components[4:]))
+    # fields whose frame velocities have no zero component differ only in
+    # constants, so they share one compiled shape; a zero term is dropped
+    assert fields[2]._fn.__code__ is fields[3]._fn.__code__
+    assert fields[1]._fn.__code__ is not fields[2]._fn.__code__
+    assert newton_dynamics(st, [], 1.7, phi) == []
 
 
 # --- error paths of the integrator ------------------------------------------
@@ -616,7 +644,7 @@ def test_fields_name_their_event_columns():
     ctx = VarContext.make(base=("q1", "q2", "p1", "p2"), time="t")
     timedep = timedep_dynamics(TimeDepSystem(2, parse("p1^2/2 + p2^2/2 + q1*q2*t", ctx)))
     st = NewtonSpaceTime(2)
-    newton = newton_dynamics(st, st.rest_frame(), 1.0, Const(0.0))
+    [newton] = newton_dynamics(st, [st.rest_frame()], 1.0, Const(0.0))
     for fld, y0, events in [(timedep, [1.0, 0.5, 0.0, 0.2, 0.0], ("q1", "q2", "t")),
                             (newton, [1.0, 0.0, 0.0, 0.3, -0.1], ("x1", "x2", "x3"))]:
         assert fld.events == events
@@ -688,7 +716,7 @@ def test_checks_over_columns_match_the_loops_over_states(canonical):
                               st_.rest_frame().boosted([0.1, 0.2, -0.3]))
     frame = st_.rest_frame().boosted([-0.2, 0.1, 0.05])
     phi = parse(NEWTON_PHI, VarContext.make(base=("q1", "q2", "q3"), time="t"))
-    fld = newton_dynamics(st_, frame, 1.7, phi, split)
+    [fld] = newton_dynamics(st_, [frame], 1.7, phi, split)
     traj = integrate(fld, [0.1, 0.2, -0.3, 0.0, 0.5, -0.1, 0.2], h=1e-2, T=2.0)
     assert energy_drift(fld, traj) == _reference_drift(fld, traj)
     assert tau_clock_residual(fld, traj) == _reference_clock(fld, traj)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -322,6 +323,31 @@ def test_compile_field_parenthesizes_negative_constants():
     # "-2.0 ** 2" would be -(2.0 ** 2)
     fn = se.compile_field([se.Pow(Const(-2.0), 2), se.Neg(Const(-0.5))], ["x"])
     assert fn(0.0) == (4.0, 0.5)
+
+
+def test_compile_field_compiles_each_shape_once_and_binds_constants_per_call():
+    def shape(a, b):
+        return [se.add(se.mul(Const(a), Var("x")), se.div(Var("y"), Const(b)))]
+    f = se.compile_field(shape(2.0, 4.0), ["x", "y"])
+    g = se.compile_field(shape(3.0, 8.0), ["x", "y"])
+    assert (f(1.0, 2.0), g(1.0, 2.0)) == ((2.5,), (3.25,))
+    assert f.__code__ is g.__code__
+    other = se.compile_field([se.sub(se.mul(Const(2.0), Var("x")), Var("y"))], ["x", "y"])
+    assert other.__code__ is not f.__code__
+    # one positional value per name, whatever the constants
+    for values in [(1.0,), (1.0, 2.0, 3.0)]:
+        with pytest.raises(TypeError):
+            f(*values)
+
+
+def test_compiled_constants_keep_their_bits():
+    values = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 0.1]
+    fn = se.compile_field([Const(v) for v in values], ["x"])
+    def bits(floats):
+        return [struct.pack("<d", v) for v in floats]
+    assert bits(fn(1.0)) == bits(values)
+    # -0.0 * 2.0 is -0.0, where a constant read as 0.0 would give 0.0
+    assert bits(se.compile_field([se.Mul(Const(-0.0), Var("x"))], ["x"])(2.0)) == bits([-0.0])
 
 
 def test_compile_field_handles_trees_of_any_depth():
