@@ -6,6 +6,10 @@ reference chart.  The model vector space is implicitly ``R^n`` per
 chart, and tangent vectors transform by the linear part of transitions
 only.  Keeping the charts explicit makes frame-independence an
 executable statement: compute in two charts, compare.
+
+Coordinates may also be a stack ``(N, n)``: N points (or vectors) in one
+chart.  Chart transitions, :class:`AffineMap` and :class:`BiAffineMap` then
+act row by row, each row with the 1-D call's bits (one exception: BiAffineMap).
 """
 
 from __future__ import annotations
@@ -36,6 +40,11 @@ def _frozen(a) -> np.ndarray:
     return arr
 
 
+def _matvec(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``matrix @ x`` row by row, with each row's own bits (``x @ matrix.T`` differs)."""
+    return (matrix @ x[..., None])[..., 0]
+
+
 @dataclass(frozen=True)
 class _Transition:
     """Affine map x -> A x + b into the reference chart."""
@@ -44,13 +53,13 @@ class _Transition:
     offset: np.ndarray
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x + self.offset
+        return _matvec(self.matrix, x) + self.offset
 
     def apply_vector(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ v
+        return _matvec(self.matrix, v)
 
     def invert(self, y: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(self.matrix, y - self.offset)
+        return np.linalg.solve(self.matrix, (y - self.offset)[..., None])[..., 0]
 
 
 class AffineSpaceSpec:
@@ -171,11 +180,10 @@ class AffineMap:
     def apply(self, p: AffinePoint) -> AffinePoint:
         if p.space is not self.domain:
             raise AffineGeometryError("point is not in the domain space")
-        y = self.matrix @ p.in_reference() + self.offset
-        return self.codomain.point(y)
+        return self.codomain.point(_matvec(self.matrix, p.in_reference()) + self.offset)
 
     def apply_vector(self, v: TangentVec) -> TangentVec:
-        return self.codomain.vector(self.matrix @ v.in_reference())
+        return self.codomain.vector(_matvec(self.matrix, v.in_reference()))
 
     def compose(self, inner: "AffineMap") -> "AffineMap":
         """self after inner."""
@@ -194,7 +202,9 @@ class BiAffineMap:
     """Phi(x, y) = C(x (x) y) + D x + E y + F, affine in each slot.
 
     Stored by tensor coefficients so the partial linear parts are exact
-    slice extractions, no numerical differentiation involved.
+    slice extractions, no numerical differentiation involved.  Each slot
+    takes a vector or a stack ``(N, dim)``; rows keep the 1-D bits unless
+    ``out_dim`` is 1 and ``dim1`` 2 (numpy's einsum then sums in another order).
     """
 
     def __init__(self, C, D, E, F):
@@ -209,24 +219,19 @@ class BiAffineMap:
         self.out_dim, self.dim1, self.dim2 = k, n1, n2
 
     def apply(self, x, y) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return (np.einsum("kij,i,j->k", self.C, x, y)
-                + self.D @ x + self.E @ y + self.F)
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        return self.bilinear_part(x, y) + _matvec(self.D, x) + _matvec(self.E, y) + self.F
 
     def part_first(self, u, y) -> np.ndarray:
         """Linear part in the first slot: Phi(x+u, y) - Phi(x, y)."""
         u = np.asarray(u, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return np.einsum("kij,i,j->k", self.C, u, y) + self.D @ u
+        return self.bilinear_part(u, y) + _matvec(self.D, u)
 
     def part_second(self, x, w) -> np.ndarray:
         """Linear part in the second slot: Phi(x, y+w) - Phi(x, y)."""
-        x = np.asarray(x, dtype=float)
         w = np.asarray(w, dtype=float)
-        return np.einsum("kij,i,j->k", self.C, x, w) + self.E @ w
+        return self.bilinear_part(x, w) + _matvec(self.E, w)
 
     def bilinear_part(self, u, w) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        w = np.asarray(w, dtype=float)
-        return np.einsum("kij,i,j->k", self.C, u, w)
+        return np.einsum("kij,...i,...j->...k", self.C,
+                         np.asarray(u, dtype=float), np.asarray(w, dtype=float))

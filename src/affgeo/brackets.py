@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symexpr as se
-from .affine import AffineSpaceSpec
+from .affine import AffineSpaceSpec, _matvec
 from .duality import SpecialAffineSpace, SpecialDualSpace, iota_sharp, special_dual
 from .reporting import Report, first_worst, per_point_max
 from .symexpr import Expression
@@ -134,7 +134,8 @@ class LieAffgebraData:
     ``D`` houses the mixed bracket of the reference element with model
     vectors; ``c[i, j]`` the model bracket of the i-th and j-th basis
     vectors.  ``c`` must be antisymmetric in ``(i, j)``, which already
-    forces the reconstructed bracket to be skew.
+    forces the reconstructed bracket to be skew.  ``bracket`` and
+    ``second_linear`` take vectors or stacks ``(N, n)`` of them, row by row.
     """
 
     def __init__(self, D, c):
@@ -151,13 +152,13 @@ class LieAffgebraData:
         """Full bracket of ``o + u`` with ``o + w``."""
         u = np.asarray(u, float)
         w = np.asarray(w, float)
-        return self.D @ (w - u) + np.einsum("ijk,i,j->k", self.c, u, w)
+        return _matvec(self.D, w - u) + np.einsum("ijk,...i,...j->...k", self.c, u, w)
 
     def second_linear(self, u, W) -> np.ndarray:
         """Second-slot linear part: bracket of ``o + u`` against model ``W``."""
         u = np.asarray(u, float)
         W = np.asarray(W, float)
-        return self.D @ W + np.einsum("ijk,i,j->k", self.c, u, W)
+        return _matvec(self.D, W) + np.einsum("ijk,...i,...j->...k", self.c, u, W)
 
 
 def verify_affgebra(data: LieAffgebraData) -> Report:
@@ -165,18 +166,19 @@ def verify_affgebra(data: LieAffgebraData) -> Report:
 
     Skew-symmetry and the Jacobi identity are affine in each argument,
     so each holds identically iff it holds with every argument drawn
-    from the origin and the basis translates; the verifier enumerates
-    that cube and reports the worst residual with a witness.
+    from the origin and the basis translates; the verifier evaluates each
+    on the stack of all cases of that cube, and reports the worst residual
+    with a witness.
     """
     n = data.n
     tol = 1e-12  # enumeration is exhaustive; the threshold only absorbs roundoff
     report = Report("affgebra")
-    points = [np.zeros(n)] + [e for e in np.eye(n)]
+    points = np.vstack([np.zeros(n), np.eye(n)])
     labels = ["o"] + [f"o+e{i + 1}" for i in range(n)]
 
     def add(check, key, arity, residual):
         cases = list(itertools.product(range(n + 1), repeat=arity))
-        report.check(check, [np.abs(residual(*(points[i] for i in c))) for c in cases],
+        report.check(check, np.abs(residual(*points[np.array(cases).T])),
                      tol, lambda at: {key: [labels[i] for i in cases[at[0]]]})
 
     add("skew", "pair", 2, lambda u, w: data.bracket(u, w) + data.bracket(w, u))
@@ -250,10 +252,12 @@ class LieAffgebroidData:
         return comps
 
     def apply_field(self, field, func: Expression) -> Expression:
-        """Derivative of ``func`` along a base vector field."""
+        """Derivative of ``func`` along a base vector field; a component
+        that is the constant 0 adds nothing and is not differentiated."""
         out: Expression = se.Const(0.0)
         for comp, name in zip(field, self.patch.names):
-            out = se.add(out, se.mul(comp, se.differentiate(func, name)))
+            if not se._is_const(comp, 0.0):
+                out = se.add(out, se.mul(comp, se.differentiate(func, name)))
         return out
 
     # -- bracket -----------------------------------------------------------
@@ -272,13 +276,7 @@ class LieAffgebroidData:
         n = self.rank
         out: list[Expression] = []
         for k in range(n):
-            term: Expression = se.Const(0.0)
-            for j in range(n):
-                term = se.add(term, se.mul(d[j], self.beta[j][k]))
-            term = se.add(term, self.apply_field(self.anchor_ref, d[k]))
-            for i in range(n):
-                for j in range(n):
-                    term = se.add(term, se.mul(se.mul(f[i], g[j]), self.c[i][j][k]))
+            term = self._structure_terms(k, d, self.apply_field(self.anchor_ref, d[k]), f, g)
             for i in range(n):
                 term = se.add(term, se.mul(
                     f[i], self.apply_field(self.anchor_lin[i], g[k])))
@@ -300,6 +298,19 @@ class LieAffgebroidData:
             base = self.bracket(f, [se.Const(0.0)] * self.rank)
             return [se.sub(a, b) for a, b in zip(self.bracket(f, W), base)]
         return self._expansion(f, W, W)
+
+    def _structure_terms(self, k, d, middle, f, g) -> Expression:
+        """Component ``k`` of ``d^j beta_j + middle + f^i g^j c_ij``, added in
+        that order, leaving out each term whose structure function is the constant 0."""
+        term: Expression = se.Const(0.0)
+        for j in range(self.rank):
+            if not se._is_const(self.beta[j][k], 0.0):
+                term = se.add(term, se.mul(d[j], self.beta[j][k]))
+        term = se.add(term, middle)
+        for i, j in itertools.product(range(self.rank), repeat=2):
+            if not se._is_const(self.c[i][j][k], 0.0):
+                term = se.add(term, se.mul(se.mul(f[i], g[j]), self.c[i][j][k]))
+        return term
 
     # -- helpers -----------------------------------------------------------
 
@@ -412,15 +423,10 @@ class HullAlgebroidData:
         rho_X = self.anchor(h, f)
         rho_Y = self.anchor(h2, g)
         weight = se.sub(data.apply_field(rho_X, h2), data.apply_field(rho_Y, h))
+        d = [se.sub(se.mul(h, gj), se.mul(h2, fj)) for fj, gj in zip(f, g)]
         comps: list[Expression] = []
         for k in range(data.rank):
-            term: Expression = se.Const(0.0)
-            for j in range(data.rank):
-                term = se.add(term, se.mul(se.sub(se.mul(h, g[j]), se.mul(h2, f[j])),
-                                           data.beta[j][k]))
-            for i in range(data.rank):
-                for j in range(data.rank):
-                    term = se.add(term, se.mul(se.mul(f[i], g[j]), data.c[i][j][k]))
+            term = data._structure_terms(k, d, se.Const(0.0), f, g)
             term = se.add(term, data.apply_field(rho_X, g[k]))
             term = se.sub(term, data.apply_field(rho_Y, f[k]))
             comps.append(term)

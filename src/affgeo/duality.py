@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affine import AffineGeometryError, AffinePoint, AffineSpaceSpec, TangentVec, _frozen
+from .affine import (AffineGeometryError, AffinePoint, AffineSpaceSpec, TangentVec, _frozen,
+                     _matvec)
 from . import symexpr as se
 from .symexpr import Expression
 
@@ -190,7 +191,8 @@ class DoubleDualMaps:
     special dual, written in the coordinates (one per model basis
     direction, then the coefficient of evaluation at the origin);
     ``backward`` inverts it.  The linear part of ``forward`` sends the
-    distinguished vector to the constant-function direction.
+    distinguished vector to the constant-function direction.  Each map
+    takes one point or a stack ``(N, n)`` of them, row by row.
     """
 
     def __init__(self, special: SpecialAffineSpace):
@@ -202,14 +204,14 @@ class DoubleDualMaps:
 
     def forward(self, p) -> np.ndarray:
         x = p.in_reference() if isinstance(p, AffinePoint) else np.asarray(p, float)
-        return self._matrix @ x
+        return _matvec(self._matrix, x)
 
     def backward(self, coords) -> np.ndarray:
-        return self._inverse @ np.asarray(coords, float)
+        return _matvec(self._inverse, np.asarray(coords, float))
 
     def forward_linear(self, v) -> np.ndarray:
         v = v.in_reference() if isinstance(v, TangentVec) else np.asarray(v, float)
-        return self._matrix @ v
+        return _matvec(self._matrix, v)
 
 
 def double_special_dual(special: SpecialAffineSpace) -> DoubleDualMaps:

@@ -159,6 +159,14 @@ def test_an_output_path_that_is_a_file_exits_2(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
 
 
+@pytest.mark.parametrize("output", ["newton_free.csv", "newton_free_report.json"])
+def test_an_output_file_name_that_is_a_directory_exits_2(tmp_path, capsys, output):
+    (tmp_path / output).mkdir()
+    assert run(["run", "newton_free", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and output in err and "Traceback" not in err
+
+
 def test_a_hull_scenario_verifies_its_structure_once(tmp_path, capsys, monkeypatch):
     from affgeo import brackets
     calls = []

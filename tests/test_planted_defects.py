@@ -1,0 +1,63 @@
+"""Each check can fail: a defect planted in the library fails the named check.
+
+Every row plants one defect with ``monkeypatch`` (a sign flip, a
+perturbation or an ignored argument) and runs a bundled scenario
+in-process through ``cli.main``.  The run must exit 1, with the named
+check failing and carrying a witness.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from affgeo import affine, brackets, cli, duality, phase
+from affgeo import symexpr as se
+
+
+def _raw_difference(original):
+    # subtracts chart coordinates without converting them to one chart
+    return lambda p, q: affine.TangentVec(p.space, p.space.reference, p.coords - q.coords)
+
+
+def _d_term_sign_flipped(original):
+    # D (w - u) becomes D (w + u); flipping the whole D term would keep the
+    # bracket skew and satisfy the Jacobi identity, so it fails no check
+    def bracket(self, u, w):
+        u, w = np.asarray(u, float), np.asarray(w, float)
+        return (affine._matvec(self.D, w + u)
+                + np.einsum("ijk,...i,...j->...k", self.c, u, w))
+    return bracket
+
+
+DEFECTS = [
+    # check, bundled scenario, owner, attribute, the defect made from the original
+    ("cocycle_across_charts", "affine_axioms", affine, "difference", _raw_difference),
+    ("biaffine_part_identities", "affine_axioms", affine.BiAffineMap, "part_first",
+     lambda original: lambda self, u, y: -original(self, u, y)),
+    ("map_chart_invariance", "affine_axioms", affine.AffineSpaceSpec, "convert_point",
+     lambda original: lambda self, p, chart: affine.AffinePoint(self, chart, p.coords)),
+    ("double_dual_round_trip", "duality_suite", duality.DoubleDualMaps, "backward",
+     lambda original: lambda self, coords: original(self, coords) + 1e-9),
+    ("skew", "abelian_affgebra", brackets.LieAffgebraData, "bracket", _d_term_sign_flipped),
+    ("dual_bracket_matches_poisson_dim1", "atiyah_poisson", phase, "canonical_poisson",
+     lambda original: lambda *args: se.neg(original(*args))),
+    ("dual_bracket_matches_poisson_dim2", "atiyah_poisson", phase, "canonical_poisson",
+     lambda original: lambda *args: se.neg(original(*args))),
+]
+
+
+@pytest.mark.parametrize("check, scenario, owner, name, defect", DEFECTS,
+                         ids=[row[0] for row in DEFECTS])
+def test_a_planted_defect_fails_its_check(check, scenario, owner, name, defect,
+                                          monkeypatch, tmp_path, capsys):
+    original = getattr(owner, name)
+    planted = defect(original)
+    monkeypatch.setattr(owner, name, planted)
+    if getattr(cli, name, None) is original:  # imported into the CLI by name
+        monkeypatch.setattr(cli, name, planted)
+    assert cli.main(["run", scenario, "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / f"{scenario}_report.json").read_text())
+    [result] = [c for c in report["checks"] if c["check_name"] == check]
+    assert result["pass"] is False
+    assert result["witness"] and result["witness"]["residual"] == result["max_residual"]
