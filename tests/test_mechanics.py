@@ -1,11 +1,13 @@
 import csv
 import math
 from dataclasses import fields
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from affgeo import cli
 from affgeo import symexpr as se
 from affgeo.mechanics import (
     IntegrationError, MechanicsError, NewtonSpaceTime, ObservedPhase,
@@ -638,6 +640,114 @@ def test_timedep_trajectory_csv_matches_the_csv_writer(tmp_path):
     traj.to_csv(tmp_path / "new.csv")
     reference_csv(traj, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+# --- each CSV value is its "%.17g" text --------------------------------------
+
+
+def _csv_texts(path, values):
+    """The texts ``to_csv`` writes for ``values``, as the time column and, in
+    reverse order, as the one state column."""
+    values = np.asarray(values, dtype=float)
+    Trajectory(("v",), values, values[::-1, None].copy()).to_csv(path)
+    lines = path.read_bytes().split(b"\r\n")
+    assert lines[0] == b"step,time,v" and lines[-1] == b""
+    rows = [line.decode("ascii").split(",") for line in lines[1:-1]]
+    assert [row[0] for row in rows] == [str(k) for k in range(len(values))]
+    return [row[1] for row in rows], [row[2] for row in rows][::-1]
+
+
+def _assert_texts_are_printf(path, values):
+    values = np.asarray(values, dtype=float)
+    expected = ["%.17g" % v for v in values.tolist()]
+    times, states = _csv_texts(path, values)
+    bad = [(v, got, want) for v, got, want in zip(values.tolist(), times, expected)
+           if got != want]
+    assert bad == []
+    assert states == expected
+
+
+# raw 64-bit patterns, and the same with the exponent of a value in [1e-7, 2e17)
+_bits = st.one_of(st.integers(0, 2**64 - 1),
+                  st.tuples(st.integers(0, 1),
+                            st.integers(int(np.float64(1e-7).view(np.uint64)),
+                                        int(np.float64(2e17).view(np.uint64))))
+                  .map(lambda sb: sb[0] << 63 | sb[1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_bits, min_size=1, max_size=40))
+def test_csv_text_of_any_bit_pattern_is_its_printf_text(tmp_path_factory, bits):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    _assert_texts_are_printf(tmp_path_factory.mktemp("csv") / "bits.csv", values)
+
+
+def _steps(x, n):
+    """``x`` and the ``n`` doubles on either side of it."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[::-1] + above[1:]
+
+
+def _sweep():
+    rng = np.random.default_rng(20051)
+    parts = [
+        [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan],
+        # subnormals and the smallest normals
+        rng.integers(1, 2**52, 2000, dtype=np.uint64).view(np.float64),
+        _steps(5e-324, 100), _steps(2.2250738585072014e-308, 100),
+        # every power of ten near the kernel's range, and its neighbours
+        *(_steps(float(f"1e{k}"), 200) for k in range(-9, 20)),
+        *(_steps(x, 2000) for x in (1e-6, 1e16, 1e17)),
+        # values that round up to the next power of ten, and just below them
+        *(_steps(float("9" * 25 + f"e{k - 24}"), 50) for k in range(-9, 20)),
+        [9.9999999999999999e16, 99999999999999992.0, 9.9999999999999995e-07],
+        # raw 64-bit patterns, log-uniform magnitudes and both signs
+        rng.integers(0, 2**64, 60000, dtype=np.uint64).view(np.float64),
+        10.0 ** rng.uniform(-9.0, 19.0, 60000) * rng.choice([-1.0, 1.0], 60000),
+        rng.uniform(-3.0, 3.0, 20000),
+        rng.integers(-10**6, 10**6, 5000) / 1000.0,
+    ]
+    # odd multiples of 2^-j: exact binary values, many of them decimal ties
+    # at the 17th significant digit
+    for j in range(0, 70, 3):
+        odd = 2 * rng.integers(1, 2**52, 1500, dtype=np.int64) + 1
+        parts.append(odd.astype(float) * 2.0 ** -j)
+    return np.concatenate([np.asarray(part, dtype=float) for part in parts])
+
+
+def _is_tie(x):
+    """True when the exact value of ``x`` is halfway between two 17-digit
+    decimals, so that ``%.17g`` rounds it half to even."""
+    digits = Decimal(x).as_tuple().digits
+    return len(digits) == 18 and digits[-1] == 5
+
+
+def test_csv_texts_of_a_sweep_of_hard_values_are_their_printf_texts(tmp_path):
+    values = _sweep()
+    assert len(values) >= 200_000
+    finite = values[np.isfinite(values) & (values != 0.0)]
+    assert sum(map(_is_tie, finite[-24 * 1500:].tolist())) >= 1000
+    assert np.any((1e-6 <= np.abs(finite)) & (np.abs(finite) < 1e-4))
+    _assert_texts_are_printf(tmp_path / "sweep.csv", values)
+
+
+@pytest.mark.parametrize("name", ["oscillator_timedep", "newton_free"])
+def test_bundled_csvs_match_the_csv_writer(tmp_path, monkeypatch, capsys, name):
+    written = []
+    to_csv = Trajectory.to_csv
+
+    def record(traj, path):
+        written.append((traj, path))
+        to_csv(traj, path)
+
+    monkeypatch.setattr(Trajectory, "to_csv", record)
+    assert cli.main(["run", name, "--out", str(tmp_path)]) == 0
+    [(traj, path)] = written
+    reference_csv(traj, tmp_path / "reference.csv")
+    assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_fields_name_their_event_columns():
