@@ -103,23 +103,161 @@ class Trajectory:
         return len(self.times)
 
     def to_csv(self, path) -> None:
-        """Header, then ``step,time,states...,events...`` with each value
-        as ``%.17g`` (round-trips), lines ended by CRLF.  Each distinct
-        column is formatted once: a column that is a bit-for-bit copy of
-        an earlier one, as an event column is, reuses its texts."""
+        """The header ``step,time,names...,event_names...`` as
+        :class:`csv.writer` writes it, then one row per sample: the step
+        index, then the time, the states and the events, each value as
+        ``"%.17g" % value`` (it round-trips), lines ended by CRLF.
+
+        The texts are computed a block of rows at a time by
+        :func:`_printf_texts`: by exact numpy arithmetic where
+        1e-6 <= |value| < 1e17, by ``"%.17g"`` one value at a time for
+        zeros, non-finite values and all other magnitudes.  A column that is
+        a bit-for-bit copy of an earlier one, as an event column is, is
+        formatted once.
+        """
         import csv
         events = () if self.events is None else self.events.T
-        texts, table = {}, [range(len(self.times))]
-        for column in (self.times, *self.states.T, *events):
-            key = column.tobytes()
-            if key not in texts:
-                texts[key] = list(map("%.17g".__mod__, column.tolist()))
-            table.append(texts[key])
-        row = "%d" + ",%s" * (len(table) - 1) + "\r\n"
+        columns = (self.times, *self.states.T, *events)
+        seen, where = {}, []  # the distinct column each column copies
+        for column in columns:
+            where.append(seen.setdefault(column.tobytes(), len(seen)))
+        distinct = [columns[where.index(u)] for u in range(len(seen))]
+        n_rows = len(self.times)
+        step_w = len(str(max(n_rows - 1, 0)))
+        shown = 10 ** np.arange(step_w - 1, 0, -1)[:, None]  # leading step digits
+        per = max(1, _BLOCK // len(distinct))
         with open(path, "w", newline="") as handle:
             csv.writer(handle).writerow(
                 ["step", "time", *self.names, *self.event_names])
-            handle.writelines(map(row.__mod__, zip(*table)))
+            handle.flush()  # the rows below are bytes, written past the text layer
+            for start in range(0, n_rows, per):
+                stop = min(start + per, n_rows)
+                texts = _printf_texts(
+                    np.concatenate([c[start:stop] for c in distinct], dtype=float))
+                width = len(texts)
+                texts = texts.reshape(width, len(distinct), stop - start)
+                # one column per row of the block, one byte of its text per row
+                # of the table: the step, then "," and a value's text per column
+                table = np.empty((step_w + len(columns) * (width + 1) + 2, stop - start),
+                                 np.uint8)
+                step = np.arange(start, stop, dtype=np.uint32)
+                _digits(step, table[:step_w])
+                table[:step_w] += _ZERO
+                table[:step_w - 1] *= step >= shown
+                cells = table[step_w:-2].reshape(len(columns), width + 1, -1)
+                cells[:, 0] = ord(",")
+                for c, u in enumerate(where):
+                    cells[c, 1:] = texts[:, u]
+                table[-2:] = np.array([[13], [10]], np.uint8)  # CRLF
+                handle.buffer.write(table.T.tobytes().translate(None, b"\0"))
+
+
+# ---------------------------------------------------------------------------
+# "%.17g" texts of a block of values at once
+
+_E_MIN = -6  # the lowest decimal exponent the kernel formats: 10^(16 - E) is exact
+_BLOCK = 4096  # values formatted at once by Trajectory.to_csv
+
+
+def _halves(a):
+    """Veltkamp's split ``a == hi + lo``, each half of 26 significant bits."""
+    c = 134217729.0 * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10 = np.array([float(10 ** k) for k in range(17 - _E_MIN)])
+_POW10_HI, _POW10_LO = _halves(_POW10)
+_K = np.arange(17, dtype=np.int8)[:, None]
+_ZERO, _DOT, _MINUS = np.uint8(ord("0")), np.uint8(ord(".")), np.uint8(ord("-"))
+_EXP = np.frombuffer(b"e-0", np.uint8)[:, None]
+
+
+def _scaled(ax, e):
+    """``ax * 10^(16 - e)`` as ``hi + lo`` exactly: Dekker's product, whose
+    error terms numpy evaluates without fused multiply-adds."""
+    k = 16 - e
+    b_hi, b_lo = _POW10_HI.take(k), _POW10_LO.take(k)
+    hi = ax * _POW10.take(k)
+    a_hi, a_lo = _halves(ax)
+    return hi, ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _digits(v, out):
+    """The decimal digits of the uint32 array ``v`` along the next-to-last
+    axis of ``out``, the units last."""
+    for j in range(out.shape[-2] - 1, -1, -1):
+        q = v // np.uint32(10)
+        out[..., j, :] = v - q * np.uint32(10)
+        v = q
+
+
+def _printf_texts(values: np.ndarray) -> np.ndarray:
+    """The ``"%.17g"`` text of each of ``values`` (1-D float64), as the
+    columns of a ``(width, n)`` uint8 array padded with NUL bytes.
+
+    For 1e-6 <= |x| < 1e17 the digits come from exact arithmetic on the
+    whole array.  ``E = floor(log10 |x|)`` is estimated, then corrected so
+    that ``10^16 <= |x| 10^(16 - E) < 10^17`` holds exactly; that product is
+    an exact ``hi + lo`` (see :func:`_scaled`).  There ``hi`` is an even
+    integer, so ``hi`` plus ``lo`` rounded half to even is the product
+    rounded half to even: the 17 significant digits printf prints (a carry
+    to 10^17 raises ``E``).  The text is then laid out as printf does:
+    fixed notation for ``-4 <= E <= 16``, else ``d.ddde-0E``, trailing zeros
+    and a bare point dropped.  Zeros, non-finite values and all other
+    magnitudes are formatted by ``"%.17g"`` one by one.
+    """
+    n = len(values)
+    ax = np.abs(values)
+    ok = (ax >= 10.0 ** _E_MIN) & (ax < 1e17)
+    ax[~ok] = 1.0
+    e = np.clip(np.floor(np.log10(ax)).astype(np.intp), _E_MIN, 16)
+    hi, lo = _scaled(ax, e)
+    up = (hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))
+    down = (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
+    moved = np.flatnonzero(up | down)
+    if len(moved):  # the estimate is one off next to a power of ten
+        e[moved] += np.where(up[moved], 1, -1)
+        hi[moved], lo[moved] = _scaled(ax[moved], np.clip(e[moved], _E_MIN, 16))
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    del ax, hi, lo, up, down  # bounds the block's peak memory
+    carry = d == 10 ** 17
+    d[carry] = 10 ** 16
+    e += carry
+    ok &= (_E_MIN <= e) & (e <= 16)
+    e[~ok] = 0
+    halves = np.empty((2, n), np.uint32)
+    halves[0], halves[1] = np.divmod(d, 10 ** 9)
+    del d
+    digits = np.empty((18, n), np.uint8)
+    _digits(halves, digits.reshape(2, 9, n))
+    digits = digits[1:]  # the upper half has 8 digits
+    last = np.max(_K * (digits != 0), axis=0)  # the last nonzero digit
+    fixed = e >= -4
+    point = np.where(fixed, e, 0).astype(np.int8)  # digits up to here precede it
+    expo = ~fixed
+    int_w = 1 + max(int(point.max()), 0)
+    exp_w = 4 if expo.any() else 0
+    fallback = np.flatnonzero(~ok)
+    fallback_texts = [b"%.17g" % values[i] for i in fallback]
+    digits += _ZERO
+    # rows: sign, integer digits, point, the zeros of 0.000ddd, fraction
+    # digits, exponent
+    p = 1 + int_w
+    texts = np.zeros((max([p + 21 + exp_w, *map(len, fallback_texts)]), n), np.uint8)
+    texts[0] = (values < 0) * _MINUS
+    np.multiply(digits[:int_w], _K[:int_w] <= point, out=texts[1:p])
+    texts[1] += ((e < 0) & fixed) * _ZERO
+    texts[p] = (last > point) * _DOT
+    texts[p + 1:p + 4] = ((_K[:3] < -1 - e) & fixed) * _ZERO
+    np.multiply(digits, (_K > point) & (_K <= last), out=texts[p + 4:p + 21])
+    if exp_w:
+        texts[p + 21:p + 24] = expo * _EXP
+        texts[p + 24] = expo * (ord("0") - e)
+    if fallback_texts:
+        padded = b"".join(text.ljust(len(texts), b"\0") for text in fallback_texts)
+        texts[:, fallback] = np.frombuffer(padded, np.uint8).reshape(-1, len(texts)).T
+    return texts
 
 
 _RK4_KERNELS = {}

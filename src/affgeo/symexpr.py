@@ -30,7 +30,9 @@ is decided by evaluation in the test suites, not by canonical forms.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Union
@@ -586,8 +588,11 @@ def _any(mask) -> bool:
     return mask if isinstance(mask, bool) else bool(mask.any())
 
 
-def _each(fn, x):
-    return np.array([fn(v) for v in x.tolist()]) if isinstance(x, np.ndarray) else fn(x)
+def _each(fn, x, *args):
+    """``fn(x, *args)``, element by element where ``x`` is an array."""
+    if isinstance(x, np.ndarray):
+        return np.array(list(map(fn, x.tolist(), *map(itertools.repeat, args))))
+    return fn(x, *args)
 
 
 def evaluate(e: Expression,
@@ -636,7 +641,7 @@ def _evaluate(e: Expression, point, done: dict) -> float | np.ndarray:
         if k < 0 and _any(base == 0.0):
             raise DomainError("zero raised to a negative power")
         try:
-            value = _each(lambda b: b ** k, base)
+            value = _each(operator.pow, base, k)
         except OverflowError:
             raise DomainError("power overflow") from None
     elif isinstance(e, Neg):

@@ -5,7 +5,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from affgeo import cli
 from affgeo import symexpr as se
@@ -424,6 +424,81 @@ def test_newton_dynamics_of_several_frames_equal_one_frame_calls():
     assert newton_dynamics(st, [], 1.7, phi) == []
 
 
+# --- covariance under an affine change of space-time chart ------------------
+
+
+def _nonnegative_powers(e):
+    """``e`` rebuilt node for node with every exponent made non-negative."""
+    if isinstance(e, (Const, Var)):
+        return e
+    if isinstance(e, se.Pow):
+        return se.Pow(_nonnegative_powers(e.base), abs(e.exponent))
+    return type(e)(*[_nonnegative_powers(v) if isinstance(v, se.Expression) else v
+                     for v in (getattr(e, f.name) for f in fields(e))])
+
+
+def _linear(coeffs, names):
+    out = Const(0.0)
+    for c, name in zip(coeffs, names):
+        out = se.add(out, se.mul(Const(float(c)), Var(name)))
+    return out
+
+
+def _in_chart(st_, split, frame, phi, A, b):
+    """The same system written in the chart ``x' = A x + b``.
+
+    With ``S'`` the new spatial basis, ``M = P A^-1 S'`` maps new spatial
+    components to old ones: the clock is ``tau A^-1``, the metric
+    ``M^T g M``, the split and the frame are mapped by ``A`` and the
+    potential is pulled back through ``q = M q'``.  Returns the new
+    space-time, split, frame and potential, and ``M``."""
+    d = st_.d
+    A_inv = np.linalg.inv(A)
+    tau = st_.tau @ A_inv
+    M = st_._spatial_proj @ A_inv @ NewtonSpaceTime(d, tau).spatial_basis
+    g = M.T @ st_.g @ M
+    new = NewtonSpaceTime(d, tau, (g + g.T) / 2.0)
+    q_names = [f"q{i + 1}" for i in range(d)]
+    phi_new = se.subst(phi, {q: _linear(row, q_names) for q, row in zip(q_names, M)})
+    return (new, ObserverSplit(new, A @ split.x0 + b, new.frame(A @ split.frame.u)),
+            new.frame(A @ frame.u), phi_new, M)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), all_kinds(max_leaves=6).map(_nonnegative_powers),
+       st.integers(0, 2**32 - 1))
+def test_newton_world_lines_are_covariant_under_affine_charts(d, tree, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(d + 1, d + 1)) + 2.0 * np.eye(d + 1)
+    assume(np.linalg.cond(A) <= 30.0)
+    b = rng.normal(size=d + 1)
+    tau = np.eye(d + 1)[d] + 0.4 * rng.normal(size=d + 1)
+    assume(abs(tau[d]) >= 0.3)
+    L = rng.normal(size=(d, d))
+    g = L @ L.T + 0.5 * np.eye(d)
+    st_ = NewtonSpaceTime(d, tau, (g + g.T) / 2.0)
+    rest = st_.rest_frame()
+    split = ObserverSplit(st_, rng.normal(size=d + 1), rest.boosted(0.3 * rng.normal(size=d)))
+    frame = rest.boosted(0.3 * rng.normal(size=d))
+    q = [Var(f"q{i + 1}") for i in range(d)]
+    phi = se.subst(tree, {"x": se.sub(q[0], se.mul(Const(0.3), q[-1])),
+                          "y": se.add(q[-1], se.mul(Const(0.5), Var("t")))})
+    m = float(rng.uniform(0.5, 2.0))
+    x0, p0 = rng.uniform(-1.0, 1.0, d + 1), rng.uniform(-1.0, 1.0, d)
+
+    [fld] = newton_dynamics(st_, [frame], m, phi, split)
+    st_new, split_new, frame_new, phi_new, M = _in_chart(st_, split, frame, phi, A, b)
+    [fld_new] = newton_dynamics(st_new, [frame_new], m, phi_new, split_new)
+    try:
+        old = integrate(fld, [*x0, *p0], 1e-2, 0.4)
+    except IntegrationError:
+        assume(False)
+    new = integrate(fld_new, [*(A @ x0 + b), *(M.T @ p0)], 1e-2, 0.4)
+    back = np.linalg.solve(A, (new.events - b).T).T
+    scale = 1.0 + np.max(np.abs(old.states))
+    assert np.max(np.abs(back - old.events)) <= 1e-10 * scale
+
+
 # --- error paths of the integrator ------------------------------------------
 #
 # The field used to run on np.float64, where a zero division or a power
@@ -650,11 +725,11 @@ def _csv_texts(path, values):
     reverse order, as the one state column."""
     values = np.asarray(values, dtype=float)
     Trajectory(("v",), values, values[::-1, None].copy()).to_csv(path)
-    lines = path.read_bytes().split(b"\r\n")
-    assert lines[0] == b"step,time,v" and lines[-1] == b""
-    rows = [line.decode("ascii").split(",") for line in lines[1:-1]]
-    assert [row[0] for row in rows] == [str(k) for k in range(len(values))]
-    return [row[1] for row in rows], [row[2] for row in rows][::-1]
+    header, body = path.read_bytes().split(b"\r\n", 1)
+    assert header == b"step,time,v" and body.endswith(b"\r\n")
+    cells = body[:-2].decode("ascii").replace("\r\n", ",").split(",")
+    assert cells[0::3] == [str(k) for k in range(len(values))]
+    return cells[1::3], cells[2::3][::-1]
 
 
 def _assert_texts_are_printf(path, values):
@@ -667,7 +742,8 @@ def _assert_texts_are_printf(path, values):
     assert states == expected
 
 
-# raw 64-bit patterns, and the same with the exponent of a value in [1e-7, 2e17)
+# raw 64-bit patterns, and the patterns of values of either sign whose
+# magnitude is in [1e-7, 2e17]
 _bits = st.one_of(st.integers(0, 2**64 - 1),
                   st.tuples(st.integers(0, 1),
                             st.integers(int(np.float64(1e-7).view(np.uint64)),
@@ -675,7 +751,7 @@ _bits = st.one_of(st.integers(0, 2**64 - 1),
                   .map(lambda sb: sb[0] << 63 | sb[1]))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(st.lists(_bits, min_size=1, max_size=40))
 def test_csv_text_of_any_bit_pattern_is_its_printf_text(tmp_path_factory, bits):
     values = np.array(bits, dtype=np.uint64).view(np.float64)
@@ -705,8 +781,8 @@ def _sweep():
         *(_steps(float("9" * 25 + f"e{k - 24}"), 50) for k in range(-9, 20)),
         [9.9999999999999999e16, 99999999999999992.0, 9.9999999999999995e-07],
         # raw 64-bit patterns, log-uniform magnitudes and both signs
-        rng.integers(0, 2**64, 60000, dtype=np.uint64).view(np.float64),
-        10.0 ** rng.uniform(-9.0, 19.0, 60000) * rng.choice([-1.0, 1.0], 60000),
+        rng.integers(0, 2**64, 20000, dtype=np.uint64).view(np.float64),
+        10.0 ** rng.uniform(-9.0, 19.0, 100000) * rng.choice([-1.0, 1.0], 100000),
         rng.uniform(-3.0, 3.0, 20000),
         rng.integers(-10**6, 10**6, 5000) / 1000.0,
     ]
@@ -729,7 +805,7 @@ def test_csv_texts_of_a_sweep_of_hard_values_are_their_printf_texts(tmp_path):
     values = _sweep()
     assert len(values) >= 200_000
     finite = values[np.isfinite(values) & (values != 0.0)]
-    assert sum(map(_is_tie, finite[-24 * 1500:].tolist())) >= 1000
+    assert sum(map(_is_tie, finite[-24 * 1500:][::10].tolist())) >= 100
     assert np.any((1e-6 <= np.abs(finite)) & (np.abs(finite) < 1e-4))
     _assert_texts_are_printf(tmp_path / "sweep.csv", values)
 
