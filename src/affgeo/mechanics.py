@@ -201,11 +201,11 @@ def _printf_texts(values: np.ndarray) -> np.ndarray:
     that ``10^16 <= |x| 10^(16 - E) < 10^17`` holds exactly; that product is
     an exact ``hi + lo`` (see :func:`_scaled`).  There ``hi`` is an even
     integer, so ``hi`` plus ``lo`` rounded half to even is the product
-    rounded half to even: the 17 significant digits printf prints (a carry
-    to 10^17 raises ``E``).  The text is then laid out as printf does:
-    fixed notation for ``-4 <= E <= 16``, else ``d.ddde-0E``, trailing zeros
-    and a bare point dropped.  Zeros, non-finite values and all other
-    magnitudes are formatted by ``"%.17g"`` one by one.
+    rounded half to even: the 17 significant digits printf prints.  The
+    text is then laid out as printf does: fixed notation for
+    ``-4 <= E <= 16``, else ``d.ddde-0E``, trailing zeros and a bare point
+    dropped.  Zeros, non-finite values and all other magnitudes are
+    formatted by ``"%.17g"`` one by one.
     """
     n = len(values)
     ax = np.abs(values)
@@ -219,12 +219,11 @@ def _printf_texts(values: np.ndarray) -> np.ndarray:
     if len(moved):  # the estimate is one off next to a power of ten
         e[moved] += np.where(up[moved], 1, -1)
         hi[moved], lo[moved] = _scaled(ax[moved], np.clip(e[moved], _E_MIN, 16))
+    # d < 10^17: no product in range rounds up to it (the largest, for the
+    # double just below 0.1, is 99999999999999991.67)
     d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
     del ax, hi, lo, up, down  # bounds the block's peak memory
-    carry = d == 10 ** 17
-    d[carry] = 10 ** 16
-    e += carry
-    ok &= (_E_MIN <= e) & (e <= 16)
+    ok &= (_E_MIN <= e) & (e <= 16)  # the double 1e-6 has E = -7
     e[~ok] = 0
     halves = np.empty((2, n), np.uint32)
     halves[0], halves[1] = np.divmod(d, 10 ** 9)

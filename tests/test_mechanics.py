@@ -464,7 +464,7 @@ def _in_chart(st_, split, frame, phi, A, b):
             new.frame(A @ frame.u), phi_new, M)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(st.integers(1, 3), all_kinds(max_leaves=6).map(_nonnegative_powers),
        st.integers(0, 2**32 - 1))
 def test_newton_world_lines_are_covariant_under_affine_charts(d, tree, seed):
@@ -751,7 +751,7 @@ _bits = st.one_of(st.integers(0, 2**64 - 1),
                   .map(lambda sb: sb[0] << 63 | sb[1]))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=75, deadline=None)
 @given(st.lists(_bits, min_size=1, max_size=40))
 def test_csv_text_of_any_bit_pattern_is_its_printf_text(tmp_path_factory, bits):
     values = np.array(bits, dtype=np.uint64).view(np.float64)
