@@ -1,5 +1,7 @@
+import cmath
 import dataclasses
 import math
+import operator
 import struct
 
 import numpy as np
@@ -307,6 +309,84 @@ def test_array_evaluation_matches_point_by_point_bit_for_bit(e, seed):
     else:
         assert array.dtype == np.float64
         assert array.view(np.uint64).tolist() == scalar.view(np.uint64).tolist()
+
+
+# --- sympy as an oracle that shares no code with symexpr ----------------------
+
+
+def _to_sympy(e, sp):
+    """``e`` as a sympy expression; each constant keeps its exact binary value."""
+    if isinstance(e, Const):
+        return sp.Rational(e.value)
+    if isinstance(e, Var):
+        return sp.Symbol(e.name)
+    if isinstance(e, se.Pow):
+        return _to_sympy(e.base, sp) ** e.exponent
+    if isinstance(e, se.Neg):
+        return -_to_sympy(e.operand, sp)
+    if isinstance(e, se.Call):
+        return getattr(sp, e.func)(_to_sympy(e.arg, sp))
+    op = {se.Add: operator.add, se.Sub: operator.sub, se.Mul: operator.mul,
+          se.Div: operator.truediv}[type(e)]
+    return op(_to_sympy(e.left, sp), _to_sympy(e.right, sp))
+
+
+def _subtrees(e):
+    yield e
+    for f in dataclasses.fields(e):
+        child = getattr(e, f.name)
+        if isinstance(child, se.Expression):
+            yield from _subtrees(child)
+
+
+def _agree(e, oracle, point, sp):
+    """Whether ``evaluate(e, point)`` is within rounding of the sympy
+    expression ``oracle`` at ``point`` (30 digits); true where either side
+    is undefined there.  Rounding is bounded by the largest value of any
+    subtree of ``e``."""
+    try:
+        value, *inner = [evaluate(t, point) for t in _subtrees(e)]
+        exact = complex(oracle.evalf(30, subs={sp.Symbol(n): v for n, v in point.items()}))
+    except (DomainError, ValueError, TypeError, ZeroDivisionError, OverflowError):
+        return True
+    magnitudes = [abs(value), *map(abs, inner)]
+    if not (all(map(math.isfinite, magnitudes)) and cmath.isfinite(exact)) or exact.imag:
+        return True
+    return abs(value - exact.real) <= 1e-9 * max(1.0, *magnitudes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(all_kinds(8), all_kinds(4), all_kinds(4), st.sampled_from(["x", "y"]),
+       st.integers(0, 2**32 - 1))
+def test_differentiate_subst_and_printing_agree_with_sympy(e, g, h, v, seed):
+    sp = pytest.importorskip("sympy")
+    x, y = sp.symbols("x y")
+    ours = _to_sympy(e, sp)
+    cases = [(e, ours), (differentiate(e, v), sp.diff(ours, sp.Symbol(v))),
+             (subst(e, {"x": g, "y": h}),
+              ours.subs({x: _to_sympy(g, sp), y: _to_sympy(h, sp)}, simultaneous=True))]
+    # each tree printed and read back by sympy must give the same values
+    cases += [(tree, sp.sympify(to_text(tree), locals={"x": x, "y": y})) for tree, _ in cases]
+    for px, py in np.random.default_rng(seed).uniform(-2.0, 2.0, size=(3, 2)).tolist():
+        for tree, oracle in cases:
+            assert _agree(tree, oracle, {"x": px, "y": py}, sp), (to_text(tree), oracle)
+
+
+X, Y = Var("x"), Var("y")
+
+
+@pytest.mark.parametrize("e", [
+    se.Sub(X, se.Sub(Y, X)), se.Sub(X, se.Add(Y, X)), se.Add(X, se.Neg(se.Sub(Y, X))),
+    se.Div(X, se.Mul(Y, X)), se.Div(X, se.Div(Y, X)), se.Mul(se.Add(X, Y), Y),
+    se.Pow(se.Neg(X), 2), se.Pow(se.Add(X, Y), 2), se.Pow(Const(-2.0), 2),
+    se.Neg(se.Add(X, Y)), se.Neg(se.Pow(X, 2)), se.Call("sin", se.Add(X, Y))],
+    ids=lambda e: to_text(e))
+def test_printed_brackets_agree_with_sympy(e):
+    # the operands that must print in brackets, one node kind each
+    sp = pytest.importorskip("sympy")
+    oracle = sp.sympify(to_text(e), locals={"x": sp.Symbol("x"), "y": sp.Symbol("y")})
+    for point in ({"x": 0.3, "y": 0.7}, {"x": -1.1, "y": 1.9}):
+        assert _agree(e, oracle, point, sp)
 
 
 # --- compiled fields and the depth limits of parse ---------------------------
