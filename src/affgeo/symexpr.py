@@ -34,8 +34,8 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass, fields
-from typing import Iterable, Mapping, Union
+from dataclasses import dataclass
+from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 import numpy as np
 
@@ -222,7 +222,7 @@ def _is_const(e: Expression, value: float | None = None) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Smart constructors (the conservative simplifier)
+# Smart constructors (the conservative simplifier) and the node kinds
 
 
 def add(a: Expression, b: Expression) -> Expression:
@@ -332,6 +332,44 @@ def _safe_sqrt(x: float) -> float:
 
 
 _APPLY = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "sqrt": _safe_sqrt}
+
+
+_PREC_ADD = 1
+_PREC_MUL = 2
+_PREC_NEG = 3
+_PREC_POW = 4
+_PREC_ATOM = 5
+
+
+class _Kind(NamedTuple):
+    """How the structural walkers treat one interior node type.  ``text``
+    and ``code`` are formats of the operands' texts, the node itself ``e``."""
+
+    operands: tuple[str, ...]  # the fields that hold subexpressions
+    build: Callable[..., Expression]  # smart constructor of (node, *new operands)
+    text: str  # printed form
+    prec: int  # precedence of the printed form
+    binds: tuple[int, ...]  # least precedence each operand prints bare at
+    code: str  # what compile_field generates
+
+
+_KINDS = {
+    Add: _Kind(("left", "right"), lambda e, a, b: add(a, b), "{0} + {1}", _PREC_ADD,
+               (_PREC_ADD, _PREC_ADD + 1), "{0} + {1}"),
+    Sub: _Kind(("left", "right"), lambda e, a, b: sub(a, b), "{0} - {1}", _PREC_ADD,
+               (_PREC_ADD, _PREC_ADD + 1), "{0} - {1}"),  # left-associative
+    Mul: _Kind(("left", "right"), lambda e, a, b: mul(a, b), "{0}*{1}", _PREC_MUL,
+               (_PREC_MUL, _PREC_MUL + 1), "{0} * {1}"),
+    Div: _Kind(("left", "right"), lambda e, a, b: div(a, b), "{0}/{1}", _PREC_MUL,
+               (_PREC_MUL, _PREC_MUL + 1), "{0} / {1}"),
+    Pow: _Kind(("base",), lambda e, a: pow_(a, e.exponent), "{0}^{e.exponent}",
+               _PREC_POW, (_PREC_ATOM,), "{0} ** {e.exponent}"),
+    # "-x^2" reads as (-x)^2, so a power under a minus prints in brackets
+    Neg: _Kind(("operand",), lambda e, a: neg(a), "-{0}", _PREC_NEG, (_PREC_ATOM,), "-{0}"),
+    # the call's own brackets hold any operand
+    Call: _Kind(("arg",), lambda e, a: call(e.func, a), "{e.func}({0})", _PREC_ATOM,
+                (_PREC_ADD,), "_{e.func}({0})"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -500,10 +538,12 @@ def _check_tree(e: Expression) -> None:
         if depth > MAX_DEPTH:
             raise ExprSyntaxError(
                 f"expression tree deeper than {MAX_DEPTH} levels", 0)
-        if isinstance(node, Const) and not math.isfinite(node.value):
-            raise ExprSyntaxError("constant out of the float range", 0)
-        stack.extend((getattr(node, f.name), depth + 1) for f in fields(node)
-                     if isinstance(getattr(node, f.name), Expression))
+        if isinstance(node, Const):
+            if not math.isfinite(node.value):
+                raise ExprSyntaxError("constant out of the float range", 0)
+        elif not isinstance(node, Var):
+            stack.extend((getattr(node, name), depth + 1)
+                         for name in _KINDS[type(node)].operands)
 
 
 def parse(text: str, ctx: VarContext) -> Expression:
@@ -668,21 +708,11 @@ def subst(e: Expression, bindings: Mapping[str, ExprLike]) -> Expression:
         if e.name in bindings:
             return _coerce(bindings[e.name])
         return e
-    if isinstance(e, Add):
-        return add(subst(e.left, bindings), subst(e.right, bindings))
-    if isinstance(e, Sub):
-        return sub(subst(e.left, bindings), subst(e.right, bindings))
-    if isinstance(e, Mul):
-        return mul(subst(e.left, bindings), subst(e.right, bindings))
-    if isinstance(e, Div):
-        return div(subst(e.left, bindings), subst(e.right, bindings))
-    if isinstance(e, Pow):
-        return pow_(subst(e.base, bindings), e.exponent)
-    if isinstance(e, Neg):
-        return neg(subst(e.operand, bindings))
-    if isinstance(e, Call):
-        return call(e.func, subst(e.arg, bindings))
-    raise TypeError(f"cannot substitute in {type(e).__name__}")
+    kind = _KINDS[type(e)]
+    operands = []
+    for name in kind.operands:  # a loop, not a comprehension: one frame per level
+        operands.append(subst(getattr(e, name), bindings))
+    return kind.build(e, *operands)
 
 
 def free_vars(e: Expression) -> frozenset[str]:
@@ -690,25 +720,14 @@ def free_vars(e: Expression) -> frozenset[str]:
         return frozenset()
     if isinstance(e, Var):
         return frozenset((e.name,))
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return free_vars(e.left) | free_vars(e.right)
-    if isinstance(e, Pow):
-        return free_vars(e.base)
-    if isinstance(e, Neg):
-        return free_vars(e.operand)
-    if isinstance(e, Call):
-        return free_vars(e.arg)
-    raise TypeError(f"no free variables for {type(e).__name__}")
+    names = frozenset()
+    for name in _KINDS[type(e)].operands:
+        names |= free_vars(getattr(e, name))
+    return names
 
 
 # ---------------------------------------------------------------------------
 # Printing
-
-_PREC_ADD = 1
-_PREC_MUL = 2
-_PREC_NEG = 3
-_PREC_POW = 4
-_PREC_ATOM = 5
 
 
 def _fmt_number(value: float) -> str:
@@ -718,41 +737,23 @@ def _fmt_number(value: float) -> str:
 
 
 def _render(e: Expression) -> tuple[str, int]:
+    """The text of ``e`` and its precedence."""
     if isinstance(e, Const):
         if e.value < 0:
             return f"-{_fmt_number(-e.value)}", _PREC_NEG
         return _fmt_number(e.value), _PREC_ATOM
     if isinstance(e, Var):
         return e.name, _PREC_ATOM
-    if isinstance(e, Add) and isinstance(e.right, Neg):
-        l = _paren(e.left, _PREC_ADD)
-        r = _paren(e.right.operand, _PREC_ADD + 1)
-        return f"{l} - {r}", _PREC_ADD
-    if isinstance(e, (Add, Sub)):
-        op = "+" if isinstance(e, Add) else "-"
-        l = _paren(e.left, _PREC_ADD)
-        r = _paren(e.right, _PREC_ADD + 1)  # subtraction is left-associative
-        return f"{l} {op} {r}", _PREC_ADD
-    if isinstance(e, (Mul, Div)):
-        op = "*" if isinstance(e, Mul) else "/"
-        l = _paren(e.left, _PREC_MUL)
-        r = _paren(e.right, _PREC_MUL + 1)
-        return f"{l}{op}{r}", _PREC_MUL
-    if isinstance(e, Neg):
-        return f"-{_paren(e.operand, _PREC_ATOM)}", _PREC_NEG  # "-x^2" is (-x)^2
-    if isinstance(e, Pow):
-        return f"{_paren(e.base, _PREC_ATOM)}^{e.exponent}", _PREC_POW
-    if isinstance(e, Call):
-        inner, _ = _render(e.arg)
-        return f"{e.func}({inner})", _PREC_ATOM
-    raise TypeError(f"cannot print {type(e).__name__}")
-
-
-def _paren(e: Expression, min_prec: int) -> str:
-    text, prec = _render(e)
-    if prec < min_prec:
-        return f"({text})"
-    return text
+    kind = _KINDS[type(e)]
+    operands = [getattr(e, name) for name in kind.operands]
+    if isinstance(e, Add) and isinstance(e.right, Neg):  # a + -b prints as a - b
+        kind = _KINDS[Sub]
+        operands[1] = e.right.operand
+    texts = []
+    for operand, bind in zip(operands, kind.binds):
+        text, prec = _render(operand)
+        texts.append(f"({text})" if prec < bind else text)
+    return kind.text.format(*texts, e=e), kind.prec
 
 
 def to_text(e: Expression) -> str:
@@ -763,7 +764,6 @@ def to_text(e: Expression) -> str:
 # ---------------------------------------------------------------------------
 # Compilation (hot loops only; `evaluate` is the contract-carrying API)
 
-_BINARY = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 _NAMESPACE = {f"_{f}": getattr(math, f) for f in FUNCTIONS}
 _FIELD_FACTORIES = {}  # factory source -> compiled factory, one per field shape
 
@@ -785,20 +785,13 @@ def _emit(e: Expression, args: Mapping[str, str], lines: list[str],
             values.append(args[node.name])
         elif not ready:
             stack.append((node, True))
-            children = [getattr(node, f.name) for f in fields(node)]
-            stack.extend((c, False) for c in reversed(children)
-                         if isinstance(c, Expression))
+            stack.extend((getattr(node, name), False)
+                         for name in reversed(_KINDS[type(node)].operands))
         else:
-            if isinstance(node, Pow):
-                code = f"{values.pop()} ** {node.exponent}"
-            elif isinstance(node, Neg):
-                code = f"-{values.pop()}"
-            elif isinstance(node, Call):
-                code = f"_{node.func}({values.pop()})"
-            else:
-                right = values.pop()
-                code = f"{values.pop()} {_BINARY[type(node)]} {right}"
-            lines.append(f"        _t{len(lines)} = {code}")
+            kind = _KINDS[type(node)]
+            operands = values[-len(kind.operands):]
+            del values[-len(kind.operands):]
+            lines.append(f"        _t{len(lines)} = {kind.code.format(*operands, e=node)}")
             values.append(f"_t{len(lines) - 1}")
     return values.pop()
 

@@ -486,6 +486,9 @@ def _chain(link, depth):
 
 LINKS = {"add": lambda e: se.Add(e, Var("x")), "mul": lambda e: se.Mul(e, Var("x")),
          "sin": lambda e: se.Call("sin", e)}
+TEXTS = {"add": lambda depth: " + ".join(["x"] * depth),  # the text of _chain
+         "mul": lambda depth: "*".join(["x"] * depth),
+         "sin": lambda depth: "sin(" * (depth - 1) + "x" + ")" * (depth - 1)}
 
 
 def _same_bits(e):
@@ -506,6 +509,18 @@ def test_walkers_take_one_frame_per_level(kind):
     deep = _chain(LINKS[kind], 2 * se.MAX_DEPTH)
     differentiate(deep, "x")
     _same_bits(deep)
+    swapped = subst(deep, {"x": Var("y")})
+    assert free_vars(deep) == {"x"} and free_vars(swapped) == {"y"}
+    assert evaluate(swapped, {"y": 0.3}) == evaluate(deep, {"x": 0.3})
+    assert to_text(_chain(LINKS[kind], se.MAX_DEPTH)) == TEXTS[kind](se.MAX_DEPTH)
+    if kind == "sin":  # a call prints with one frame per level
+        assert to_text(deep) == TEXTS[kind](2 * se.MAX_DEPTH)
+
+
+def test_every_interior_node_type_has_one_row():
+    kinds = {cls for cls in vars(se).values()
+             if isinstance(cls, type) and issubclass(cls, se.Expression)}
+    assert set(se._KINDS) == kinds - {se.Expression, Const, Var}
 
 
 def test_simplifier_compares_deep_operands_without_recursion():
