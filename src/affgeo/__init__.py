@@ -29,13 +29,12 @@ cli
 
 from . import affine, brackets, duality, mechanics, phase, symexpr  # noqa: F401
 from .affine import (  # noqa: F401
-    AffineMap, AffineSpaceSpec, BiAffineMap, cocycle_check,
-    difference, linear_part,
+    AffineMap, AffineSpaceSpec, BiAffineMap, difference, linear_part,
 )
 from .brackets import (  # noqa: F401
-    AffJacobiBracket, LieAffgebraData, LieAffgebroidData, Patch,
-    aff_jacobi_bracket, atiyah_algebroid, jet_bundle_affgebroid, hull_extend,
-    is_aff_poisson, verify_affgebra, verify_affgebroid,
+    LieAffgebraData, LieAffgebroidData, Patch, aff_jacobi_bracket,
+    atiyah_algebroid, jet_bundle_affgebroid, hull_extend, is_aff_poisson,
+    verify_affgebra, verify_affgebroid,
 )
 from .duality import (  # noqa: F401
     AVCoordinates, DualElement, F_of_section, HullPoint, SpecialAffineSpace,

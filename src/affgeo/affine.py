@@ -20,7 +20,7 @@ import numpy as np
 
 __all__ = [
     "AffineGeometryError", "AffineSpaceSpec", "AffinePoint", "TangentVec",
-    "AffineMap", "BiAffineMap", "difference", "cocycle_check", "linear_part",
+    "AffineMap", "BiAffineMap", "difference", "linear_part",
 ]
 
 # Construction-time identities use this tolerance; anything downstream
@@ -153,14 +153,6 @@ def difference(p: AffinePoint, q: AffinePoint) -> TangentVec:
         raise AffineGeometryError("points belong to different spaces")
     d = p.in_reference() - q.in_reference()
     return TangentVec(p.space, p.space.reference, _frozen(d))
-
-
-def cocycle_check(a1: AffinePoint, a2: AffinePoint, a3: AffinePoint) -> float:
-    """Residual of (a3-a2) + (a2-a1) + (a1-a3); zero for a true affine space."""
-    total = (difference(a3, a2).components
-             + difference(a2, a1).components
-             + difference(a1, a3).components)
-    return float(np.max(np.abs(total)))
 
 
 class AffineMap:

@@ -43,7 +43,7 @@ __all__ = [
     "BracketError", "NonAffineSectionError", "Patch", "random_polynomial",
     "LieAffgebraData", "LieAffgebroidData", "HullAlgebroidData",
     "verify_affgebra", "verify_affgebroid", "hull_extend",
-    "AffJacobiBracket", "aff_jacobi_bracket", "is_aff_poisson",
+    "aff_jacobi_bracket", "is_aff_poisson",
     "AffPoissonResult", "atiyah_algebroid", "affgebra_to_affgebroid",
     "jet_bundle_affgebroid",
 ]
@@ -518,51 +518,6 @@ def aff_jacobi_bracket(data: LieAffgebroidData, sigma: Expression,
     a = section_for_dual_function(data, sigma)
     b = section_for_dual_function(data, sigma2)
     return iota_sharp(data.bracket(a, b), sd)
-
-
-class AffJacobiBracket:
-    """The dual-side bracket of a special bundle, as a reusable object.
-
-    Callable on pairs of affine sections (expressions in the base and
-    quotient coordinates); the value is a function on the base of the
-    dual AV-bundle, well defined on the quotient by construction.
-    """
-
-    def __init__(self, data: LieAffgebroidData):
-        if data.v is None:
-            raise BracketError("dual bracket needs a distinguished section")
-        self.data = data
-        self._sd = _dual_quotient(data)
-
-    @property
-    def quotient_names(self) -> tuple[str, ...]:
-        return self._sd.quotient_var_names()
-
-    @property
-    def base_names(self) -> tuple[str, ...]:
-        """Coordinates of the dual AV-bundle's base."""
-        return self.data.patch.names + self.quotient_names
-
-    def __call__(self, sigma: Expression, sigma2: Expression) -> Expression:
-        return aff_jacobi_bracket(self.data, sigma, sigma2)
-
-    def hamiltonian_operator_of(self, sigma: Expression):
-        """The partial map of the bracket at a fixed affine section.
-
-        Returns a callable on affine functions of the quotient: the
-        difference of bracket values across a shift of the second slot,
-        which by bi-affinity does not depend on the reference section
-        chosen (the zero section here).  This is the first-order
-        operator whose derivation property the aff-Poisson criterion
-        tests.
-        """
-        reference = se.Const(0.0)
-
-        def operator(f: Expression) -> Expression:
-            return se.sub(self(sigma, se.add(reference, f)),
-                          self(sigma, reference))
-
-        return operator
 
 
 @dataclass

@@ -2,19 +2,25 @@ import numpy as np
 import pytest
 
 from affgeo.affine import (
-    AffineGeometryError, AffineMap, AffineSpaceSpec, BiAffineMap,
-    cocycle_check, difference, linear_part,
+    AffineGeometryError, AffineMap, AffineSpaceSpec, BiAffineMap, difference,
+    linear_part,
 )
+
+
+THETA = 0.7
+THREE_CHARTS = {  # chart: (matrix, offset) into the reference chart
+    "ref": (np.eye(2), np.zeros(2)),
+    "shift": (np.eye(2), np.array([1.0, 1.0])),
+    "rot": (np.array([[np.cos(THETA), -np.sin(THETA)], [np.sin(THETA), np.cos(THETA)]]),
+            np.array([0.5, -2.0])),
+    "scale": (np.diag([2.0, 0.5]), np.array([0.0, 3.0])),
+}
 
 
 def three_chart_space():
     spec = AffineSpaceSpec(2)
-    spec.add_chart("shift", np.eye(2), [1.0, 1.0])
-    theta = 0.7
-    rot = np.array([[np.cos(theta), -np.sin(theta)],
-                    [np.sin(theta), np.cos(theta)]])
-    spec.add_chart("rot", rot, [0.5, -2.0])
-    spec.add_chart("scale", np.diag([2.0, 0.5]), [0.0, 3.0])
+    for name in ("shift", "rot", "scale"):
+        spec.add_chart(name, *THREE_CHARTS[name])
     return spec
 
 
@@ -40,22 +46,32 @@ def test_difference_rejects_mixed_spaces():
         difference(s1.point([0, 0]), s2.point([0, 0]))
 
 
+def _chart_free_deviation(points, transitions):
+    """Largest deviation of ``difference`` over all pairs of ``points`` from
+    the points converted to the reference chart by numpy, each from its own
+    chart's matrix and offset."""
+    refs = [transitions[p.chart][0] @ p.coords + transitions[p.chart][1] for p in points]
+    return max(np.max(np.abs(difference(p, q).components - (rp - rq)))
+               for p, rp in zip(points, refs) for q, rq in zip(points, refs))
+
+
 def test_cocycle_residual_across_charts():
     spec = three_chart_space()
     rng = np.random.default_rng(3)
     for _ in range(16):
         pts = [spec.point(rng.uniform(-5, 5, 2), chart=c)
                for c in ("ref", "rot", "scale")]
-        assert cocycle_check(*pts) < 1e-12
-    same = spec.point([0.3, -0.7])
-    assert cocycle_check(same, same, same) == 0.0
+        assert _chart_free_deviation(pts, THREE_CHARTS) < 1e-12
 
 
 def test_cocycle_single_chart_exact():
+    # scaling by powers of two is exact, so the chart-free value is too
     spec = AffineSpaceSpec(3)
+    scale = np.diag([2.0, 0.5, 4.0])
+    spec.add_chart("scale", scale, np.zeros(3))
     rng = np.random.default_rng(4)
-    pts = [spec.point(rng.uniform(-1, 1, 3)) for _ in range(3)]
-    assert cocycle_check(*pts) == 0.0
+    pts = [spec.point(rng.uniform(-1, 1, 3), chart="scale") for _ in range(3)]
+    assert _chart_free_deviation(pts, {"scale": (scale, np.zeros(3))}) == 0.0
 
 
 def test_chart_invariance_of_difference():

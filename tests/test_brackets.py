@@ -329,30 +329,29 @@ def test_is_aff_poisson_abelian_true():
     assert result.criteria_agree and bool(result)
 
 
-def test_bracket_object_matches_function_and_exposes_coordinates():
-    from affgeo.brackets import AffJacobiBracket
+def test_aff_jacobi_bracket_partial_map_is_a_derivation():
     data = atiyah_algebroid(Patch.box(("x",)))
-    bracket_obj = AffJacobiBracket(data)
-    assert bracket_obj.base_names == ("x", "w1")
     ctx = VarContext.make(base=("x", "w1"))
-    s1, s2 = parse("w1*x", ctx), parse("w1 + x^2", ctx)
-    assert bracket_obj(s1, s2) == aff_jacobi_bracket(data, s1, s2)
-    # the partial map on affine functions is a derivation here: its
-    # zero-order term (value on the constant 1) vanishes
-    X = bracket_obj.hamiltonian_operator_of(s1)
-    assert X(Const(1.0)) == Const(0.0)
+    s1 = parse("w1*x", ctx)
+
+    def partial(f):
+        # the bracket at s1 across a shift of its second slot from the zero section
+        return se.sub(aff_jacobi_bracket(data, s1, f), aff_jacobi_bracket(data, s1, Const(0.0)))
+
+    # a derivation here: its zero-order term (value on the constant 1) vanishes
+    assert partial(Const(1.0)) == Const(0.0)
     rng = np.random.default_rng(11)
-    out = X(Var("w1"))
+    out = partial(Var("w1"))
     oracle = canonical_poisson_oracle(s1, Var("w1"), [("x", "w1")])
     for _ in range(8):
         env = {"x": rng.uniform(-1, 1), "w1": rng.uniform(-1, 1)}
         assert abs(evaluate(out, env) - evaluate(oracle, env)) < 1e-12
 
 
-def test_bracket_object_requires_distinguished_section():
-    from affgeo.brackets import AffJacobiBracket
-    with pytest.raises(BracketError):
-        AffJacobiBracket(jet_bundle_affgebroid())
+def test_aff_jacobi_bracket_requires_distinguished_section():
+    x = Var("x")
+    with pytest.raises(BracketError, match="distinguished section"):
+        aff_jacobi_bracket(jet_bundle_affgebroid(), x, x)
 
 
 # --- sampled residuals: witnesses and non-finite values --------------------
