@@ -6,6 +6,7 @@ in-process through ``cli.main``.  The run must exit 1, with the named
 check failing and carrying a witness.
 """
 
+import itertools
 import json
 
 import numpy as np
@@ -30,6 +31,30 @@ def _d_term_sign_flipped(original):
     return bracket
 
 
+def _sum_for_difference(covector):
+    """The two-form with d_i a_j + d_j a_i in place of d_i a_j - d_j a_i:
+    2 d_j a_i added to each i < j term of the original's form, where
+    ``covector`` gives the components a and their coordinates from the
+    original's arguments."""
+    def defect(original):
+        def planted(*args, **kwargs):
+            form = original(*args, **kwargs)
+            a, names = covector(*args, **kwargs)
+            for i, j in itertools.combinations(range(len(names)), 2):
+                twice = se.mul(se.Const(2.0), se.differentiate(a[i], names[j]))
+                form.terms[i, j] = se.add(form.terms[i, j], twice)
+            return form
+        return planted
+    return defect
+
+
+def _translation_covector(bundle, via=None):
+    # d psi for the fibre translation of omega_Z through the section via
+    psi = se.sub(bundle.section(bundle.reference), bundle.section(via or bundle.reference))
+    names = bundle.patch.names
+    return [se.differentiate(psi, name) for name in names], names
+
+
 DEFECTS = [
     # check, bundled scenario, owner, attribute, the defect made from the original
     ("cocycle_across_charts", "affine_axioms", affine, "difference", _raw_difference),
@@ -44,6 +69,10 @@ DEFECTS = [
      lambda original: lambda *args: se.neg(original(*args))),
     ("dual_bracket_matches_poisson_dim2", "atiyah_poisson", phase, "canonical_poisson",
      lambda original: lambda *args: se.neg(original(*args))),
+    ("bold_d_squared_zero", "phase_forms", phase, "bold_d_oneform",
+     _sum_for_difference(lambda alpha: (alpha.components, alpha.bundle.patch.names))),
+    ("omega_trivialization_invariance", "phase_forms", phase, "omega_Z",
+     _sum_for_difference(_translation_covector)),
 ]
 
 
