@@ -744,14 +744,12 @@ def _render(e: Expression) -> tuple[str, int]:
         return _fmt_number(e.value), _PREC_ATOM
     if isinstance(e, Var):
         return e.name, _PREC_ATOM
+    if isinstance(e, Add) and isinstance(e.right, Neg):
+        e = Sub(e.left, e.right.operand)  # a + -b prints as a - b
     kind = _KINDS[type(e)]
-    operands = [getattr(e, name) for name in kind.operands]
-    if isinstance(e, Add) and isinstance(e.right, Neg):  # a + -b prints as a - b
-        kind = _KINDS[Sub]
-        operands[1] = e.right.operand
     texts = []
-    for operand, bind in zip(operands, kind.binds):
-        text, prec = _render(operand)
+    for name, bind in zip(kind.operands, kind.binds):
+        text, prec = _render(getattr(e, name))
         texts.append(f"({text})" if prec < bind else text)
     return kind.text.format(*texts, e=e), kind.prec
 
