@@ -646,15 +646,13 @@ def affgebra_to_affgebroid(data: LieAffgebraData, v=None) -> LieAffgebroidData:
     return LieAffgebroidData(Patch(), n, beta, c, [], [[] for _ in range(n)], v=v)
 
 
-def jet_bundle_affgebroid(bracket_backend: str = "expansion") -> LieAffgebroidData:
+def jet_bundle_affgebroid() -> LieAffgebroidData:
     """First-jet prolongations of curves on a plane fibred over time.
 
     The bundle consists of the tangent vectors projecting to the unit
     time vector; the reference section is the time direction, the
     model frame the spatial direction, and the anchor the inclusion
     into the tangent bundle, over the box ``(q, t)`` in ``[-1, 1]^2``.
-    With ``bracket_backend="commutator"`` the bracket is computed as an
-    honest vector-field commutator instead of through structure functions.
     """
     zero = se.Const(0.0)
     one_ = se.Const(1.0)
@@ -662,18 +660,4 @@ def jet_bundle_affgebroid(bracket_backend: str = "expansion") -> LieAffgebroidDa
     c = [[[zero]]]
     anchor_ref = [zero, one_]    # the time direction
     anchor_lin = [[one_, zero]]  # the spatial direction
-    bracket_fn = None
-    if bracket_backend == "commutator":
-        def bracket_fn(f, g):
-            # sections are d/dt + f d/dq and d/dt + g d/dq; their
-            # commutator is vertical with the coefficient below
-            fq, gq = f[0], g[0]
-            dt_g = se.differentiate(gq, "t")
-            dt_f = se.differentiate(fq, "t")
-            return [se.add(se.sub(dt_g, dt_f),
-                           se.sub(se.mul(fq, se.differentiate(gq, "q")),
-                                  se.mul(gq, se.differentiate(fq, "q"))))]
-    elif bracket_backend != "expansion":
-        raise BracketError(f"unknown bracket backend {bracket_backend!r}")
-    return LieAffgebroidData(Patch.box(("q", "t")), 1, beta, c, anchor_ref, anchor_lin,
-                             bracket_fn=bracket_fn)
+    return LieAffgebroidData(Patch.box(("q", "t")), 1, beta, c, anchor_ref, anchor_lin)

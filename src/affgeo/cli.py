@@ -4,8 +4,9 @@ Scenario files are INI text with quoted expressions.  ``KINDS`` holds one
 table per scenario kind of every key a file may set, with its type,
 default and range; :class:`Scenario` rejects anything else and hands the
 runners typed values.  Runs are deterministic given the seed (the file's
-or ``--seed``).  The JSON report and any CSVs go to the output directory
-(``--out``, ``$AFFGEO_OUT`` or the working directory) and nowhere else.
+or ``--seed``).  Each runner returns its output files; the JSON report and
+those files go to the output directory (``--out``, ``$AFFGEO_OUT`` or the
+working directory) and nowhere else, and only once every check has run.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 the scenario could not
 be loaded (a file that is not UTF-8 text, an unknown section or key, a key
@@ -254,10 +255,10 @@ def _exprs(texts: list[str], ctx: se.VarContext) -> list[se.Expression]:
 
 
 # ---------------------------------------------------------------------------
-# Runners, one per scenario kind
+# Runners, one per scenario kind: each returns its output files as {name: bytes}, or None
 
 
-def run_affine_verify(sc: Scenario, rng, outdir: Path, report: Report):
+def run_affine_verify(sc: Scenario, rng, report: Report):
     dim = sc["space", "dim"]
     given = {AffineSpaceSpec.reference: (np.eye(dim), np.zeros(dim))}  # chart: (matrix, offset)
     try:
@@ -291,7 +292,7 @@ def run_affine_verify(sc: Scenario, rng, outdir: Path, report: Report):
         amap.apply(spec.convert_point(points, chart)).coords - base for chart in charts]), 1e-12)
 
 
-def run_duality_verify(sc: Scenario, rng, outdir: Path, report: Report):
+def run_duality_verify(sc: Scenario, rng, report: Report):
     dims = sc["params", "dims"]
     report.add("dual_dimension",
                all(dual_dimension(AffineSpaceSpec(n)) == n + 1 for n in dims), 0.0)
@@ -326,7 +327,7 @@ def run_duality_verify(sc: Scenario, rng, outdir: Path, report: Report):
     report.check("pairing_vertical_invariance", residuals, 1e-9)
 
 
-def run_affgebra_verify(sc: Scenario, rng, outdir: Path, report: Report):
+def run_affgebra_verify(sc: Scenario, rng, report: Report):
     dim, preset = sc["structure", "dim"], sc["structure", "c"]
     if preset == "cross3" and dim != 3:
         raise ScenarioError("cross3 structure constants need dim = 3")
@@ -389,7 +390,7 @@ def _check_atiyah_poisson(dim: int, rng, report: Report):
                             result.centrality_residual])[0], result.witness)
 
 
-def run_affgebroid_verify(sc: Scenario, rng, outdir: Path, report: Report):
+def run_affgebroid_verify(sc: Scenario, rng, report: Report):
     if sc["structure", "atiyah"]:
         for dim in sc["structure", "dims"]:
             _check_atiyah_poisson(dim, rng, report)
@@ -428,7 +429,7 @@ def run_affgebroid_verify(sc: Scenario, rng, outdir: Path, report: Report):
         hull.one_cocycle_residual(secs[0], secs[1]), env)], 1e-9)
 
 
-def run_timedep(sc: Scenario, rng, outdir: Path, report: Report):
+def run_timedep(sc: Scenario, rng, report: Report):
     dim = sc["system", "dim"]
     ctx = se.VarContext.make(base=[f"{v}{i + 1}" for v in "qp" for i in range(dim)],
                              time="t")
@@ -442,7 +443,7 @@ def run_timedep(sc: Scenario, rng, outdir: Path, report: Report):
     traj = integrate(fld, y0, sc["integration", "step"], sc["integration", "duration"])
     report.add("finite_trajectory", True, 0.0)
     _check_energy(fld, traj, H, report)
-    traj.to_csv(outdir / (sc["output", "trajectory"] or f"{sc.name}.csv"))
+    return {sc["output", "trajectory"] or f"{sc.name}.csv": traj.to_csv()}
 
 
 def _check_energy(fld, traj, source: se.Expression, report: Report, clock=False):
@@ -463,16 +464,16 @@ def _newton_inputs(sc: Scenario):
             sc["integration", "step"], sc["integration", "duration"])
 
 
-def run_newton(sc: Scenario, rng, outdir: Path, report: Report):
+def run_newton(sc: Scenario, rng, report: Report):
     st, phi, m, x0, p0, h, T = _newton_inputs(sc)
     u = sc["system", "frame"]
     [fld] = newton_dynamics(st, [st.rest_frame() if u is None else st.frame(u)], m, phi)
     traj = integrate(fld, [*x0, *p0], h, T)
     _check_energy(fld, traj, phi, report, clock=True)
-    traj.to_csv(outdir / (sc["output", "trajectory"] or f"{sc.name}.csv"))
+    return {sc["output", "trajectory"] or f"{sc.name}.csv": traj.to_csv()}
 
 
-def run_compare_frames(sc: Scenario, rng, outdir: Path, report: Report):
+def run_compare_frames(sc: Scenario, rng, report: Report):
     st, phi, m, x0, p0, h, T = _newton_inputs(sc)
     initial = ObservedPhase(x0, p0, sc["initial", "s"], st.rest_frame())
     boosts = sc["frames", "boosts"]
@@ -483,8 +484,6 @@ def run_compare_frames(sc: Scenario, rng, outdir: Path, report: Report):
         report.add(f"frame_independence_boost{i + 1}", cmp.passed, cmp.max_deviation,
                    {"boost": v, "step": step, "time": float(rest.times[step]),
                     "residual": cmp.max_deviation})
-    (outdir / f"{sc.name}_comparisons.json").write_text(
-        _dumps([c.to_dict() for c in comparisons], indent=2) + "\n")
 
     backs = [gauge_transform(gauge_transform(initial, v, m), [-x for x in v], m)
              for v in boosts]
@@ -494,9 +493,11 @@ def run_compare_frames(sc: Scenario, rng, outdir: Path, report: Report):
     # the rest-frame world-line every comparison shares
     _check_energy(comparisons[0].field, comparisons[0].trajectories[0], phi, report,
                   clock=True)
+    return {f"{sc.name}_comparisons.json":
+            (_dumps([c.to_dict() for c in comparisons], indent=2) + "\n").encode()}
 
 
-def run_reduction_check(sc: Scenario, rng, outdir: Path, report: Report):
+def run_reduction_check(sc: Scenario, rng, report: Report):
     if sc["checks", "omega"]:
         coords = tuple(sc["forms", "coords"])
         z = AVBundle(Patch.box(coords))
@@ -677,10 +678,15 @@ def run_scenario(path: Path, seed: int | None, outdir: Path, as_json: bool) -> i
     except OSError as err:
         raise ScenarioError(f"cannot create output directory {outdir}: {err}") from None
     report = Report(sc.name)
-    KINDS[sc.kind][0](sc, rng, outdir, report)
+    files = KINDS[sc.kind][0](sc, rng, report) or {}
+    name = f"{sc.name}_report.json"
+    if name in files:
+        raise ScenarioError(f"an output named {name} would overwrite the report")
 
     payload = _dumps({**report.to_dict(), "kind": sc.kind, "seed": sc.seed}, indent=2)
-    (outdir / f"{sc.name}_report.json").write_text(payload + "\n")
+    # every check has run: write the runner's files, then the report
+    for file, data in {**files, name: (payload + "\n").encode()}.items():
+        (outdir / file).write_bytes(data)
     if as_json:
         print(payload)
     else:

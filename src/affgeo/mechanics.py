@@ -28,6 +28,7 @@ rules printed with the opposite momentum sign fail both properties.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 
@@ -102,9 +103,9 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.times)
 
-    def to_csv(self, path) -> None:
-        """The header ``step,time,names...,event_names...`` as
-        :class:`csv.writer` writes it, then one row per sample: the step
+    def to_csv(self) -> bytes:
+        """The CSV text as bytes: the header ``step,time,names...,event_names...``
+        as :class:`csv.writer` writes it, then one row per sample: the step
         index, then the time, the states and the events, each value as
         ``"%.17g" % value`` (it round-trips), lines ended by CRLF.
 
@@ -126,30 +127,30 @@ class Trajectory:
         step_w = len(str(max(n_rows - 1, 0)))
         shown = 10 ** np.arange(step_w - 1, 0, -1)[:, None]  # leading step digits
         per = max(1, _BLOCK // len(distinct))
-        with open(path, "w", newline="") as handle:
-            csv.writer(handle).writerow(
-                ["step", "time", *self.names, *self.event_names])
-            handle.flush()  # the rows below are bytes, written past the text layer
-            for start in range(0, n_rows, per):
-                stop = min(start + per, n_rows)
-                texts = _printf_texts(
-                    np.concatenate([c[start:stop] for c in distinct], dtype=float))
-                width = len(texts)
-                texts = texts.reshape(width, len(distinct), stop - start)
-                # one column per row of the block, one byte of its text per row
-                # of the table: the step, then "," and a value's text per column
-                table = np.empty((step_w + len(columns) * (width + 1) + 2, stop - start),
-                                 np.uint8)
-                step = np.arange(start, stop, dtype=np.uint32)
-                _digits(step, table[:step_w])
-                table[:step_w] += _ZERO
-                table[:step_w - 1] *= step >= shown
-                cells = table[step_w:-2].reshape(len(columns), width + 1, -1)
-                cells[:, 0] = ord(",")
-                for c, u in enumerate(where):
-                    cells[c, 1:] = texts[:, u]
-                table[-2:] = np.array([[13], [10]], np.uint8)  # CRLF
-                handle.buffer.write(table.T.tobytes().translate(None, b"\0"))
+        header = io.StringIO()
+        csv.writer(header).writerow(["step", "time", *self.names, *self.event_names])
+        blocks = [header.getvalue().encode()]
+        for start in range(0, n_rows, per):
+            stop = min(start + per, n_rows)
+            texts = _printf_texts(
+                np.concatenate([c[start:stop] for c in distinct], dtype=float))
+            width = len(texts)
+            texts = texts.reshape(width, len(distinct), stop - start)
+            # one column per row of the block, one byte of its text per row
+            # of the table: the step, then "," and a value's text per column
+            table = np.empty((step_w + len(columns) * (width + 1) + 2, stop - start),
+                             np.uint8)
+            step = np.arange(start, stop, dtype=np.uint32)
+            _digits(step, table[:step_w])
+            table[:step_w] += _ZERO
+            table[:step_w - 1] *= step >= shown
+            cells = table[step_w:-2].reshape(len(columns), width + 1, -1)
+            cells[:, 0] = ord(",")
+            for c, u in enumerate(where):
+                cells[c, 1:] = texts[:, u]
+            table[-2:] = np.array([[13], [10]], np.uint8)  # CRLF
+            blocks.append(table.T.tobytes().translate(None, b"\0"))
+        return b"".join(blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -69,17 +69,22 @@ def grid16():
     return Patch.box(("q", "t")).grid(4)
 
 
+def jet_commutator(f, g):
+    """The commutator of d/dt + f d/dq with d/dt + g d/dq, which is
+    vertical: the jet bundle's bracket of the sections ``f`` and ``g``."""
+    def d(e, v):
+        return se.differentiate(e, v)
+    [f], [g] = f, g
+    return [d(g, "t") + f * d(g, "q") - d(f, "t") - g * d(f, "q")]
+
+
 def test_jet_bundle_bracket_matches_commutator_oracle():
     data = jet_bundle_affgebroid()
     ctx = VarContext.make(base=("q", "t"))
     f = parse("sin(q)*t", ctx)
     g = parse("q^2 - t", ctx)
     out = data.bracket([f], [g])[0]
-
-    # oracle: commutator of d/dt + f d/dq with d/dt + g d/dq
-    def d(e, v):
-        return se.differentiate(e, v)
-    oracle = d(g, "t") + f * d(g, "q") - d(f, "t") - g * d(f, "q")
+    [oracle] = jet_commutator([f], [g])
 
     for p in grid16():
         env = {"q": p[0], "t": p[1]}
@@ -88,7 +93,9 @@ def test_jet_bundle_bracket_matches_commutator_oracle():
 
 def test_jet_bundle_backends_agree():
     via_expansion = jet_bundle_affgebroid()
-    via_commutator = jet_bundle_affgebroid(bracket_backend="commutator")
+    via_commutator = LieAffgebroidData(
+        via_expansion.patch, 1, via_expansion.beta, via_expansion.c,
+        via_expansion.anchor_ref, via_expansion.anchor_lin, bracket_fn=jet_commutator)
     ctx = VarContext.make(base=("q", "t"))
     f = parse("q*t + 1", ctx)
     g = parse("cos(t) - q", ctx)
@@ -114,12 +121,12 @@ def test_affgebroid_construction_rejects_bad_antisymmetry():
 
 
 def test_doubled_anchor_breaks_leibniz_for_independent_bracket():
-    data = jet_bundle_affgebroid(bracket_backend="commutator")
+    data = jet_bundle_affgebroid()
     doctored = LieAffgebroidData(
         data.patch, 1, data.beta, data.c,
         [se.mul(Const(2.0), a) for a in data.anchor_ref],
         [[se.mul(Const(2.0), a) for a in lin] for lin in data.anchor_lin],
-        bracket_fn=data.bracket_fn)
+        bracket_fn=jet_commutator)
     report = verify_affgebroid(doctored, grid16(),
                                rng=np.random.default_rng(3))
     leib = report["leibniz"]
@@ -211,12 +218,12 @@ def test_hull_distinguished_dual_section_is_closed():
 
 
 def test_hull_extend_refuses_invalid_input():
-    data = jet_bundle_affgebroid(bracket_backend="commutator")
+    data = jet_bundle_affgebroid()
     doctored = LieAffgebroidData(
         data.patch, 1, data.beta, data.c,
         [se.mul(Const(2.0), a) for a in data.anchor_ref],
         [[se.mul(Const(2.0), a) for a in lin] for lin in data.anchor_lin],
-        bracket_fn=data.bracket_fn)
+        bracket_fn=jet_commutator)
     with pytest.raises(BracketError):
         hull_extend(doctored)
 

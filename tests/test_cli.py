@@ -569,3 +569,21 @@ def test_outputs_stay_inside_the_output_directory(tmp_path, capsys, name, trajec
     assert err.startswith("error:")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["work"]
     assert sorted(p.name for p in work.iterdir()) == ["scenario.ini"]
+
+
+def test_a_trajectory_named_like_the_report_exits_2(tmp_path, capsys):
+    text = TIMEDEP_OUT.format(name="osc", trajectory="osc_report.json")
+    code, err, out = run_text(tmp_path, capsys, text)
+    assert code == 2
+    assert err.startswith("error:") and "osc_report.json" in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", ["frames_free", "newton_free", "oscillator_timedep"])
+def test_a_run_interrupted_by_a_domain_error_writes_no_file(tmp_path, capsys,
+                                                            monkeypatch, name):
+    def planted(fld, traj):
+        raise cli.se.DomainError("planted")
+    monkeypatch.setattr(cli, "energy_drift", planted)
+    assert run(["run", name, "--out", str(tmp_path)]) == 3
+    assert list(tmp_path.iterdir()) == []

@@ -138,9 +138,7 @@ def test_energy_drift_matches_direct_loop():
 def test_trajectory_csv_rows(tmp_path):
     fld = timedep_dynamics(osc_system())
     traj = integrate(fld, [1.0, 0.0, 0.0], h=1e-3, T=10.0)
-    path = tmp_path / "traj.csv"
-    traj.to_csv(path)
-    lines = path.read_bytes().split(b"\r\n")
+    lines = traj.to_csv().split(b"\r\n")
     assert lines[0] == b"step,time,q1,p1,t,q1,t"
     assert len([ln for ln in lines if ln]) == 10002  # header + 10001 rows
 
@@ -465,7 +463,7 @@ def _in_chart(st_, split, frame, phi, A, b):
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.integers(1, 3), all_kinds(max_leaves=6).map(_nonnegative_powers),
+@given(st.integers(1, 3), all_kinds(max_leaves=4).map(_nonnegative_powers),
        st.integers(0, 2**32 - 1))
 def test_newton_world_lines_are_covariant_under_affine_charts(d, tree, seed):
     rng = np.random.default_rng(seed)
@@ -685,9 +683,8 @@ def test_csv_bytes_match_the_csv_writer(tmp_path_factory, rows, n, n_events, dat
         traj.events = table[:, 1 + n:]
         traj.event_names = tuple(f"e{i}" for i in range(n_events))
     out = tmp_path_factory.mktemp("csv")
-    traj.to_csv(out / "new.csv")
     reference_csv(traj, out / "old.csv")
-    assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
+    assert traj.to_csv() == (out / "old.csv").read_bytes()
 
 
 def test_csv_formats_copied_columns_once_and_near_copies_apart(tmp_path):
@@ -700,10 +697,9 @@ def test_csv_formats_copied_columns_once_and_near_copies_apart(tmp_path):
     ])
     traj = Trajectory(("a", "b", "c"), np.array([0.0, 0.5, 1.0]), states,
                       ("a", "b~", "c~", "c"), events)
-    traj.to_csv(tmp_path / "new.csv")
     reference_csv(traj, tmp_path / "old.csv")
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-    rows = (tmp_path / "new.csv").read_text().splitlines()
+    assert traj.to_csv() == (tmp_path / "old.csv").read_bytes()
+    rows = traj.to_csv().decode().splitlines()
     assert rows[2] == "1,0.5,-2,0,1e-300,-2,-0,1.0000000000000002e-300,1e-300"
 
 
@@ -712,30 +708,29 @@ def test_timedep_trajectory_csv_matches_the_csv_writer(tmp_path):
     # the events are picked from the columns at once, as from each state
     assert traj.event_names == ("q1", "t")
     assert np.array_equal(traj.events, [[s[0], s[-1]] for s in traj.states])
-    traj.to_csv(tmp_path / "new.csv")
     reference_csv(traj, tmp_path / "old.csv")
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert traj.to_csv() == (tmp_path / "old.csv").read_bytes()
 
 
 # --- each CSV value is its "%.17g" text --------------------------------------
 
 
-def _csv_texts(path, values):
+def _csv_texts(values):
     """The texts ``to_csv`` writes for ``values``, as the time column and, in
     reverse order, as the one state column."""
     values = np.asarray(values, dtype=float)
-    Trajectory(("v",), values, values[::-1, None].copy()).to_csv(path)
-    header, body = path.read_bytes().split(b"\r\n", 1)
+    csv_bytes = Trajectory(("v",), values, values[::-1, None].copy()).to_csv()
+    header, body = csv_bytes.split(b"\r\n", 1)
     assert header == b"step,time,v" and body.endswith(b"\r\n")
     cells = body[:-2].decode("ascii").replace("\r\n", ",").split(",")
     assert cells[0::3] == [str(k) for k in range(len(values))]
     return cells[1::3], cells[2::3][::-1]
 
 
-def _assert_texts_are_printf(path, values):
+def _assert_texts_are_printf(values):
     values = np.asarray(values, dtype=float)
     expected = ["%.17g" % v for v in values.tolist()]
-    times, states = _csv_texts(path, values)
+    times, states = _csv_texts(values)
     bad = [(v, got, want) for v, got, want in zip(values.tolist(), times, expected)
            if got != want]
     assert bad == []
@@ -753,9 +748,9 @@ _bits = st.one_of(st.integers(0, 2**64 - 1),
 
 @settings(max_examples=75, deadline=None)
 @given(st.lists(_bits, min_size=1, max_size=40))
-def test_csv_text_of_any_bit_pattern_is_its_printf_text(tmp_path_factory, bits):
+def test_csv_text_of_any_bit_pattern_is_its_printf_text(bits):
     values = np.array(bits, dtype=np.uint64).view(np.float64)
-    _assert_texts_are_printf(tmp_path_factory.mktemp("csv") / "bits.csv", values)
+    _assert_texts_are_printf(values)
 
 
 def _steps(x, n):
@@ -801,13 +796,13 @@ def _is_tie(x):
     return len(digits) == 18 and digits[-1] == 5
 
 
-def test_csv_texts_of_a_sweep_of_hard_values_are_their_printf_texts(tmp_path):
+def test_csv_texts_of_a_sweep_of_hard_values_are_their_printf_texts():
     values = _sweep()
     assert len(values) >= 200_000
     finite = values[np.isfinite(values) & (values != 0.0)]
     assert sum(map(_is_tie, finite[-24 * 1500:][::10].tolist())) >= 100
     assert np.any((1e-6 <= np.abs(finite)) & (np.abs(finite) < 1e-4))
-    _assert_texts_are_printf(tmp_path / "sweep.csv", values)
+    _assert_texts_are_printf(values)
 
 
 @pytest.mark.parametrize("name", ["oscillator_timedep", "newton_free"])
@@ -815,13 +810,14 @@ def test_bundled_csvs_match_the_csv_writer(tmp_path, monkeypatch, capsys, name):
     written = []
     to_csv = Trajectory.to_csv
 
-    def record(traj, path):
-        written.append((traj, path))
-        to_csv(traj, path)
+    def record(traj):
+        written.append(traj)
+        return to_csv(traj)
 
     monkeypatch.setattr(Trajectory, "to_csv", record)
-    assert cli.main(["run", name, "--out", str(tmp_path)]) == 0
-    [(traj, path)] = written
+    assert cli.main(["run", name, "--out", str(tmp_path / "out")]) == 0
+    [traj] = written
+    [path] = (tmp_path / "out").glob("*.csv")
     reference_csv(traj, tmp_path / "reference.csv")
     assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
@@ -845,8 +841,7 @@ def test_a_field_without_events_gives_a_trajectory_without_events(tmp_path):
     assert fld.events == ()
     traj = integrate(fld, [1.0, 0.0], h=0.1, T=1.0)
     assert traj.events is None and traj.event_names == ()
-    traj.to_csv(tmp_path / "plain.csv")
-    lines = (tmp_path / "plain.csv").read_text().splitlines()
+    lines = traj.to_csv().decode().splitlines()
     assert lines[0] == "step,time,x,v"
     assert all(len(line.split(",")) == 4 for line in lines)
 

@@ -267,11 +267,16 @@ def _safe(arg):
     return se.Add(Const(1.5), se.Mul(arg, arg))
 
 
-def all_kinds(max_leaves=10):
+def all_kinds(max_leaves=6):
     """Strategy for trees that use every node kind, built without the
-    simplifier; divisors, ``sqrt`` and ``exp`` get safe arguments."""
+    simplifier; divisors, ``sqrt`` and ``exp`` get safe arguments.
+
+    The root is an interior node, every leaf is a variable and the two
+    operands of a binary node differ, so that few derivatives and
+    substitutions of a drawn tree fold to a constant.  Constants enter
+    through the safe arguments, the exponents and the derivatives."""
     def extend(children):
-        pairs = st.tuples(children, children)
+        pairs = st.tuples(children, children).filter(lambda ab: ab[0] != ab[1])
         return st.one_of(
             pairs.map(lambda ab: se.Add(*ab)),
             pairs.map(lambda ab: se.Sub(*ab)),
@@ -284,7 +289,8 @@ def all_kinds(max_leaves=10):
             children.map(lambda e: se.Call("exp", se.Call("sin", e))),
             children.map(lambda e: se.Call("sqrt", _safe(e))),
         )
-    return st.recursive(_leaf(None), extend, max_leaves=max_leaves)
+    variables = st.sampled_from([Var("x"), Var("y")])
+    return extend(st.recursive(variables, extend, max_leaves=max_leaves))
 
 
 def _outcome(fn):
@@ -356,15 +362,17 @@ def _agree(e, oracle, point, sp):
 
 
 @settings(max_examples=150, deadline=None)
-@given(all_kinds(8), all_kinds(4), all_kinds(4), st.sampled_from(["x", "y"]),
+@given(all_kinds(6), all_kinds(3), all_kinds(3), st.sampled_from(["x", "y"]),
        st.integers(0, 2**32 - 1))
 def test_differentiate_subst_and_printing_agree_with_sympy(e, g, h, v, seed):
     sp = pytest.importorskip("sympy")
+    if v not in free_vars(e):  # a derivative by a variable e holds
+        v = min(free_vars(e))
     x, y = sp.symbols("x y")
     ours = _to_sympy(e, sp)
     cases = [(e, ours), (differentiate(e, v), sp.diff(ours, sp.Symbol(v))),
              (subst(e, {"x": g, "y": h}),
-              ours.subs({x: _to_sympy(g, sp), y: _to_sympy(h, sp)}, simultaneous=True))]
+              ours.xreplace({x: _to_sympy(g, sp), y: _to_sympy(h, sp)}))]
     # each tree printed and read back by sympy must give the same values
     cases += [(tree, sp.sympify(to_text(tree), locals={"x": x, "y": y})) for tree, _ in cases]
     for px, py in np.random.default_rng(seed).uniform(-2.0, 2.0, size=(3, 2)).tolist():
