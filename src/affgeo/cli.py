@@ -13,8 +13,8 @@ be loaded (a file that is not UTF-8 text, an unknown section or key, a key
 its mode does not read, a missing key, a value of the wrong type or out of
 range), holds a value the library rejects, a malformed expression or one
 too deep for the symbolic layer, or an output cannot be written (``--out``
-names a file, or an output's name is a directory), 3 a runtime domain
-error interrupted the run.
+names a file, an output's name is a directory or the report's), 3 a
+runtime domain error interrupted the run.
 """
 
 from __future__ import annotations
