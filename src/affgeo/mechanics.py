@@ -129,7 +129,8 @@ class Trajectory:
         per = max(1, _BLOCK // len(distinct))
         header = io.StringIO()
         csv.writer(header).writerow(["step", "time", *self.names, *self.event_names])
-        blocks = [header.getvalue().encode()]
+        out = io.BytesIO()  # getvalue() hands over its buffer without a copy
+        out.write(header.getvalue().encode())
         for start in range(0, n_rows, per):
             stop = min(start + per, n_rows)
             texts = _printf_texts(
@@ -149,8 +150,8 @@ class Trajectory:
             for c, u in enumerate(where):
                 cells[c, 1:] = texts[:, u]
             table[-2:] = np.array([[13], [10]], np.uint8)  # CRLF
-            blocks.append(table.T.tobytes().translate(None, b"\0"))
-        return b"".join(blocks)
+            out.write(table.T.tobytes().translate(None, b"\0"))
+        return out.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -463,7 +463,7 @@ def _in_chart(st_, split, frame, phi, A, b):
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.integers(1, 3), all_kinds(max_leaves=4).map(_nonnegative_powers),
+@given(st.integers(1, 3), all_kinds(max_leaves=6).map(_nonnegative_powers),
        st.integers(0, 2**32 - 1))
 def test_newton_world_lines_are_covariant_under_affine_charts(d, tree, seed):
     rng = np.random.default_rng(seed)
