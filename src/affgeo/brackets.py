@@ -28,6 +28,7 @@ are arbitrary expressions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import symexpr as se
 from .affine import AffineSpaceSpec, _matvec
-from .duality import SpecialAffineSpace, SpecialDualSpace, iota_sharp, special_dual
+from .duality import SpecialAffineSpace, SpecialDualSpace, iota_sharp
 from .reporting import Report, first_worst, per_point_max
 from .symexpr import Expression
 
@@ -314,10 +315,13 @@ class LieAffgebroidData:
 
     # -- helpers -----------------------------------------------------------
 
-    def special_space(self) -> SpecialAffineSpace:
+    @functools.cached_property
+    def special_dual(self) -> SpecialDualSpace:
+        """The special dual of the fibre, with the quotient coordinates of
+        the dual side; built once per structure."""
         if self.v is None:
             raise BracketError("no distinguished section on this bundle")
-        return SpecialAffineSpace(AffineSpaceSpec(self.rank), self.v)
+        return SpecialDualSpace(SpecialAffineSpace(AffineSpaceSpec(self.rank), self.v))
 
 
 def _point_residuals(data: LieAffgebroidData, comps, points) -> np.ndarray:
@@ -484,15 +488,11 @@ def _affine_w_coefficients(sigma: Expression, names) -> tuple[list[Expression], 
     return coeffs, se.subst(sigma, zero)
 
 
-def _dual_quotient(data: LieAffgebroidData) -> SpecialDualSpace:
-    return special_dual(data.special_space())
-
-
 def section_for_dual_function(data: LieAffgebroidData,
                               sigma: Expression) -> list[Expression]:
     """Section of the bundle corresponding to an affine function on the
     quotient of its special dual (the F identification, dual side)."""
-    sd = _dual_quotient(data)
+    sd = data.special_dual
     names = sd.quotient_var_names()
     if set(names) & set(data.patch.names):
         raise BracketError("quotient coordinate names collide with base names")
@@ -514,7 +514,7 @@ def aff_jacobi_bracket(data: LieAffgebroidData, sigma: Expression,
     and the result is pushed back down to a function on the quotient of
     the special dual.
     """
-    sd = _dual_quotient(data)
+    sd = data.special_dual
     a = section_for_dual_function(data, sigma)
     b = section_for_dual_function(data, sigma2)
     return iota_sharp(data.bracket(a, b), sd)
@@ -554,10 +554,11 @@ def is_aff_poisson(data: LieAffgebroidData,
 
     Both are evaluated at 8 random base points; the derivation residual
     must stay below :data:`JACOBI_TOL`, the centrality residual below
-    :data:`CENTRALITY_TOL`.
+    :data:`CENTRALITY_TOL`.  When a criterion fails, the witness names the
+    one with the larger residual, its worst point and that residual.
     """
     rng = rng or np.random.default_rng(0)
-    sd = _dual_quotient(data)
+    sd = data.special_dual
     names = sd.quotient_var_names()
     pts = data.patch.sample(rng, 8)
 
@@ -592,18 +593,24 @@ def is_aff_poisson(data: LieAffgebroidData,
     for X in frame:
         weight, comps = hull.bracket(v_sec, X)
         central += [weight] + comps
-    worst_c = first_worst(_point_residuals(data, central, pts))[0]
+    worst_c, at_c = first_worst(_point_residuals(data, central, pts))
     centrality_ok = worst_c < CENTRALITY_TOL
 
+    # the witness of the worse failing criterion
+    witness = None
+    if not derivation_ok:
+        witness = {"criterion": "derivation", "residual": worst_d,
+                   "point": {n: float(v[at[1]]) for n, v in envs[at[0]].items()}}
+    if not centrality_ok and first_worst([worst_d, worst_c])[1] == (1,):
+        witness = {"criterion": "centrality", "residual": worst_c,
+                   "point": dict(zip(data.patch.names, pts[at_c[0]].tolist()))}
     return AffPoissonResult(
         is_poisson=derivation_ok and centrality_ok,
         derivation_ok=derivation_ok,
         centrality_ok=centrality_ok,
         derivation_residual=worst_d,
         centrality_residual=worst_c,
-        witness=None if derivation_ok else {
-            "point": {n: float(v[at[1]]) for n, v in envs[at[0]].items()},
-            "residual": worst_d},
+        witness=witness,
     )
 
 

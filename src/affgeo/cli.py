@@ -6,7 +6,8 @@ default and range; :class:`Scenario` rejects anything else and hands the
 runners typed values.  Runs are deterministic given the seed (the file's
 or ``--seed``).  Each runner returns its output files; the JSON report and
 those files go to the output directory (``--out``, ``$AFFGEO_OUT`` or the
-working directory) and nowhere else, and only once every check has run.
+working directory) and nowhere else, only once every check has run, and
+all of them or none.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 the scenario could not
 be loaded (a file that is not UTF-8 text, an unknown section or key, a key
@@ -435,7 +436,8 @@ def run_timedep(sc: Scenario, rng, report: Report):
                              time="t")
     H = _expr(sc["system", "hamiltonian"], ctx)
     fld = timedep_dynamics(TimeDepSystem(dim, H), rng=rng)
-    report.check("dynamics_agreement", fld.cross_check_residual, 1e-12)
+    report.check("dynamics_agreement", fld.cross_check_residuals, 1e-12, lambda at: {
+        "state": {n: float(v[at[0]]) for n, v in fld.cross_check_states.items()}})
 
     y0 = sc["integration", "initial"]
     if len(y0) == 2 * dim:  # the initial time may be left out
@@ -666,6 +668,26 @@ def _dumps(obj, **kwargs) -> str:
     return json.dumps(obj, sort_keys=True, default=np.generic.item, **kwargs)
 
 
+def _write_all(outdir: Path, files: dict[str, bytes]) -> None:
+    """Write every file or none: each to a temporary file in ``outdir``,
+    then each renamed over its name, in order.  On a failure the
+    temporaries, and the files already renamed, are removed."""
+    paths = [(outdir / f".{file}.{os.getpid()}.tmp", outdir / file) for file in files]
+    placed = 0
+    try:
+        for (temp, _), data in zip(paths, files.values()):
+            temp.write_bytes(data)
+        for temp, path in paths:
+            temp.replace(path)
+            placed += 1
+    except OSError:
+        for _, path in paths[:placed]:
+            path.unlink(missing_ok=True)
+        for temp, _ in paths[placed:]:
+            temp.unlink(missing_ok=True)
+        raise
+
+
 def run_scenario(path: Path, seed: int | None, outdir: Path, as_json: bool) -> int:
     sc = Scenario(path)
     if seed is not None:
@@ -684,9 +706,8 @@ def run_scenario(path: Path, seed: int | None, outdir: Path, as_json: bool) -> i
         raise ScenarioError(f"an output named {name} would overwrite the report")
 
     payload = _dumps({**report.to_dict(), "kind": sc.kind, "seed": sc.seed}, indent=2)
-    # every check has run: write the runner's files, then the report
-    for file, data in {**files, name: (payload + "\n").encode()}.items():
-        (outdir / file).write_bytes(data)
+    # every check has run: write the runner's files and the report
+    _write_all(outdir, {**files, name: (payload + "\n").encode()})
     if as_json:
         print(payload)
     else:

@@ -9,8 +9,10 @@ that re-parses to an equivalent expression, and compilation into one
 function of positional values for integrator loops (:func:`compile_field`).
 
 Trees share subtrees: a derivative reuses the nodes of its source.  So
-each interior node caches the derivatives taken of it, and
-:func:`evaluate` evaluates each shared node once per call.
+each interior node caches the derivatives taken of it and its free
+variables, :func:`evaluate` evaluates each shared node once per call,
+and :func:`differentiate` and :func:`subst` return at once from a
+subtree that does not hold the variable.
 
 Grammar accepted by :func:`parse` (whitespace insignificant)::
 
@@ -88,12 +90,18 @@ class DomainError(ExpressionError):
 class Expression:
     """Base node.  Instances are immutable and freely shareable.
 
-    The one slot of the base, ``_partials``, is not a dataclass field: it
-    holds the derivatives :func:`differentiate` took of the node, by
-    variable name, and takes no part in ``==``, ``hash`` or ``repr``.
+    The two slots of the base are not dataclass fields.  On an interior
+    node, ``_partials`` holds the derivatives :func:`differentiate` took
+    of it, by variable name, and ``_free`` the names :func:`free_vars`
+    counted in it; each is None until then.  Neither takes part in
+    ``==``, ``hash``, ``repr`` or :func:`compile_field`.
     """
 
-    __slots__ = ("_partials",)
+    __slots__ = ("_partials", "_free")
+
+    def __post_init__(self):
+        object.__setattr__(self, "_partials", None)
+        object.__setattr__(self, "_free", None)
 
     def __add__(self, other: ExprLike) -> "Expression":
         return add(self, _coerce(other))
@@ -185,6 +193,7 @@ class Call(Expression):
 
 ZERO = Const(0.0)
 ONE = Const(1.0)
+_NO_NAMES = frozenset()
 
 
 def _coerce(x: ExprLike) -> Expression:
@@ -551,11 +560,11 @@ def parse(text: str, ctx: VarContext) -> Expression:
 
     A constant that is or folds to inf (``1e200*1e200``) is an error, and
     so is input past the depth the recursive walkers (``differentiate``,
-    ``subst``, ``evaluate``, printing) handle within Python's default
-    recursion limit: brackets, calls and unary minus nested more than
-    :data:`MAX_NESTING` deep, or a tree deeper than :data:`MAX_DEPTH`
-    levels (a sum of ``MAX_DEPTH - 1`` products, say).  Near the limit,
-    derivatives deeper than their source can still raise
+    ``subst``, ``free_vars``, ``evaluate``, printing) handle within
+    Python's default recursion limit: brackets, calls and unary minus
+    nested more than :data:`MAX_NESTING` deep, or a tree deeper than
+    :data:`MAX_DEPTH` levels (a sum of ``MAX_DEPTH - 1`` products, say).
+    Near the limit, derivatives deeper than their source can still raise
     ``RecursionError``.
     """
     e = _Parser(text, ctx).parse()
@@ -572,15 +581,17 @@ def differentiate(e: Expression, v: str) -> Expression:
 
     Each interior node keeps the derivatives taken of it, so asking again
     for the partial of a node, or of a subtree it shares with another
-    expression, returns the same object without walking the subtree.
+    expression, returns the same object without walking the subtree.  A
+    node that does not hold ``v`` returns ``ZERO`` at once.
     """
     if isinstance(e, Const):
         return ZERO
     if isinstance(e, Var):
         return ONE if e.name == v else ZERO
-    try:
-        partials = e._partials
-    except AttributeError:
+    if v not in free_vars(e):
+        return ZERO
+    partials = e._partials
+    if partials is None:
         partials = {}
         object.__setattr__(e, "_partials", partials)
     else:
@@ -701,12 +712,15 @@ def _evaluate(e: Expression, point, done: dict) -> float | np.ndarray:
 
 
 def subst(e: Expression, bindings: Mapping[str, ExprLike]) -> Expression:
-    """Substitute expressions (or numbers) for variables, re-simplifying."""
+    """Substitute expressions (or numbers) for variables, re-simplifying;
+    a subtree that holds none of the bound names is returned as it is."""
     if isinstance(e, Const):
         return e
     if isinstance(e, Var):
         if e.name in bindings:
             return _coerce(bindings[e.name])
+        return e
+    if free_vars(e).isdisjoint(bindings):
         return e
     kind = _KINDS[type(e)]
     operands = []
@@ -716,13 +730,20 @@ def subst(e: Expression, bindings: Mapping[str, ExprLike]) -> Expression:
 
 
 def free_vars(e: Expression) -> frozenset[str]:
+    """The names of the variables in ``e``.  An interior node counts them
+    once and keeps them; it shares an operand's set that holds the other's."""
     if isinstance(e, Const):
-        return frozenset()
+        return _NO_NAMES
     if isinstance(e, Var):
         return frozenset((e.name,))
-    names = frozenset()
-    for name in _KINDS[type(e)].operands:
-        names |= free_vars(getattr(e, name))
+    names = e._free
+    if names is None:
+        names = _NO_NAMES
+        for name in _KINDS[type(e)].operands:  # a loop: one frame per level
+            more = free_vars(getattr(e, name))
+            if not more <= names:
+                names = more if names <= more else names | more
+        object.__setattr__(e, "_free", names)
     return names
 
 

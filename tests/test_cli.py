@@ -167,6 +167,26 @@ def test_an_output_file_name_that_is_a_directory_exits_2(tmp_path, capsys, outpu
     assert err.startswith("error:") and output in err and "Traceback" not in err
 
 
+def test_a_report_that_cannot_be_written_leaves_no_output(tmp_path, capsys):
+    # the CSV comes before the report; a directory in the report's place
+    # must take the CSV and every temporary file back with it
+    (tmp_path / "newton_free_report.json").mkdir()
+    assert run(["run", "newton_free", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["newton_free_report.json"]
+    assert list((tmp_path / "newton_free_report.json").iterdir()) == []
+
+
+def test_outputs_replace_the_files_of_an_earlier_run(tmp_path, capsys):
+    for name in ("newton_free.csv", "newton_free_report.json"):
+        (tmp_path / name).write_text("earlier\n")
+    assert run(["run", "newton_free", "--out", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "newton_free.csv", "newton_free_report.json"]
+    assert json.loads((tmp_path / "newton_free_report.json").read_text())["pass"]
+    assert (tmp_path / "newton_free.csv").read_text().startswith("step,")
+
+
 def test_a_hull_scenario_verifies_its_structure_once(tmp_path, capsys, monkeypatch):
     from affgeo import brackets
     calls = []

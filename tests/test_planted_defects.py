@@ -1,9 +1,9 @@
 """Each check can fail: a defect planted in the library fails the named check.
 
 Every row plants one defect with ``monkeypatch`` (a sign flip, a
-perturbation or an ignored argument) and runs a bundled scenario
+perturbation, an ignored argument or a lost name) and runs a bundled scenario
 in-process through ``cli.main``.  The run must exit 1, with the named
-check failing and carrying a witness.
+check failing and carrying a witness that locates the failure.
 """
 
 import itertools
@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from affgeo import affine, brackets, cli, duality, phase
+from affgeo import affine, brackets, cli, duality, mechanics, phase
 from affgeo import symexpr as se
 
 
@@ -55,6 +55,24 @@ def _translation_covector(bundle, via=None):
     return [se.differentiate(psi, name) for name in names], names
 
 
+def _weight_shifted(original):
+    # the hull bracket's weight off by 1e-3: the distinguished section is
+    # then not central, while the dual bracket is still a derivation
+    def bracket(self, X, Y):
+        weight, comps = original(self, X, Y)
+        return se.add(weight, se.Const(1e-3)), comps
+    return bracket
+
+
+def _one_name_dropped(original):
+    # a count of two or more names that loses the last one: differentiate
+    # and subst then skip a subtree that holds it
+    def free_vars(e):
+        names = original(e)
+        return names - {max(names)} if len(names) > 1 else names
+    return free_vars
+
+
 DEFECTS = [
     # check, bundled scenario, owner, attribute, the defect made from the original
     ("cocycle_across_charts", "affine_axioms", affine, "difference", _raw_difference),
@@ -73,20 +91,38 @@ DEFECTS = [
      _sum_for_difference(lambda alpha: (alpha.components, alpha.bundle.patch.names))),
     ("omega_trivialization_invariance", "phase_forms", phase, "omega_Z",
      _sum_for_difference(_translation_covector)),
+    ("dynamics_agreement", "oscillator_timedep", phase, "canonical_poisson",
+     lambda original: lambda *args: se.neg(original(*args))),
+    ("eq1_descends_to_cotangent_bracket", "reduction_eq1", phase, "eq1_aff_poisson",
+     lambda original: lambda *args, **kwargs: se.neg(original(*args, **kwargs))),
+    ("aff_poisson_criteria_agree_dim1", "atiyah_poisson", brackets.HullAlgebroidData,
+     "bracket", _weight_shifted),
+    # a canary for the walkers that skip what does not hold their variable
+    ("dual_bracket_matches_poisson_dim1", "atiyah_poisson", se, "free_vars",
+     _one_name_dropped),
 ]
 
 
+def _row_id(row):
+    """The check's name; a later row of the same check adds the defect's target."""
+    first = next(r for r in DEFECTS if r[0] == row[0])
+    return row[0] if row is first else f"{row[0]}-{row[3]}"
+
+
 @pytest.mark.parametrize("check, scenario, owner, name, defect", DEFECTS,
-                         ids=[row[0] for row in DEFECTS])
+                         ids=[_row_id(row) for row in DEFECTS])
 def test_a_planted_defect_fails_its_check(check, scenario, owner, name, defect,
                                           monkeypatch, tmp_path, capsys):
     original = getattr(owner, name)
     planted = defect(original)
     monkeypatch.setattr(owner, name, planted)
-    if getattr(cli, name, None) is original:  # imported into the CLI by name
-        monkeypatch.setattr(cli, name, planted)
+    for module in (cli, mechanics):
+        if getattr(module, name, None) is original:  # imported there by name
+            monkeypatch.setattr(module, name, planted)
     assert cli.main(["run", scenario, "--out", str(tmp_path)]) == 1
     report = json.loads((tmp_path / f"{scenario}_report.json").read_text())
     [result] = [c for c in report["checks"] if c["check_name"] == check]
     assert result["pass"] is False
-    assert result["witness"] and result["witness"]["residual"] == result["max_residual"]
+    # the witness says where, not only how much
+    assert set(result["witness"]) > {"residual"}
+    assert result["witness"]["residual"] == result["max_residual"]

@@ -550,6 +550,17 @@ def test_walkers_take_one_frame_per_level(kind):
         assert to_text(deep) == TEXTS[kind](2 * se.MAX_DEPTH)
 
 
+@pytest.mark.parametrize("kind", LINKS)
+def test_pruned_walkers_take_one_frame_per_level(kind):
+    # each walker counts the free variables of a fresh chain on its first call
+    for depth in (se.MAX_DEPTH - 1, 2 * se.MAX_DEPTH):
+        e = _chain(LINKS[kind], depth)
+        assert differentiate(e, "y") is se.ZERO and differentiate(e, "x") is not se.ZERO
+        e = _chain(LINKS[kind], depth)
+        assert subst(e, {"y": 1.0}) is e
+        assert free_vars(subst(e, {"x": Var("y")})) == {"y"}
+
+
 def test_every_interior_node_type_has_one_row():
     kinds = {cls for cls in vars(se).values()
              if isinstance(cls, type) and issubclass(cls, se.Expression)}
@@ -587,6 +598,46 @@ def test_derivatives_are_cached_per_node(e, v):
     assert other == differentiate(_rebuild(e), w)
     assert (hash(e), repr(e), [f.name for f in dataclasses.fields(e)]) == before
     assert e == _rebuild(e) and hash(e) == hash(_rebuild(e))
+
+
+def _recount(e):
+    """The names of the variables in ``e``, counted with an explicit stack."""
+    names, stack = set(), [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            names.add(node.name)
+        elif not isinstance(node, Const):
+            stack.extend(child for child in (getattr(node, f.name) for f in
+                                             dataclasses.fields(node))
+                         if isinstance(child, se.Expression))
+    return names
+
+
+@settings(max_examples=150, deadline=None)
+@given(all_kinds(), all_kinds())
+def test_free_variables_are_counted_once_per_node(e, f):
+    dag = se.Mul(e, se.Add(f, se.Neg(e)))  # e is shared
+    before = [(hash(t), repr(t)) for t in (dag, e, f)]
+    for t in (dag, *_subtrees(dag)):
+        assert free_vars(t) == _recount(t)
+        if not isinstance(t, (Const, Var)):
+            assert free_vars(t) is free_vars(t)
+    assert [(hash(t), repr(t)) for t in (dag, e, f)] == before
+    assert dag == _rebuild(dag) and hash(dag) == hash(_rebuild(dag))
+    assert _compiled_outcome(dag, 0.3, -0.7) == _compiled_outcome(_rebuild(dag), 0.3, -0.7)
+
+
+@settings(max_examples=150, deadline=None)
+@given(all_kinds(), st.dictionaries(st.sampled_from(["x", "y", "z"]),
+                                    st.sampled_from([0.0, 2.0, Var("z"), Var("x")])))
+def test_walkers_return_at_once_where_the_variable_does_not_occur(e, bindings):
+    for t in _subtrees(e):
+        for v in ("x", "y", "z"):
+            if v not in free_vars(t):
+                assert differentiate(t, v) is se.ZERO
+        if free_vars(t).isdisjoint(bindings):
+            assert subst(t, bindings) is t
 
 
 def _result(fn):
