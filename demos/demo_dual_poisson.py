@@ -16,7 +16,7 @@ import numpy as np
 from affgeo.brackets import (
     Patch, aff_jacobi_bracket, atiyah_algebroid, is_aff_poisson,
 )
-from affgeo.phase import canonical_poisson, sample_envs
+from affgeo.phase import canonical_poisson, sample_points
 from affgeo import symexpr as se
 
 patch = Patch.box(("x",))
@@ -34,8 +34,8 @@ print("dual-side bracket:     ", se.to_text(ours))
 print("canonical Poisson says:", se.to_text(oracle))
 
 rng = np.random.default_rng(0)
-worst = max(abs(se.evaluate(ours, env) - se.evaluate(oracle, env))
-            for env in sample_envs(("x", "w1"), rng, 32))
+points = sample_points(("x", "w1"), rng, 32)
+worst = np.max(np.abs(se.evaluate(ours, points) - se.evaluate(oracle, points)))
 print(f"max deviation at 32 random phase points: {worst:.3e}")
 
 result = is_aff_poisson(data, rng=rng)

@@ -14,7 +14,7 @@ import numpy as np
 
 from affgeo.brackets import Patch
 from affgeo.phase import (
-    AVBundle, bold_d, bold_d_oneform, omega_Z, sample_envs, section_one_form,
+    AVBundle, bold_d, bold_d_oneform, omega_Z, sample_points, section_one_form,
 )
 from affgeo import symexpr as se
 
@@ -30,16 +30,15 @@ print("and back:", pt.retag("wavy").retag("zero").p)
 
 omega = omega_Z(z)
 print("\ncanonical two-form in the flat tag:", omega)
-envs = [{"x": a, "p1": b} for a in np.linspace(-2, 2, 5)
-        for b in np.linspace(-2, 2, 5)]
+axis = np.linspace(-2, 2, 5)
+grid = {"x": np.repeat(axis, 5), "p1": np.tile(axis, 5)}  # a 5 x 5 sample set
 for name in ("sq", "wavy"):
-    dev = omega.max_difference(omega_Z(z, via=name), envs)
+    dev = omega.max_difference(omega_Z(z, via=name), grid)
     print(f"deviation when computed through {name!r}: {dev:.3e}")
 
 z2 = AVBundle(Patch.box(("x", "y")))
 z2.register("bump", se.parse("x^2*y - y^3", z2.patch.context()))
 two = bold_d_oneform(section_one_form(z2, "bump"))
 rng = np.random.default_rng(0)
-worst = max(float(np.max(np.abs(two.matrix(env))))
-            for env in sample_envs(("x", "y"), rng, 16))
+worst = np.max(np.abs(two.matrix(sample_points(("x", "y"), rng, 16))))
 print(f"\nsquared differential of a section (should vanish): {worst:.3e}")

@@ -44,8 +44,10 @@ __all__ = [
     "integrate", "TimeDepSystem", "timedep_dynamics", "NewtonSpaceTime",
     "InertialFrame", "ObservedPhase", "ObserverSplit", "gauge_transform",
     "newton_dynamics", "observed_hamiltonian", "energy_drift",
-    "compare_frames", "tau_clock_residual",
+    "compare_frames", "tau_clock_residual", "FRAME_TOL",
 ]
+
+FRAME_TOL = 1e-6  # the largest event deviation between frames that counts as agreement
 
 
 class MechanicsError(ValueError):
@@ -712,8 +714,8 @@ def compare_frames(st: NewtonSpaceTime, m: float, phi: Expression,
     ``trajectories[0]`` of every comparison; each boosted world-line is
     compared with it event by event in space-time coordinates, never in
     frame components, which is the form in which frame independence is
-    literally true, and passes below 1e-6.  Comparison ``i`` (from 1) is
-    named ``<scenario>/boost<i>``, the scenario defaulting to
+    literally true, and passes below ``FRAME_TOL``.  Comparison ``i``
+    (from 1) is named ``<scenario>/boost<i>``, the scenario defaulting to
     ``compare-frames``.
     """
     phases = [initial, *(gauge_transform(initial, v, m) for v in boosts)]
@@ -725,6 +727,6 @@ def compare_frames(st: NewtonSpaceTime, m: float, phi: Expression,
         deviation = float(np.max(np.abs(lines[0].events - lines[i].events)))
         frames = ([float(x) for x in initial.frame.u], [float(x) for x in phases[i].frame.u])
         out.append(FrameComparison(f"{scenario or 'compare-frames'}/boost{i}", frames,
-                                   deviation, deviation < 1e-6, (lines[0], lines[i]),
+                                   deviation, deviation < FRAME_TOL, (lines[0], lines[i]),
                                    fields[0]))
     return out

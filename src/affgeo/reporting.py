@@ -1,14 +1,14 @@
 """Check results and reports shared by the verifiers and the CLI.
 
-One rule decides every thresholded check, in :meth:`Report.check`: the
-residuals are reduced with :func:`first_worst`, which ranks NaN above
-every value, and the check passes iff that worst residual is below the
-tolerance.  So a non-finite residual never passes, nor does an empty
-residual set, and a failing check always names a witness: where the
-first worst residual sits, and its value.  :meth:`Report.add` records
-checks whose verdict is given (a boolean by nature, or a library
-call's); it too fails a non-finite residual, and gives a failing check
-at least its residual as witness.
+The library returns residuals; one rule decides every thresholded check,
+in :meth:`Report.check`: the residuals are reduced with
+:func:`first_worst`, which ranks NaN above every value, and the check
+passes iff that worst residual is below the tolerance.  So a non-finite
+residual never passes, nor does an empty residual set, and a failing
+check always names a witness: where the first worst residual sits, and
+its value.  :meth:`Report.add` records a verdict given from outside, for
+the two checks that have one: ``finite_trajectory`` and the two
+tolerances of :func:`brackets.is_aff_poisson`.
 """
 
 from __future__ import annotations
@@ -91,11 +91,6 @@ def per_point_max(values, count: int) -> np.ndarray:
     for v in values:
         out = np.maximum(out, np.abs(v))
     return out
-
-
-def worst_abs(values, count: int) -> float:
-    """The largest ``|value|`` over all of :func:`per_point_max`."""
-    return first_worst(per_point_max(values, count))[0]
 
 
 def first_worst(residuals) -> tuple[float, tuple[int, ...]]:

@@ -462,16 +462,20 @@ def _in_chart(st_, split, frame, phi, A, b):
             new.frame(A @ frame.u), phi_new, M)
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.integers(1, 3), all_kinds(max_leaves=6).map(_nonnegative_powers),
-       st.integers(0, 2**32 - 1))
-def test_newton_world_lines_are_covariant_under_affine_charts(d, tree, seed):
+def _covariance_case(d, tree, seed):
+    """A random Newton system with the potential ``tree`` and the same
+    system in the random chart ``x' = A x + b``: the two fields, the
+    initial event and momentum in the original chart, ``A``, ``b`` and
+    the ``M`` of :func:`_in_chart`.  None if ``A`` has a condition
+    number above 30 or the clock a time component below 0.3."""
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(d + 1, d + 1)) + 2.0 * np.eye(d + 1)
-    assume(np.linalg.cond(A) <= 30.0)
+    if np.linalg.cond(A) > 30.0:
+        return None
     b = rng.normal(size=d + 1)
     tau = np.eye(d + 1)[d] + 0.4 * rng.normal(size=d + 1)
-    assume(abs(tau[d]) >= 0.3)
+    if abs(tau[d]) < 0.3:
+        return None
     L = rng.normal(size=(d, d))
     g = L @ L.T + 0.5 * np.eye(d)
     st_ = NewtonSpaceTime(d, tau, (g + g.T) / 2.0)
@@ -487,14 +491,58 @@ def test_newton_world_lines_are_covariant_under_affine_charts(d, tree, seed):
     [fld] = newton_dynamics(st_, [frame], m, phi, split)
     st_new, split_new, frame_new, phi_new, M = _in_chart(st_, split, frame, phi, A, b)
     [fld_new] = newton_dynamics(st_new, [frame_new], m, phi_new, split_new)
+    return fld, fld_new, x0, p0, A, b, M
+
+
+def _refinement(case, h, T=0.4):
+    """The original chart's run at step ``h``, and the largest change of
+    its events when the step is halved."""
+    fld, _, x0, p0, *_ = case
+    old = integrate(fld, [*x0, *p0], h, T)
+    half = integrate(fld, [*x0, *p0], h / 2, T)
+    return old, np.max(np.abs(half.events[::2] - old.events))
+
+
+def _chart_deviation(case, old, h, T=0.4):
+    """The largest deviation from ``old`` of the new chart's events at
+    step ``h``, mapped back to the original chart."""
+    _, fld_new, x0, p0, A, b, M = case
+    new = integrate(fld_new, [*(A @ x0 + b), *(M.T @ p0)], h, T)
+    back = np.linalg.solve(A, (new.events - b).T).T
+    return np.max(np.abs(back - old.events))
+
+
+# A run that halving the step moves by more than this, times its scale, is
+# not resolved at its step, and its chart comparison says nothing.
+RESOLVED = 1e-6
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 3), all_kinds(max_leaves=6).map(_nonnegative_powers),
+       st.integers(0, 2**32 - 1))
+def test_newton_world_lines_are_covariant_under_affine_charts(d, tree, seed):
+    case = _covariance_case(d, tree, seed)
+    assume(case is not None)
     try:
-        old = integrate(fld, [*x0, *p0], 1e-2, 0.4)
+        old, refinement = _refinement(case, 1e-2)
     except IntegrationError:
         assume(False)
-    new = integrate(fld_new, [*(A @ x0 + b), *(M.T @ p0)], 1e-2, 0.4)
-    back = np.linalg.solve(A, (new.events - b).T).T
     scale = 1.0 + np.max(np.abs(old.states))
-    assert np.max(np.abs(back - old.events)) <= 1e-10 * scale
+    assume(refinement <= RESOLVED * scale)  # measured on the original chart only
+    assert _chart_deviation(case, old, 1e-2) <= 1e-10 * scale
+
+
+def test_newton_world_lines_of_a_steep_potential_are_covariant_once_resolved():
+    # at h = 1e-2 the run reaches |state| 11.7 (1.45 at h = 1e-3) and its
+    # events, mapped back from the other chart, are off by 2.31; the
+    # precondition of the property above excludes it, and at h = 1e-3 the
+    # two charts agree
+    tree = parse("cos(x + y^4)", VarContext.make(base=("x", "y")))
+    case = _covariance_case(3, tree, 229262118)
+    old, refinement = _refinement(case, 1e-2)
+    assert refinement > RESOLVED * (1.0 + np.max(np.abs(old.states)))
+    old = integrate(case[0], [*case[2], *case[3]], 1e-3, 0.4)
+    assert _chart_deviation(case, old, 1e-3) <= 1e-10 * (1.0 + np.max(np.abs(old.states)))
 
 
 # --- error paths of the integrator ------------------------------------------

@@ -6,7 +6,7 @@ from affgeo.brackets import Patch, random_polynomial
 from affgeo.phase import (
     AVBundle, AVMorphism, FiberConstancyError, PhaseError, TimePhaseSpace,
     bold_d, bold_d_oneform, canonical_poisson, check_affine_reduction,
-    eq1_aff_poisson, omega_Z, sample_envs, section_one_form,
+    eq1_aff_poisson, omega_Z, sample_points, section_one_form,
 )
 from affgeo.symexpr import Const, Var, VarContext, evaluate, parse
 
@@ -67,8 +67,7 @@ def test_bold_d_oneform_of_exact_form_is_zero():
         name = f"s{rng.integers(1e6)}"
         z.register(name, sigma)
         two = bold_d_oneform(section_one_form(z, name))
-        for env in sample_envs(z.patch.names, rng, 8):
-            assert np.max(np.abs(two.matrix(env))) < 1e-12
+        assert np.max(np.abs(two.matrix(sample_points(z.patch.names, rng, 8)))) < 1e-12
 
 
 def test_bold_d_oneform_rotation_example():
@@ -90,7 +89,7 @@ def test_bold_d_oneform_tag_independent():
     direct = bold_d_oneform(alpha)
     via_other = bold_d_oneform(alpha.retag("shift"))
     rng = np.random.default_rng(1)
-    assert direct.max_difference(via_other, sample_envs(z.patch.names, rng, 12)) < 1e-12
+    assert direct.max_difference(via_other, sample_points(z.patch.names, rng, 12)) < 1e-12
 
 
 def test_omega_flat_tag_is_darboux():
@@ -105,9 +104,9 @@ def test_omega_invariance_one_dim():
     z.register("sq", parse("x^2", z.patch.context()))
     base = omega_Z(z)
     other = omega_Z(z, via="sq")
-    envs = [{"x": v, "p1": w} for v in np.linspace(-2, 2, 5)
-            for w in np.linspace(-2, 2, 5)]
-    assert base.max_difference(other, envs) < 1e-12
+    axis = np.linspace(-2, 2, 5)
+    points = {"x": np.repeat(axis, 5), "p1": np.tile(axis, 5)}
+    assert base.max_difference(other, points) < 1e-12
 
 
 def test_omega_invariance_two_dim_with_sin():
@@ -117,9 +116,9 @@ def test_omega_invariance_two_dim_with_sin():
     z.register("mixed", parse("x1^2*x2 + cos(x2)", ctx))
     base = omega_Z(z)
     rng = np.random.default_rng(2)
-    envs = sample_envs(("x1", "x2", "p1", "p2"), rng, 25)
+    points = sample_points(("x1", "x2", "p1", "p2"), rng, 25)
     for name in ("wavy", "mixed"):
-        assert base.max_difference(omega_Z(z, via=name), envs) < 1e-12
+        assert base.max_difference(omega_Z(z, via=name), points) < 1e-12
 
 
 def test_canonical_poisson_darboux_pairs():
@@ -140,9 +139,9 @@ def test_canonical_poisson_antisymmetric_and_jacobi():
     cyc = (canonical_poisson(F, canonical_poisson(G, H, pairs), pairs)
            + canonical_poisson(G, canonical_poisson(H, F, pairs), pairs)
            + canonical_poisson(H, canonical_poisson(F, G, pairs), pairs))
-    for env in sample_envs(names, rng, 16):
-        assert abs(evaluate(anti, env)) < 1e-12
-        assert abs(evaluate(cyc, env)) < 1e-9
+    points = sample_points(names, rng, 16)
+    assert np.max(np.abs(evaluate(anti, points))) < 1e-12
+    assert np.max(np.abs(evaluate(cyc, points))) < 1e-9
 
 
 def timephase():
@@ -163,8 +162,14 @@ def test_eq1_fiber_constancy_holds_for_honest_sections():
     sigma = se.neg(H)
     rng = np.random.default_rng(4)
     for other in ("q*t - p", "sin(q) + t*p^2", "cos(t)"):
-        out = eq1_aff_poisson(space, sigma, parse(other, ctx), rng=rng)
+        sigma2 = parse(other, ctx)
+        out = eq1_aff_poisson(space, sigma, sigma2)
         assert space.energy not in se.free_vars(out)
+        # the bracket upstairs is constant along the energy direction
+        up = canonical_poisson(space.section_function(sigma),
+                               space.section_function(sigma2), space.pairs)
+        variation = se.differentiate(up, space.energy)
+        assert np.max(np.abs(evaluate(variation, sample_points(space.names, rng, 16)))) < 1e-9
 
 
 def test_eq1_matches_upstairs_bracket_pointwise():
@@ -178,8 +183,8 @@ def test_eq1_matches_upstairs_bracket_pointwise():
     up = canonical_poisson(space.section_function(sigma),
                            space.section_function(sigma2), space.pairs)
     rng = np.random.default_rng(5)
-    for env in sample_envs(space.names, rng, 16):
-        assert abs(evaluate(down, env) - evaluate(up, env)) < 1e-12
+    points = sample_points(space.names, rng, 16)
+    assert np.max(np.abs(evaluate(down, points) - evaluate(up, points))) < 1e-12
 
 
 def test_eq1_rejects_sections_using_the_energy_direction():
@@ -211,29 +216,29 @@ def reduction_setup():
     ]
     identity_base = {n: Var(n) for n in space.base_names}
     rng = np.random.default_rng(6)
-    envs = sample_envs(space.names, rng, 12)
-    return space, bracket_z, bracket_y, sections, identity_base, envs
+    points = sample_points(space.names, rng, 12)
+    return space, bracket_z, bracket_y, sections, identity_base, points
 
 
 def test_reduction_identity_passes_for_energy_shift_morphism():
-    space, bz, by, sections, base_map, envs = reduction_setup()
+    space, bz, by, sections, base_map, points = reduction_setup()
     rho = AVMorphism(base_map, se.sub(Var("e"), Var("r")), "r")
-    report = check_affine_reduction(rho, bz, by, sections, envs)
+    report = check_affine_reduction(rho, bz, by, sections, points)
     assert report.passed
     assert report["reduction_identity"].residual < 1e-9
 
 
 def test_reduction_constant_sections_both_sides_zero():
-    space, bz, by, _, base_map, envs = reduction_setup()
+    space, bz, by, _, base_map, points = reduction_setup()
     rho = AVMorphism(base_map, se.sub(Var("e"), Var("r")), "r")
     report = check_affine_reduction(rho, bz, by,
-                                    [(Const(2.0), Const(5.0))], envs)
+                                    [(Const(2.0), Const(5.0))], points)
     assert report.passed
     assert report["reduction_identity"].residual < 1e-15
 
 
 def test_reduction_flipped_morphism_with_mismatched_bracket_fails():
-    space, bz, _, sections, base_map, envs = reduction_setup()
+    space, bz, _, sections, base_map, points = reduction_setup()
     rho_flipped = AVMorphism(base_map, se.add(Var("e"), Var("r")), "r")
 
     def bracket_y_mismatched(s1, s2):
@@ -245,7 +250,7 @@ def test_reduction_flipped_morphism_with_mismatched_bracket_fails():
                         {space.energy: 0.0})
 
     report = check_affine_reduction(rho_flipped, bz, bracket_y_mismatched,
-                                    sections, envs)
+                                    sections, points)
     assert not report.passed
     assert report["reduction_identity"].witness is not None
 

@@ -6,6 +6,7 @@ in-process through ``cli.main``.  The run must exit 1, with the named
 check failing and carrying a witness that locates the failure.
 """
 
+import dataclasses
 import itertools
 import json
 
@@ -73,6 +74,25 @@ def _one_name_dropped(original):
     return free_vars
 
 
+def _energy_squared(original):
+    # the attached function e^2 - sigma: its bracket varies along the energy
+    return lambda self, sigma: se.sub(se.Var(self.energy) ** 2, sigma)
+
+
+def _energy_weighted(original):
+    # the canonical bracket times 1 + 1e-3 e
+    weight = se.add(se.Const(1.0), se.mul(se.Const(1e-3), se.Var("e")))
+    return lambda *args: se.mul(original(*args), weight)
+
+
+def _momentum_shift_flipped(original):
+    # p - m g v becomes p + m g v: the boosted world-line starts off the frame's
+    def gauge_transform(phase_, v, m):
+        out = original(phase_, v, m)
+        return dataclasses.replace(out, p=2.0 * phase_.p - out.p)
+    return gauge_transform
+
+
 DEFECTS = [
     # check, bundled scenario, owner, attribute, the defect made from the original
     ("cocycle_across_charts", "affine_axioms", affine, "difference", _raw_difference),
@@ -82,6 +102,10 @@ DEFECTS = [
      lambda original: lambda self, p, chart: affine.AffinePoint(self, chart, p.coords)),
     ("double_dual_round_trip", "duality_suite", duality.DoubleDualMaps, "backward",
      lambda original: lambda self, coords: original(self, coords) + 1e-9),
+    ("dual_dimension", "duality_suite", duality, "pair",
+     lambda original: lambda h, d: float(d.w @ h.z)),  # c*lam dropped
+    ("F_section_identities", "duality_suite", duality, "F_of_section",
+     lambda original: lambda sigma, av: se.add(se.Var(av.s), sigma)),
     ("skew", "abelian_affgebra", brackets.LieAffgebraData, "bracket", _d_term_sign_flipped),
     ("dual_bracket_matches_poisson_dim1", "atiyah_poisson", phase, "canonical_poisson",
      lambda original: lambda *args: se.neg(original(*args))),
@@ -94,13 +118,28 @@ DEFECTS = [
     ("dynamics_agreement", "oscillator_timedep", phase, "canonical_poisson",
      lambda original: lambda *args: se.neg(original(*args))),
     ("eq1_descends_to_cotangent_bracket", "reduction_eq1", phase, "eq1_aff_poisson",
-     lambda original: lambda *args, **kwargs: se.neg(original(*args, **kwargs))),
+     lambda original: lambda *args: se.neg(original(*args))),
+    ("eq1_fiber_constancy", "reduction_eq1", phase.TimePhaseSpace, "section_function",
+     _energy_squared),
+    ("eq1_fiber_constancy", "reduction_eq1", phase, "canonical_poisson", _energy_weighted),
+    ("frame_independence_boost1", "frames_free", mechanics, "gauge_transform",
+     _momentum_shift_flipped),
     ("aff_poisson_criteria_agree_dim1", "atiyah_poisson", brackets.HullAlgebroidData,
      "bracket", _weight_shifted),
     # a canary for the walkers that skip what does not hold their variable
     ("dual_bracket_matches_poisson_dim1", "atiyah_poisson", se, "free_vars",
      _one_name_dropped),
 ]
+
+
+# the keys that locate the failure in the witness of a check, where a row asserts them
+LOCATION = {
+    "dual_dimension": {"dim"},
+    "F_section_identities": {"section", "x"},
+    "eq1_descends_to_cotangent_bracket": {"point"},
+    "eq1_fiber_constancy": {"point"},
+    "frame_independence_boost1": {"boost", "step", "time"},
+}
 
 
 def _row_id(row):
@@ -125,4 +164,7 @@ def test_a_planted_defect_fails_its_check(check, scenario, owner, name, defect,
     assert result["pass"] is False
     # the witness says where, not only how much
     assert set(result["witness"]) > {"residual"}
+    assert set(result["witness"]) >= LOCATION.get(check, set())
+    if check.startswith("eq1_"):
+        assert set(result["witness"]["point"]) == {"q", "t", "p", "e"}
     assert result["witness"]["residual"] == result["max_residual"]
