@@ -116,6 +116,146 @@ def test_subst_simplifies():
     assert subst(f, {"y": s}) == Const(0.0)
 
 
+# --- the simplifier, pinned rule by rule ------------------------------------
+
+C, NAN, NAN2 = Const, math.nan, float("nan")  # two NaN objects: `is` tells them apart
+x, y = Var("x"), Var("y")
+Add, Mul, Neg = se.Add, se.Mul, se.Neg
+
+SIMPLIFIER = [
+    # constructor, operands, the exact repr of the tree it builds
+    # Const op Const folds; a zero divisor does not
+    ("add", (C(2.0), C(3.0)), "Const(value=5.0)"),
+    ("sub", (C(2.0), C(3.0)), "Const(value=-1.0)"),
+    ("mul", (C(2.0), C(3.0)), "Const(value=6.0)"),
+    ("div", (C(3.0), C(2.0)), "Const(value=1.5)"),
+    ("div", (C(1.0), C(0.0)), "Div(left=Const(value=1.0), right=Const(value=0.0))"),
+    ("div", (C(0.0), C(0.0)), "Div(left=Const(value=0.0), right=Const(value=0.0))"),
+    ("div", (C(0.0), C(-2.0)), "Const(value=-0.0)"),
+    ("neg", (C(2.0),), "Const(value=-2.0)"),
+    ("neg", (C(0.0),), "Const(value=-0.0)"),
+    ("neg", (C(-0.0),), "Const(value=0.0)"),
+    # the 0 identities, with +0.0 and -0.0 on either side; 0/x stays unfolded
+    ("add", (C(0.0), x), "Var(name='x')"),
+    ("add", (x, C(0.0)), "Var(name='x')"),
+    ("add", (C(-0.0), x), "Var(name='x')"),
+    ("add", (x, C(-0.0)), "Var(name='x')"),
+    ("add", (C(0.0), C(-0.0)), "Const(value=0.0)"),
+    ("add", (C(-0.0), C(0.0)), "Const(value=0.0)"),
+    ("add", (C(-0.0), C(-0.0)), "Const(value=-0.0)"),
+    ("sub", (x, C(0.0)), "Var(name='x')"),
+    ("sub", (x, C(-0.0)), "Var(name='x')"),
+    ("sub", (C(0.0), x), "Neg(operand=Var(name='x'))"),
+    ("sub", (C(-0.0), x), "Neg(operand=Var(name='x'))"),
+    ("sub", (C(0.0), C(0.0)), "Const(value=0.0)"),
+    ("sub", (C(-0.0), C(0.0)), "Const(value=-0.0)"),
+    ("sub", (C(0.0), Neg(x)), "Var(name='x')"),
+    ("mul", (C(0.0), x), "Const(value=0.0)"),
+    ("mul", (x, C(0.0)), "Const(value=0.0)"),
+    ("mul", (C(-0.0), x), "Const(value=0.0)"),
+    ("mul", (x, C(-0.0)), "Const(value=0.0)"),
+    ("mul", (C(-0.0), C(2.0)), "Const(value=-0.0)"),
+    ("mul", (C(-1.0), C(0.0)), "Const(value=-0.0)"),
+    ("div", (C(0.0), x), "Div(left=Const(value=0.0), right=Var(name='x'))"),
+    ("div", (C(-0.0), x), "Div(left=Const(value=-0.0), right=Var(name='x'))"),
+    ("div", (x, C(0.0)), "Div(left=Var(name='x'), right=Const(value=0.0))"),
+    ("div", (x, C(-0.0)), "Div(left=Var(name='x'), right=Const(value=-0.0))"),
+    ("div", (C(-0.0), C(2.0)), "Const(value=-0.0)"),
+    ("div", (Mul(C(3.0), x), C(0.0)),
+     "Div(left=Mul(left=Const(value=3.0), right=Var(name='x')), right=Const(value=0.0))"),
+    # the 1 and -1 identities
+    ("mul", (C(1.0), x), "Var(name='x')"),
+    ("mul", (x, C(1.0)), "Var(name='x')"),
+    ("mul", (C(-1.0), x), "Neg(operand=Var(name='x'))"),
+    ("mul", (x, C(-1.0)), "Neg(operand=Var(name='x'))"),
+    ("mul", (C(-1.0), Neg(x)), "Var(name='x')"),
+    ("mul", (Neg(x), C(-1.0)), "Var(name='x')"),
+    ("div", (x, C(1.0)), "Var(name='x')"),
+    ("div", (C(1.0), x), "Div(left=Const(value=1.0), right=Var(name='x'))"),
+    ("div", (x, C(-1.0)), "Div(left=Var(name='x'), right=Const(value=-1.0))"),
+    ("div", (C(0.0), C(1.0)), "Const(value=0.0)"),
+    # nested constants fold on both sides: c1 + (c2 + x) and (c2*x) * c1
+    ("add", (C(2.0), Add(C(3.0), x)), "Add(left=Const(value=5.0), right=Var(name='x'))"),
+    ("add", (Add(C(3.0), x), C(2.0)), "Add(left=Const(value=5.0), right=Var(name='x'))"),
+    ("add", (C(2.0), Add(x, C(3.0))),
+     "Add(left=Const(value=2.0), right=Add(left=Var(name='x'), right=Const(value=3.0)))"),
+    ("add", (Add(x, C(3.0)), C(2.0)),
+     "Add(left=Add(left=Var(name='x'), right=Const(value=3.0)), right=Const(value=2.0))"),
+    ("mul", (C(2.0), Mul(C(3.0), x)), "Mul(left=Const(value=6.0), right=Var(name='x'))"),
+    ("mul", (Mul(C(3.0), x), C(2.0)), "Mul(left=Const(value=6.0), right=Var(name='x'))"),
+    ("mul", (C(2.0), Mul(x, C(3.0))),
+     "Mul(left=Const(value=2.0), right=Mul(left=Var(name='x'), right=Const(value=3.0)))"),
+    ("mul", (Mul(x, C(3.0)), C(2.0)),
+     "Mul(left=Const(value=2.0), right=Mul(left=Var(name='x'), right=Const(value=3.0)))"),
+    ("div", (Mul(C(3.0), x), C(2.0)), "Mul(left=Const(value=1.5), right=Var(name='x'))"),
+    ("div", (Mul(C(3.0), x), C(3.0)), "Var(name='x')"),
+    ("div", (Mul(C(-2.0), x), C(2.0)), "Neg(operand=Var(name='x'))"),
+    ("div", (Mul(x, C(3.0)), C(2.0)),
+     "Div(left=Mul(left=Var(name='x'), right=Const(value=3.0)), right=Const(value=2.0))"),
+    ("div", (Mul(C(3.0), x), y),
+     "Div(left=Mul(left=Const(value=3.0), right=Var(name='x')), right=Var(name='y'))"),
+    # constants move to the left operand
+    ("mul", (x, C(2.0)), "Mul(left=Const(value=2.0), right=Var(name='x'))"),
+    ("mul", (C(2.0), x), "Mul(left=Const(value=2.0), right=Var(name='x'))"),
+    ("mul", (Add(x, y), C(2.0)),
+     "Mul(left=Const(value=2.0), right=Add(left=Var(name='x'), right=Var(name='y')))"),
+    ("add", (x, C(2.0)), "Add(left=Var(name='x'), right=Const(value=2.0))"),
+    ("mul", (x, y), "Mul(left=Var(name='x'), right=Var(name='y'))"),
+    ("add", (x, y), "Add(left=Var(name='x'), right=Var(name='y'))"),
+    # a + -a, -a + a and e - e; a zero right operand returns the left one first
+    ("add", (x, Neg(x)), "Const(value=0.0)"),
+    ("add", (Neg(x), x), "Const(value=0.0)"),
+    ("add", (Neg(x), y), "Add(left=Neg(operand=Var(name='x')), right=Var(name='y'))"),
+    ("add", (C(2.0), Neg(C(2.0))), "Const(value=0.0)"),
+    ("add", (Neg(C(2.0)), C(2.0)), "Const(value=0.0)"),
+    ("add", (Neg(C(0.0)), C(0.0)), "Neg(operand=Const(value=0.0))"),
+    ("add", (Mul(x, y), Neg(Mul(x, y))), "Const(value=0.0)"),
+    ("add", (Neg(Neg(x)), Neg(x)), "Const(value=0.0)"),
+    ("sub", (x, x), "Const(value=0.0)"),
+    ("sub", (Mul(x, y), Mul(x, y)), "Const(value=0.0)"),
+    ("sub", (x, y), "Sub(left=Var(name='x'), right=Var(name='y'))"),
+    ("sub", (Mul(x, y), Mul(y, x)),
+     "Sub(left=Mul(left=Var(name='x'), right=Var(name='y')), "
+     "right=Mul(left=Var(name='y'), right=Var(name='x')))"),
+    ("sub", (C(0.0), C(-0.0)), "Const(value=0.0)"),
+    # neg(neg(x))
+    ("neg", (Neg(x),), "Var(name='x')"),
+    ("neg", (x,), "Neg(operand=Var(name='x'))"),
+    ("neg", (Neg(Neg(x)),), "Neg(operand=Var(name='x'))"),
+    ("neg", (Neg(C(2.0)),), "Const(value=2.0)"),
+    # NaN constants; structural equality compares the float objects first
+    ("add", (C(NAN), C(1.0)), "Const(value=nan)"),
+    ("add", (C(NAN), x), "Add(left=Const(value=nan), right=Var(name='x'))"),
+    ("add", (x, C(NAN)), "Add(left=Var(name='x'), right=Const(value=nan))"),
+    ("sub", (C(NAN), C(NAN)), "Const(value=nan)"),
+    ("sub", (C(NAN), x), "Sub(left=Const(value=nan), right=Var(name='x'))"),
+    ("sub", (x, C(NAN)), "Sub(left=Var(name='x'), right=Const(value=nan))"),
+    ("mul", (C(NAN), x), "Mul(left=Const(value=nan), right=Var(name='x'))"),
+    ("mul", (x, C(NAN)), "Mul(left=Const(value=nan), right=Var(name='x'))"),
+    ("mul", (C(NAN), C(0.0)), "Const(value=nan)"),
+    ("mul", (C(NAN), Mul(C(2.0), x)), "Mul(left=Const(value=nan), right=Var(name='x'))"),
+    ("mul", (C(2.0), Mul(C(NAN), x)), "Mul(left=Const(value=nan), right=Var(name='x'))"),
+    ("div", (x, C(NAN)), "Div(left=Var(name='x'), right=Const(value=nan))"),
+    ("div", (C(NAN), x), "Div(left=Const(value=nan), right=Var(name='x'))"),
+    ("div", (C(1.0), C(NAN)), "Const(value=nan)"),
+    ("div", (Mul(C(2.0), x), C(NAN)), "Mul(left=Const(value=nan), right=Var(name='x'))"),
+    ("neg", (C(NAN),), "Const(value=nan)"),
+    ("add", (C(NAN), Add(C(1.0), x)), "Add(left=Const(value=nan), right=Var(name='x'))"),
+    ("sub", (Mul(C(NAN), x), Mul(C(NAN), x)), "Const(value=0.0)"),
+    ("add", (Neg(C(NAN)), C(NAN)), "Const(value=0.0)"),
+    ("sub", (Mul(C(NAN), x), Mul(C(NAN2), x)),
+     "Sub(left=Mul(left=Const(value=nan), right=Var(name='x')), "
+     "right=Mul(left=Const(value=nan), right=Var(name='x')))"),
+    ("add", (Neg(C(NAN)), C(NAN2)),
+     "Add(left=Neg(operand=Const(value=nan)), right=Const(value=nan))"),
+]
+
+
+@pytest.mark.parametrize("fn, operands, tree", SIMPLIFIER)
+def test_the_smart_constructors_build_the_pinned_trees(fn, operands, tree):
+    assert repr(getattr(se, fn)(*operands)) == tree
+
+
 # --- random-expression machinery -----------------------------------------
 
 
