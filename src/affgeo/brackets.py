@@ -242,7 +242,7 @@ class LieAffgebroidData:
 
     def anchor_model(self, W) -> list[Expression]:
         """Vector field of the model section ``W^i v_i``."""
-        return self._anchor([se.Const(0.0)] * self.patch.dim, W)
+        return self._anchor([se.ZERO] * self.patch.dim, W)
 
     def _anchor(self, comps, f) -> list[Expression]:
         """``comps`` plus the frame anchors weighted by ``f``."""
@@ -255,7 +255,7 @@ class LieAffgebroidData:
     def apply_field(self, field, func: Expression) -> Expression:
         """Derivative of ``func`` along a base vector field; a component
         that is the constant 0 adds nothing and is not differentiated."""
-        out: Expression = se.Const(0.0)
+        out: Expression = se.ZERO
         for comp, name in zip(field, self.patch.names):
             if not se._is_const(comp, 0.0):
                 out = se.add(out, se.mul(comp, se.differentiate(func, name)))
@@ -296,14 +296,14 @@ class LieAffgebroidData:
         f = _coerce_section(f, self.rank)
         W = _coerce_section(W, self.rank)
         if self.bracket_fn is not None:
-            base = self.bracket(f, [se.Const(0.0)] * self.rank)
+            base = self.bracket(f, [se.ZERO] * self.rank)
             return [se.sub(a, b) for a, b in zip(self.bracket(f, W), base)]
         return self._expansion(f, W, W)
 
     def _structure_terms(self, k, d, middle, f, g) -> Expression:
         """Component ``k`` of ``d^j beta_j + middle + f^i g^j c_ij``, added in
         that order, leaving out each term whose structure function is the constant 0."""
-        term: Expression = se.Const(0.0)
+        term: Expression = se.ZERO
         for j in range(self.rank):
             if not se._is_const(self.beta[j][k], 0.0):
                 term = se.add(term, se.mul(d[j], self.beta[j][k]))
@@ -356,7 +356,7 @@ def verify_affgebroid(data: LieAffgebroidData, sample_points,
 
     f1, f2, f3 = secs
     cyc = [(f1, f2, f3), (f2, f3, f1), (f3, f1, f2)]
-    total = [se.Const(0.0)] * data.rank
+    total = [se.ZERO] * data.rank
     for a, b, cthird in cyc:
         inner = data.bracket(b, cthird)
         outer = data.second_linear(a, inner)
@@ -368,7 +368,7 @@ def verify_affgebroid(data: LieAffgebroidData, sample_points,
     f = secs[0]
     for i in range(data.rank):
         coeff = random_polynomial(data.patch, rng)
-        unit = [se.Const(1.0) if j == i else se.Const(0.0)
+        unit = [se.ONE if j == i else se.ZERO
                 for j in range(data.rank)]
         scaled = [se.mul(coeff, u) for u in unit]
         lhs = data.second_linear(f, scaled)
@@ -430,7 +430,7 @@ class HullAlgebroidData:
         d = [se.sub(se.mul(h, gj), se.mul(h2, fj)) for fj, gj in zip(f, g)]
         comps: list[Expression] = []
         for k in range(data.rank):
-            term = data._structure_terms(k, d, se.Const(0.0), f, g)
+            term = data._structure_terms(k, d, se.ZERO, f, g)
             term = se.add(term, data.apply_field(rho_X, g[k]))
             term = se.sub(term, data.apply_field(rho_Y, f[k]))
             comps.append(term)
@@ -498,7 +498,7 @@ def section_for_dual_function(data: LieAffgebroidData,
         raise BracketError("quotient coordinate names collide with base names")
     coeffs, const = _affine_w_coefficients(sigma, names)
     v = data.v
-    comps: list[Expression] = [se.Const(0.0)] * data.rank
+    comps: list[Expression] = [se.ZERO] * data.rank
     for j, cj in zip(sd.free_indices, coeffs):
         comps[j] = se.neg(cj)
     for j in range(data.rank):
@@ -571,8 +571,8 @@ def is_aff_poisson(data: LieAffgebroidData,
         sigma2 = se.Const(rng.uniform(-1, 1))
         lam = se.sub(aff_jacobi_bracket(data, sigma, sigma2 + 1.0),
                      aff_jacobi_bracket(data, sigma, sigma2))
-        f = se.Var(names[0]) if names else se.Const(1.0)
-        g = (se.Var(data.patch.names[0]) if data.patch.dim else se.Const(1.0))
+        f = se.Var(names[0]) if names else se.ONE
+        g = (se.Var(data.patch.names[0]) if data.patch.dim else se.ONE)
         env = data.patch.env(pts)
         env.update(zip(names, rng.uniform(-2, 2, size=(len(pts), len(names))).T))
         defects.append(per_point_max(
@@ -583,12 +583,12 @@ def is_aff_poisson(data: LieAffgebroidData,
 
     # centrality side: hull brackets of v against the frame, and the anchor
     hull = HullAlgebroidData(data)
-    v_sec = (se.Const(0.0), [se.Const(float(x)) for x in data.v])
-    frame = [(se.Const(1.0), [se.Const(0.0)] * data.rank)]
+    v_sec = (se.ZERO, [se.Const(float(x)) for x in data.v])
+    frame = [(se.ONE, [se.ZERO] * data.rank)]
     for i in range(data.rank):
-        comps = [se.Const(1.0) if j == i else se.Const(0.0)
+        comps = [se.ONE if j == i else se.ZERO
                  for j in range(data.rank)]
-        frame.append((se.Const(0.0), comps))
+        frame.append((se.ZERO, comps))
     central = data.anchor_model(list(data.v))
     for X in frame:
         weight, comps = hull.bracket(v_sec, X)
@@ -630,13 +630,13 @@ def atiyah_algebroid(patch: Patch) -> LieAffgebroidData:
     """
     m = patch.dim
     n = m + 1
-    zero = se.Const(0.0)
+    zero = se.ZERO
     beta = [[zero] * n for _ in range(n)]
     c = [[[zero] * n for _ in range(n)] for _ in range(n)]
     anchor_ref = [zero] * m
     anchor_lin = []
     for i in range(m):
-        anchor_lin.append([se.Const(1.0) if a == i else zero for a in range(m)])
+        anchor_lin.append([se.ONE if a == i else zero for a in range(m)])
     anchor_lin.append([zero] * m)
     v = np.zeros(n)
     v[m] = 1.0
@@ -661,8 +661,8 @@ def jet_bundle_affgebroid() -> LieAffgebroidData:
     model frame the spatial direction, and the anchor the inclusion
     into the tangent bundle, over the box ``(q, t)`` in ``[-1, 1]^2``.
     """
-    zero = se.Const(0.0)
-    one_ = se.Const(1.0)
+    zero = se.ZERO
+    one_ = se.ONE
     beta = [[zero]]
     c = [[[zero]]]
     anchor_ref = [zero, one_]    # the time direction

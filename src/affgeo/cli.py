@@ -332,10 +332,12 @@ def run_duality_verify(sc: Scenario, rng, report: Report):
     for n in dims:
         space = AffineSpaceSpec(n)
         X = HullPoint.embed_vector(space.vector(rng.normal(size=n)))
+        residuals.append([])
         for w, c in ((rng.normal(size=n), rng.normal()) for _ in range(8)):
             f0, f1 = (pair(X, DualElement(space, w, c + dc)) for dc in (0.0, h))
-            residuals.append(abs((f1 - f0) / h))
-    report.check("pairing_vertical_invariance", residuals, 1e-9)
+            residuals[-1].append(abs((f1 - f0) / h))
+    report.check("pairing_vertical_invariance", residuals, 1e-9,
+                 lambda at: {"dim": dims[at[0]], "sample": at[1]})
 
 
 def run_affgebra_verify(sc: Scenario, rng, report: Report):
@@ -356,7 +358,7 @@ def run_affgebra_verify(sc: Scenario, rng, report: Report):
 
 def _load_affgebroid(sc: Scenario, patch: Patch) -> LieAffgebroidData:
     ctx, rank = patch.context(), sc["structure", "rank"]
-    zero = se.Const(0.0)
+    zero = se.ZERO
     beta = [[zero] * rank for _ in range(rank)]
     for (i,), texts in sc["structure", "beta<i>"].items():
         beta[i - 1] = _exprs(texts, ctx)
@@ -431,7 +433,7 @@ def run_affgebroid_verify(sc: Scenario, rng, report: Report):
         se.evaluate(a, env) - se.evaluate(b, env)
         for a, b in zip(comps, data.bracket(f, g))], 1e-12)
 
-    total = [se.Const(0.0)] * (data.rank + 1)  # weight, then components
+    total = [se.ZERO] * (data.rank + 1)  # weight, then components
     for X, Y, Z in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
         w, comps = hull.bracket(secs[X], hull.bracket(secs[Y], secs[Z]))
         total = [se.add(a, b) for a, b in zip(total, [w, *comps])]
@@ -460,10 +462,12 @@ def run_timedep(sc: Scenario, rng, report: Report):
 
 def _check_energy(fld, traj, source: se.Expression, report: Report, clock=False):
     """Energy conservation if ``source`` is free of t; after the clock rate if ``clock``."""
+    def at_state(at):  # one residual per state of traj
+        return {"step": at[0], "time": float(traj.times[at[0]])}
     if clock:
-        report.check("tau_clock", tau_clock_residual(fld, traj), 1e-12)
-    if se.differentiate(source, "t") == se.Const(0.0):
-        report.check("energy_drift", energy_drift(fld, traj), 1e-6)
+        report.check("tau_clock", tau_clock_residual(fld, traj), 1e-12, at_state)
+    if se.differentiate(source, "t") == se.ZERO:
+        report.check("energy_drift", energy_drift(fld, traj), 1e-6, at_state)
 
 
 def _newton_inputs(sc: Scenario):

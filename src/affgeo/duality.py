@@ -267,7 +267,7 @@ def iota_sharp(components, sd: SpecialDualSpace) -> Expression:
         raise AffineGeometryError("wrong number of section components")
     names = sd.quotient_var_names()
     # on the constraint set the pivot coordinate is (1 - sum_j v_j w_j) / v_k
-    pivot_w: Expression = se.Const(1.0)
+    pivot_w: Expression = se.ONE
     for j, name in zip(sd.free_indices, names):
         pivot_w = se.sub(pivot_w, se.mul(se.Const(v[j]), se.Var(name)))
     pivot_w = se.div(pivot_w, se.Const(v[k]))

@@ -389,9 +389,9 @@ class TimeDepSystem:
                 f"Hamiltonian uses unknown variables {sorted(extraneous)}")
         self.section = se.neg(self.H)           # energy value along the section
         self.F = se.add(se.Var(energy), self.H)  # the attached function
-        if se.differentiate(self.F, energy) != se.Const(1.0):
+        if se.differentiate(self.F, energy) != se.ONE:
             raise MechanicsError("attached function must have unit fiber slope")
-        if se.subst(self.F, {energy: self.section}) != se.Const(0.0):
+        if se.subst(self.F, {energy: self.section}) != se.ZERO:
             raise MechanicsError("attached function must vanish on the section")
 
     @property
@@ -417,7 +417,7 @@ def timedep_dynamics(sys: TimeDepSystem,
     space, n_check = sys.space, 40
     closed = [se.differentiate(sys.H, p) for p in space.p]
     closed += [se.neg(se.differentiate(sys.H, q)) for q in space.q]
-    closed += [se.Const(1.0)]
+    closed += [se.ONE]
 
     reduced = []
     for name in sys.state_names:
@@ -596,7 +596,7 @@ class ObserverSplit:
 
 def _affine(coeffs, names, offset: float = 0.0) -> Expression:
     """``sum_j coeffs[j] * names[j] + offset`` without its zero terms."""
-    out: Expression = se.Const(0.0)
+    out: Expression = se.ZERO
     for c, name in zip(coeffs, names):
         if c != 0.0:
             out = se.add(out, se.mul(se.Const(float(c)), se.Var(name)))
@@ -640,7 +640,7 @@ def newton_dynamics(st: NewtonSpaceTime, frames, m: float, phi: Expression,
               for q, row in zip(q_names, to_q)}
     coords["t"] = _affine(st.tau, x_names, -(st.tau @ split.x0))
     pdot = [se.neg(se.subst(se.differentiate(phi, q), coords)) for q in q_names]
-    kinetic: Expression = se.Const(0.0)
+    kinetic: Expression = se.ZERO
     for col, p in zip(st.g_inv.T, p_names):  # (p g^{-1}) . p
         kinetic = se.add(kinetic, se.mul(_affine(col, p_names), se.Var(p)))
     energy = se.add(se.div(kinetic, se.Const(2.0 * m)), se.subst(phi, coords))
@@ -666,22 +666,23 @@ def _columns(fld: VectorField, traj: Trajectory) -> dict[str, np.ndarray]:
     return dict(zip(fld.names, traj.states.T))
 
 
-def energy_drift(fld: VectorField, traj: Trajectory) -> float:
-    """Largest change of the field's energy along a trajectory, from one
-    evaluation of ``energy`` over all the states."""
+def energy_drift(fld: VectorField, traj: Trajectory) -> np.ndarray:
+    """The change of the field's energy from the first state, one per state
+    of a trajectory, from one evaluation of ``energy`` over all the states."""
     values = np.broadcast_to(se.evaluate(fld.energy, _columns(fld, traj)),
                              traj.times.shape)
-    return float(np.max(np.abs(values - values[0])))
+    return np.abs(values - values[0])
 
 
-def tau_clock_residual(fld: VectorField, traj: Trajectory) -> float:
-    """Worst deviation of the clock rate of the event velocity from one."""
+def tau_clock_residual(fld: VectorField, traj: Trajectory) -> np.ndarray:
+    """The deviation of the clock rate of the event velocity from one, one
+    per state of a trajectory."""
     st = fld.spacetime
     point = _columns(fld, traj)
     velocity = np.empty((len(traj), st.d + 1))
     for i, component in enumerate(fld.components[:st.d + 1]):
         velocity[:, i] = se.evaluate(component, point)
-    return float(np.max(np.abs(velocity @ st.tau - 1.0)))
+    return np.abs(velocity @ st.tau - 1.0)
 
 
 @dataclass

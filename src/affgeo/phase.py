@@ -49,7 +49,7 @@ class AVBundle:
             raise PhaseError("fiber coordinate name collides with the base")
         self.patch = patch
         self.sections: dict[str, Expression] = {}
-        self.register("zero", se.Const(0.0))
+        self.register("zero", se.ZERO)
         self.reference = "zero"
 
     def register(self, name: str, sigma) -> Expression:
@@ -234,8 +234,8 @@ def canonical_poisson(F: Expression, G: Expression, pairs) -> Expression:
     carry the unit time component.
     """
     if F == G:
-        return se.Const(0.0)  # antisymmetry, decidable structurally
-    out: Expression = se.Const(0.0)
+        return se.ZERO  # antisymmetry, decidable structurally
+    out: Expression = se.ZERO
     for x, p in pairs:
         out = se.add(out, se.sub(
             se.mul(se.differentiate(F, p), se.differentiate(G, x)),

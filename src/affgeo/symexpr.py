@@ -12,7 +12,9 @@ Trees share subtrees: a derivative reuses the nodes of its source.  So
 each interior node caches the derivatives taken of it and its free
 variables, :func:`evaluate` evaluates each shared node once per call,
 and :func:`differentiate` and :func:`subst` return at once from a
-subtree that does not hold the variable.
+subtree that does not hold the variable.  The node classes must not be
+subclassed: the smart constructors and the walkers dispatch on the exact
+type of a node, so a subclass's node would be neither folded nor walked.
 
 Grammar accepted by :func:`parse` (whitespace insignificant)::
 
@@ -225,9 +227,7 @@ def _equal(a: Expression, b: Expression) -> bool:
 
 
 def _is_const(e: Expression, value: float | None = None) -> bool:
-    if not isinstance(e, Const):
-        return False
-    return value is None or e.value == value
+    return type(e) is Const and (value is None or e.value == value)
 
 
 # ---------------------------------------------------------------------------
@@ -235,68 +235,70 @@ def _is_const(e: Expression, value: float | None = None) -> bool:
 
 
 def add(a: Expression, b: Expression) -> Expression:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
-    if _is_const(a, 0.0):
-        return b
-    if _is_const(b, 0.0):
+    ta, tb = type(a), type(b)
+    if ta is Const:
+        if tb is Const:
+            return Const(a.value + b.value)
+        if a.value == 0.0:
+            return b
+    elif tb is Const and b.value == 0.0:
         return a
-    if isinstance(a, Neg) and _equal(a.operand, b):
-        return ZERO
-    if isinstance(b, Neg) and _equal(b.operand, a):
+    if ta is Neg and _equal(a.operand, b) or tb is Neg and _equal(b.operand, a):
         return ZERO
     # fold constants of nested sums: c1 + (c2 + x) -> (c1+c2) + x
-    if isinstance(a, Const) and isinstance(b, Add) and isinstance(b.left, Const):
+    if ta is Const and tb is Add and type(b.left) is Const:
         return Add(Const(a.value + b.left.value), b.right)
-    if isinstance(b, Const) and isinstance(a, Add) and isinstance(a.left, Const):
+    if tb is Const and ta is Add and type(a.left) is Const:
         return Add(Const(b.value + a.left.value), a.right)
     return Add(a, b)
 
 
 def sub(a: Expression, b: Expression) -> Expression:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value - b.value)
-    if _is_const(b, 0.0):
-        return a
-    if _equal(a, b):
+    ta, tb = type(a), type(b)
+    if tb is Const:
+        if ta is Const:
+            return Const(a.value - b.value)
+        if b.value == 0.0:
+            return a
+    if ta is tb and _equal(a, b):
         return ZERO
-    if _is_const(a, 0.0):
+    if ta is Const and a.value == 0.0:
         return neg(b)
     return Sub(a, b)
 
 
 def mul(a: Expression, b: Expression) -> Expression:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value * b.value)
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
+    ta, tb = type(a), type(b)
+    if tb is Const:
+        if ta is Const:
+            return Const(a.value * b.value)
+        a, b, tb = b, a, ta  # constants lead, helps the folding rule below
+    elif ta is not Const:
+        return Mul(a, b)
+    c = a.value
+    if c == 0.0:
         return ZERO
-    if _is_const(a, 1.0):
+    if c == 1.0:
         return b
-    if _is_const(b, 1.0):
-        return a
-    if _is_const(a, -1.0):
+    if c == -1.0:
         return neg(b)
-    if _is_const(b, -1.0):
-        return neg(a)
-    if isinstance(a, Const) and isinstance(b, Mul) and isinstance(b.left, Const):
-        return Mul(Const(a.value * b.left.value), b.right)
-    if isinstance(b, Const) and isinstance(a, Mul) and isinstance(a.left, Const):
-        return Mul(Const(b.value * a.left.value), a.right)
-    if isinstance(b, Const):
-        return Mul(b, a)  # constants lead, helps the folding rules above
+    if tb is Mul and type(b.left) is Const:
+        return Mul(Const(c * b.left.value), b.right)
     return Mul(a, b)
 
 
 def div(a: Expression, b: Expression) -> Expression:
-    if _is_const(b, 1.0):
+    if type(b) is not Const:
+        return Div(a, b)
+    c = b.value
+    if c == 1.0:
         return a
-    if isinstance(a, Const) and isinstance(b, Const) and b.value != 0.0:
-        return Const(a.value / b.value)
-    if _is_const(a, 0.0) and isinstance(b, Const) and b.value != 0.0:
-        return ZERO
-    if isinstance(b, Const) and b.value != 0.0 and isinstance(a, Mul) \
-            and isinstance(a.left, Const):
-        return mul(Const(a.left.value / b.value), a.right)
+    if c != 0.0:
+        ta = type(a)
+        if ta is Const:
+            return Const(a.value / c)
+        if ta is Mul and type(a.left) is Const:
+            return mul(Const(a.left.value / c), a.right)
     return Div(a, b)
 
 
@@ -307,7 +309,7 @@ def pow_(base: Expression, exponent: int) -> Expression:
         return ONE
     if exponent == 1:
         return base
-    if isinstance(base, Const) and not (base.value == 0.0 and exponent < 0):
+    if type(base) is Const and not (base.value == 0.0 and exponent < 0):
         try:
             return Const(base.value ** exponent)
         except OverflowError:
@@ -316,9 +318,10 @@ def pow_(base: Expression, exponent: int) -> Expression:
 
 
 def neg(a: Expression) -> Expression:
-    if isinstance(a, Const):
+    t = type(a)
+    if t is Const:
         return Const(-a.value)
-    if isinstance(a, Neg):
+    if t is Neg:
         return a.operand
     return Neg(a)
 
@@ -326,7 +329,7 @@ def neg(a: Expression) -> Expression:
 def call(func: str, arg: Expression) -> Expression:
     if func not in FUNCTIONS:
         raise ValueError(f"unknown function {func!r}")
-    if isinstance(arg, Const):
+    if type(arg) is Const:
         try:
             return Const(_APPLY[func](arg.value))
         except (ValueError, OverflowError):
@@ -584,9 +587,10 @@ def differentiate(e: Expression, v: str) -> Expression:
     expression, returns the same object without walking the subtree.  A
     node that does not hold ``v`` returns ``ZERO`` at once.
     """
-    if isinstance(e, Const):
+    t = type(e)
+    if t is Const:
         return ZERO
-    if isinstance(e, Var):
+    if t is Var:
         return ONE if e.name == v else ZERO
     if v not in free_vars(e):
         return ZERO
@@ -598,26 +602,26 @@ def differentiate(e: Expression, v: str) -> Expression:
         d = partials.get(v)
         if d is not None:
             return d
-    if isinstance(e, Add):
-        d = add(differentiate(e.left, v), differentiate(e.right, v))
-    elif isinstance(e, Sub):
-        d = sub(differentiate(e.left, v), differentiate(e.right, v))
-    elif isinstance(e, Mul):
+    if t is Mul:
         d = add(mul(differentiate(e.left, v), e.right),
                 mul(e.left, differentiate(e.right, v)))
-    elif isinstance(e, Div):
-        if isinstance(e.right, Const):
+    elif t is Add:
+        d = add(differentiate(e.left, v), differentiate(e.right, v))
+    elif t is Sub:
+        d = sub(differentiate(e.left, v), differentiate(e.right, v))
+    elif t is Div:
+        if type(e.right) is Const:
             d = div(differentiate(e.left, v), e.right)
         else:
             num = sub(mul(differentiate(e.left, v), e.right),
                       mul(e.left, differentiate(e.right, v)))
             d = ZERO if _is_const(num, 0.0) else div(num, pow_(e.right, 2))
-    elif isinstance(e, Pow):
+    elif t is Pow:
         inner = differentiate(e.base, v)
         d = mul(mul(Const(e.exponent), pow_(e.base, e.exponent - 1)), inner)
-    elif isinstance(e, Neg):
+    elif t is Neg:
         d = neg(differentiate(e.operand, v))
-    elif isinstance(e, Call):
+    elif t is Call:
         inner = differentiate(e.arg, v)
         if _is_const(inner, 0.0):
             d = ZERO
@@ -630,7 +634,7 @@ def differentiate(e: Expression, v: str) -> Expression:
         else:  # sqrt
             d = div(inner, mul(Const(2.0), call("sqrt", e.arg)))
     else:
-        raise TypeError(f"cannot differentiate {type(e).__name__}")
+        raise TypeError(f"cannot differentiate {t.__name__}")
     partials[v] = d
     return d
 
@@ -665,9 +669,10 @@ def evaluate(e: Expression,
 def _evaluate(e: Expression, point, done: dict) -> float | np.ndarray:
     """The walk of :func:`evaluate`; ``done`` maps ``id`` of each interior
     node evaluated so far to its value (the root keeps them all alive)."""
-    if isinstance(e, Const):
+    t = type(e)
+    if t is Const:
         return e.value
-    if isinstance(e, Var):
+    if t is Var:
         try:
             value = point[e.name]
         except KeyError:
@@ -676,18 +681,18 @@ def _evaluate(e: Expression, point, done: dict) -> float | np.ndarray:
     value = done.get(id(e))
     if value is not None:
         return value
-    if isinstance(e, Add):
-        value = _evaluate(e.left, point, done) + _evaluate(e.right, point, done)
-    elif isinstance(e, Sub):
-        value = _evaluate(e.left, point, done) - _evaluate(e.right, point, done)
-    elif isinstance(e, Mul):
+    if t is Mul:
         value = _evaluate(e.left, point, done) * _evaluate(e.right, point, done)
-    elif isinstance(e, Div):
+    elif t is Add:
+        value = _evaluate(e.left, point, done) + _evaluate(e.right, point, done)
+    elif t is Sub:
+        value = _evaluate(e.left, point, done) - _evaluate(e.right, point, done)
+    elif t is Div:
         denom = _evaluate(e.right, point, done)
         if _any(denom == 0.0):
             raise DomainError("division by zero")
         value = _evaluate(e.left, point, done) / denom
-    elif isinstance(e, Pow):
+    elif t is Pow:
         base, k = _evaluate(e.base, point, done), e.exponent
         if k < 0 and _any(base == 0.0):
             raise DomainError("zero raised to a negative power")
@@ -695,9 +700,9 @@ def _evaluate(e: Expression, point, done: dict) -> float | np.ndarray:
             value = _each(operator.pow, base, k)
         except OverflowError:
             raise DomainError("power overflow") from None
-    elif isinstance(e, Neg):
+    elif t is Neg:
         value = -_evaluate(e.operand, point, done)
-    elif isinstance(e, Call):
+    elif t is Call:
         x = _evaluate(e.arg, point, done)
         if e.func == "sqrt" and _any(x < 0.0):
             raise DomainError("sqrt of a negative number")
@@ -706,7 +711,7 @@ def _evaluate(e: Expression, point, done: dict) -> float | np.ndarray:
         except OverflowError:
             raise DomainError(f"{e.func} overflow") from None
     else:
-        raise TypeError(f"cannot evaluate {type(e).__name__}")
+        raise TypeError(f"cannot evaluate {t.__name__}")
     done[id(e)] = value
     return value
 
@@ -714,15 +719,16 @@ def _evaluate(e: Expression, point, done: dict) -> float | np.ndarray:
 def subst(e: Expression, bindings: Mapping[str, ExprLike]) -> Expression:
     """Substitute expressions (or numbers) for variables, re-simplifying;
     a subtree that holds none of the bound names is returned as it is."""
-    if isinstance(e, Const):
+    t = type(e)
+    if t is Const:
         return e
-    if isinstance(e, Var):
+    if t is Var:
         if e.name in bindings:
             return _coerce(bindings[e.name])
         return e
     if free_vars(e).isdisjoint(bindings):
         return e
-    kind = _KINDS[type(e)]
+    kind = _KINDS[t]
     operands = []
     for name in kind.operands:  # a loop, not a comprehension: one frame per level
         operands.append(subst(getattr(e, name), bindings))
@@ -732,14 +738,15 @@ def subst(e: Expression, bindings: Mapping[str, ExprLike]) -> Expression:
 def free_vars(e: Expression) -> frozenset[str]:
     """The names of the variables in ``e``.  An interior node counts them
     once and keeps them; it shares an operand's set that holds the other's."""
-    if isinstance(e, Const):
+    t = type(e)
+    if t is Const:
         return _NO_NAMES
-    if isinstance(e, Var):
+    if t is Var:
         return frozenset((e.name,))
     names = e._free
     if names is None:
         names = _NO_NAMES
-        for name in _KINDS[type(e)].operands:  # a loop: one frame per level
+        for name in _KINDS[t].operands:  # a loop: one frame per level
             more = free_vars(getattr(e, name))
             if not more <= names:
                 names = more if names <= more else names | more

@@ -311,7 +311,7 @@ def test_criterion_9_frame_independence():
         [fld] = newton_dynamics(st, [st.rest_frame()], 1.0, potentials["harmonic"])
         traj = integrate(fld, [1.0, 0.0, 0.0, 0.0, 0.0, 0.5, -0.2],
                          h=1e-3, T=10.0)
-        assert tau_clock_residual(fld, traj) < 1e-12
+        assert tau_clock_residual(fld, traj).max() < 1e-12
         H = observed_hamiltonian(fld)
         values = [H(s) for s in traj.states]
         assert max(abs(v - values[0]) for v in values) < 1e-6

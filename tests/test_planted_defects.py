@@ -3,7 +3,8 @@
 Every row plants one defect with ``monkeypatch`` (a sign flip, a
 perturbation, an ignored argument or a lost name) and runs a bundled scenario
 in-process through ``cli.main``.  The run must exit 1, with the named
-check failing and carrying a witness that locates the failure.
+check failing and carrying a witness that locates the failure.  Every
+check of the bundled reports has a row, or a reason in ``NO_ROW``.
 """
 
 import dataclasses
@@ -56,13 +57,31 @@ def _translation_covector(bundle, via=None):
     return [se.differentiate(psi, name) for name in names], names
 
 
-def _weight_shifted(original):
-    # the hull bracket's weight off by 1e-3: the distinguished section is
-    # then not central, while the dual bracket is still a derivation
+def _hull_bracket_shifted(weight, comps):
+    """The hull bracket with ``weight`` added to its weight and ``comps`` to
+    each of its components."""
+    def defect(original):
+        def bracket(self, X, Y):
+            w, cs = original(self, X, Y)
+            return se.add(w, se.Const(weight)), [se.add(c, se.Const(comps)) for c in cs]
+        return bracket
+    return defect
+
+
+def _hull_weight_scaled(original):
+    # the hull bracket's weight 1.001 times too large: still 0 where both
+    # weights are constant, as in hull_restriction, but no longer Jacobi
     def bracket(self, X, Y):
         weight, comps = original(self, X, Y)
-        return se.add(weight, se.Const(1e-3)), comps
+        return se.mul(se.Const(1.001), weight), comps
     return bracket
+
+
+def _scaled(factor):
+    # a method whose expressions all come out ``factor`` times too large
+    def defect(original):
+        return lambda *args: [se.mul(se.Const(factor), e) for e in original(*args)]
+    return defect
 
 
 def _one_name_dropped(original):
@@ -83,6 +102,25 @@ def _energy_weighted(original):
     # the canonical bracket times 1 + 1e-3 e
     weight = se.add(se.Const(1.0), se.mul(se.Const(1e-3), se.Var("e")))
     return lambda *args: se.mul(original(*args), weight)
+
+
+def _action_shifted(original):
+    # +1e-9 |v|^2 on the action: even in v, so it does not cancel on the way back
+    def gauge_transform(phase_, v, m):
+        out = original(phase_, v, m)
+        return dataclasses.replace(out, s=out.s + 1e-9 * float(np.dot(v, v)))
+    return gauge_transform
+
+
+def _force_scaled(original):
+    # the force times 1.01, the energy left that of the honest potential
+    def newton_dynamics(st, frames, m, phi, split=None):
+        honest = original(st, frames, m, phi, split)
+        fields = original(st, frames, m, se.mul(se.Const(1.01), phi), split)
+        for fld, same in zip(fields, honest):
+            fld.energy = same.energy
+        return fields
+    return newton_dynamics
 
 
 def _momentum_shift_flipped(original):
@@ -107,6 +145,10 @@ DEFECTS = [
     ("F_section_identities", "duality_suite", duality, "F_of_section",
      lambda original: lambda sigma, av: se.add(se.Var(av.s), sigma)),
     ("skew", "abelian_affgebra", brackets.LieAffgebraData, "bracket", _d_term_sign_flipped),
+    # a mixed part D = 1e-3 I beside the cross product: skew, but not Jacobi
+    ("jacobi", "so3_affgebra", brackets.LieAffgebraData, "bracket",
+     lambda original: lambda self, u, w: original(self, u, w) + 1e-3 * (
+         np.asarray(w, float) - np.asarray(u, float))),
     ("dual_bracket_matches_poisson_dim1", "atiyah_poisson", phase, "canonical_poisson",
      lambda original: lambda *args: se.neg(original(*args))),
     ("dual_bracket_matches_poisson_dim2", "atiyah_poisson", phase, "canonical_poisson",
@@ -122,23 +164,71 @@ DEFECTS = [
     ("eq1_fiber_constancy", "reduction_eq1", phase.TimePhaseSpace, "section_function",
      _energy_squared),
     ("eq1_fiber_constancy", "reduction_eq1", phase, "canonical_poisson", _energy_weighted),
+    # the transposed outer product in newton_dynamics is no row: every bundled
+    # Newton scenario uses the canonical clock, where it passes; the covariance
+    # property in tests/test_mechanics.py catches it
     ("frame_independence_boost1", "frames_free", mechanics, "gauge_transform",
      _momentum_shift_flipped),
+    ("frame_independence_boost2", "frames_free", mechanics, "gauge_transform",
+     _momentum_shift_flipped),
+    ("frame_independence_boost3", "frames_free", mechanics, "gauge_transform",
+     _momentum_shift_flipped),
+    # the hull bracket's weight off by 1e-3: the distinguished section is then
+    # not central, while the dual bracket is still a derivation
     ("aff_poisson_criteria_agree_dim1", "atiyah_poisson", brackets.HullAlgebroidData,
-     "bracket", _weight_shifted),
+     "bracket", _hull_bracket_shifted(1e-3, 0.0)),
+    ("aff_poisson_criteria_agree_dim2", "atiyah_poisson", brackets.HullAlgebroidData,
+     "bracket", _hull_bracket_shifted(1e-3, 0.0)),
     # a canary for the walkers that skip what does not hold their variable
     ("dual_bracket_matches_poisson_dim1", "atiyah_poisson", se, "free_vars",
      _one_name_dropped),
+    ("anchor_morphism", "jet_bundle_hull", brackets.LieAffgebroidData, "anchor_model",
+     _scaled(1.001)),
+    ("leibniz", "jet_bundle_hull", brackets.LieAffgebroidData, "anchor_of", _scaled(1.001)),
+    ("hull_restriction", "jet_bundle_hull", brackets.HullAlgebroidData, "bracket",
+     _hull_bracket_shifted(0.0, 1e-6)),
+    ("hull_jacobi", "jet_bundle_hull", brackets.HullAlgebroidData, "bracket",
+     _hull_weight_scaled),
+    ("hull_unit_cocycle_closed", "jet_bundle_hull", brackets.HullAlgebroidData,
+     "one_cocycle_residual",
+     lambda original: lambda *args: se.add(original(*args), se.Const(1e-6))),
+    ("gauge_round_trip", "frames_free", mechanics, "gauge_transform", _action_shifted),
+    ("energy_drift", "frames_harmonic", mechanics, "newton_dynamics", _force_scaled),
+    ("tau_clock", "newton_free", mechanics, "_affine",
+     lambda original: lambda *args: se.add(original(*args), se.Const(1e-3))),
+    ("reduction_identity", "reduction_eq1", phase.AVMorphism, "pullback_function",
+     lambda original: lambda *args: se.mul(se.Const(1.001), original(*args))),
+    ("pairing_vertical_invariance", "duality_suite", duality.HullPoint, "embed_vector",
+     lambda original: staticmethod(lambda v: dataclasses.replace(original(v), lam=1e-3))),
 ]
 
 
 # the keys that locate the failure in the witness of a check, where a row asserts them
 LOCATION = {
+    "anchor_morphism": {"point"},
+    "leibniz": {"point", "frame"},
+    "hull_restriction": {"point"},
+    "hull_unit_cocycle_closed": {"point"},
+    "hull_jacobi": {"point"},
+    "jacobi": {"triple"},
+    "reduction_identity": {"pair", "point"},
+    "gauge_round_trip": {"boost"},
+    "energy_drift": {"step", "time"},
+    "tau_clock": {"step", "time"},
+    "pairing_vertical_invariance": {"dim", "sample"},
     "dual_dimension": {"dim"},
     "F_section_identities": {"section", "x"},
     "eq1_descends_to_cotangent_bracket": {"point"},
     "eq1_fiber_constancy": {"point"},
     "frame_independence_boost1": {"boost", "step", "time"},
+    "frame_independence_boost2": {"boost", "step", "time"},
+    "frame_independence_boost3": {"boost", "step", "time"},
+}
+
+# the checks of the bundled reports that no row fails, each with the reason
+NO_ROW = {
+    "finite_trajectory": "blind by construction: integrate raises on a non-finite state "
+                         "before the check sees one, and the run exits 3 with no report",
 }
 
 
@@ -162,9 +252,20 @@ def test_a_planted_defect_fails_its_check(check, scenario, owner, name, defect,
     report = json.loads((tmp_path / f"{scenario}_report.json").read_text())
     [result] = [c for c in report["checks"] if c["check_name"] == check]
     assert result["pass"] is False
-    # the witness says where, not only how much
-    assert set(result["witness"]) > {"residual"}
-    assert set(result["witness"]) >= LOCATION.get(check, set())
+    # the witness says where, not only how much: an empty index does not
+    location = {k: v for k, v in result["witness"].items() if k != "residual"}
+    assert location and all(v not in ([], {}, None) for v in location.values())
+    assert set(location) >= LOCATION.get(check, set())
     if check.startswith("eq1_"):
         assert set(result["witness"]["point"]) == {"q", "t", "p", "e"}
     assert result["witness"]["residual"] == result["max_residual"]
+
+
+def test_every_check_of_the_bundled_reports_has_a_row(tmp_path, capsys):
+    for path in cli.bundled_scenarios():
+        cli.main(["run", path.stem, "--out", str(tmp_path)])
+    names = {c["check_name"] for report in tmp_path.glob("*_report.json")
+             for c in json.loads(report.read_text())["checks"]}
+    rows = {row[0] for row in DEFECTS}
+    assert names - rows == set(NO_ROW)
+    assert rows <= names
