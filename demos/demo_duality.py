@@ -15,12 +15,18 @@ import numpy as np
 from affgeo.affine import AffineSpaceSpec
 from affgeo.duality import (
     AVCoordinates, DualElement, F_of_section, HullPoint, SpecialAffineSpace,
-    double_special_dual, dual_dimension, one, pair, special_dual,
+    double_special_dual, one, pair, special_dual,
 )
 from affgeo import symexpr as se
 
 space = AffineSpaceSpec(2)
-print("dual dimension of a plane:", dual_dimension(space))
+# the hull basis (unit vectors, then the origin) against the dual basis
+# (unit covectors, then the constant function): rank 3 for a plane
+hull = [*(HullPoint.embed_vector(space.vector(e)) for e in np.eye(2)),
+        HullPoint.embed_point(space.point([0.0, 0.0]))]
+dual = [*(DualElement(space, e, 0.0) for e in np.eye(2)), one(space)]
+print("rank of the hull-dual pairing of a plane:",
+      np.linalg.matrix_rank([[pair(x, f) for f in dual] for x in hull]))
 
 d = DualElement(space, [2.0, 3.0], 5.0)
 h = HullPoint(space, [1.0, 0.0], 1.0)

@@ -11,7 +11,7 @@ both frames, and compare world-lines event by event.
 
 
 from affgeo.mechanics import (
-    NewtonSpaceTime, ObservedPhase, compare_frames, energy_drift,
+    FRAME_TOL, NewtonSpaceTime, ObservedPhase, compare_frames, energy_drift,
     gauge_transform, integrate, newton_dynamics, tau_clock_residual,
 )
 from affgeo import symexpr as se
@@ -30,9 +30,10 @@ print("action coordinate in the boosted frame:", boosted.s)
 back = gauge_transform(boosted, [-b for b in boost], m=1.0)
 print("round trip restores (p, s):", back.p, back.s)
 
-[cmp] = compare_frames(st, 1.0, phi, initial, [boost], h=1e-3, T=10.0)
-print(f"\nmax world-line deviation between the frames: {cmp.max_deviation:.3e}")
-print("frame independence holds:", cmp.passed)
+_, (rest, moved) = compare_frames(st, 1.0, phi, initial, [boost], h=1e-3, T=10.0)
+deviation = abs(rest.events - moved.events).max()
+print(f"\nmax world-line deviation between the frames: {deviation:.3e}")
+print("frame independence holds:", deviation < FRAME_TOL)
 
 # the observed dynamics is a compiled VectorField on (event, momentum)
 [fld] = newton_dynamics(st, [st.rest_frame()], 1.0, phi)

@@ -38,7 +38,7 @@ from .brackets import (  # noqa: F401
 )
 from .duality import (  # noqa: F401
     AVCoordinates, DualElement, F_of_section, HullPoint, SpecialAffineSpace,
-    double_special_dual, dual_dimension, iota_sharp, pair, special_dual,
+    double_special_dual, iota_sharp, pair, special_dual,
 )
 from .mechanics import (  # noqa: F401
     InertialFrame, NewtonSpaceTime, ObservedPhase, TimeDepSystem, Trajectory,

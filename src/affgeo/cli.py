@@ -285,13 +285,15 @@ def run_affine_verify(sc: Scenario, rng, report: Report):
     x, y, u, w = rng.uniform(-2, 2, (sc["params", "samples"], 4, dim)).transpose(1, 0, 2)
     report.check("biaffine_part_identities", np.abs([
         phi.apply(x + u, y) - phi.apply(x, y) - phi.part_first(u, y),
-        phi.apply(x, y + w) - phi.apply(x, y) - phi.part_second(x, w)]), 1e-12)
+        phi.apply(x, y + w) - phi.apply(x, y) - phi.part_second(x, w)]), 1e-12,
+        lambda at: {"slot": ("first", "second")[at[0]], "sample": at[1]})
 
     amap = AffineMap(spec, spec, rng.normal(size=(dim, dim)), rng.normal(size=dim))
     points = spec.point(rng.uniform(-2, 2, (16, dim)))
     base = amap.apply(points).coords
     report.check("map_chart_invariance", np.abs([
-        amap.apply(spec.convert_point(points, chart)).coords - base for chart in charts]), 1e-12)
+        amap.apply(spec.convert_point(points, chart)).coords - base for chart in charts]), 1e-12,
+        lambda at: {"chart": charts[at[0]], "point": points.coords[at[1]].tolist()})
 
 
 def run_duality_verify(sc: Scenario, rng, report: Report):
@@ -306,15 +308,16 @@ def run_duality_verify(sc: Scenario, rng, report: Report):
         ranks.append(abs(np.linalg.matrix_rank(pairing) - (n + 1)))
     report.check("dual_dimension", ranks, 0.5, lambda at: {"dim": dims[at[0]]})
 
-    residuals = []
+    residuals, xs = [], []  # one row per dimension, one residual per point
     for n in dims:
         v = rng.normal(size=n)
         while np.linalg.norm(v) < 0.3:
             v = rng.normal(size=n)
         maps = double_special_dual(SpecialAffineSpace(AffineSpaceSpec(n), v))
-        x = rng.uniform(-5, 5, (sc["params", "points"], n))
-        residuals.append(np.max(np.abs(maps.backward(maps.forward(x)) - x), axis=1))
-    report.check("double_dual_round_trip", np.concatenate(residuals), 1e-12)
+        xs.append(rng.uniform(-5, 5, (sc["params", "points"], n)))
+        residuals.append(np.max(np.abs(maps.backward(maps.forward(xs[-1])) - xs[-1]), axis=1))
+    report.check("double_dual_round_trip", residuals, 1e-12,
+                 lambda at: {"dim": dims[at[0]], "point": xs[at[0]][at[1]].tolist()})
 
     av, x = AVCoordinates(base=("x",)), np.linspace(-2, 2, 9)
     texts, residuals = ("x^2", "3*x + 1", "sin(x)"), []
@@ -387,18 +390,18 @@ def _check_atiyah_poisson(dim: int, rng, report: Report):
             e = se.add(e, se.mul(random_polynomial(patch, rng), se.Var(w)))
         return e
 
-    diffs = []
+    diffs, points = [], []
     for _ in range(2):
         s1, s2 = random_affine(), random_affine()
         ours = aff_jacobi_bracket(data, s1, s2)
         oracle = canonical_poisson(s1, s2, list(zip(names, wnames)))
-        point = sample_points(names + wnames, rng, 32)
-        diffs.append(se.evaluate(ours, point) - se.evaluate(oracle, point))
-    report.check(f"dual_bracket_matches_poisson_dim{dim}", np.abs(diffs), 1e-9)
+        points.append(sample_points(names + wnames, rng, 32))
+        diffs.append(se.evaluate(ours, points[-1]) - se.evaluate(oracle, points[-1]))
+    report.check(f"dual_bracket_matches_poisson_dim{dim}", np.abs(diffs), 1e-9,
+                 lambda at: {"case": at[0], "point": point_at(points[at[0]], at[1])})
 
     result = is_aff_poisson(data, rng=rng)
-    report.add(f"aff_poisson_criteria_agree_dim{dim}",
-               result.criteria_agree and bool(result),
+    report.add(f"aff_poisson_criteria_agree_dim{dim}", bool(result),
                first_worst([result.derivation_residual,
                             result.centrality_residual])[0], result.witness)
 
@@ -493,46 +496,51 @@ def run_compare_frames(sc: Scenario, rng, report: Report):
     st, phi, m, x0, p0, h, T = _newton_inputs(sc)
     initial = ObservedPhase(x0, p0, sc["initial", "s"], st.rest_frame())
     boosts = sc["frames", "boosts"]
-    comparisons = compare_frames(st, m, phi, initial, boosts, h, T, scenario=sc.name)
-    for i, (cmp, v) in enumerate(zip(comparisons, boosts)):
-        rest, boosted = cmp.trajectories  # one row per step: a failure names its time
-        report.check(f"frame_independence_boost{i + 1}",
-                     np.max(np.abs(rest.events - boosted.events), axis=1), FRAME_TOL,
-                     lambda at: {"boost": v, "step": at[0], "time": float(rest.times[at[0]])})
+    fld, (rest, *lines) = compare_frames(st, m, phi, initial, boosts, h, T)
+    boosted = [gauge_transform(initial, v, m) for v in boosts]
+    comparisons = []
+    for i, (line, v, phase) in enumerate(zip(lines, boosts, boosted), 1):
+        # one row per step: a failure names its time
+        result = report.check(
+            f"frame_independence_boost{i}",
+            np.max(np.abs(rest.events - line.events), axis=1), FRAME_TOL,
+            lambda at: {"boost": v, "step": at[0], "time": float(rest.times[at[0]])})
+        comparisons.append({"scenario": f"{sc.name}/boost{i}",
+                            "frames": [initial.frame.u.tolist(), phase.frame.u.tolist()],
+                            "max_deviation": result.residual, "pass": result.passed})
 
-    backs = [gauge_transform(gauge_transform(initial, v, m), [-x for x in v], m)
-             for v in boosts]
+    backs = [gauge_transform(b, [-x for x in v], m) for b, v in zip(boosted, boosts)]
     report.check("gauge_round_trip",
                  [np.abs([*(b.p - initial.p), b.s - initial.s]) for b in backs],
                  1e-12, lambda at: {"boost": boosts[at[0]]})
-    # the rest-frame world-line every comparison shares
-    _check_energy(comparisons[0].field, comparisons[0].trajectories[0], phi, report,
-                  clock=True)
-    return {f"{sc.name}_comparisons.json":
-            (_dumps([c.to_dict() for c in comparisons], indent=2) + "\n").encode()}
+    _check_energy(fld, rest, phi, report, clock=True)
+    return {f"{sc.name}_comparisons.json": (_dumps(comparisons, indent=2) + "\n").encode()}
 
 
 def run_reduction_check(sc: Scenario, rng, report: Report):
     if sc["checks", "omega"]:
-        coords = tuple(sc["forms", "coords"])
+        coords, texts = tuple(sc["forms", "coords"]), sc["forms", "sections"]
         z = AVBundle(Patch.box(coords))
-        for i, text in enumerate(sc["forms", "sections"]):
+        for i, text in enumerate(texts):
             z.register(f"s{i + 1}", _expr(text, z.patch.context()))
         base = omega_Z(z)
         mesh = np.meshgrid(*([np.linspace(-1.5, 1.5, 5)] * (2 * len(coords))), indexing="ij")
         points = dict(zip(base.coords, (m.ravel() for m in mesh)))  # the base, then momenta
-        report.check("omega_trivialization_invariance",
-                     [base.max_difference(omega_Z(z, via=f"s{i + 1}"), points)
-                      for i in range(len(sc["forms", "sections"]))], 1e-12)
+        report.check("omega_trivialization_invariance", [
+            np.abs(omega_Z(z, via=f"s{i + 1}").matrix(points) - base.matrix(points))
+            for i in range(len(texts))], 1e-12,
+            lambda at: {"section": texts[at[0]], "point": point_at(points, at[1])})
 
-        residuals = []
+        residuals, sigmas, points = [], [], []  # (section, point, i, j)
         for _ in range(4):
-            sigma = random_polynomial(z.patch, rng, degree=3)
+            sigmas.append(random_polynomial(z.patch, rng, degree=3))
             name = f"r{rng.integers(1e9)}"
-            z.register(name, sigma)
+            z.register(name, sigmas[-1])
             two = bold_d_oneform(section_one_form(z, name))
-            residuals.append(np.abs(two.matrix(sample_points(coords, rng, 8))))
-        report.check("bold_d_squared_zero", np.concatenate(residuals), 1e-12)
+            points.append(sample_points(coords, rng, 8))
+            residuals.append(np.abs(two.matrix(points[-1])))
+        report.check("bold_d_squared_zero", residuals, 1e-12, lambda at: {
+            "section": str(sigmas[at[0]]), "point": point_at(points[at[0]], at[1])})
 
     space = TimePhaseSpace(q=("q",), p=("p",))
     ctx = se.VarContext.make(base=space.base_names)

@@ -31,7 +31,7 @@ from .symexpr import Expression
 __all__ = [
     "CHI_ORIENTATION", "DualElement", "HullPoint", "SpecialAffineSpace",
     "SpecialDualElement", "SpecialDualSpace", "AVCoordinates",
-    "dual_dimension", "one", "pair", "special_dual", "double_special_dual",
+    "one", "pair", "special_dual", "double_special_dual",
     "DoubleDualMaps", "F_of_section", "iota_sharp",
 ]
 
@@ -64,11 +64,6 @@ class DualElement:
 def one(space: AffineSpaceSpec) -> DualElement:
     """The constant function 1, the distinguished element of the dual."""
     return DualElement(space, np.zeros(space.dim), 1.0)
-
-
-def dual_dimension(space: AffineSpaceSpec) -> int:
-    """Dimension of the vector dual: one more than the space dimension."""
-    return space.dim + 1
 
 
 @dataclass(frozen=True)

@@ -223,6 +223,13 @@ LOCATION = {
     "frame_independence_boost1": {"boost", "step", "time"},
     "frame_independence_boost2": {"boost", "step", "time"},
     "frame_independence_boost3": {"boost", "step", "time"},
+    "biaffine_part_identities": {"slot", "sample"},
+    "map_chart_invariance": {"chart", "point"},
+    "double_dual_round_trip": {"dim", "point"},
+    "dual_bracket_matches_poisson_dim1": {"case", "point"},
+    "dual_bracket_matches_poisson_dim2": {"case", "point"},
+    "bold_d_squared_zero": {"section", "point"},
+    "omega_trivialization_invariance": {"section", "point"},
 }
 
 # the checks of the bundled reports that no row fails, each with the reason
@@ -269,3 +276,24 @@ def test_every_check_of_the_bundled_reports_has_a_row(tmp_path, capsys):
     rows = {row[0] for row in DEFECTS}
     assert names - rows == set(NO_ROW)
     assert rows <= names
+
+
+@pytest.mark.parametrize("planted", [False, True], ids=["honest", "momentum_shift_flipped"])
+@pytest.mark.parametrize("scenario", ["frames_free", "frames_gravity", "frames_harmonic"])
+def test_each_frame_comparison_is_its_checks_verdict(scenario, planted, monkeypatch,
+                                                     tmp_path, capsys):
+    if planted:
+        transform = _momentum_shift_flipped(mechanics.gauge_transform)
+        for module in (cli, mechanics):
+            monkeypatch.setattr(module, "gauge_transform", transform)
+    assert cli.main(["run", scenario, "--out", str(tmp_path)]) == int(planted)
+    checks = {c["check_name"]: c for c in json.loads(
+        (tmp_path / f"{scenario}_report.json").read_text())["checks"]}
+    comparisons = json.loads((tmp_path / f"{scenario}_comparisons.json").read_text())
+    assert len(comparisons) == 3
+    for i, entry in enumerate(comparisons, 1):
+        check = checks[f"frame_independence_boost{i}"]
+        assert entry["scenario"] == f"{scenario}/boost{i}"
+        assert (entry["max_deviation"], entry["pass"]) == (check["max_residual"],
+                                                           check["pass"])
+        assert entry["pass"] is not planted
