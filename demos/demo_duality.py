@@ -14,8 +14,8 @@ import numpy as np
 
 from affgeo.affine import AffineSpaceSpec
 from affgeo.duality import (
-    AVCoordinates, DualElement, F_of_section, HullPoint, SpecialAffineSpace,
-    double_special_dual, one, pair, special_dual,
+    AVCoordinates, DoubleDualMaps, DualElement, F_of_section, HullPoint,
+    SpecialAffineSpace, SpecialDualSpace, one, pair,
 )
 from affgeo import symexpr as se
 
@@ -37,12 +37,12 @@ print("embedded vector against the constant function:",
       pair(HullPoint.embed_vector(space.vector([7.0, -1.0])), one(space)))
 
 S = SpecialAffineSpace(space, [0.0, 1.0])
-sd = special_dual(S)
+sd = SpecialDualSpace(S)
 print("\nconstrained dual for v = (0, 1):")
 print("  membership of the constant function:", sd.is_member(sd.one))
 print("  quotient coordinates:", sd.quotient_var_names())
 
-maps = double_special_dual(S)
+maps = DoubleDualMaps(S)
 rng = np.random.default_rng(0)
 x = rng.uniform(-3, 3, 2)
 print("double-dual round trip of", x, "->", maps.backward(maps.forward(x)))

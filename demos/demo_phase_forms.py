@@ -4,17 +4,18 @@
 Phase bundle forms and trivializations
 =====================================
 
-Differentials of sections live in the phase bundle; re-expressing them
-in another trivialization shifts by an exact form, so the canonical
-two-form and the differential of any phase-bundle section are
-trivialization independent.
+The differential of a section is an affine 1-form, a section of the
+phase bundle; a phase point is that 1-form evaluated at a point.
+Re-expressing either in another trivialization shifts it by an exact
+form, so the canonical two-form and the differential of any
+phase-bundle section are trivialization independent.
 """
 
 import numpy as np
 
 from affgeo.brackets import Patch
 from affgeo.phase import (
-    AVBundle, bold_d, bold_d_oneform, omega_Z, sample_points, section_one_form,
+    AVBundle, bold_d_oneform, omega_Z, sample_points, section_one_form,
 )
 from affgeo import symexpr as se
 
@@ -23,17 +24,23 @@ ctx = z.patch.context()
 z.register("sq", se.parse("x^2", ctx))
 z.register("wavy", se.parse("sin(x)", ctx))
 
-pt = bold_d(z, "sq", [1.0])
-print("differential of x^2 at x=1 (flat tag):", pt.p)
-print("same point re-expressed in the sin(x) tag:", pt.retag("wavy").p)
-print("and back:", pt.retag("wavy").retag("zero").p)
+
+def at(alpha, m):
+    """The phase point of a 1-form at ``m``: its components evaluated there."""
+    return np.array([se.evaluate(c, z.patch.env(m)) for c in alpha.components])
+
+
+alpha = section_one_form(z, "sq")
+print("differential of x^2 at x=1 (flat tag):", at(alpha, [1.0]))
+print("same point re-expressed in the sin(x) tag:", at(alpha.retag("wavy"), [1.0]))
+print("and back:", at(alpha.retag("wavy").retag("zero"), [1.0]))
 
 omega = omega_Z(z)
 print("\ncanonical two-form in the flat tag:", omega)
 axis = np.linspace(-2, 2, 5)
 grid = {"x": np.repeat(axis, 5), "p1": np.tile(axis, 5)}  # a 5 x 5 sample set
 for name in ("sq", "wavy"):
-    dev = omega.max_difference(omega_Z(z, via=name), grid)
+    dev = np.max(np.abs(omega_Z(z, via=name).matrix(grid) - omega.matrix(grid)))
     print(f"deviation when computed through {name!r}: {dev:.3e}")
 
 z2 = AVBundle(Patch.box(("x", "y")))

@@ -19,8 +19,8 @@ brackets
     Brackets over points and patches, verification, hull extension,
     dual-side brackets.
 phase
-    AV-bundles, phase points and forms, canonical two-form, quotient
-    and reduction brackets.
+    AV-bundles, affine 1-forms (a phase point is one evaluated at a
+    point), canonical two-form, quotient and reduction brackets.
 mechanics
     Time-dependent and Newtonian dynamics, the fixed-step integrator.
 cli
@@ -29,7 +29,7 @@ cli
 
 from . import affine, brackets, duality, mechanics, phase, symexpr  # noqa: F401
 from .affine import (  # noqa: F401
-    AffineMap, AffineSpaceSpec, BiAffineMap, difference, linear_part,
+    AffineMap, AffineSpaceSpec, BiAffineMap, difference,
 )
 from .brackets import (  # noqa: F401
     LieAffgebraData, LieAffgebroidData, Patch, aff_jacobi_bracket,
@@ -37,8 +37,8 @@ from .brackets import (  # noqa: F401
     verify_affgebra, verify_affgebroid,
 )
 from .duality import (  # noqa: F401
-    AVCoordinates, DualElement, F_of_section, HullPoint, SpecialAffineSpace,
-    double_special_dual, iota_sharp, pair, special_dual,
+    AVCoordinates, DoubleDualMaps, DualElement, F_of_section, HullPoint,
+    SpecialAffineSpace, SpecialDualSpace, iota_sharp, pair,
 )
 from .mechanics import (  # noqa: F401
     InertialFrame, NewtonSpaceTime, ObservedPhase, TimeDepSystem, Trajectory,
@@ -46,8 +46,8 @@ from .mechanics import (  # noqa: F401
     timedep_dynamics,
 )
 from .phase import (  # noqa: F401
-    AVBundle, AVMorphism, TimePhaseSpace, bold_d, bold_d_oneform,
-    canonical_poisson, check_affine_reduction, eq1_aff_poisson, omega_Z,
+    AVBundle, AVMorphism, TimePhaseSpace, bold_d_oneform, canonical_poisson,
+    check_affine_reduction, eq1_aff_poisson, omega_Z, section_one_form,
 )
 from .symexpr import Expression, VarContext, parse  # noqa: F401
 

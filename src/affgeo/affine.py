@@ -20,7 +20,7 @@ import numpy as np
 
 __all__ = [
     "AffineGeometryError", "AffineSpaceSpec", "AffinePoint", "TangentVec",
-    "AffineMap", "BiAffineMap", "difference", "linear_part",
+    "AffineMap", "BiAffineMap", "difference",
 ]
 
 # Construction-time identities use this tolerance; anything downstream
@@ -184,10 +184,6 @@ class AffineMap:
         return AffineMap(inner.domain, self.codomain,
                          self.matrix @ inner.matrix,
                          self.matrix @ inner.offset + self.offset)
-
-
-def linear_part(phi: AffineMap) -> np.ndarray:
-    return phi.matrix
 
 
 class BiAffineMap:

@@ -43,8 +43,8 @@ from .brackets import (
     random_polynomial, verify_affgebra, verify_affgebroid,
 )
 from .duality import (
-    AVCoordinates, DualElement, F_of_section, HullPoint, SpecialAffineSpace,
-    double_special_dual, one, pair,
+    AVCoordinates, DoubleDualMaps, DualElement, F_of_section, HullPoint,
+    SpecialAffineSpace, one, pair,
 )
 from .mechanics import (
     FRAME_TOL, IntegrationError, MechanicsError, NewtonSpaceTime, ObservedPhase,
@@ -313,7 +313,7 @@ def run_duality_verify(sc: Scenario, rng, report: Report):
         v = rng.normal(size=n)
         while np.linalg.norm(v) < 0.3:
             v = rng.normal(size=n)
-        maps = double_special_dual(SpecialAffineSpace(AffineSpaceSpec(n), v))
+        maps = DoubleDualMaps(SpecialAffineSpace(AffineSpaceSpec(n), v))
         xs.append(rng.uniform(-5, 5, (sc["params", "points"], n)))
         residuals.append(np.max(np.abs(maps.backward(maps.forward(xs[-1])) - xs[-1]), axis=1))
     report.check("double_dual_round_trip", residuals, 1e-12,
@@ -770,7 +770,7 @@ def main(argv=None) -> int:
     runp.add_argument("--json", action="store_true")
     listp = sub.add_parser("list", help="list bundled scenarios")
     listp.add_argument("--json", action="store_true")
-    listp.add_argument("--kind", default=None)
+    listp.add_argument("--kind", default=None, choices=list(KINDS))
     args = parser.parse_args(argv)
 
     if args.command == "list":

@@ -31,8 +31,7 @@ from .symexpr import Expression
 __all__ = [
     "CHI_ORIENTATION", "DualElement", "HullPoint", "SpecialAffineSpace",
     "SpecialDualElement", "SpecialDualSpace", "AVCoordinates",
-    "one", "pair", "special_dual", "double_special_dual",
-    "DoubleDualMaps", "F_of_section", "iota_sharp",
+    "one", "pair", "DoubleDualMaps", "F_of_section", "iota_sharp",
 ]
 
 # chi = CHI_ORIENTATION * (translation direction v); d/ds = -chi = +v.
@@ -175,10 +174,6 @@ class SpecialDualSpace:
         return tuple(f"w{j + 1}" for j in self.free_indices)
 
 
-def special_dual(special: SpecialAffineSpace) -> SpecialDualSpace:
-    return SpecialDualSpace(special)
-
-
 class DoubleDualMaps:
     """The mutually inverse identifications of a space with its double dual.
 
@@ -207,10 +202,6 @@ class DoubleDualMaps:
     def forward_linear(self, v) -> np.ndarray:
         v = v.in_reference() if isinstance(v, TangentVec) else np.asarray(v, float)
         return _matvec(self._matrix, v)
-
-
-def double_special_dual(special: SpecialAffineSpace) -> DoubleDualMaps:
-    return DoubleDualMaps(special)
 
 
 @dataclass(frozen=True)

@@ -4,24 +4,27 @@ An AV-bundle over a patch is presented in a reference trivialization:
 the fiber coordinate is ``s`` and trivializing sections are registered
 as expressions over the base.  Phase elements are kept in a fixed
 trivialization with explicit retagging instead of as equivalence
-classes; every statement of trivialization independence then becomes
-an executable comparison between tags.
+classes: the differential of a section is an affine 1-form with a tag,
+a phase point is that 1-form evaluated at a point, and retagging moves
+both by the same exact form.  Every statement of trivialization
+independence then becomes an executable comparison between tags.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from . import symexpr as se
 from .brackets import Patch
-from .reporting import Report, first_worst, per_point_max
+from .reporting import Report, per_point_max
 from .symexpr import Expression
 
 __all__ = [
-    "AVBundle", "PhasePoint", "AffineOneForm", "TwoForm", "PhaseError",
-    "FiberConstancyError", "bold_d", "section_one_form", "bold_d_oneform",
+    "AVBundle", "AffineOneForm", "TwoForm", "PhaseError",
+    "FiberConstancyError", "section_one_form", "bold_d_oneform",
     "omega_Z", "canonical_poisson", "TimePhaseSpace", "eq1_aff_poisson",
     "AVMorphism", "check_affine_reduction", "sample_points", "point_at",
 ]
@@ -71,84 +74,47 @@ class AVBundle:
 
 
 @dataclass(frozen=True)
-class PhasePoint:
-    """Covector with a base point, expressed relative to a section tag."""
-
-    bundle: AVBundle
-    tag: str
-    x: np.ndarray
-    p: np.ndarray
-
-    def retag(self, new_tag: str) -> "PhasePoint":
-        """Re-express in another trivialization; shifts by d(old - new)."""
-        old = self.bundle.section(self.tag)
-        new = self.bundle.section(new_tag)
-        env = self.bundle.patch.env(self.x)
-        shift = np.array([se.evaluate(se.differentiate(se.sub(old, new), n), env)
-                          for n in self.bundle.patch.names])
-        return PhasePoint(self.bundle, new_tag, self.x, self.p + shift)
-
-
-def bold_d(bundle: AVBundle, sigma, m, tag: str | None = None) -> PhasePoint:
-    """Differential of a section at a point, in the given tag.
-
-    The covector is the ordinary differential of the difference between
-    the section and the tag section; two sections with a constant
-    difference give the same phase point everywhere.
-    """
-    tag = tag or bundle.reference
-    diff = se.sub(bundle.section(sigma), bundle.section(tag))
-    env = bundle.patch.env(m)
-    p = np.array([se.evaluate(se.differentiate(diff, n), env)
-                  for n in bundle.patch.names])
-    return PhasePoint(bundle, tag, np.asarray(m, float), p)
-
-
-@dataclass(frozen=True)
 class AffineOneForm:
-    """Section of the phase bundle: covector components plus a tag."""
+    """Section of the phase bundle: covector components plus a tag.
+
+    Evaluated at a point it is a phase point; ``retag`` re-expresses it
+    in another trivialization, shifting by ``d(old - new)``.
+    """
 
     bundle: AVBundle
     tag: str
     components: tuple[Expression, ...]
 
     def retag(self, new_tag: str) -> "AffineOneForm":
-        old = self.bundle.section(self.tag)
-        new = self.bundle.section(new_tag)
-        shift = se.sub(old, new)
+        shift = se.sub(self.bundle.section(self.tag), self.bundle.section(new_tag))
         comps = tuple(se.add(c, se.differentiate(shift, n))
                       for c, n in zip(self.components, self.bundle.patch.names))
         return AffineOneForm(self.bundle, new_tag, comps)
 
 
 def section_one_form(bundle: AVBundle, sigma, tag: str | None = None) -> AffineOneForm:
-    """The differential of a section, as an affine 1-form."""
+    """The differential of a section, as an affine 1-form.
+
+    The components are the ordinary differential of the difference
+    between the section and the tag section; two sections with a
+    constant difference give the same 1-form.
+    """
     tag = tag or bundle.reference
     diff = se.sub(bundle.section(sigma), bundle.section(tag))
     comps = tuple(se.differentiate(diff, n) for n in bundle.patch.names)
     return AffineOneForm(bundle, tag, comps)
 
 
+@dataclass(frozen=True)
 class TwoForm:
     """Two-form with expression coefficients; antisymmetric by storage.
 
-    Terms are kept for index pairs ``i < j`` over the coordinate list;
-    the evaluated matrix is filled antisymmetrically.
+    Terms are kept for index pairs ``i < j`` over the coordinate list,
+    once each; the evaluated matrix is filled antisymmetrically.
     """
 
-    def __init__(self, coords, terms: dict[tuple[int, int], Expression]):
-        self.coords = tuple(coords)
-        self.terms = {}
-        for (i, j), coeff in terms.items():
-            if i == j:
-                raise PhaseError("diagonal two-form term")
-            if i > j:
-                i, j, coeff = j, i, se.neg(coeff)
-            key = (i, j)
-            if key in self.terms:
-                self.terms[key] = se.add(self.terms[key], coeff)
-            else:
-                self.terms[key] = coeff
+    coords: tuple[str, ...]
+    terms: dict[tuple[int, int], Expression]
 
     def matrix(self, points: dict[str, np.ndarray]) -> np.ndarray:
         """The matrices at the points of a sample set, as ``(count, n, n)``."""
@@ -159,12 +125,6 @@ class TwoForm:
             out[:, i, j] = value
             out[:, j, i] = -value
         return out
-
-    def max_difference(self, other: "TwoForm", points) -> float:
-        """Largest ``|coefficient difference|`` over the sample set ``points``."""
-        if self.coords != other.coords:
-            raise PhaseError("two-forms live in different coordinates")
-        return first_worst(np.abs(self.matrix(points) - other.matrix(points)))[0]
 
     def __str__(self) -> str:
         if not self.terms:
@@ -183,14 +143,10 @@ def bold_d_oneform(alpha: AffineOneForm) -> TwoForm:
     covector field is the tag-independent answer (retagging shifts the
     components by an exact, hence closed, form).
     """
-    names = alpha.bundle.patch.names
-    terms = {}
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            coeff = se.sub(se.differentiate(alpha.components[j], names[i]),
-                           se.differentiate(alpha.components[i], names[j]))
-            terms[(i, j)] = coeff
-    return TwoForm(names, terms)
+    names, comps = alpha.bundle.patch.names, alpha.components
+    return TwoForm(names, {(i, j): se.sub(se.differentiate(comps[j], names[i]),
+                                          se.differentiate(comps[i], names[j]))
+                           for i, j in combinations(range(len(names)), 2)})
 
 
 def omega_Z(bundle: AVBundle, via: str | None = None) -> TwoForm:
@@ -202,24 +158,14 @@ def omega_Z(bundle: AVBundle, via: str | None = None) -> TwoForm:
     result is independent of that choice because the trivializations
     differ by translation by a closed form.
     """
-    via = via or bundle.reference
     base = bundle.patch.names
     n = len(base)
     momentum_names = tuple(f"p{i + 1}" for i in range(n))
     if set(momentum_names) & set(base):
         raise PhaseError("momentum names collide with base names")
-    coords = base + momentum_names
-    psi = se.sub(bundle.section(bundle.reference), bundle.section(via))
-    phi = [se.differentiate(psi, nm) for nm in base]  # translation covector
-    terms: dict[tuple[int, int], Expression] = {}
-    for i in range(n):
-        terms[(i, n + i)] = se.Const(-1.0)  # dp_i ^ dx_i = -(dx_i ^ dp_i)
-    for i in range(n):
-        for j in range(i + 1, n):
-            coeff = se.sub(se.differentiate(phi[j], base[i]),
-                           se.differentiate(phi[i], base[j]))
-            terms[(i, j)] = coeff
-    return TwoForm(coords, terms)
+    terms = {(i, n + i): se.Const(-1.0) for i in range(n)}  # dp_i ^ dx_i = -(dx_i ^ dp_i)
+    translation = bold_d_oneform(section_one_form(bundle, bundle.reference, via))
+    return TwoForm(base + momentum_names, {**terms, **translation.terms})
 
 
 # ---------------------------------------------------------------------------

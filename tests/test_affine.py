@@ -3,7 +3,6 @@ import pytest
 
 from affgeo.affine import (
     AffineGeometryError, AffineMap, AffineSpaceSpec, BiAffineMap, difference,
-    linear_part,
 )
 
 
@@ -115,11 +114,11 @@ def test_non_finite_transition_rejected(matrix, offset):
 def test_linear_part_examples():
     spec1 = AffineSpaceSpec(1)
     translation = AffineMap(spec1, spec1, [[1.0]], [5.0])
-    assert np.allclose(linear_part(translation), [[1.0]])
+    assert np.allclose(translation.matrix, [[1.0]])
     constant = AffineMap(spec1, spec1, [[0.0]], [2.0])
-    assert np.allclose(linear_part(constant), [[0.0]])
+    assert np.allclose(constant.matrix, [[0.0]])
     double_shift = AffineMap(spec1, spec1, [[2.0]], [1.0])
-    assert np.allclose(linear_part(double_shift), [[2.0]])
+    assert np.allclose(double_shift.matrix, [[2.0]])
 
 
 def test_affine_map_defining_identity():
@@ -141,7 +140,7 @@ def test_linear_part_of_composition():
     phi = AffineMap(s1, s2, rng.normal(size=(3, 2)), rng.normal(size=3))
     psi = AffineMap(s2, s3, rng.normal(size=(2, 3)), rng.normal(size=2))
     comp = psi.compose(phi)
-    assert np.allclose(linear_part(comp), linear_part(psi) @ linear_part(phi))
+    assert np.allclose(comp.matrix, psi.matrix @ phi.matrix)
 
 
 def test_biaffine_quadratic_example():

@@ -23,6 +23,14 @@ def test_list_json_and_kind_filter(capsys):
     assert rows and all(r["kind"] == "newton" for r in rows)
 
 
+def test_list_unknown_kind_exits_2_and_names_the_kinds(capsys):
+    with pytest.raises(SystemExit) as done:
+        run(["list", "--kind", "bogus"])
+    assert done.value.code == 2
+    err = capsys.readouterr().err
+    assert "bogus" in err and all(kind in err for kind in cli.KINDS)
+
+
 def test_missing_scenario_exits_2(tmp_path, capsys):
     assert run(["run", str(tmp_path / "nope.ini")]) == 2
 

@@ -4,9 +4,9 @@ import pytest
 from affgeo import symexpr as se
 from affgeo.affine import AffineGeometryError, AffineSpaceSpec
 from affgeo.duality import (
-    AVCoordinates, DualElement, F_of_section, HullPoint, SpecialAffineSpace,
-    SpecialDualElement, double_special_dual, iota_sharp,
-    one, pair, special_dual,
+    AVCoordinates, DoubleDualMaps, DualElement, F_of_section, HullPoint,
+    SpecialAffineSpace, SpecialDualElement, SpecialDualSpace, iota_sharp,
+    one, pair,
 )
 from affgeo.symexpr import Const, Var, VarContext, evaluate, parse
 
@@ -70,7 +70,7 @@ def test_dual_dimension():
 
 def test_special_dual_one_dimensional():
     S = special(1, [1.0])
-    sd = special_dual(S)
+    sd = SpecialDualSpace(S)
     assert sd.dim == 1
     assert np.allclose(sd.origin.w, [1.0])
     # model is spanned by the constant function only
@@ -82,7 +82,7 @@ def test_special_dual_one_dimensional():
 
 def test_special_dual_constraint_plane():
     S = special(2, [0.0, 1.0])
-    sd = special_dual(S)
+    sd = SpecialDualSpace(S)
     assert sd.dim == 2
     # members are exactly those with second w-component equal to one
     member = sd.element([3.0], c=-2.0)
@@ -93,7 +93,7 @@ def test_special_dual_constraint_plane():
 
 def test_one_is_not_a_member():
     S = special(2, [0.0, 1.0])
-    sd = special_dual(S)
+    sd = SpecialDualSpace(S)
     assert not sd.is_member(sd.one)
     assert sd.one.linear_part_on(S.v) == 0.0
 
@@ -110,7 +110,7 @@ def test_double_dual_round_trip(n):
     v = rng.normal(size=n)
     while np.linalg.norm(v) < 0.3:
         v = rng.normal(size=n)
-    maps = double_special_dual(special(n, v))
+    maps = DoubleDualMaps(special(n, v))
     for _ in range(100):
         x = rng.uniform(-5, 5, n)
         back = maps.backward(maps.forward(x))
@@ -123,7 +123,7 @@ def test_double_dual_sends_distinguished_vector_to_constant_direction():
     rng = np.random.default_rng(2)
     for n in (2, 3, 4):
         v = rng.normal(size=n)
-        maps = double_special_dual(special(n, v))
+        maps = DoubleDualMaps(special(n, v))
         image = maps.forward_linear(v)
         expect = np.zeros(n)
         expect[-1] = 1.0  # the evaluation-at-origin slot, i.e. the constant
@@ -173,7 +173,7 @@ def test_F_difference_is_base_function():
 
 
 def test_iota_sharp_of_distinguished_vector_is_one():
-    sd = special_dual(special(3, [0.5, -1.0, 2.0]))
+    sd = SpecialDualSpace(special(3, [0.5, -1.0, 2.0]))
     expr = iota_sharp([0.5, -1.0, 2.0], sd)
     rng = np.random.default_rng(4)
     for _ in range(16):
@@ -182,19 +182,19 @@ def test_iota_sharp_of_distinguished_vector_is_one():
 
 
 def test_iota_sharp_zero():
-    sd = special_dual(special(2, [0.0, 1.0]))
+    sd = SpecialDualSpace(special(2, [0.0, 1.0]))
     assert iota_sharp([0.0, 0.0], sd) == Const(0.0)
 
 
 def test_iota_sharp_coordinate_example():
     # distinguished vector along the second axis, section along the first
-    sd = special_dual(special(2, [0.0, 1.0]))
+    sd = SpecialDualSpace(special(2, [0.0, 1.0]))
     assert iota_sharp([1.0, 0.0], sd) == Var("w1")
 
 
 def test_iota_dagger_invariant_along_constant_direction():
     # pairing as a function of (w, c) has no c dependence: finite difference
-    sd = special_dual(special(3, [1.0, 1.0, 1.0]))
+    sd = SpecialDualSpace(special(3, [1.0, 1.0, 1.0]))
     rng = np.random.default_rng(5)
     X = rng.normal(size=3)
     for _ in range(8):
@@ -206,7 +206,7 @@ def test_iota_dagger_invariant_along_constant_direction():
 
 
 def test_iota_sharp_with_expression_coefficients():
-    sd = special_dual(special(2, [0.0, 1.0]))
+    sd = SpecialDualSpace(special(2, [0.0, 1.0]))
     ctx = VarContext.make(base=("x",))
     X = [parse("x^2", ctx), parse("x", ctx)]
     expr = iota_sharp(X, sd)
