@@ -14,7 +14,7 @@ import numpy as np
 
 from affgeo.affine import AffineSpaceSpec
 from affgeo.duality import (
-    AVCoordinates, DoubleDualMaps, DualElement, F_of_section, HullPoint,
+    FIBER, DoubleDualMaps, DualElement, F_of_section, HullPoint,
     SpecialAffineSpace, SpecialDualSpace, one, pair,
 )
 from affgeo import symexpr as se
@@ -49,9 +49,8 @@ print("double-dual round trip of", x, "->", maps.backward(maps.forward(x)))
 print("distinguished vector lands on the constant direction:",
       maps.forward_linear(S.v))
 
-av = AVCoordinates(base=("x",))
-sigma = se.parse("x^2", av.context())
-F = F_of_section(sigma, av)
+sigma = se.parse("x^2", se.VarContext.make(base=("x",)))
+F = F_of_section(sigma)
 print("\nsection x -> x^2 has attached function:", F)
-print("  fiber slope:", se.differentiate(F, "s"))
-print("  value on the graph:", se.subst(F, {"s": sigma}))
+print("  fiber slope:", se.differentiate(F, FIBER))
+print("  value on the graph:", se.subst(F, {FIBER: sigma}))

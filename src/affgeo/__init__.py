@@ -14,12 +14,13 @@ symexpr
 affine
     Affine spaces with charts, affine and bi-affine maps.
 duality
-    Vector duals and hulls, special affine duals, AV coordinates.
+    Vector duals and hulls, special affine duals, the function
+    ``s - sigma`` attached to a section.
 brackets
     Brackets over points and patches, verification, hull extension,
     dual-side brackets.
 phase
-    AV-bundles, affine 1-forms (a phase point is one evaluated at a
+    Affine 1-forms of sections (a phase point is one evaluated at a
     point), canonical two-form, quotient and reduction brackets.
 mechanics
     Time-dependent and Newtonian dynamics, the fixed-step integrator.
@@ -37,16 +38,16 @@ from .brackets import (  # noqa: F401
     verify_affgebra, verify_affgebroid,
 )
 from .duality import (  # noqa: F401
-    AVCoordinates, DoubleDualMaps, DualElement, F_of_section, HullPoint,
+    FIBER, DoubleDualMaps, DualElement, F_of_section, HullPoint,
     SpecialAffineSpace, SpecialDualSpace, iota_sharp, pair,
 )
 from .mechanics import (  # noqa: F401
-    InertialFrame, NewtonSpaceTime, ObservedPhase, TimeDepSystem, Trajectory,
+    InertialFrame, NewtonSpaceTime, ObservedPhase, Trajectory,
     compare_frames, energy_drift, gauge_transform, integrate, newton_dynamics,
     timedep_dynamics,
 )
 from .phase import (  # noqa: F401
-    AVBundle, AVMorphism, TimePhaseSpace, bold_d_oneform, canonical_poisson,
+    AVMorphism, TimePhaseSpace, bold_d_oneform, canonical_poisson,
     check_affine_reduction, eq1_aff_poisson, omega_Z, section_one_form,
 )
 from .symexpr import Expression, VarContext, parse  # noqa: F401

@@ -43,16 +43,16 @@ from .brackets import (
     random_polynomial, verify_affgebra, verify_affgebroid,
 )
 from .duality import (
-    AVCoordinates, DoubleDualMaps, DualElement, F_of_section, HullPoint,
+    FIBER, DoubleDualMaps, DualElement, F_of_section, HullPoint,
     SpecialAffineSpace, one, pair,
 )
 from .mechanics import (
     FRAME_TOL, IntegrationError, MechanicsError, NewtonSpaceTime, ObservedPhase,
-    TimeDepSystem, compare_frames, energy_drift, gauge_transform, integrate,
+    compare_frames, energy_drift, gauge_transform, integrate,
     newton_dynamics, tau_clock_residual, timedep_dynamics,
 )
 from .phase import (
-    AVBundle, AVMorphism, PhaseError, canonical_poisson, check_affine_reduction,
+    AVMorphism, PhaseError, canonical_poisson, check_affine_reduction,
     eq1_aff_poisson, omega_Z, point_at, sample_points, section_one_form,
     bold_d_oneform, TimePhaseSpace,
 )
@@ -122,8 +122,10 @@ EXPR = Match(QUOTED, "a quoted expression", lambda raw: raw[1:-1])
 EXPRS = Match(rf"({QUOTED})(\s*,\s*({QUOTED}))*", "quoted expressions and commas",
               lambda raw: [q[1:-1] for q in re.findall(QUOTED, raw)])
 FLOATS = List(Float(finite=False))
+FINITE_FLOATS = List(Float())  # for the keys that become integration states
 INTS = List(Int(1))
 ROWS = List(FLOATS, ";")
+FINITE_ROWS = List(FINITE_FLOATS, ";")
 
 
 def MATRIX(raw, bound):
@@ -319,13 +321,13 @@ def run_duality_verify(sc: Scenario, rng, report: Report):
     report.check("double_dual_round_trip", residuals, 1e-12,
                  lambda at: {"dim": dims[at[0]], "point": xs[at[0]][at[1]].tolist()})
 
-    av, x = AVCoordinates(base=("x",)), np.linspace(-2, 2, 9)
+    x = np.linspace(-2, 2, 9)
     texts, residuals = ("x^2", "3*x + 1", "sin(x)"), []
     for raw in texts:  # dF/ds = 1, and F = 0 on the section's graph, on a fixed grid
-        sigma = se.parse(raw, av.context())
-        F = F_of_section(sigma, av)
-        graph = {"x": x, "s": se.evaluate(sigma, {"x": x})}
-        residuals.append(per_point_max([se.evaluate(se.differentiate(F, "s"), graph) - 1.0,
+        sigma = se.parse(raw, se.VarContext.make(base=("x",)))
+        F = F_of_section(sigma)
+        graph = {"x": x, FIBER: se.evaluate(sigma, {"x": x})}
+        residuals.append(per_point_max([se.evaluate(se.differentiate(F, FIBER), graph) - 1.0,
                                         se.evaluate(F, graph)], len(x)))
     report.check("F_section_identities", residuals, 1e-12,
                  lambda at: {"section": texts[at[0]], "x": float(x[at[1]])})
@@ -450,7 +452,7 @@ def run_timedep(sc: Scenario, rng, report: Report):
     ctx = se.VarContext.make(base=[f"{v}{i + 1}" for v in "qp" for i in range(dim)],
                              time="t")
     H = _expr(sc["system", "hamiltonian"], ctx)
-    fld = timedep_dynamics(TimeDepSystem(dim, H), rng=rng)
+    fld = timedep_dynamics(dim, H, rng=rng)
     report.check("dynamics_agreement", fld.cross_check_residuals, 1e-12,
                  lambda at: {"state": point_at(fld.cross_check_states, at[0])})
 
@@ -520,23 +522,20 @@ def run_compare_frames(sc: Scenario, rng, report: Report):
 def run_reduction_check(sc: Scenario, rng, report: Report):
     if sc["checks", "omega"]:
         coords, texts = tuple(sc["forms", "coords"]), sc["forms", "sections"]
-        z = AVBundle(Patch.box(coords))
-        for i, text in enumerate(texts):
-            z.register(f"s{i + 1}", _expr(text, z.patch.context()))
-        base = omega_Z(z)
+        patch = Patch.box(coords)
+        sections = _exprs(texts, patch.context())
+        base = omega_Z(patch)
         mesh = np.meshgrid(*([np.linspace(-1.5, 1.5, 5)] * (2 * len(coords))), indexing="ij")
         points = dict(zip(base.coords, (m.ravel() for m in mesh)))  # the base, then momenta
         report.check("omega_trivialization_invariance", [
-            np.abs(omega_Z(z, via=f"s{i + 1}").matrix(points) - base.matrix(points))
-            for i in range(len(texts))], 1e-12,
+            np.abs(omega_Z(patch, via=s).matrix(points) - base.matrix(points))
+            for s in sections], 1e-12,
             lambda at: {"section": texts[at[0]], "point": point_at(points, at[1])})
 
         residuals, sigmas, points = [], [], []  # (section, point, i, j)
         for _ in range(4):
-            sigmas.append(random_polynomial(z.patch, rng, degree=3))
-            name = f"r{rng.integers(1e9)}"
-            z.register(name, sigmas[-1])
-            two = bold_d_oneform(section_one_form(z, name))
+            sigmas.append(random_polynomial(patch, rng, degree=3))
+            two = bold_d_oneform(section_one_form(patch, sigmas[-1]))
             points.append(sample_points(coords, rng, 8))
             residuals.append(np.abs(two.matrix(points[-1])))
         report.check("bold_d_squared_zero", residuals, 1e-12, lambda at: {
@@ -585,8 +584,8 @@ NEWTON = [
     Key("spacetime", "metric", MATRIX),
     Key("system", "potential", EXPR, '"0"'),
     Key("system", "mass", Float(), "1.0"),
-    Key("initial", "event", FLOATS, REQUIRED),
-    Key("initial", "momentum", FLOATS, REQUIRED),
+    Key("initial", "event", FINITE_FLOATS, REQUIRED),
+    Key("initial", "momentum", FINITE_FLOATS, REQUIRED),
     Key("integration", "step", Float(), REQUIRED),
     Key("integration", "duration", Float(), REQUIRED),
 ]
@@ -629,16 +628,16 @@ KINDS = {
         Key("system", "hamiltonian", EXPR, REQUIRED),
         Key("integration", "step", Float(), REQUIRED),
         Key("integration", "duration", Float(), REQUIRED),
-        Key("integration", "initial", FLOATS, REQUIRED),
+        Key("integration", "initial", FINITE_FLOATS, REQUIRED),
         Key("output", "trajectory", FILE_NAME),
     ]),
     "newton": (run_newton, NEWTON + [
-        Key("system", "frame", FLOATS),
+        Key("system", "frame", FINITE_FLOATS),
         Key("output", "trajectory", FILE_NAME),
     ]),
     "compare-frames": (run_compare_frames, NEWTON + [
         Key("initial", "s", Float(finite=False), "0"),
-        Key("frames", "boosts", ROWS, REQUIRED),
+        Key("frames", "boosts", FINITE_ROWS, REQUIRED),
     ]),
     "reduction-check": (run_reduction_check, [
         Key("checks", "omega", BOOL, "false"),

@@ -1,4 +1,4 @@
-"""Vector duals, vector hulls, special affine duals and AV coordinates.
+"""Vector duals, vector hulls, special affine duals and the attached function.
 
 Conventions used throughout (all stored in reference-chart coordinates):
 
@@ -30,12 +30,13 @@ from .symexpr import Expression
 
 __all__ = [
     "CHI_ORIENTATION", "DualElement", "HullPoint", "SpecialAffineSpace",
-    "SpecialDualElement", "SpecialDualSpace", "AVCoordinates",
+    "SpecialDualElement", "SpecialDualSpace", "FIBER",
     "one", "pair", "DoubleDualMaps", "F_of_section", "iota_sharp",
 ]
 
 # chi = CHI_ORIENTATION * (translation direction v); d/ds = -chi = +v.
 CHI_ORIENTATION = -1.0
+FIBER = "s"  # the adapted fiber coordinate of an AV presentation, oriented by d/ds = -chi
 
 
 @dataclass(frozen=True)
@@ -204,36 +205,17 @@ class DoubleDualMaps:
         return _matvec(self._matrix, v)
 
 
-@dataclass(frozen=True)
-class AVCoordinates:
-    """Adapted coordinates (base names, fiber name s) of an AV presentation.
-
-    The fiber coordinate is oriented by ``d/ds = -chi``; with the
-    orientation constant above this means one unit of ``s`` translates
-    by ``+v``.
-    """
-
-    base: tuple[str, ...]
-    s = "s"
-
-    def __post_init__(self):
-        if self.s in self.base:
-            raise AffineGeometryError("fiber coordinate name collides with base")
-
-    def context(self) -> se.VarContext:
-        return se.VarContext.make(base=self.base, av=self.s)
-
-
-def F_of_section(sigma: Expression, av: AVCoordinates) -> Expression:
-    """The function ``F(x, s) = s - sigma(x)`` attached to a section.
+def F_of_section(sigma: Expression) -> Expression:
+    """The function ``F(x, s) = s - sigma(x)`` attached to a section,
+    with ``s`` the fiber coordinate ``FIBER``.
 
     ``F`` satisfies ``dF/ds = 1`` (equivalently ``chi(F) = -1``) and
     vanishes on the graph of the section.
     """
-    if av.s in se.free_vars(sigma):
+    if FIBER in se.free_vars(sigma):
         raise AffineGeometryError(
-            f"section must not depend on the fiber coordinate {av.s!r}")
-    return se.sub(se.Var(av.s), sigma)
+            f"section must not depend on the fiber coordinate {FIBER!r}")
+    return se.sub(se.Var(FIBER), sigma)
 
 
 def iota_sharp(components, sd: SpecialDualSpace) -> Expression:

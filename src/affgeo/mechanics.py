@@ -41,7 +41,7 @@ from .symexpr import Expression
 
 __all__ = [
     "MechanicsError", "IntegrationError", "VectorField", "Trajectory",
-    "integrate", "TimeDepSystem", "timedep_dynamics", "NewtonSpaceTime",
+    "integrate", "timedep_dynamics", "NewtonSpaceTime",
     "InertialFrame", "ObservedPhase", "ObserverSplit", "gauge_transform",
     "newton_dynamics", "observed_hamiltonian", "energy_drift",
     "compare_frames", "tau_clock_residual", "FRAME_TOL",
@@ -365,45 +365,14 @@ def integrate(fld: VectorField, y0, h: float, T: float) -> Trajectory:
 # Time-dependent systems
 
 
-class TimeDepSystem:
-    """Hamiltonian system on positions x time, driven through the quotient.
-
-    The Hamiltonian is an expression in the positions ``q1..qn``, the
-    momenta ``p1..pn`` and the time ``t``.  The section it defines on the
-    energy quotient assigns minus the Hamiltonian, and the attached
-    function upstairs is ``e + H``; both defining identities of that
-    function are checked exactly at construction.
-    """
-
-    def __init__(self, dim: int, hamiltonian: Expression):
-        if dim < 1:
-            raise MechanicsError("dimension must be positive")
-        self.dim = dim
-        self.space = TimePhaseSpace(tuple(f"q{i + 1}" for i in range(dim)),
-                                    tuple(f"p{i + 1}" for i in range(dim)))
-        self.H = hamiltonian
-        energy = self.space.energy
-        extraneous = se.free_vars(hamiltonian) - set(self.space.base_names)
-        if extraneous:
-            raise MechanicsError(
-                f"Hamiltonian uses unknown variables {sorted(extraneous)}")
-        self.section = se.neg(self.H)           # energy value along the section
-        self.F = se.add(se.Var(energy), self.H)  # the attached function
-        if se.differentiate(self.F, energy) != se.ONE:
-            raise MechanicsError("attached function must have unit fiber slope")
-        if se.subst(self.F, {energy: self.section}) != se.ZERO:
-            raise MechanicsError("attached function must vanish on the section")
-
-    @property
-    def state_names(self) -> tuple[str, ...]:
-        return self.space.q + self.space.p + (self.space.time,)
-
-
-def timedep_dynamics(sys: TimeDepSystem,
+def timedep_dynamics(dim: int, hamiltonian: Expression,
                      rng: np.random.Generator | None = None) -> VectorField:
-    """Dynamics of a time-dependent system on ``(q, p, t)``.
+    """Dynamics on ``(q, p, t)`` of a Hamiltonian in the positions
+    ``q1..qn``, the momenta ``p1..pn`` and the time ``t``.
 
-    Computed twice: through the bracket of the attached function on the
+    The Hamiltonian defines the section ``-H`` of the energy quotient,
+    whose attached function upstairs is ``e + H``.  The dynamics is
+    computed twice: through the bracket of the attached function on the
     full cotangent space pushed down along the quotient, and in closed
     form (Hamilton's equations plus the unit time component).  The closed
     form is returned.  The two routes are compared on 40 random states:
@@ -413,25 +382,33 @@ def timedep_dynamics(sys: TimeDepSystem,
     stays available for inspection, the Hamiltonian rides along as
     ``energy``, and the events are ``(q, t)``.
     """
+    if dim < 1:
+        raise MechanicsError("dimension must be positive")
+    space = TimePhaseSpace(tuple(f"q{i + 1}" for i in range(dim)),
+                           tuple(f"p{i + 1}" for i in range(dim)))
+    extraneous = se.free_vars(hamiltonian) - set(space.base_names)
+    if extraneous:
+        raise MechanicsError(f"Hamiltonian uses unknown variables {sorted(extraneous)}")
     rng = rng or np.random.default_rng(0)
-    space, n_check = sys.space, 40
-    closed = [se.differentiate(sys.H, p) for p in space.p]
-    closed += [se.neg(se.differentiate(sys.H, q)) for q in space.q]
+    names, n_check = space.q + space.p + (space.time,), 40
+    closed = [se.differentiate(hamiltonian, p) for p in space.p]
+    closed += [se.neg(se.differentiate(hamiltonian, q)) for q in space.q]
     closed += [se.ONE]
 
+    F = space.section_function(se.neg(hamiltonian))
     reduced = []
-    for name in sys.state_names:
-        out = canonical_poisson(sys.F, se.Var(name), space.pairs)
+    for name in names:
+        out = canonical_poisson(F, se.Var(name), space.pairs)
         reduced.append(se.subst(out, {space.energy: 0.0}))
 
-    point = sample_points(sys.state_names, rng, n_check, -2.0, 2.0)
-    fld = VectorField(sys.state_names, closed, events=space.q + (space.time,))
+    point = sample_points(names, rng, n_check, -2.0, 2.0)
+    fld = VectorField(names, closed, events=space.q + (space.time,))
     fld.reduction_components = tuple(reduced)
     fld.cross_check_states = point
     fld.cross_check_residuals = per_point_max(
         [se.evaluate(a, point) - se.evaluate(b, point) for a, b in zip(closed, reduced)],
         n_check)
-    fld.energy = sys.H
+    fld.energy = hamiltonian
     return fld
 
 

@@ -1,8 +1,8 @@
 """Phase bundles of AV-bundles, differentials, and Poisson brackets.
 
-An AV-bundle over a patch is presented in a reference trivialization:
-the fiber coordinate is ``s`` and trivializing sections are registered
-as expressions over the base.  Phase elements are kept in a fixed
+An AV-bundle over a patch is presented in a reference trivialization,
+so a section is an expression over the base and so is a trivialization
+(the section it takes as zero).  Phase elements are kept in a fixed
 trivialization with explicit retagging instead of as equivalence
 classes: the differential of a section is an affine 1-form with a tag,
 a phase point is that 1-form evaluated at a point, and retagging moves
@@ -23,7 +23,7 @@ from .reporting import Report, per_point_max
 from .symexpr import Expression
 
 __all__ = [
-    "AVBundle", "AffineOneForm", "TwoForm", "PhaseError",
+    "AffineOneForm", "TwoForm", "PhaseError",
     "FiberConstancyError", "section_one_form", "bold_d_oneform",
     "omega_Z", "canonical_poisson", "TimePhaseSpace", "eq1_aff_poisson",
     "AVMorphism", "check_affine_reduction", "sample_points", "point_at",
@@ -38,71 +38,45 @@ class FiberConstancyError(PhaseError):
     """The would-be descended function varies along the quotient fibers."""
 
 
-class AVBundle:
-    """One-dimensional affine bundle over a patch, trivially presented.
-
-    Registered sections are expressions over the base; the
-    presentation's zero section is always registered under ``"zero"``
-    and serves as the default tag.  The difference of two sections is
-    a function on the base by construction.
-    """
-
-    def __init__(self, patch: Patch):
-        if "s" in patch.names:
-            raise PhaseError("fiber coordinate name collides with the base")
-        self.patch = patch
-        self.sections: dict[str, Expression] = {}
-        self.register("zero", se.ZERO)
-        self.reference = "zero"
-
-    def register(self, name: str, sigma) -> Expression:
-        sigma = sigma if isinstance(sigma, Expression) else se.Const(float(sigma))
-        extraneous = se.free_vars(sigma) - set(self.patch.names)
-        if extraneous:
-            raise PhaseError(f"section uses unknown variables {sorted(extraneous)}")
-        self.sections[name] = sigma
-        return sigma
-
-    def section(self, sigma) -> Expression:
-        """Resolve a section by name, or pass an expression through."""
-        if isinstance(sigma, str):
-            try:
-                return self.sections[sigma]
-            except KeyError:
-                raise PhaseError(f"unknown section {sigma!r}") from None
-        return sigma if isinstance(sigma, Expression) else se.Const(float(sigma))
+def _over(patch: Patch, sigma: Expression) -> Expression:
+    """``sigma``, a section over ``patch``: it uses only the base names."""
+    extraneous = se.free_vars(sigma) - set(patch.names)
+    if extraneous:
+        raise PhaseError(f"section uses unknown variables {sorted(extraneous)}")
+    return sigma
 
 
 @dataclass(frozen=True)
 class AffineOneForm:
-    """Section of the phase bundle: covector components plus a tag.
+    """Section of the phase bundle: covector components plus a tag, the
+    trivializing section they are taken against.
 
     Evaluated at a point it is a phase point; ``retag`` re-expresses it
     in another trivialization, shifting by ``d(old - new)``.
     """
 
-    bundle: AVBundle
-    tag: str
+    patch: Patch
+    tag: Expression
     components: tuple[Expression, ...]
 
-    def retag(self, new_tag: str) -> "AffineOneForm":
-        shift = se.sub(self.bundle.section(self.tag), self.bundle.section(new_tag))
+    def retag(self, new_tag: Expression) -> "AffineOneForm":
+        shift = se.sub(self.tag, _over(self.patch, new_tag))
         comps = tuple(se.add(c, se.differentiate(shift, n))
-                      for c, n in zip(self.components, self.bundle.patch.names))
-        return AffineOneForm(self.bundle, new_tag, comps)
+                      for c, n in zip(self.components, self.patch.names))
+        return AffineOneForm(self.patch, new_tag, comps)
 
 
-def section_one_form(bundle: AVBundle, sigma, tag: str | None = None) -> AffineOneForm:
+def section_one_form(patch: Patch, sigma: Expression,
+                     tag: Expression = se.ZERO) -> AffineOneForm:
     """The differential of a section, as an affine 1-form.
 
     The components are the ordinary differential of the difference
     between the section and the tag section; two sections with a
     constant difference give the same 1-form.
     """
-    tag = tag or bundle.reference
-    diff = se.sub(bundle.section(sigma), bundle.section(tag))
-    comps = tuple(se.differentiate(diff, n) for n in bundle.patch.names)
-    return AffineOneForm(bundle, tag, comps)
+    diff = se.sub(_over(patch, sigma), _over(patch, tag))
+    comps = tuple(se.differentiate(diff, n) for n in patch.names)
+    return AffineOneForm(patch, tag, comps)
 
 
 @dataclass(frozen=True)
@@ -143,13 +117,13 @@ def bold_d_oneform(alpha: AffineOneForm) -> TwoForm:
     covector field is the tag-independent answer (retagging shifts the
     components by an exact, hence closed, form).
     """
-    names, comps = alpha.bundle.patch.names, alpha.components
+    names, comps = alpha.patch.names, alpha.components
     return TwoForm(names, {(i, j): se.sub(se.differentiate(comps[j], names[i]),
                                           se.differentiate(comps[i], names[j]))
                            for i, j in combinations(range(len(names)), 2)})
 
 
-def omega_Z(bundle: AVBundle, via: str | None = None) -> TwoForm:
+def omega_Z(patch: Patch, via: Expression = se.ZERO) -> TwoForm:
     """Canonical symplectic form of the phase bundle, in tag coordinates
     (the base names, then momenta ``p1..pn``).
 
@@ -158,13 +132,13 @@ def omega_Z(bundle: AVBundle, via: str | None = None) -> TwoForm:
     result is independent of that choice because the trivializations
     differ by translation by a closed form.
     """
-    base = bundle.patch.names
+    base = patch.names
     n = len(base)
     momentum_names = tuple(f"p{i + 1}" for i in range(n))
     if set(momentum_names) & set(base):
         raise PhaseError("momentum names collide with base names")
     terms = {(i, n + i): se.Const(-1.0) for i in range(n)}  # dp_i ^ dx_i = -(dx_i ^ dp_i)
-    translation = bold_d_oneform(section_one_form(bundle, bundle.reference, via))
+    translation = bold_d_oneform(section_one_form(patch, se.ZERO, via))
     return TwoForm(base + momentum_names, {**terms, **translation.terms})
 
 

@@ -399,10 +399,9 @@ class VarContext:
             raise ValueError("variable names must be unique")
 
     @classmethod
-    def make(cls, base: Iterable[str] = (), fiber: Iterable[str] = (),
-             time: str | None = None, av: str | None = None) -> "VarContext":
-        """The names ``base``, then ``fiber``, then ``time`` and ``av`` if set."""
-        return cls((*base, *fiber, *(n for n in (time, av) if n is not None)))
+    def make(cls, base: Iterable[str] = (), time: str | None = None) -> "VarContext":
+        """The names ``base``, then ``time`` if set."""
+        return cls((*base, *(() if time is None else (time,))))
 
     def __contains__(self, name: str) -> bool:
         return name in self.names

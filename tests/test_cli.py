@@ -581,6 +581,29 @@ TIMEDEP_OUT = (
     "[output]\ntrajectory = {trajectory}\n")
 
 
+NEWTON_RUN = NEWTON.format(seed=0, dim=3, metric="identity", mass=1.0, step=0.1,
+                           momentum="0.1, 0, 0")
+FRAMES_RUN = NEWTON_RUN.replace("kind = newton", "kind = compare-frames") + \
+    "[frames]\nboosts = 0.1 0 0; 0 0.2 0\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("text", [
+    NEWTON_RUN.replace("event = 0, 0, 0, 0", "event = VALUE, 0, 0, 0"),
+    NEWTON_RUN.replace("momentum = 0.1, 0, 0", "momentum = VALUE, 0, 0"),
+    NEWTON_RUN.replace("[initial]", "frame = VALUE, 0, 0, 1\n[initial]"),
+    FRAMES_RUN.replace("boosts = 0.1 0 0", "boosts = VALUE 0 0"),
+    TIMEDEP_OUT.format(name="bad", trajectory="x.csv").replace("1.0, 0.0", "VALUE, 0"),
+], ids=["event", "momentum", "frame", "boosts", "initial"])
+def test_non_finite_integration_state_exits_2(tmp_path, capsys, text, value):
+    # these keys become integration states: a NaN or inf there used to
+    # pass the loader and stop the integrator with exit 3
+    code, err, out = run_text(tmp_path, capsys, text.replace("VALUE", value))
+    assert code == 2
+    assert err.startswith("error:") and "want a finite number" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name, trajectory", [
     ("../escaped", "x.csv"),
     ("ok", "{absolute}"),

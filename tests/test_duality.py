@@ -4,7 +4,7 @@ import pytest
 from affgeo import symexpr as se
 from affgeo.affine import AffineGeometryError, AffineSpaceSpec
 from affgeo.duality import (
-    AVCoordinates, DoubleDualMaps, DualElement, F_of_section, HullPoint,
+    FIBER, DoubleDualMaps, DualElement, F_of_section, HullPoint,
     SpecialAffineSpace, SpecialDualElement, SpecialDualSpace, iota_sharp,
     one, pair,
 )
@@ -130,41 +130,38 @@ def test_double_dual_sends_distinguished_vector_to_constant_direction():
         assert np.max(np.abs(image - expect)) < 1e-12
 
 
+CTX_X = VarContext.make(base=("x",))
+
+
 def test_F_of_section_properties():
-    av = AVCoordinates(base=("x",))
-    ctx = av.context()
-    sigma = parse("x^2", ctx)
-    F = F_of_section(sigma, av)
+    sigma = parse("x^2", CTX_X)
+    F = F_of_section(sigma)
+    assert FIBER == "s"
     assert se.differentiate(F, "s") == Const(1.0)  # exact, so chi(F) = -1
     assert se.subst(F, {"s": sigma}) == Const(0.0)
     assert evaluate(F, {"x": 2.0, "s": 4.0}) == 0.0
 
 
 def test_F_of_zero_section():
-    av = AVCoordinates(base=("x",))
-    assert F_of_section(Const(0.0), av) == Var("s")
+    assert F_of_section(Const(0.0)) == Var("s")
 
 
 def test_F_of_affine_section_value():
-    av = AVCoordinates(base=("x",))
-    sigma = parse("3*x + 1", av.context())
-    F = F_of_section(sigma, av)
+    sigma = parse("3*x + 1", CTX_X)
+    F = F_of_section(sigma)
     assert evaluate(F, {"x": 1.0, "s": 5.0}) == pytest.approx(1.0)
 
 
 def test_F_rejects_fiber_dependence():
-    av = AVCoordinates(base=("x",))
-    with pytest.raises(AffineGeometryError):
-        F_of_section(Var("s"), av)
+    with pytest.raises(AffineGeometryError, match="fiber coordinate 's'"):
+        F_of_section(Var("s"))
 
 
 def test_F_difference_is_base_function():
-    av = AVCoordinates(base=("x",))
-    ctx = av.context()
     rng = np.random.default_rng(3)
-    s1 = parse("x^2 + 1", ctx)
-    s2 = parse("sin(x) - 2*x", ctx)
-    diff = F_of_section(s1, av) - F_of_section(s2, av)
+    s1 = parse("x^2 + 1", CTX_X)
+    s2 = parse("sin(x) - 2*x", CTX_X)
+    diff = F_of_section(s1) - F_of_section(s2)
     target = s2 - s1
     for _ in range(16):
         x, s = rng.uniform(-2, 2), rng.uniform(-2, 2)

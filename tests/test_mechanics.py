@@ -11,28 +11,47 @@ from affgeo import cli
 from affgeo import symexpr as se
 from affgeo.mechanics import (
     IntegrationError, MechanicsError, NewtonSpaceTime, ObservedPhase,
-    ObserverSplit, TimeDepSystem, VectorField, compare_frames, energy_drift,
+    ObserverSplit, VectorField, compare_frames, energy_drift,
     gauge_transform, integrate, newton_dynamics, observed_hamiltonian,
     tau_clock_residual, timedep_dynamics,
 )
+from affgeo.brackets import Patch, random_polynomial
+from affgeo.phase import TimePhaseSpace
 from affgeo.symexpr import Const, Var, VarContext, parse
 from affgeo.mechanics import Trajectory
 from test_symexpr import all_kinds
 
 
-def osc_system():
-    ctx = VarContext.make(base=("q1", "p1", "t"))
-    return TimeDepSystem(1, parse("p1^2/2 + q1^2/2", ctx))
+OSC_H = parse("p1^2/2 + q1^2/2", VarContext.make(base=("q1", "p1", "t")))
 
 
-def test_timedep_attached_function_identities():
-    sys = osc_system()
-    assert se.differentiate(sys.F, "e") == Const(1.0)
-    assert se.subst(sys.F, {"e": sys.section}) == Const(0.0)
+def osc_field():
+    return timedep_dynamics(1, OSC_H)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_timedep_attached_function_identities(dim, seed):
+    # a Hamiltonian H is the section -H of the energy quotient; its attached
+    # function e + H has unit slope along the energy and vanishes on the section
+    space = TimePhaseSpace(tuple(f"q{i + 1}" for i in range(dim)),
+                           tuple(f"p{i + 1}" for i in range(dim)))
+    H = random_polynomial(Patch.box(space.base_names), np.random.default_rng(seed))
+    F = space.section_function(se.neg(H))
+    assert se.differentiate(F, space.energy) == Const(1.0)
+    assert se.subst(F, {space.energy: se.neg(H)}) == Const(0.0)
+
+
+def test_timedep_dynamics_refuses_no_dimension_and_unknown_variables():
+    with pytest.raises(MechanicsError, match="dimension must be positive"):
+        timedep_dynamics(0, Const(0.0))
+    for H in (se.mul(Var("e"), Var("q1")), se.add(Var("q2"), Var("p1"))):
+        with pytest.raises(MechanicsError, match="unknown variables"):
+            timedep_dynamics(1, H)
 
 
 def test_timedep_dynamics_harmonic():
-    fld = timedep_dynamics(osc_system())
+    fld = osc_field()
     assert fld.names == ("q1", "p1", "t")
     out = fld(np.array([0.3, -0.8, 2.0]))
     assert out == pytest.approx([-0.8, -0.3, 1.0])
@@ -41,25 +60,24 @@ def test_timedep_dynamics_harmonic():
 
 def test_timedep_dynamics_free_clock():
     ctx = VarContext.make(base=("q1", "p1", "t"))
-    fld = timedep_dynamics(TimeDepSystem(1, parse("0", ctx)))
+    fld = timedep_dynamics(1, parse("0", ctx))
     out = fld(np.array([1.0, 2.0, 3.0]))
     assert out == pytest.approx([0.0, 0.0, 1.0])  # the time flow survives
 
 
 def test_timedep_dynamics_time_dependent_potential():
     ctx = VarContext.make(base=("q1", "p1", "t"))
-    fld = timedep_dynamics(TimeDepSystem(1, parse("q1*t", ctx)))
+    fld = timedep_dynamics(1, parse("q1*t", ctx))
     out = fld(np.array([0.5, 0.0, 4.0]))
     assert out == pytest.approx([0.0, -4.0, 1.0])
 
 
 def test_timedep_reduction_route_agrees_for_random_hamiltonians():
-    from affgeo.brackets import Patch, random_polynomial
     rng = np.random.default_rng(0)
     patch = Patch.box(("q1", "p1", "t"))
     for _ in range(5):
         H = random_polynomial(patch, rng, degree=2)
-        fld = timedep_dynamics(TimeDepSystem(1, H), rng=rng)
+        fld = timedep_dynamics(1, H, rng=rng)
         assert fld.cross_check_residuals.max() < 1e-12
 
 
@@ -77,7 +95,7 @@ def test_integrate_exponential():
 
 
 def test_integrate_oscillator_period_return():
-    fld = timedep_dynamics(osc_system())
+    fld = osc_field()
     n = 6283
     h = 2.0 * math.pi / n
     traj = integrate(fld, [1.0, 0.0, 0.0], h=h, T=2.0 * math.pi)
@@ -106,7 +124,7 @@ def test_integrate_rejects_wrong_state_length():
 
 
 def test_oscillator_matches_closed_form():
-    fld = timedep_dynamics(osc_system())
+    fld = osc_field()
     q0, p0 = 1.0, 0.0
     traj = integrate(fld, [q0, p0, 0.0], h=1e-3, T=10.0)
     worst = 0.0
@@ -118,25 +136,23 @@ def test_oscillator_matches_closed_form():
 
 
 def test_timedep_energy_conservation():
-    sys = osc_system()
-    fld = timedep_dynamics(sys)
+    fld = osc_field()
     traj = integrate(fld, [1.0, 0.0, 0.0], h=1e-3, T=10.0)
-    H = se.compile_fn([sys.H], sys.state_names)
+    H = se.compile_fn([OSC_H], fld.names)
     values = [H(state)[0] for state in traj.states]
     assert max(abs(v - values[0]) for v in values) < 1e-6
 
 
 def test_energy_drift_matches_direct_loop():
-    sys = osc_system()
-    fld = timedep_dynamics(sys)
+    fld = osc_field()
     traj = integrate(fld, [1.0, 0.0, 0.0], h=1e-2, T=10.0)
-    H = se.compile_fn([sys.H], sys.state_names)
+    H = se.compile_fn([OSC_H], fld.names)
     values = [H(state)[0] for state in traj.states]
     assert energy_drift(fld, traj).max() == max(abs(v - values[0]) for v in values)
 
 
 def test_trajectory_csv_rows(tmp_path):
-    fld = timedep_dynamics(osc_system())
+    fld = osc_field()
     traj = integrate(fld, [1.0, 0.0, 0.0], h=1e-3, T=10.0)
     lines = traj.to_csv().split(b"\r\n")
     assert lines[0] == b"step,time,q1,p1,t,q1,t"
@@ -578,8 +594,8 @@ def _moving_frame_deviation(case, h, T=2.0):
     from the original frame's, relative to ``1 + max |state|``."""
     H, H_new, A, b, q0, p0 = case
     d = len(q0)
-    old = integrate(timedep_dynamics(TimeDepSystem(d, H)), [*q0, *p0, 0.0], h, T)
-    new = integrate(timedep_dynamics(TimeDepSystem(d, H_new)),
+    old = integrate(timedep_dynamics(d, H), [*q0, *p0, 0.0], h, T)
+    new = integrate(timedep_dynamics(d, H_new),
                     [*np.linalg.solve(A, q0 - b[0]), *(A.T @ p0), 0.0], h, T)
     powers = new.times[:, None] ** [0, 1, 2] / [1.0, 1.0, 2.0]  # 1, t, t^2/2
     back = new.states[:, :d] @ A.T + powers @ b
@@ -818,7 +834,7 @@ def test_csv_formats_copied_columns_once_and_near_copies_apart(tmp_path):
 
 
 def test_timedep_trajectory_csv_matches_the_csv_writer(tmp_path):
-    traj = integrate(timedep_dynamics(osc_system()), [1.0, 0.0, 0.0], h=1e-2, T=10.0)
+    traj = integrate(osc_field(), [1.0, 0.0, 0.0], h=1e-2, T=10.0)
     # the events are picked from the columns at once, as from each state
     assert traj.event_names == ("q1", "t")
     assert np.array_equal(traj.events, [[s[0], s[-1]] for s in traj.states])
@@ -938,7 +954,7 @@ def test_bundled_csvs_match_the_csv_writer(tmp_path, monkeypatch, capsys, name):
 
 def test_fields_name_their_event_columns():
     ctx = VarContext.make(base=("q1", "q2", "p1", "p2"), time="t")
-    timedep = timedep_dynamics(TimeDepSystem(2, parse("p1^2/2 + p2^2/2 + q1*q2*t", ctx)))
+    timedep = timedep_dynamics(2, parse("p1^2/2 + p2^2/2 + q1*q2*t", ctx))
     st = NewtonSpaceTime(2)
     [newton] = newton_dynamics(st, [st.rest_frame()], 1.0, Const(0.0))
     for fld, y0, events in [(timedep, [1.0, 0.5, 0.0, 0.2, 0.0], ("q1", "q2", "t")),

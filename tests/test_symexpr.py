@@ -336,9 +336,10 @@ def test_compile_matches_evaluate():
 
 
 def test_var_context_roles():
-    ctx = VarContext.make(base=("q1",), fiber=("p1",), time="t", av="s")
-    assert ctx.names == ("q1", "p1", "t", "s")
-    assert VarContext.make(av="s", time="t", base=("x",)).names == ("x", "t", "s")
+    ctx = VarContext.make(base=("q1", "p1"), time="t")
+    assert ctx.names == ("q1", "p1", "t")
+    assert VarContext.make(time="t", base=("x",)).names == ("x", "t")
+    assert VarContext.make(base=("x",)).names == ("x",)
     with pytest.raises(ValueError):
         VarContext.make(base=("a", "a"))
 
