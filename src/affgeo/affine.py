@@ -14,9 +14,9 @@ act row by row, each row with the 1-D call's bits (one exception: BiAffineMap).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from ._immutable import Immutable, fill_slots
 
 __all__ = [
     "AffineGeometryError", "AffineSpaceSpec", "AffinePoint", "TangentVec",
@@ -45,12 +45,13 @@ def _matvec(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (matrix @ x[..., None])[..., 0]
 
 
-@dataclass(frozen=True)
-class _Transition:
+class _Transition(Immutable):
     """Affine map x -> A x + b into the reference chart."""
 
-    matrix: np.ndarray
-    offset: np.ndarray
+    __slots__ = ("matrix", "offset")
+
+    def __init__(self, matrix: np.ndarray, offset: np.ndarray):
+        fill_slots(self, matrix, offset)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return _matvec(self.matrix, x) + self.offset
@@ -127,21 +128,21 @@ class AffineSpaceSpec:
         return AffinePoint(self, chart, _frozen(self._transition(chart).invert(ref)))
 
 
-@dataclass(frozen=True)
-class AffinePoint:
-    space: AffineSpaceSpec
-    chart: str
-    coords: np.ndarray
+class AffinePoint(Immutable):
+    __slots__ = ("space", "chart", "coords")
+
+    def __init__(self, space: AffineSpaceSpec, chart: str, coords: np.ndarray):
+        fill_slots(self, space, chart, coords)
 
     def in_reference(self) -> np.ndarray:
         return self.space.to_reference(self)
 
 
-@dataclass(frozen=True)
-class TangentVec:
-    space: AffineSpaceSpec
-    chart: str
-    components: np.ndarray
+class TangentVec(Immutable):
+    __slots__ = ("space", "chart", "components")
+
+    def __init__(self, space: AffineSpaceSpec, chart: str, components: np.ndarray):
+        fill_slots(self, space, chart, components)
 
     def in_reference(self) -> np.ndarray:
         return self.space.vector_to_reference(self)

@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import symexpr as se
+from ._immutable import Immutable, fill_slots
 from .affine import AffineSpaceSpec, _matvec
 from .duality import SpecialAffineSpace, SpecialDualSpace, iota_sharp
 from .reporting import Report, first_worst, per_point_max
@@ -65,13 +65,14 @@ class NonAffineSectionError(BracketError):
 # Base patches and random coefficient functions
 
 
-@dataclass(frozen=True)
-class Patch:
+class Patch(Immutable):
     """Open box in R^m used as the base of a bundle."""
 
-    names: tuple[str, ...] = ()
-    lows: tuple[float, ...] = ()
-    highs: tuple[float, ...] = ()
+    __slots__ = ("names", "lows", "highs")
+
+    def __init__(self, names: tuple[str, ...] = (), lows: tuple[float, ...] = (),
+                 highs: tuple[float, ...] = ()):
+        fill_slots(self, names, lows, highs)
 
     @classmethod
     def box(cls, names, low=-1.0, high=1.0) -> "Patch":
@@ -520,14 +521,15 @@ def aff_jacobi_bracket(data: LieAffgebroidData, sigma: Expression,
     return iota_sharp(data.bracket(a, b), sd)
 
 
-@dataclass
 class AffPoissonResult:
-    is_poisson: bool
-    derivation_ok: bool
-    centrality_ok: bool
-    derivation_residual: float
-    centrality_residual: float
-    witness: dict | None = None
+    __slots__ = ("is_poisson", "derivation_ok", "centrality_ok", "derivation_residual",
+                 "centrality_residual", "witness")
+
+    def __init__(self, is_poisson: bool, derivation_ok: bool, centrality_ok: bool,
+                 derivation_residual: float, centrality_residual: float,
+                 witness: dict | None = None):
+        fill_slots(self, is_poisson, derivation_ok, centrality_ok, derivation_residual,
+                   centrality_residual, witness)
 
     @property
     def criteria_agree(self) -> bool:

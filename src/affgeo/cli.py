@@ -375,7 +375,7 @@ def _load_affgebroid(sc: Scenario, patch: Patch) -> LieAffgebroidData:
     try:
         return LieAffgebroidData(
             patch, rank, beta, c, _exprs(sc["structure", "anchor_ref"], ctx),
-            [_exprs(anchors[i], ctx) for i in sorted(anchors)], v=sc["structure", "v"])
+            [_exprs(anchors[i], ctx) for i in sorted(anchors)])
     except BracketError as err:
         raise ScenarioError(str(err)) from None
 
@@ -619,7 +619,6 @@ KINDS = {
         Key("structure", "anchor_ref", EXPRS, REQUIRED, NO_ATIYAH),
         Key("structure", "anchor<i>", EXPRS, None, NO_ATIYAH, RANK),
         Key("structure", "beta<i>", EXPRS, None, NO_ATIYAH, RANK),
-        Key("structure", "v", FLOATS, None, NO_ATIYAH),
         Key("c", "<i> <j>", EXPRS, None, NO_ATIYAH, RANK),
         Key("checks", "hull", BOOL, "false", NO_ATIYAH),
     ]),

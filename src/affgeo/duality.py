@@ -19,10 +19,9 @@ Conventions used throughout (all stored in reference-chart coordinates):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._immutable import Immutable, fill_slots
 from .affine import (AffineGeometryError, AffinePoint, AffineSpaceSpec, TangentVec, _frozen,
                      _matvec)
 from . import symexpr as se
@@ -39,17 +38,13 @@ CHI_ORIENTATION = -1.0
 FIBER = "s"  # the adapted fiber coordinate of an AV presentation, oriented by d/ds = -chi
 
 
-@dataclass(frozen=True)
-class DualElement:
+class DualElement(Immutable):
     """Affine function <w, x> + c on a space, in reference coordinates."""
 
-    space: AffineSpaceSpec
-    w: np.ndarray
-    c: float
+    __slots__ = ("space", "w", "c")
 
-    def __post_init__(self):
-        object.__setattr__(self, "w", _frozen(self.w))
-        object.__setattr__(self, "c", float(self.c))
+    def __init__(self, space: AffineSpaceSpec, w: np.ndarray, c: float):
+        fill_slots(self, space, _frozen(w), float(c))
         if self.w.shape != (self.space.dim,):
             raise AffineGeometryError("dual coefficient vector has wrong length")
 
@@ -66,17 +61,13 @@ def one(space: AffineSpaceSpec) -> DualElement:
     return DualElement(space, np.zeros(space.dim), 1.0)
 
 
-@dataclass(frozen=True)
-class HullPoint:
+class HullPoint(Immutable):
     """Element (z, lam) of the vector hull, the dual of the dual."""
 
-    space: AffineSpaceSpec
-    z: np.ndarray
-    lam: float
+    __slots__ = ("space", "z", "lam")
 
-    def __post_init__(self):
-        object.__setattr__(self, "z", _frozen(self.z))
-        object.__setattr__(self, "lam", float(self.lam))
+    def __init__(self, space: AffineSpaceSpec, z: np.ndarray, lam: float):
+        fill_slots(self, space, _frozen(z), float(lam))
         if self.z.shape != (self.space.dim,):
             raise AffineGeometryError("hull vector has wrong length")
 

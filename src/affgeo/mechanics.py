@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import symexpr as se
+from ._immutable import Immutable, fill_slots
 from .phase import TimePhaseSpace, canonical_poisson, sample_points
 from .reporting import per_point_max
 from .symexpr import Expression
@@ -92,15 +92,14 @@ class VectorField:
         return np.array(self._fn(*np.asarray(y, dtype=float)))
 
 
-@dataclass
 class Trajectory:
     """Uniformly sampled solution curve with optional event columns."""
 
-    names: tuple[str, ...]
-    times: np.ndarray
-    states: np.ndarray
-    event_names: tuple[str, ...] = ()
-    events: np.ndarray | None = None
+    __slots__ = ("names", "times", "states", "event_names", "events")
+
+    def __init__(self, names: tuple[str, ...], times: np.ndarray, states: np.ndarray,
+                 event_names: tuple[str, ...] = (), events: np.ndarray | None = None):
+        fill_slots(self, names, times, states, event_names, events)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -485,17 +484,14 @@ class NewtonSpaceTime:
         return InertialFrame(self, u)
 
 
-@dataclass(frozen=True)
-class InertialFrame:
-    spacetime: NewtonSpaceTime
-    u: np.ndarray
+class InertialFrame(Immutable):
+    __slots__ = ("spacetime", "u")
 
-    def __post_init__(self):
-        u = np.asarray(self.u, float)
-        object.__setattr__(self, "u", u)
-        if u.shape != (self.spacetime.d + 1,):
+    def __init__(self, spacetime: NewtonSpaceTime, u: np.ndarray):
+        fill_slots(self, spacetime, np.asarray(u, float))
+        if self.u.shape != (spacetime.d + 1,):
             raise MechanicsError("frame velocity has wrong length")
-        if abs(self.spacetime.time_of(u) - 1.0) > 1e-12:
+        if abs(spacetime.time_of(self.u) - 1.0) > 1e-12:
             raise MechanicsError("frame velocity must have unit clock rate")
 
     def boosted(self, v_components) -> "InertialFrame":
@@ -503,20 +499,14 @@ class InertialFrame:
         return InertialFrame(self.spacetime, self.u + shift)
 
 
-@dataclass(frozen=True)
-class ObservedPhase:
+class ObservedPhase(Immutable):
     """Event, spatial momentum, action coordinate, and the frame tag."""
 
-    x: np.ndarray
-    p: np.ndarray
-    s: float
-    frame: InertialFrame
+    __slots__ = ("x", "p", "s", "frame")
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, float))
-        object.__setattr__(self, "p", np.asarray(self.p, float))
-        object.__setattr__(self, "s", float(self.s))
-        d = self.frame.spacetime.d
+    def __init__(self, x: np.ndarray, p: np.ndarray, s: float, frame: InertialFrame):
+        fill_slots(self, np.asarray(x, float), np.asarray(p, float), float(s), frame)
+        d = frame.spacetime.d
         if self.x.shape != (d + 1,) or self.p.shape != (d,):
             raise MechanicsError("event or momentum has wrong length")
 
@@ -548,16 +538,13 @@ def gauge_transform(phase: ObservedPhase, v, m: float) -> ObservedPhase:
     return ObservedPhase(phase.x, p_new, s_new, phase.frame.boosted(c))
 
 
-@dataclass(frozen=True)
-class ObserverSplit:
+class ObserverSplit(Immutable):
     """Origin event plus a frame, splitting space-time into space x time."""
 
-    spacetime: NewtonSpaceTime
-    x0: np.ndarray
-    frame: InertialFrame
+    __slots__ = ("spacetime", "x0", "frame")
 
-    def __post_init__(self):
-        object.__setattr__(self, "x0", np.asarray(self.x0, float))
+    def __init__(self, spacetime: NewtonSpaceTime, x0: np.ndarray, frame: InertialFrame):
+        fill_slots(self, spacetime, np.asarray(x0, float), frame)
 
     @classmethod
     def default(cls, st: NewtonSpaceTime) -> "ObserverSplit":

@@ -12,12 +12,12 @@ independence then becomes an executable comparison between tags.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from . import symexpr as se
+from ._immutable import Immutable, fill_slots
 from .brackets import Patch
 from .reporting import Report, per_point_max
 from .symexpr import Expression
@@ -46,8 +46,7 @@ def _over(patch: Patch, sigma: Expression) -> Expression:
     return sigma
 
 
-@dataclass(frozen=True)
-class AffineOneForm:
+class AffineOneForm(Immutable):
     """Section of the phase bundle: covector components plus a tag, the
     trivializing section they are taken against.
 
@@ -55,9 +54,10 @@ class AffineOneForm:
     in another trivialization, shifting by ``d(old - new)``.
     """
 
-    patch: Patch
-    tag: Expression
-    components: tuple[Expression, ...]
+    __slots__ = ("patch", "tag", "components")
+
+    def __init__(self, patch: Patch, tag: Expression, components: tuple[Expression, ...]):
+        fill_slots(self, patch, tag, components)
 
     def retag(self, new_tag: Expression) -> "AffineOneForm":
         shift = se.sub(self.tag, _over(self.patch, new_tag))
@@ -79,16 +79,17 @@ def section_one_form(patch: Patch, sigma: Expression,
     return AffineOneForm(patch, tag, comps)
 
 
-@dataclass(frozen=True)
-class TwoForm:
+class TwoForm(Immutable):
     """Two-form with expression coefficients; antisymmetric by storage.
 
     Terms are kept for index pairs ``i < j`` over the coordinate list,
     once each; the evaluated matrix is filled antisymmetrically.
     """
 
-    coords: tuple[str, ...]
-    terms: dict[tuple[int, int], Expression]
+    __slots__ = ("coords", "terms")
+
+    def __init__(self, coords: tuple[str, ...], terms: dict[tuple[int, int], Expression]):
+        fill_slots(self, coords, terms)
 
     def matrix(self, points: dict[str, np.ndarray]) -> np.ndarray:
         """The matrices at the points of a sample set, as ``(count, n, n)``."""
@@ -179,8 +180,7 @@ def point_at(points: dict[str, np.ndarray], k: int) -> dict[str, float]:
     return {n: float(v[k]) for n, v in points.items()}
 
 
-@dataclass(frozen=True)
-class TimePhaseSpace:
+class TimePhaseSpace(Immutable):
     """Cotangent coordinates of a space-time split into space and time.
 
     Positions ``q`` plus the time ``t``, momenta ``p`` plus the energy
@@ -188,13 +188,13 @@ class TimePhaseSpace:
     realized by dropping that coordinate.
     """
 
-    q: tuple[str, ...]
-    p: tuple[str, ...]
+    __slots__ = ("q", "p")
     time = "t"
     energy = "e"
 
-    def __post_init__(self):
-        if len(self.q) != len(self.p):
+    def __init__(self, q: tuple[str, ...], p: tuple[str, ...]):
+        fill_slots(self, q, p)
+        if len(q) != len(p):
             raise PhaseError("need one momentum name per position name")
 
     @property
@@ -238,8 +238,7 @@ def eq1_aff_poisson(space: TimePhaseSpace, sigma: Expression,
 # Affine Poisson reduction
 
 
-@dataclass(frozen=True)
-class AVMorphism:
+class AVMorphism(Immutable):
     """Fibration of AV-bundles in coordinates.
 
     ``base_map`` sends target base coordinates to expressions in the
@@ -248,9 +247,10 @@ class AVMorphism:
     source fiber variable ``fiber_var`` (affinely).
     """
 
-    base_map: dict[str, Expression]
-    fiber_expr: Expression
-    fiber_var: str
+    __slots__ = ("base_map", "fiber_expr", "fiber_var")
+
+    def __init__(self, base_map: dict[str, Expression], fiber_expr: Expression, fiber_var: str):
+        fill_slots(self, base_map, fiber_expr, fiber_var)
 
     def pullback(self, sigma: Expression) -> Expression:
         """Pull a target section back to a source section.

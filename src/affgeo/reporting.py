@@ -14,17 +14,17 @@ tolerances of :func:`brackets.is_aff_poisson`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._immutable import fill_slots
 
-@dataclass
+
 class CheckResult:
-    check: str
-    passed: bool
-    residual: float
-    witness: dict | None = None
+    __slots__ = ("check", "passed", "residual", "witness")
+
+    def __init__(self, check: str, passed: bool, residual: float, witness: dict | None = None):
+        fill_slots(self, check, passed, residual, witness)
 
     def to_dict(self) -> dict:
         out = {"check_name": self.check, "pass": self.passed,
@@ -34,10 +34,11 @@ class CheckResult:
         return out
 
 
-@dataclass
 class Report:
-    scenario: str
-    checks: list[CheckResult] = field(default_factory=list)
+    __slots__ = ("scenario", "checks")
+
+    def __init__(self, scenario: str, checks: list[CheckResult] | None = None):
+        fill_slots(self, scenario, [] if checks is None else checks)
 
     def add(self, check: str, passed: bool, residual: float,
             witness: dict | None = None) -> CheckResult:

@@ -1,8 +1,8 @@
 """Scalar expression language for coordinate functions.
 
-Expressions are immutable ASTs over real literals, named variables,
-the binary operations ``+ - * /``, integer powers ``^``, and the unary
-functions ``sin cos exp sqrt`` plus negation.  They support exact
+Expressions are immutable slotted ASTs over real literals, named
+variables, the binary operations ``+ - * /``, integer powers ``^``, and
+the unary functions ``sin cos exp sqrt`` plus negation.  They support exact
 symbolic partial differentiation, substitution, evaluation at one point
 or at a whole sample set in one walk of the tree, printing to a form
 that re-parses to an equivalent expression, and compilation into one
@@ -38,10 +38,11 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
 import numpy as np
+
+from ._immutable import Immutable, fill_slots
 
 __all__ = [
     "Expression", "Const", "Var", "Add", "Sub", "Mul", "Div", "Pow", "Neg",
@@ -89,21 +90,17 @@ class DomainError(ExpressionError):
 # AST nodes
 
 
-class Expression:
+class Expression(Immutable):
     """Base node.  Instances are immutable and freely shareable.
 
-    The two slots of the base are not dataclass fields.  On an interior
-    node, ``_partials`` holds the derivatives :func:`differentiate` took
-    of it, by variable name, and ``_free`` the names :func:`free_vars`
-    counted in it; each is None until then.  Neither takes part in
-    ``==``, ``hash``, ``repr`` or :func:`compile_field`.
+    The two slots of the base are not fields.  On an interior node,
+    ``_partials`` holds the derivatives :func:`differentiate` took of it,
+    by variable name, and ``_free`` the names :func:`free_vars` counted
+    in it; each is None until then (a leaf never sets them).  Neither
+    takes part in ``==``, ``hash``, ``repr`` or :func:`compile_field`.
     """
 
     __slots__ = ("_partials", "_free")
-
-    def __post_init__(self):
-        object.__setattr__(self, "_partials", None)
-        object.__setattr__(self, "_free", None)
 
     def __add__(self, other: ExprLike) -> "Expression":
         return add(self, _coerce(other))
@@ -139,58 +136,77 @@ class Expression:
         return to_text(self)
 
 
-@dataclass(frozen=True, slots=True)
+_set = object.__setattr__  # how a node's __init__ writes its slots past the frozen __setattr__
+
+
+def _binary_init(self, left: Expression, right: Expression):  # of Add, Sub, Mul and Div
+    _set(self, "left", left)
+    _set(self, "right", right)
+    _set(self, "_partials", None)
+    _set(self, "_free", None)
+
+
 class Const(Expression):
-    value: float
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
+    def __init__(self, value: float):
+        _set(self, "value", float(value))
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Expression):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True, slots=True)
 class Add(Expression):
-    left: Expression
-    right: Expression
+    __slots__ = ("left", "right")
+    __init__ = _binary_init
 
 
-@dataclass(frozen=True, slots=True)
 class Sub(Expression):
-    left: Expression
-    right: Expression
+    __slots__ = ("left", "right")
+    __init__ = _binary_init
 
 
-@dataclass(frozen=True, slots=True)
 class Mul(Expression):
-    left: Expression
-    right: Expression
+    __slots__ = ("left", "right")
+    __init__ = _binary_init
 
 
-@dataclass(frozen=True, slots=True)
 class Div(Expression):
-    left: Expression
-    right: Expression
+    __slots__ = ("left", "right")
+    __init__ = _binary_init
 
 
-@dataclass(frozen=True, slots=True)
 class Pow(Expression):
-    base: Expression
-    exponent: int
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: Expression, exponent: int):
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
+        _set(self, "_partials", None)
+        _set(self, "_free", None)
 
 
-@dataclass(frozen=True, slots=True)
 class Neg(Expression):
-    operand: Expression
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: Expression):
+        _set(self, "operand", operand)
+        _set(self, "_partials", None)
+        _set(self, "_free", None)
 
 
-@dataclass(frozen=True, slots=True)
 class Call(Expression):
-    func: str
-    arg: Expression
+    __slots__ = ("func", "arg")
+
+    def __init__(self, func: str, arg: Expression):
+        _set(self, "func", func)
+        _set(self, "arg", arg)
+        _set(self, "_partials", None)
+        _set(self, "_free", None)
 
 
 ZERO = Const(0.0)
@@ -388,14 +404,14 @@ _KINDS = {
 # Variable contexts
 
 
-@dataclass(frozen=True)
-class VarContext:
+class VarContext(Immutable):
     """The ordered, unique variable names an expression may use."""
 
-    names: tuple[str, ...]
+    __slots__ = ("names",)
 
-    def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
+    def __init__(self, names: tuple[str, ...]):
+        fill_slots(self, names)
+        if len(set(names)) != len(names):
             raise ValueError("variable names must be unique")
 
     @classmethod
@@ -596,7 +612,7 @@ def differentiate(e: Expression, v: str) -> Expression:
     partials = e._partials
     if partials is None:
         partials = {}
-        object.__setattr__(e, "_partials", partials)
+        _set(e, "_partials", partials)
     else:
         d = partials.get(v)
         if d is not None:
@@ -749,7 +765,7 @@ def free_vars(e: Expression) -> frozenset[str]:
             more = free_vars(getattr(e, name))
             if not more <= names:
                 names = more if names <= more else names | more
-        object.__setattr__(e, "_free", names)
+        _set(e, "_free", names)
     return names
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+from importlib import resources
 
 import pytest
 
@@ -439,6 +440,16 @@ def test_nan_structure_matrix_fails_the_check(tmp_path, capsys):
     report = json.loads((tmp_path / "nan_report.json").read_text())
     assert [c["pass"] for c in report["checks"]] == [False, False]
     assert all("witness" in c for c in report["checks"])
+
+
+@pytest.mark.parametrize("value", ["nan", "1"])
+def test_a_distinguished_section_on_a_non_atiyah_structure_exits_2(tmp_path, capsys, value):
+    # no check reads [structure] v of a non-Atiyah structure, so it is no key
+    text = (resources.files("affgeo") / "scenarios" / "jet_bundle_hull.ini").read_text()
+    path = tmp_path / "v.ini"
+    path.write_text(text.replace("[structure]\n", f"[structure]\nv = {value}\n"))
+    assert run(["run", str(path), "--out", str(tmp_path)]) == 2
+    assert "unknown key [structure] v" in capsys.readouterr().err
 
 
 TIMEDEP = (

@@ -77,3 +77,20 @@ def test_every_all_entry_is_defined(path):
     module = tree(path)
     missing = sorted(set(exported(module) or ()) - defined(module))
     assert not missing, f"{path.name} exports names it does not define: {missing}"
+
+
+def imported_modules(module):
+    """The top-level names of the absolute modules the module imports from."""
+    names = set()
+    for node in ast.walk(module):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_module_imports_dataclasses(path):
+    # a dataclass generates the code of its methods when its module is imported
+    assert "dataclasses" not in imported_modules(tree(path))

@@ -1,6 +1,5 @@
 import csv
 import math
-from dataclasses import fields
 from decimal import Decimal
 
 import numpy as np
@@ -440,7 +439,7 @@ def _nonnegative_powers(e):
     if isinstance(e, se.Pow):
         return se.Pow(_nonnegative_powers(e.base), abs(e.exponent))
     return type(e)(*[_nonnegative_powers(v) if isinstance(v, se.Expression) else v
-                     for v in (getattr(e, f.name) for f in fields(e))])
+                     for v in (getattr(e, name) for name in type(e).__slots__)])
 
 
 def _linear(coeffs, names):
@@ -760,7 +759,7 @@ def _without_y(e):
     if isinstance(e, (Const, Var)):
         return Const(0.25) if e == Var("y") else e
     return type(e)(*[_without_y(v) if isinstance(v, se.Expression) else v
-                     for v in (getattr(e, f.name) for f in fields(e))])
+                     for v in (getattr(e, name) for name in type(e).__slots__)])
 
 
 @settings(max_examples=200, deadline=None)

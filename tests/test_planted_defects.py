@@ -7,7 +7,6 @@ check failing and carrying a witness that locates the failure.  Every
 check of the bundled reports has a row, or a reason in ``NO_ROW``.
 """
 
-import dataclasses
 import itertools
 import json
 
@@ -107,7 +106,8 @@ def _action_shifted(original):
     # +1e-9 |v|^2 on the action: even in v, so it does not cancel on the way back
     def gauge_transform(phase_, v, m):
         out = original(phase_, v, m)
-        return dataclasses.replace(out, s=out.s + 1e-9 * float(np.dot(v, v)))
+        s = out.s + 1e-9 * float(np.dot(v, v))
+        return mechanics.ObservedPhase(out.x, out.p, s, out.frame)
     return gauge_transform
 
 
@@ -126,7 +126,7 @@ def _momentum_shift_flipped(original):
     # p - m g v becomes p + m g v: the boosted world-line starts off the frame's
     def gauge_transform(phase_, v, m):
         out = original(phase_, v, m)
-        return dataclasses.replace(out, p=2.0 * phase_.p - out.p)
+        return mechanics.ObservedPhase(out.x, 2.0 * phase_.p - out.p, out.s, out.frame)
     return gauge_transform
 
 
@@ -199,7 +199,7 @@ DEFECTS = [
     ("reduction_identity", "reduction_eq1", phase.AVMorphism, "pullback_function",
      lambda original: lambda *args: se.mul(se.Const(1.001), original(*args))),
     ("pairing_vertical_invariance", "duality_suite", duality.HullPoint, "embed_vector",
-     lambda original: staticmethod(lambda v: dataclasses.replace(original(v), lam=1e-3))),
+     lambda original: staticmethod(lambda v: duality.HullPoint(v.space, original(v).z, 1e-3))),
 ]
 
 

@@ -14,6 +14,12 @@ def test_non_finite_residual_never_passes(residual):
     assert not report.passed
 
 
+def test_each_report_starts_with_its_own_empty_check_list():
+    first, second = Report("a"), Report("b")
+    first.add("c", True, 0.0)
+    assert [c.check for c in first.checks] == ["c"] and second.checks == []
+
+
 def test_finite_residual_keeps_the_verdict():
     report = Report("x")
     assert report.add("a", True, 0.5).passed

@@ -80,7 +80,6 @@ def strategy(kind, table, got, section, key):
         ("structure", "anchor_ref"): quoted(names, len(names)),
         ("structure", "anchor<i>"): quoted(names, len(names)),
         ("structure", "beta<i>"): quoted(names, rank),
-        ("structure", "v"): numbers(rank),
         ("c", "<i> <j>"): quoted(names, rank),
         ("checks", "hull"): BOOL,
         ("system", "dim"): st.integers(1, 2).map(str),

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 import operator
 import struct
@@ -479,8 +478,8 @@ def _to_sympy(e, sp):
 
 def _subtrees(e):
     yield e
-    for f in dataclasses.fields(e):
-        child = getattr(e, f.name)
+    for name in type(e).__slots__:
+        child = getattr(e, name)
         if isinstance(child, se.Expression):
             yield from _subtrees(child)
 
@@ -717,7 +716,7 @@ def test_simplifier_compares_deep_operands_without_recursion():
 def _rebuild(e):
     """An unshared copy of ``e`` that has never been differentiated."""
     return type(e)(*[_rebuild(c) if isinstance(c, se.Expression) else c
-                     for c in (getattr(e, f.name) for f in dataclasses.fields(e))])
+                     for c in (getattr(e, name) for name in type(e).__slots__)])
 
 
 @settings(max_examples=150, deadline=None)
@@ -732,12 +731,12 @@ def test_structural_comparison_agrees_with_equality(e, f):
 @given(all_kinds(), st.sampled_from(["x", "y"]))
 def test_derivatives_are_cached_per_node(e, v):
     w = "y" if v == "x" else "x"
-    before = (hash(e), repr(e), [f.name for f in dataclasses.fields(e)])
+    before = (hash(e), repr(e), list(type(e).__slots__))
     first, other = differentiate(e, v), differentiate(e, w)
     assert differentiate(e, v) is first and differentiate(e, w) is other
     assert first == differentiate(_rebuild(e), v)
     assert other == differentiate(_rebuild(e), w)
-    assert (hash(e), repr(e), [f.name for f in dataclasses.fields(e)]) == before
+    assert (hash(e), repr(e), list(type(e).__slots__)) == before
     assert e == _rebuild(e) and hash(e) == hash(_rebuild(e))
 
 
@@ -749,8 +748,8 @@ def _recount(e):
         if isinstance(node, Var):
             names.add(node.name)
         elif not isinstance(node, Const):
-            stack.extend(child for child in (getattr(node, f.name) for f in
-                                             dataclasses.fields(node))
+            stack.extend(child for child in (getattr(node, name) for name in
+                                             type(node).__slots__)
                          if isinstance(child, se.Expression))
     return names
 
