@@ -755,7 +755,8 @@ def list_scenarios(as_json: bool, kind: str | None) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache  # built on the first call, not at import; each parse gets a new Namespace
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="affgeo",
         description="Run verification and simulation scenarios for the "
@@ -769,8 +770,11 @@ def main(argv=None) -> int:
     listp = sub.add_parser("list", help="list bundled scenarios")
     listp.add_argument("--json", action="store_true")
     listp.add_argument("--kind", default=None, choices=list(KINDS))
-    args = parser.parse_args(argv)
+    return parser
 
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "list":
         return list_scenarios(args.json, args.kind)
     outdir = Path(args.out or os.environ.get("AFFGEO_OUT") or ".")

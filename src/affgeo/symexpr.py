@@ -280,6 +280,8 @@ def sub(a: Expression, b: Expression) -> Expression:
         return ZERO
     if ta is Const and a.value == 0.0:
         return neg(b)
+    if tb is Neg:  # a - (-b) is a + b in every bit; add would re-associate constants
+        return Add(a, b.operand)
     return Sub(a, b)
 
 

@@ -1,6 +1,11 @@
+import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -649,3 +654,82 @@ def test_a_run_interrupted_by_a_domain_error_writes_no_file(tmp_path, capsys,
     monkeypatch.setattr(cli, "energy_drift", planted)
     assert run(["run", name, "--out", str(tmp_path)]) == 3
     assert list(tmp_path.iterdir()) == []
+
+
+# --- many runs in one process, and the one-shot entry point --------------------
+
+
+def test_an_earlier_runs_options_do_not_carry_over(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("AFFGEO_OUT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    report = tmp_path / "abelian_affgebra_report.json"
+    assert run(["run", "abelian_affgebra", "--seed", "5", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 5
+    assert run(["run", "abelian_affgebra"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(report.read_text())["seed"] == 0
+    assert "{" not in out and out.endswith("scenario abelian_affgebra: PASS\n")
+
+
+def test_the_output_directory_is_read_again_on_every_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for out, env in [("a", None), (None, "b"), (None, "c"), ("d", "c"), (None, None)]:
+        if env:
+            monkeypatch.setenv("AFFGEO_OUT", str(tmp_path / env))
+        else:
+            monkeypatch.delenv("AFFGEO_OUT", raising=False)
+        assert run(["run", "abelian_affgebra"] + (["--out", out] if out else [])) == 0
+        where = tmp_path / (out or env or ".")
+        assert (where / "abelian_affgebra_report.json").is_file()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "a", "abelian_affgebra_report.json", "b", "c", "d"]
+
+
+def test_a_usage_error_leaves_the_next_run_alone(tmp_path, capsys):
+    for bad in (["run"], ["run", "abelian_affgebra", "--seed", "x"], ["list", "--kind", "bogus"]):
+        with pytest.raises(SystemExit) as done:
+            run(bad)
+        assert done.value.code == 2
+    assert "bogus" in capsys.readouterr().err
+    assert run(["run", "abelian_affgebra", "--out", str(tmp_path)]) == 0
+    with pytest.raises(SystemExit):
+        run(["list", "--kind", "bogus"])
+    err = capsys.readouterr().err
+    assert all(kind in err for kind in cli.KINDS)
+
+
+def test_the_argument_parser_is_built_on_the_first_run_only(tmp_path, capsys, monkeypatch):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._parser.cache_clear()
+    try:
+        assert run(["list", "--json"]) == 0
+        first = list(built)  # the parser and its two subparsers
+        assert run(["run", "abelian_affgebra", "--out", str(tmp_path)]) == 0
+        assert run(["list"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert first == built and len([p for p in built if p == "affgeo"]) == 1
+
+
+def _module(*args):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    return subprocess.run([sys.executable, "-m", "affgeo", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_the_module_entry_point_prints_help():
+    done = _module("--help")
+    assert done.returncode == 0
+    assert "run" in done.stdout and "list" in done.stdout
+
+
+def test_the_module_entry_point_without_a_scenario_prints_usage():
+    done = _module("run")
+    assert done.returncode == 2
+    assert done.stderr.startswith("usage: affgeo run") and done.stdout == ""

@@ -175,6 +175,12 @@ def timephase():
     return TimePhaseSpace(q=("q",), p=("p",))
 
 
+def test_the_attached_function_of_a_negated_hamiltonian_prints_as_a_sum():
+    space = timephase()
+    sigma = se.neg(parse("p^2/2 + q^2/2", VarContext.make(base=space.base_names)))
+    assert str(space.section_function(sigma)) == "e + (p^2/2 + q^2/2)"
+
+
 def test_eq1_skew():
     space = timephase()
     ctx = VarContext.make(base=space.base_names)

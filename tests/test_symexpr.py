@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from affgeo import symexpr as se
 from affgeo.symexpr import (
@@ -217,6 +217,12 @@ SIMPLIFIER = [
      "Sub(left=Mul(left=Var(name='x'), right=Var(name='y')), "
      "right=Mul(left=Var(name='y'), right=Var(name='x')))"),
     ("sub", (C(0.0), C(-0.0)), "Const(value=0.0)"),
+    # a - (-b) is a + b, built as one node: add would re-associate c1 + (c2 + x)
+    ("sub", (x, Neg(y)), "Add(left=Var(name='x'), right=Var(name='y'))"),
+    ("sub", (C(0.0), Neg(x)), "Var(name='x')"),
+    ("sub", (C(2.0), Neg(Add(C(1.0), x))),
+     "Add(left=Const(value=2.0), right=Add(left=Const(value=1.0), right=Var(name='x')))"),
+    ("sub", (Neg(x), Neg(x)), "Const(value=0.0)"),
     # neg(neg(x))
     ("neg", (Neg(x),), "Var(name='x')"),
     ("neg", (x,), "Neg(operand=Var(name='x'))"),
@@ -454,6 +460,23 @@ def test_array_evaluation_matches_point_by_point_bit_for_bit(e, seed):
     else:
         assert array.dtype == np.float64
         assert array.view(np.uint64).tolist() == scalar.view(np.uint64).tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(all_kinds(), all_kinds(), st.integers(0, 2**32 - 1))
+def test_subtracting_a_negation_builds_the_sum_and_keeps_every_bit(a, b, seed):
+    assume(a != se.Neg(b))  # e - e folds to 0 first
+    folded, kept = se.sub(a, se.Neg(b)), se.Sub(a, se.Neg(b))
+    assert type(folded) is se.Add and (folded.left, folded.right) == (a, b)
+    xy = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(50, 2))
+    env = {"x": xy[:, 0], "y": xy[:, 1]}
+    with np.errstate(all="ignore"):
+        old, new = (_outcome(lambda: np.broadcast_to(evaluate(e, env), (50,)).copy())
+                    for e in (kept, folded))
+    if old is None:
+        assert new is None
+    else:
+        assert new.view(np.uint64).tolist() == old.view(np.uint64).tolist()
 
 
 # --- sympy as an oracle that shares no code with symexpr ----------------------
