@@ -217,12 +217,6 @@ SIMPLIFIER = [
      "Sub(left=Mul(left=Var(name='x'), right=Var(name='y')), "
      "right=Mul(left=Var(name='y'), right=Var(name='x')))"),
     ("sub", (C(0.0), C(-0.0)), "Const(value=0.0)"),
-    # a - (-b) is a + b, built as one node: add would re-associate c1 + (c2 + x)
-    ("sub", (x, Neg(y)), "Add(left=Var(name='x'), right=Var(name='y'))"),
-    ("sub", (C(0.0), Neg(x)), "Var(name='x')"),
-    ("sub", (C(2.0), Neg(Add(C(1.0), x))),
-     "Add(left=Const(value=2.0), right=Add(left=Const(value=1.0), right=Var(name='x')))"),
-    ("sub", (Neg(x), Neg(x)), "Const(value=0.0)"),
     # neg(neg(x))
     ("neg", (Neg(x),), "Var(name='x')"),
     ("neg", (x,), "Neg(operand=Var(name='x'))"),
@@ -253,6 +247,12 @@ SIMPLIFIER = [
      "right=Mul(left=Const(value=nan), right=Var(name='x')))"),
     ("add", (Neg(C(NAN)), C(NAN2)),
      "Add(left=Neg(operand=Const(value=nan)), right=Const(value=nan))"),
+    # a - (-b) is a + b, built as one node: add would re-associate c1 + (c2 + x)
+    ("sub", (x, Neg(y)), "Add(left=Var(name='x'), right=Var(name='y'))"),
+    ("sub", (C(0.0), Neg(x)), "Var(name='x')"),
+    ("sub", (C(2.0), Neg(Add(C(1.0), x))),
+     "Add(left=Const(value=2.0), right=Add(left=Const(value=1.0), right=Var(name='x')))"),
+    ("sub", (Neg(x), Neg(x)), "Const(value=0.0)"),
 ]
 
 
