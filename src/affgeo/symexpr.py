@@ -280,7 +280,7 @@ def sub(a: Expression, b: Expression) -> Expression:
         return ZERO
     if ta is Const and a.value == 0.0:
         return neg(b)
-    if tb is Neg:  # a - (-b) is a + b in every bit; add would re-associate constants
+    if tb is Neg:  # a - (-b) is the double a + b, a NaN's sign aside; add would re-associate
         return Add(a, b.operand)
     return Sub(a, b)
 

@@ -1,4 +1,3 @@
-import argparse
 import json
 import math
 import os
@@ -698,23 +697,11 @@ def test_a_usage_error_leaves_the_next_run_alone(tmp_path, capsys):
     assert all(kind in err for kind in cli.KINDS)
 
 
-def test_the_argument_parser_is_built_on_the_first_run_only(tmp_path, capsys, monkeypatch):
-    built, init = [], argparse.ArgumentParser.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    cli._parser.cache_clear()
-    try:
-        assert run(["list", "--json"]) == 0
-        first = list(built)  # the parser and its two subparsers
-        assert run(["run", "abelian_affgebra", "--out", str(tmp_path)]) == 0
-        assert run(["list"]) == 0
-    finally:
-        cli._parser.cache_clear()
-    assert first == built and len([p for p in built if p == "affgeo"]) == 1
+def test_every_run_reuses_the_one_parser(tmp_path, capsys):
+    parser = cli._parser()
+    assert run(["list", "--json"]) == 0
+    assert run(["run", "abelian_affgebra", "--out", str(tmp_path)]) == 0
+    assert cli._parser() is parser
 
 
 def _module(*args):

@@ -464,7 +464,9 @@ def test_array_evaluation_matches_point_by_point_bit_for_bit(e, seed):
 
 @settings(max_examples=150, deadline=None)
 @given(all_kinds(), all_kinds(), st.integers(0, 2**32 - 1))
-def test_subtracting_a_negation_builds_the_sum_and_keeps_every_bit(a, b, seed):
+def test_subtracting_a_negation_builds_the_sum_with_the_same_doubles(a, b, seed):
+    """Equal bits wherever the old tree is a number; where it is NaN the new
+    one is NaN too, but Neg flips a NaN's sign bit and the sum does not."""
     assume(a != se.Neg(b))  # e - e folds to 0 first
     folded, kept = se.sub(a, se.Neg(b)), se.Sub(a, se.Neg(b))
     assert type(folded) is se.Add and (folded.left, folded.right) == (a, b)
@@ -476,7 +478,16 @@ def test_subtracting_a_negation_builds_the_sum_and_keeps_every_bit(a, b, seed):
     if old is None:
         assert new is None
     else:
-        assert new.view(np.uint64).tolist() == old.view(np.uint64).tolist()
+        nan = np.isnan(old)
+        assert np.isnan(new).tolist() == nan.tolist()
+        assert new[~nan].view(np.uint64).tolist() == old[~nan].view(np.uint64).tolist()
+
+
+def test_subtracting_a_negated_nan_gives_a_nan():
+    for b in (NAN, -NAN):
+        old = evaluate(se.Sub(x, se.Neg(C(b))), {"x": 1.0})
+        new = evaluate(se.sub(x, se.Neg(C(b))), {"x": 1.0})
+        assert math.isnan(old) and math.isnan(new)
 
 
 # --- sympy as an oracle that shares no code with symexpr ----------------------
