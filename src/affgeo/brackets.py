@@ -202,13 +202,11 @@ class LieAffgebroidData:
     over the base; ``anchor_ref`` and ``anchor_lin[i]`` are vector
     fields on the base (components over the patch coordinates).  The
     optional ``v`` marks a distinguished model section (constant frame
-    coefficients), making the bundle special.  ``bracket_fn``, when
-    given, replaces the structure-function expansion as the bracket
-    backend; verification then genuinely tests it against the anchor.
+    coefficients), making the bundle special.
     """
 
     def __init__(self, patch: Patch, rank: int, beta, c, anchor_ref,
-                 anchor_lin, v=None, bracket_fn=None):
+                 anchor_lin, v=None):
         self.patch = patch
         self.rank = rank
         self.beta = [_coerce_section(b, rank) for b in beta]
@@ -224,7 +222,6 @@ class LieAffgebroidData:
         self.v = None if v is None else np.array(v, dtype=float)
         if self.v is not None and self.v.shape != (rank,):
             raise BracketError("distinguished section has wrong length")
-        self.bracket_fn = bracket_fn
         self._check_antisymmetry()
 
     def _check_antisymmetry(self):
@@ -268,8 +265,6 @@ class LieAffgebroidData:
         """Bracket of the sections ``a0 + f`` and ``a0 + g``."""
         f = _coerce_section(f, self.rank)
         g = _coerce_section(g, self.rank)
-        if self.bracket_fn is not None:
-            return _coerce_section(self.bracket_fn(f, g), self.rank)
         return self._expansion(f, g, [se.sub(b, a) for a, b in zip(f, g)])
 
     def _expansion(self, f, g, d) -> list[Expression]:
@@ -289,16 +284,9 @@ class LieAffgebroidData:
         return out
 
     def second_linear(self, f, W) -> list[Expression]:
-        """Second-slot linear part: bracket of ``a0 + f`` against model ``W``.
-
-        Computed as a bracket difference when a custom backend is
-        installed, directly from the expansion otherwise.
-        """
+        """Second-slot linear part: bracket of ``a0 + f`` against model ``W``."""
         f = _coerce_section(f, self.rank)
         W = _coerce_section(W, self.rank)
-        if self.bracket_fn is not None:
-            base = self.bracket(f, [se.ZERO] * self.rank)
-            return [se.sub(a, b) for a, b in zip(self.bracket(f, W), base)]
         return self._expansion(f, W, W)
 
     def _structure_terms(self, k, d, middle, f, g) -> Expression:
@@ -415,13 +403,13 @@ class HullAlgebroidData:
         self.data = data
 
     def anchor(self, h, comps) -> list[Expression]:
-        return self.data._anchor([se.mul(_as_expr(h), a)
+        return self.data._anchor([se.mul(se._coerce(h), a)
                                   for a in self.data.anchor_ref], comps)
 
     def bracket(self, X, Y) -> tuple[Expression, list[Expression]]:
         h, f = X
         h2, g = Y
-        h, h2 = _as_expr(h), _as_expr(h2)
+        h, h2 = se._coerce(h), se._coerce(h2)
         f = _coerce_section(f, self.data.rank)
         g = _coerce_section(g, self.data.rank)
         data = self.data
@@ -445,13 +433,9 @@ class HullAlgebroidData:
         h, f = X
         h2, g = Y
         weight, _ = self.bracket(X, Y)
-        lhs = se.sub(self.data.apply_field(self.anchor(h, f), _as_expr(h2)),
-                     self.data.apply_field(self.anchor(h2, g), _as_expr(h)))
+        lhs = se.sub(self.data.apply_field(self.anchor(h, f), se._coerce(h2)),
+                     self.data.apply_field(self.anchor(h2, g), se._coerce(h)))
         return se.sub(lhs, weight)
-
-
-def _as_expr(x) -> Expression:
-    return x if isinstance(x, Expression) else se.Const(float(x))
 
 
 def hull_extend(data: LieAffgebroidData,

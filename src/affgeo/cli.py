@@ -15,7 +15,9 @@ its mode does not read, a missing key, a value of the wrong type or out of
 range), holds a value the library rejects, a malformed expression or one
 too deep for the symbolic layer, or an output cannot be written (``--out``
 names a file, an output's name is a directory or the report's), 3 a
-runtime domain error interrupted the run.
+runtime domain error interrupted the run.  Only :func:`main` maps library
+errors to codes: refused values (``BracketError``, ``AffineGeometryError``,
+``MechanicsError``, ``PhaseError``) exit 2, ``DomainError`` and ``IntegrationError`` 3.
 """
 
 from __future__ import annotations
@@ -265,13 +267,10 @@ def _exprs(texts: list[str], ctx: se.VarContext) -> list[se.Expression]:
 def run_affine_verify(sc: Scenario, rng, report: Report):
     dim = sc["space", "dim"]
     given = {AffineSpaceSpec.reference: (np.eye(dim), np.zeros(dim))}  # chart: (matrix, offset)
-    try:
-        spec = AffineSpaceSpec(dim)
-        for (name,), (rows, offset) in sc["charts", "<name>"].items():
-            given[name] = _matrix(rows, dim), np.array(offset)
-            spec.add_chart(name, *given[name])
-    except AffineGeometryError as err:
-        raise ScenarioError(str(err)) from None
+    spec = AffineSpaceSpec(dim)
+    for (name,), (rows, offset) in sc["charts", "<name>"].items():
+        given[name] = _matrix(rows, dim), np.array(offset)
+        spec.add_chart(name, *given[name])
     charts = spec.charts
     triples = [[spec.point(rng.uniform(-3, 3, dim), chart=charts[rng.integers(len(charts))])
                 for _ in range(3)] for _ in range(16)]
@@ -354,10 +353,7 @@ def run_affgebra_verify(sc: Scenario, rng, report: Report):
                              if preset == "cross3" else sc["c", "<i> <j> <k>"] or {}).items():
         c[i - 1, j - 1, k - 1] = value
         c[j - 1, i - 1, k - 1] = -value
-    try:
-        data = LieAffgebraData(_matrix(sc["structure", "D"], dim), c)
-    except BracketError as err:
-        raise ScenarioError(str(err)) from None
+    data = LieAffgebraData(_matrix(sc["structure", "D"], dim), c)
     report.checks.extend(verify_affgebra(data).checks)
 
 
@@ -372,12 +368,9 @@ def _load_affgebroid(sc: Scenario, patch: Patch) -> LieAffgebroidData:
         c[i - 1][j - 1] = _exprs(texts, ctx)
         c[j - 1][i - 1] = [se.neg(e) for e in c[i - 1][j - 1]]
     anchors = sc["structure", "anchor<i>"]  # the library wants one per index
-    try:
-        return LieAffgebroidData(
-            patch, rank, beta, c, _exprs(sc["structure", "anchor_ref"], ctx),
-            [_exprs(anchors[i], ctx) for i in sorted(anchors)])
-    except BracketError as err:
-        raise ScenarioError(str(err)) from None
+    return LieAffgebroidData(
+        patch, rank, beta, c, _exprs(sc["structure", "anchor_ref"], ctx),
+        [_exprs(anchors[i], ctx) for i in sorted(anchors)])
 
 
 def _check_atiyah_poisson(dim: int, rng, report: Report):
@@ -558,12 +551,8 @@ def run_reduction_check(sc: Scenario, rng, report: Report):
         return
     flip = sc["checks", "reduction"] == "flipped"
 
-    def bracket_y(a, b):
-        if not flip:
-            return eq1_aff_poisson(space, a, b)
-        F = se.sub(se.neg(se.Var(space.energy)), a)
-        G = se.sub(se.neg(se.Var(space.energy)), b)
-        return se.subst(canonical_poisson(F, G, space.pairs), {space.energy: 0.0})
+    def bracket_y(a, b):  # flipped, -e - a and -e - b bracket as e - (-a) and e - (-b)
+        return eq1_aff_poisson(space, *((se.neg(a), se.neg(b)) if flip else (a, b)))
 
     sections = [(se.neg(_expr("p^2/2 + q*t", ctx)), se.neg(_expr("q*p - t", ctx))),
                 (_expr("sin(q)*t", ctx), _expr("p + q^2", ctx))]
@@ -780,7 +769,8 @@ def main(argv=None) -> int:
     outdir = Path(args.out or os.environ.get("AFFGEO_OUT") or ".")
     try:
         return run_scenario(resolve_scenario(args.scenario), args.seed, outdir, args.json)
-    except (ScenarioError, MechanicsError, PhaseError, OSError) as err:
+    except (ScenarioError, MechanicsError, PhaseError, BracketError,
+            AffineGeometryError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except RecursionError:
@@ -789,8 +779,7 @@ def main(argv=None) -> int:
         print(f"error: expressions too deep for the symbolic layer (parsed "
               f"trees have at most {se.MAX_DEPTH} levels)", file=sys.stderr)
         return 2
-    except (se.DomainError, IntegrationError, BracketError,
-            AffineGeometryError) as err:
+    except (se.DomainError, IntegrationError) as err:
         print(f"runtime error: {err}", file=sys.stderr)
         return 3
 

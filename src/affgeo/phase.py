@@ -154,7 +154,7 @@ def canonical_poisson(F: Expression, G: Expression, pairs) -> Expression:
     is one, which is what makes the recovered time-dependent dynamics
     carry the unit time component.
     """
-    if F == G:
+    if se._equal(F, G):
         return se.ZERO  # antisymmetry, decidable structurally
     out: Expression = se.ZERO
     for x, p in pairs:

@@ -4,11 +4,11 @@ The library returns residuals; one rule decides every thresholded check,
 in :meth:`Report.check`: the residuals are reduced with
 :func:`first_worst`, which ranks NaN above every value, and the check
 passes iff that worst residual is below the tolerance.  So a non-finite
-residual never passes, nor does an empty residual set, and a failing
-check always names a witness: where the first worst residual sits, and
-its value.  :meth:`Report.add` records a verdict given from outside, for
-the two checks that have one: ``finite_trajectory`` and the two
-tolerances of :func:`brackets.is_aff_poisson`.
+residual never passes, nor does an empty residual set.  Every check names
+a witness builder, so a failing one says where its first worst residual
+sits, in the caller's terms, and its value.  :meth:`Report.add` records
+a verdict given from outside, for the two checks that have one:
+``finite_trajectory`` and the two tolerances of :func:`brackets.is_aff_poisson`.
 """
 
 from __future__ import annotations
@@ -52,22 +52,20 @@ class Report:
         self.checks.append(result)
         return result
 
-    def check(self, name: str, residuals, tol: float,
-              witness=None) -> CheckResult:
+    def check(self, name: str, residuals, tol: float, witness) -> CheckResult:
         """Record the check "worst of ``residuals`` < ``tol``".
 
         On failure the witness is ``witness(index)`` of the first worst
-        residual (an index tuple as :func:`first_worst` gives it), or
-        ``{"index": [...]}``, with ``"residual"`` added.  No residuals at
-        all fail the check, with the witness ``{"samples": 0}``."""
+        residual (an index tuple as :func:`first_worst` gives it), with
+        ``"residual"`` added.  No residuals at all fail the check, with
+        the witness ``{"samples": 0}``."""
         residuals = np.asarray(residuals, float)
         if residuals.size == 0:
             return self.add(name, False, 0.0, {"samples": 0})
         worst, at = first_worst(residuals)
         if worst < tol:
             return self.add(name, True, worst)
-        where = witness(at) if witness else {"index": list(at)}
-        return self.add(name, False, worst, {**where, "residual": worst})
+        return self.add(name, False, worst, {**witness(at), "residual": worst})
 
     @property
     def passed(self) -> bool:

@@ -78,6 +78,16 @@ def jet_commutator(f, g):
     return [d(g, "t") + f * d(g, "q") - d(f, "t") - g * d(f, "q")]
 
 
+def with_bracket(data, bracket):
+    """``data`` with ``bracket`` in place of the structure-function
+    expansion, and its second-slot part as the bracket difference."""
+    zero = [se.ZERO] * data.rank
+    data.bracket = bracket
+    data.second_linear = lambda f, W: [
+        se.sub(a, b) for a, b in zip(bracket(f, W), bracket(f, zero))]
+    return data
+
+
 def test_jet_bundle_bracket_matches_commutator_oracle():
     data = jet_bundle_affgebroid()
     ctx = VarContext.make(base=("q", "t"))
@@ -93,9 +103,9 @@ def test_jet_bundle_bracket_matches_commutator_oracle():
 
 def test_jet_bundle_backends_agree():
     via_expansion = jet_bundle_affgebroid()
-    via_commutator = LieAffgebroidData(
+    via_commutator = with_bracket(LieAffgebroidData(
         via_expansion.patch, 1, via_expansion.beta, via_expansion.c,
-        via_expansion.anchor_ref, via_expansion.anchor_lin, bracket_fn=jet_commutator)
+        via_expansion.anchor_ref, via_expansion.anchor_lin), jet_commutator)
     ctx = VarContext.make(base=("q", "t"))
     f = parse("q*t + 1", ctx)
     g = parse("cos(t) - q", ctx)
@@ -122,11 +132,11 @@ def test_affgebroid_construction_rejects_bad_antisymmetry():
 
 def test_doubled_anchor_breaks_leibniz_for_independent_bracket():
     data = jet_bundle_affgebroid()
-    doctored = LieAffgebroidData(
+    doctored = with_bracket(LieAffgebroidData(
         data.patch, 1, data.beta, data.c,
         [se.mul(Const(2.0), a) for a in data.anchor_ref],
-        [[se.mul(Const(2.0), a) for a in lin] for lin in data.anchor_lin],
-        bracket_fn=jet_commutator)
+        [[se.mul(Const(2.0), a) for a in lin] for lin in data.anchor_lin]),
+        jet_commutator)
     report = verify_affgebroid(doctored, grid16(),
                                rng=np.random.default_rng(3))
     leib = report["leibniz"]
@@ -219,11 +229,11 @@ def test_hull_distinguished_dual_section_is_closed():
 
 def test_hull_extend_refuses_invalid_input():
     data = jet_bundle_affgebroid()
-    doctored = LieAffgebroidData(
+    doctored = with_bracket(LieAffgebroidData(
         data.patch, 1, data.beta, data.c,
         [se.mul(Const(2.0), a) for a in data.anchor_ref],
-        [[se.mul(Const(2.0), a) for a in lin] for lin in data.anchor_lin],
-        bracket_fn=jet_commutator)
+        [[se.mul(Const(2.0), a) for a in lin] for lin in data.anchor_lin]),
+        jet_commutator)
     with pytest.raises(BracketError):
         hull_extend(doctored)
 
@@ -390,10 +400,10 @@ def test_point_witness_is_the_first_of_equal_worst_points():
     assert check.residual == 1.0 and check.witness["point"] == [1.0, -1.0]
 
 
-def _line_bundle(bracket_fn=None):
+def _line_bundle():
     zero = Const(0.0)
     return LieAffgebroidData(Patch.box(("q",)), 1, [[zero]], [[[zero]]], [zero],
-                             [[Const(1.0)]], bracket_fn=bracket_fn)
+                             [[Const(1.0)]])
 
 
 def test_point_check_reports_a_nan_point():
@@ -405,7 +415,7 @@ def test_point_check_reports_a_nan_point():
 
 
 def test_sampled_check_with_nan_at_one_grid_point_fails():
-    data = _line_bundle(bracket_fn=lambda f, g: [_nan_at_middle_point("q")])
+    data = with_bracket(_line_bundle(), lambda f, g: [_nan_at_middle_point("q")])
     with np.errstate(all="ignore"):
         report = verify_affgebroid(data, data.patch.grid(3),
                                    rng=np.random.default_rng(0))
@@ -431,7 +441,7 @@ def test_affgebroid_construction_rejects_nan_structure_functions():
 
 
 def test_points_of_a_line_may_be_given_as_a_flat_list():
-    data = _line_bundle(bracket_fn=lambda f, g: [se.mul(Var("q"), se.sub(g[0], f[0]))])
+    data = with_bracket(_line_bundle(), lambda f, g: [se.mul(Var("q"), se.sub(g[0], f[0]))])
     grid = data.patch.grid(5)
     flat = verify_affgebroid(data, grid.ravel().tolist(), rng=np.random.default_rng(4))
     column = verify_affgebroid(data, grid, rng=np.random.default_rng(4))

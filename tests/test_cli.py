@@ -589,6 +589,33 @@ def test_input_that_raised_a_traceback_exits_2(tmp_path, capsys, text):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("text, message", [
+    (AFFINE + "[charts]\nbad = 1, 2; 2, 4 | 0, 0\n", "chart 'bad': transition is singular"),
+    (AFFGEBRA.replace("dim = 3", "dim = 2") + "[c]\n1 1 1 = 1\n",
+     "structure constants are not antisymmetric"),
+    ("[scenario]\nkind = affgebroid-verify\nname = bad\n[base]\ncoords = q\n"
+     "[structure]\nrank = 1\nanchor_ref = \"1\"\nanchor1 = \"1\"\n[c]\n1 1 = \"q\"\n",
+     "structure functions not antisymmetric at (i=0, j=0, k=0)"),
+], ids=["singular-chart", "affgebra-not-antisymmetric", "affgebroid-not-antisymmetric"])
+def test_a_value_the_library_refuses_exits_2(tmp_path, capsys, text, message):
+    # the library's own error, not a re-raised copy, decides the exit code
+    code, err, out = run_text(tmp_path, capsys, text)
+    assert (code, err) == (2, f"error: {message}\n")
+    assert list(out.iterdir()) == []
+
+
+def test_equal_deep_sections_bracket_to_zero(tmp_path, capsys):
+    # F == G compared the two parsed trees recursively, past Python's stack
+    sigma = "+".join(["q*p"] * 398)
+    code, err, out = run_text(tmp_path, capsys, (
+        "[scenario]\nkind = reduction-check\nname = deep\n[checks]\neq1 = true\n"
+        f"[sections]\nsigma1 = \"{sigma}\"\nsigma2 = \"{sigma}\"\n"))
+    assert (code, err) == (0, "")
+    report = json.loads((out / "deep_report.json").read_text())
+    assert [c["check_name"] for c in report["checks"] if c["pass"]] == [
+        "eq1_descends_to_cotangent_bracket", "eq1_fiber_constancy"]
+
+
 TIMEDEP_OUT = (
     "[scenario]\nkind = timedep\nname = {name}\n"
     "[system]\ndim = 1\nhamiltonian = \"p1^2/2\"\n"

@@ -171,8 +171,47 @@ def test_canonical_poisson_antisymmetric_and_jacobi():
     assert np.max(np.abs(evaluate(cyc, points))) < 1e-9
 
 
+def test_equal_deep_functions_bracket_to_zero():
+    # F == G compared the trees recursively, past Python's stack
+    text = "+".join(["q*p"] * 398)
+    F, G = (parse(text, VarContext.make(base=("q", "p"))) for _ in range(2))
+    assert F is not G
+    assert canonical_poisson(F, G, [("q", "p")]) == se.ZERO
+
+
 def timephase():
     return TimePhaseSpace(q=("q",), p=("p",))
+
+
+def reference_flipped_bracket(space, a, b):
+    """The bracket of the flipped energy quotient that ``run_reduction_check``
+    built by hand: the attached functions ``-e - a`` and ``-e - b``,
+    bracketed upstairs and restricted to ``e = 0``."""
+    F = se.sub(se.neg(Var(space.energy)), a)
+    G = se.sub(se.neg(Var(space.energy)), b)
+    return se.subst(canonical_poisson(F, G, space.pairs), {space.energy: 0.0})
+
+
+def _flipped_pairs():
+    space = timephase()
+    ctx = VarContext.make(base=space.base_names)
+    patch = Patch.box(space.base_names)
+    rng = np.random.default_rng(11)
+    yield (se.neg(parse("p^2/2 + q*t", ctx)), se.neg(parse("q*p - t", ctx)))
+    yield (parse("sin(q)*t", ctx), parse("p + q^2", ctx))
+    for _ in range(50):
+        yield random_polynomial(patch, rng), random_polynomial(patch, rng)
+
+
+def test_the_flipped_bracket_is_eq1_of_the_negated_sections_bit_for_bit():
+    space = timephase()
+    points = sample_points(space.base_names, np.random.default_rng(12), 10**4, -50.0, 50.0)
+    for a, b in _flipped_pairs():
+        new = eq1_aff_poisson(space, se.neg(a), se.neg(b))
+        old = reference_flipped_bracket(space, a, b)
+        got, want = (np.broadcast_to(np.asarray(evaluate(e, points), float), 10**4)
+                     for e in (new, old))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (a, b)
 
 
 def test_the_attached_function_of_a_negated_hamiltonian_prints_as_a_sum():
@@ -277,10 +316,7 @@ def test_reduction_flipped_morphism_with_mismatched_bracket_fails():
     def bracket_y_mismatched(s1, s2):
         # built with the opposite fiber identification; only the part
         # that is odd in the sections flips, so the identity must fail
-        F = se.sub(se.neg(Var("e")), s1)
-        G = se.sub(se.neg(Var("e")), s2)
-        return se.subst(canonical_poisson(F, G, space.pairs),
-                        {space.energy: 0.0})
+        return reference_flipped_bracket(space, s1, s2)
 
     report = check_affine_reduction(rho_flipped, bz, bracket_y_mismatched,
                                     sections, points)

@@ -6,6 +6,11 @@ import pytest
 from affgeo.reporting import Report, first_worst, per_point_max
 
 
+def index_witness(at):
+    """The witness that names the first worst residual by its index."""
+    return {"index": list(at)}
+
+
 @pytest.mark.parametrize("residual", [math.nan, math.inf, -math.inf])
 def test_non_finite_residual_never_passes(residual):
     report = Report("x")
@@ -43,7 +48,7 @@ def test_first_worst_of_nothing_is_zero():
 @pytest.mark.parametrize("residuals", [[], np.zeros((3, 0))])
 def test_check_of_no_residuals_fails(residuals):
     report = Report("x")
-    check = report.check("x", residuals, 1e-9)
+    check = report.check("x", residuals, 1e-9, index_witness)
     assert not check.passed and not report.passed
     assert check.witness == {"samples": 0}
 
@@ -57,16 +62,16 @@ def test_per_point_max_broadcasts_constants_and_propagates_nan():
 
 def test_check_passes_iff_the_worst_residual_is_below_tol():
     report = Report("x")
-    ok = report.check("ok", [[0.1, 0.4], [0.2, 0.0]], 0.5)
+    ok = report.check("ok", [[0.1, 0.4], [0.2, 0.0]], 0.5, index_witness)
     assert ok.passed and ok.residual == 0.4 and ok.witness is None
-    edge = report.check("edge", [0.1, 0.5], 0.5)
+    edge = report.check("edge", [0.1, 0.5], 0.5, index_witness)
     assert not edge.passed and edge.witness == {"index": [1], "residual": 0.5}
     assert not report.passed
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_check_fails_a_non_finite_residual_with_its_witness(bad):
-    check = Report("x").check("c", [[0.0, 1e300], [bad, 2.0]], math.inf)
+    check = Report("x").check("c", [[0.0, 1e300], [bad, 2.0]], math.inf, index_witness)
     assert not check.passed
     assert check.witness["index"] == [1, 0]
     assert math.isnan(check.residual) == math.isnan(bad)
@@ -80,7 +85,7 @@ def test_check_witness_builder_sees_the_first_worst_index():
 
 
 def test_check_of_one_number():
-    check = Report("x").check("c", 2.0, 1.0)
+    check = Report("x").check("c", 2.0, 1.0, index_witness)
     assert not check.passed and check.witness == {"index": [], "residual": 2.0}
 
 
