@@ -9,47 +9,25 @@ and frame-independent Newtonian dynamics.
 
 Modules
 -------
-symexpr
-    Expression language: parsing, exact differentiation, evaluation.
-affine
-    Affine spaces with charts, affine and bi-affine maps.
-duality
-    Vector duals and hulls, special affine duals, the function
-    ``s - sigma`` attached to a section.
-brackets
-    Brackets over points and patches, verification, hull extension,
-    dual-side brackets.
-phase
-    Affine 1-forms of sections (a phase point is one evaluated at a
-    point), canonical two-form, quotient and reduction brackets.
-mechanics
-    Time-dependent and Newtonian dynamics, the fixed-step integrator.
-cli
+The package re-exports nothing: import a name from the module that
+defines it (``from affgeo.brackets import Patch``).  The modules form
+two stacks over one base, and importing a module loads only the
+modules below it (``a <- b``: ``b`` imports ``a``).
+
+base: ``_immutable``, ``symexpr``, ``reporting``
+    Slotted immutable classes; expressions (parsing, exact
+    differentiation, evaluation); check results and reports.
+geometry: ``affine`` <- ``duality`` <- ``brackets``
+    Affine spaces with charts, affine and bi-affine maps; vector duals
+    and hulls, special affine duals, the function ``s - sigma``
+    attached to a section; brackets over points and patches,
+    verification, hull extension, dual-side brackets.
+mechanics: ``phase`` <- ``mechanics``
+    Affine 1-forms of sections, canonical two-form, quotient and
+    reduction brackets; time-dependent and Newtonian dynamics, the
+    fixed-step integrator.
+``cli``, on both stacks
     Scenario runner (also exposed as the ``affgeo`` command).
 """
-
-from . import affine, brackets, duality, mechanics, phase, symexpr  # noqa: F401
-from .affine import (  # noqa: F401
-    AffineMap, AffineSpaceSpec, BiAffineMap, difference,
-)
-from .brackets import (  # noqa: F401
-    LieAffgebraData, LieAffgebroidData, Patch, aff_jacobi_bracket,
-    atiyah_algebroid, jet_bundle_affgebroid, hull_extend, is_aff_poisson,
-    verify_affgebra, verify_affgebroid,
-)
-from .duality import (  # noqa: F401
-    FIBER, DoubleDualMaps, DualElement, F_of_section, HullPoint,
-    SpecialAffineSpace, SpecialDualSpace, iota_sharp, pair,
-)
-from .mechanics import (  # noqa: F401
-    InertialFrame, NewtonSpaceTime, ObservedPhase, Trajectory,
-    compare_frames, energy_drift, gauge_transform, integrate, newton_dynamics,
-    timedep_dynamics,
-)
-from .phase import (  # noqa: F401
-    AVMorphism, TimePhaseSpace, bold_d_oneform, canonical_poisson,
-    check_affine_reduction, eq1_aff_poisson, omega_Z, section_one_form,
-)
-from .symexpr import Expression, VarContext, parse  # noqa: F401
 
 __version__ = "0.1.0"

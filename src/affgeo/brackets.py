@@ -540,8 +540,9 @@ def is_aff_poisson(data: LieAffgebroidData,
 
     Both are evaluated at 8 random base points; the derivation residual
     must stay below :data:`JACOBI_TOL`, the centrality residual below
-    :data:`CENTRALITY_TOL`.  When a criterion fails, the witness names the
-    one with the larger residual, its worst point and that residual.
+    :data:`CENTRALITY_TOL`.  The witness names the failing criterion (of
+    two failing ones, the one with the larger residual), its worst point
+    and that residual.
     """
     rng = rng or np.random.default_rng(0)
     sd = data.special_dual
@@ -582,12 +583,12 @@ def is_aff_poisson(data: LieAffgebroidData,
     worst_c, at_c = first_worst(_point_residuals(data, central, pts))
     centrality_ok = worst_c < CENTRALITY_TOL
 
-    # the witness of the worse failing criterion
+    # the witness of the failing criterion, or of the worse of two
     witness = None
     if not derivation_ok:
         witness = {"criterion": "derivation", "residual": worst_d,
                    "point": {n: float(v[at[1]]) for n, v in envs[at[0]].items()}}
-    if not centrality_ok and first_worst([worst_d, worst_c])[1] == (1,):
+    if not centrality_ok and (derivation_ok or first_worst([worst_d, worst_c])[1] == (1,)):
         witness = {"criterion": "centrality", "residual": worst_c,
                    "point": dict(zip(data.patch.names, pts[at_c[0]].tolist()))}
     return AffPoissonResult(

@@ -13,14 +13,16 @@ independence then becomes an executable comparison between tags.
 from __future__ import annotations
 
 from itertools import combinations
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import symexpr as se
 from ._immutable import Immutable, fill_slots
-from .brackets import Patch
 from .reporting import Report, per_point_max
 from .symexpr import Expression
+if TYPE_CHECKING:  # annotations only: phase does not load the bracket stack
+    from .brackets import Patch
 
 __all__ = [
     "AffineOneForm", "TwoForm", "PhaseError",

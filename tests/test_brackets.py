@@ -338,6 +338,21 @@ def test_is_aff_poisson_false_when_distinguished_vector_not_central():
     assert result.witness is not None
 
 
+def test_is_aff_poisson_witness_names_the_one_failing_criterion():
+    # a vertical beta of 1e-10 fails centrality (tolerance 1e-12), while the
+    # larger derivation residual stays under its own tolerance of 1e-9
+    atiyah = atiyah_algebroid(Patch.box(("x1",)))
+    data = LieAffgebroidData(atiyah.patch, atiyah.rank,
+                             [atiyah.beta[0], [se.ZERO, Const(1e-10)]], atiyah.c,
+                             atiyah.anchor_ref, atiyah.anchor_lin, v=atiyah.v)
+    result = is_aff_poisson(data, rng=np.random.default_rng(0))
+    assert result.derivation_ok and not result.centrality_ok
+    assert result.derivation_residual > result.centrality_residual
+    assert result.witness["criterion"] == "centrality"
+    assert result.witness["residual"] == result.centrality_residual
+    assert set(result.witness["point"]) == {"x1"}
+
+
 def test_is_aff_poisson_abelian_true():
     data = affgebra_to_affgebroid(
         LieAffgebraData(np.zeros((3, 3)), np.zeros((3, 3, 3))),

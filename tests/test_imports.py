@@ -1,11 +1,16 @@
-"""Every module of the package uses what it imports and defines what it exports.
+"""Every module of the package uses what it imports and defines what it exports,
+and importing a module loads only the modules it rests on.
 
-The checks read the sources with the standard ``ast`` module only, so
-they need no linter: an import left behind by a deletion, or an
-``__all__`` entry whose definition is gone, fails here.
+The first checks read the sources with the standard ``ast`` module only,
+so they need no linter: an import left behind by a deletion, or an
+``__all__`` entry whose definition is gone, fails here.  The last one
+imports each module in a fresh interpreter and lists what got loaded.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -94,3 +99,28 @@ def imported_modules(module):
 def test_no_module_imports_dataclasses(path):
     # a dataclass generates the code of its methods when its module is imported
     assert "dataclasses" not in imported_modules(tree(path))
+
+
+BASE = {"_immutable", "reporting", "symexpr"}
+LOADS = {
+    "symexpr": {"_immutable", "symexpr"},
+    "reporting": {"_immutable", "reporting"},
+    "affine": {"_immutable", "affine"},
+    "duality": {"_immutable", "affine", "duality", "symexpr"},
+    "brackets": BASE | {"affine", "duality", "brackets"},
+    "phase": BASE | {"phase"},
+    "mechanics": BASE | {"phase", "mechanics"},
+    "cli": BASE | {"affine", "duality", "brackets", "phase", "mechanics", "cli"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOADS))
+def test_importing_a_module_loads_only_its_stack(name):
+    # the geometry stack (affine, duality, brackets) and the mechanics stack
+    # (phase, mechanics) share only the base; the package re-exports nothing
+    code = (f"import sys, affgeo.{name}; "
+            "print(*(m for m in sys.modules if m.startswith('affgeo.')))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert set(done.stdout.split()) == {f"affgeo.{m}" for m in LOADS[name]}
