@@ -404,9 +404,9 @@ def timedep_dynamics(dim: int, hamiltonian: Expression,
     fld = VectorField(names, closed, events=space.q + (space.time,))
     fld.reduction_components = tuple(reduced)
     fld.cross_check_states = point
+    values = se.evaluate([*closed, *reduced], point)
     fld.cross_check_residuals = per_point_max(
-        [se.evaluate(a, point) - se.evaluate(b, point) for a, b in zip(closed, reduced)],
-        n_check)
+        [a - b for a, b in zip(values[:len(closed)], values[len(closed):])], n_check)
     fld.energy = hamiltonian
     return fld
 

@@ -93,14 +93,15 @@ class DomainError(ExpressionError):
 class Expression(Immutable):
     """Base node.  Instances are immutable and freely shareable.
 
-    The two slots of the base are not fields.  On an interior node,
+    The slots of the base are not fields.  On an interior node,
     ``_partials`` holds the derivatives :func:`differentiate` took of it,
     by variable name, and ``_free`` the names :func:`free_vars` counted
     in it; each is None until then (a leaf never sets them).  Neither
     takes part in ``==``, ``hash``, ``repr`` or :func:`compile_field`.
+    ``__weakref__`` lets a node be held weakly.
     """
 
-    __slots__ = ("_partials", "_free")
+    __slots__ = ("_partials", "_free", "__weakref__")
 
     def __add__(self, other: ExprLike) -> "Expression":
         return add(self, _coerce(other))
@@ -667,8 +668,8 @@ def _each(fn, x, *args):
     return fn(x, *args)
 
 
-def evaluate(e: Expression,
-             point: Mapping[str, float | np.ndarray]) -> float | np.ndarray:
+def evaluate(e: Expression | Iterable[Expression],
+             point: Mapping[str, float | np.ndarray]) -> float | np.ndarray | list:
     """Evaluate ``e`` with all free variables bound by ``point``.
 
     ``point`` may bind names to equal-length 1-D float arrays, one value
@@ -676,16 +677,22 @@ def evaluate(e: Expression,
     values (a float where ``e`` uses no array), bit for bit those of a
     loop over the points.  ``+ - * /`` and negation are numpy ufuncs,
     which round as Python floats do; ``^`` and the functions apply
-    Python's ``**`` and :mod:`math` to each element.  A node shared by
-    several parents (derivatives share subtrees with their source) is
-    evaluated once per call, the first time the walk reaches it.
+    Python's ``**`` and :mod:`math` to each element.  ``e`` may also be a
+    list of trees, whose values come back as a list from one walk: a node
+    shared by several parents, in one tree or across them (derivatives
+    share subtrees with their source), is evaluated once per call, the
+    first time the walk reaches it.
     """
-    return _evaluate(e, point, {})
+    if isinstance(e, Expression):
+        return _evaluate(e, point, {})
+    done: dict = {}
+    trees = list(e)  # held to the end of the call: ``done`` is keyed by id
+    return [_evaluate(t, point, done) for t in trees]
 
 
 def _evaluate(e: Expression, point, done: dict) -> float | np.ndarray:
     """The walk of :func:`evaluate`; ``done`` maps ``id`` of each interior
-    node evaluated so far to its value (the root keeps them all alive)."""
+    node evaluated so far to its value (the roots keep them all alive)."""
     t = type(e)
     if t is Const:
         return e.value

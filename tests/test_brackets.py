@@ -350,7 +350,34 @@ def test_is_aff_poisson_witness_names_the_one_failing_criterion():
     assert result.derivation_residual > result.centrality_residual
     assert result.witness["criterion"] == "centrality"
     assert result.witness["residual"] == result.centrality_residual
+    assert result.residual == result.centrality_residual
     assert set(result.witness["point"]) == {"x1"}
+
+
+def test_is_aff_poisson_residual_of_two_passing_criteria_is_the_larger():
+    result = is_aff_poisson(atiyah_algebroid(Patch.box(("x",))), rng=np.random.default_rng(8))
+    assert result.witness is None
+    assert result.residual == max(result.derivation_residual, result.centrality_residual)
+
+
+@pytest.mark.parametrize("data", [jet_bundle_affgebroid(),
+                                  atiyah_algebroid(Patch.box(("x1", "x2")))],
+                         ids=["jet_bundle", "atiyah_dim2"])
+def test_verify_affgebroid_expands_each_bracket_once(data, monkeypatch):
+    # 3 skew brackets [f, f] and the 3 inner Jacobi brackets, which the
+    # anchor-morphism check reuses for [f1, f2] and [f2, f3]
+    calls = []
+
+    def counted(self, f, g, _original=LieAffgebroidData.bracket):
+        calls.append((f, g))
+        return _original(self, f, g)
+    monkeypatch.setattr(LieAffgebroidData, "bracket", counted)
+    assert verify_affgebroid(data, data.patch.grid(3)).passed
+    assert len(calls) == 6
+    f1, f2, f3 = [f for f, g in calls[:3]]
+    assert all(f is g for f, g in calls[:3])
+    assert [tuple(map(id, pair)) for pair in calls[3:]] == [
+        (id(f2), id(f3)), (id(f3), id(f1)), (id(f1), id(f2))]
 
 
 def test_is_aff_poisson_abelian_true():

@@ -216,6 +216,35 @@ def test_a_hull_scenario_verifies_its_structure_once(tmp_path, capsys, monkeypat
     assert len(calls) == 1
 
 
+def test_the_aff_poisson_check_records_the_failing_criterions_residual(monkeypatch):
+    # a vertical beta of 1e-10 fails centrality (tolerance 1e-12), while the
+    # larger derivation residual stays under its own tolerance of 1e-9
+    import numpy as np
+
+    from affgeo import brackets, symexpr as se
+    from affgeo.reporting import Report
+
+    def perturbed(patch):
+        a = brackets.atiyah_algebroid(patch)
+        return brackets.LieAffgebroidData(a.patch, a.rank, [a.beta[0], [se.ZERO, se.Const(1e-10)]],
+                                          a.c, a.anchor_ref, a.anchor_lin, v=a.v)
+    results = []
+
+    def recorded(data, rng):
+        results.append(brackets.is_aff_poisson(data, rng=rng))
+        return results[-1]
+    monkeypatch.setattr(cli, "atiyah_algebroid", perturbed)
+    monkeypatch.setattr(cli, "is_aff_poisson", recorded)
+    report = Report("atiyah")
+    cli._check_atiyah_poisson(1, np.random.default_rng(0), report)
+    (result,) = results
+    assert result.derivation_ok and not result.centrality_ok
+    assert result.derivation_residual > result.centrality_residual
+    check = report["aff_poisson_criteria_agree_dim1"]
+    assert not check.passed and check.witness["criterion"] == "centrality"
+    assert check.residual == check.witness["residual"] == result.centrality_residual
+
+
 @pytest.mark.parametrize("dim", ["0", "-1"])
 def test_timedep_without_degrees_of_freedom_exits_2(tmp_path, capsys, dim):
     bad = tmp_path / "bad.ini"

@@ -2,6 +2,7 @@ import cmath
 import math
 import operator
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -833,6 +834,29 @@ def test_shared_subtrees_evaluate_as_unshared_copies(t, u, seed):
     xy = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(20, 2))
     for point in ({"x": xy[0, 0], "y": xy[0, 1]}, {"x": xy[:, 0], "y": xy[:, 1]}):
         assert _result(lambda: evaluate(dag, point)) == _result(lambda: evaluate(tree, point))
+
+
+@settings(max_examples=150, deadline=None)
+@given(all_kinds(), all_kinds(), st.integers(0, 2**32 - 1))
+def test_a_list_of_trees_evaluates_as_each_tree_alone(t, u, seed):
+    # the trees share t, its derivative and u; the last two fail, each its own way
+    dt = differentiate(t, "x")
+    trees = [se.Mul(t, dt), se.Sub(dt, u), se.Add(se.Neg(t), u)]
+    failing = [*trees, se.Div(u, se.Sub(Var("y"), Var("y"))), se.Call("sqrt", se.Neg(_safe(t)))]
+    xy = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(20, 2))
+    for point in ({"x": xy[0, 0], "y": xy[0, 1]}, {"x": xy[:, 0], "y": xy[:, 1]}):
+        shape = np.shape(point["x"])
+        for group in (trees, failing):
+            together = _result(lambda: [np.broadcast_to(v, shape) for v in evaluate(group, point)])
+            alone = _result(lambda: [np.broadcast_to(evaluate(e, point), shape) for e in group])
+            assert together == alone
+        assert isinstance(together, tuple)  # the error of the first tree that fails
+        # the call keeps no tree alive: its memo is keyed by id and dropped on return
+        root = se.Add(se.Mul(t, dt), u)
+        ref = weakref.ref(root)
+        _result(lambda: evaluate([root, trees[0]], point))
+        del root
+        assert ref() is None
 
 
 def test_a_shared_node_is_evaluated_once_per_call(monkeypatch):
