@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import re
 from typing import Callable, Iterable, Mapping, NamedTuple, Union
 
@@ -676,12 +675,13 @@ def evaluate(e: Expression | Iterable[Expression],
     per sample point: one walk of the tree then gives the per-point
     values (a float where ``e`` uses no array), bit for bit those of a
     loop over the points.  ``+ - * /`` and negation are numpy ufuncs,
-    which round as Python floats do; ``^`` and the functions apply
-    Python's ``**`` and :mod:`math` to each element.  ``e`` may also be a
-    list of trees, whose values come back as a list from one walk: a node
-    shared by several parents, in one tree or across them (derivatives
-    share subtrees with their source), is evaluated once per call, the
-    first time the walk reaches it.
+    which round as Python floats do; ``^`` is ``np.float_power``, which
+    calls the C ``pow`` that Python's ``**`` calls, and the functions
+    apply :mod:`math` to each element.  ``e`` may also be a list of trees,
+    whose values come back as a list from one walk: a node shared by
+    several parents, in one tree or across them (derivatives share
+    subtrees with their source), is evaluated once per call, the first
+    time the walk reaches it.
     """
     if isinstance(e, Expression):
         return _evaluate(e, point, {})
@@ -720,10 +720,17 @@ def _evaluate(e: Expression, point, done: dict) -> float | np.ndarray:
         base, k = _evaluate(e.base, point, done), e.exponent
         if k < 0 and _any(base == 0.0):
             raise DomainError("zero raised to a negative power")
-        try:
-            value = _each(operator.pow, base, k)
-        except OverflowError:
-            raise DomainError("power overflow") from None
+        if isinstance(base, np.ndarray):
+            # as float.__pow__: a nan base stays (1.0 at k = 0), the rest is C pow
+            with np.errstate(all="ignore"):
+                value = np.where(base == base, np.float_power(base, float(k)), base if k else 1.0)
+            if _any(np.isinf(value) & np.isfinite(base)):
+                raise DomainError("power overflow")
+        else:
+            try:
+                value = base ** k
+            except OverflowError:
+                raise DomainError("power overflow") from None
     elif t is Neg:
         value = -_evaluate(e.operand, point, done)
     elif t is Call:

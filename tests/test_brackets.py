@@ -489,3 +489,19 @@ def test_points_of_a_line_may_be_given_as_a_flat_list():
     column = verify_affgebroid(data, grid, rng=np.random.default_rng(4))
     assert not column.passed
     assert flat.to_dict() == column.to_dict()
+
+
+def test_constant_beta_and_cross_product_c_give_the_closed_form_bracket():
+    # zero anchors, so [a0 + f, a0 + g] = (g - f)^j beta_j + f^i g^j c_ij
+    patch, zero = Patch.box(("q",)), Const(0.0)
+    B = np.array([[0.5, -1.0, 2.0], [0.0, 1.5, -0.25], [3.0, 0.0, -2.0]])
+    data = LieAffgebroidData(
+        patch, 3, [[Const(v) for v in row] for row in B],
+        [[[Const(v) for v in cij] for cij in ci] for ci in EPS3], [zero],
+        [[zero]] * 3)
+    rng = np.random.default_rng(5)
+    f = [random_polynomial(patch, rng) for _ in range(3)]
+    g = [random_polynomial(patch, rng) for _ in range(3)]
+    env = patch.env(np.linspace(-1.0, 1.0, 9)[:, None])
+    F, G, bracket = (np.array(evaluate(s, env)).T for s in (f, g, data.bracket(f, g)))
+    assert np.abs(bracket - ((G - F) @ B + np.cross(F, G))).max() < 1e-12

@@ -264,6 +264,20 @@ def test_domain_error_exits_3(tmp_path, capsys):
     assert run(["run", str(bad), "--out", str(tmp_path)]) == 3
 
 
+def test_a_trajectory_that_blows_up_exits_3_at_its_first_non_finite_step(tmp_path, capsys):
+    text = (resources.files("affgeo") / "scenarios" / "oscillator_timedep.ini").read_text()
+    for old, new in [("p1^2/2 + q1^2/2", "p1^2/2 - q1^4"), ("step = 1e-3", "step = 0.01"),
+                     ("duration = 10", "duration = 20"), ("initial = 1.0, 0.0, 0.0", "initial = 1, 3")]:
+        assert old in text
+        text = text.replace(old, new)
+    path, out = tmp_path / "blowup.ini", tmp_path / "out"
+    path.write_text(text)
+    out.mkdir()
+    assert run(["run", str(path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "runtime error: non-finite state at step 62\n"
+    assert list(out.iterdir()) == []
+
+
 def test_env_var_sets_output_dir(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("AFFGEO_OUT", str(tmp_path))
     assert run(["run", "abelian_affgebra"]) == 0

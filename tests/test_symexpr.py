@@ -402,12 +402,44 @@ def test_array_evaluation_of_a_constant_is_a_float():
 @pytest.mark.parametrize("e", [se.Pow(Var("x"), k) for k in range(-3, 7)]
                          + [se.Call(f, Var("y")) for f in se.FUNCTIONS])
 def test_array_powers_and_functions_round_as_python_does(e):
-    # numpy's own power and exp differ from Python's in the last bit for
-    # a few percent of arguments; the array path must not use them
+    # np.power and np.exp differ from Python's ** and math.exp in the last
+    # bit for a few percent of arguments; the array path must not use them
     xy = np.random.default_rng(5).uniform(0.01, 2.0, size=(1000, 2))
     array = evaluate(e, {"x": xy[:, 0], "y": xy[:, 1]})
     scalar = np.array([evaluate(e, {"x": x, "y": y}) for x, y in xy.tolist()])
     assert array.view(np.uint64).tolist() == scalar.view(np.uint64).tolist()
+
+
+def _bits_or_error(fn):
+    """The bits of the value(s), or the message of the ``DomainError``;
+    numpy's warnings are left on, so one that escapes fails under -W error."""
+    try:
+        return np.asarray(fn(), float).view(np.uint64).tolist()
+    except DomainError as err:
+        return str(err)
+
+
+ANY_FLOAT = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0]),
+    st.floats(),  # ±0, subnormals, ±inf and NaNs of either sign
+    st.builds(math.ldexp, st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+              st.integers(-1080, 1024)),  # every scale, up to overflow
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(ANY_FLOAT, min_size=1, max_size=20), st.integers(-6, 12))
+def test_an_array_power_is_pythons_power_bit_for_bit(bases, k):
+    e = se.Pow(Var("x"), k)
+    each = [_bits_or_error(lambda: evaluate(e, {"x": b})) for b in bases]
+    for b, expected in zip(bases, each):
+        single = _bits_or_error(lambda: evaluate(e, {"x": np.array([b])}))
+        assert single == (expected if isinstance(expected, str) else [expected])
+    # over several points the zero check runs first, then the power
+    errors = [r for r in each if isinstance(r, str)]
+    zero = "zero raised to a negative power"
+    expected = (zero if zero in errors else errors[0]) if errors else each
+    assert _bits_or_error(lambda: evaluate(e, {"x": np.array(bases)})) == expected
 
 
 def _safe(arg):
