@@ -30,7 +30,7 @@ print("action coordinate in the boosted frame:", boosted.s)
 back = gauge_transform(boosted, [-b for b in boost], m=1.0)
 print("round trip restores (p, s):", back.p, back.s)
 
-_, (rest, moved) = compare_frames(st, 1.0, phi, initial, [boost], h=1e-3, T=10.0)
+_, _, (rest, moved) = compare_frames(st, 1.0, phi, initial, [boost], h=1e-3, T=10.0)
 deviation = abs(rest.events - moved.events).max()
 print(f"\nmax world-line deviation between the frames: {deviation:.3e}")
 print("frame independence holds:", deviation < FRAME_TOL)

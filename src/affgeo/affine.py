@@ -117,14 +117,8 @@ class AffineSpaceSpec:
         self._transition(chart)
         return TangentVec(self, chart, _frozen(components))
 
-    def to_reference(self, p: "AffinePoint") -> np.ndarray:
-        return self._transition(p.chart).apply(p.coords)
-
-    def vector_to_reference(self, v: "TangentVec") -> np.ndarray:
-        return self._transition(v.chart).apply_vector(v.components)
-
     def convert_point(self, p: "AffinePoint", chart: str) -> "AffinePoint":
-        ref = self.to_reference(p)
+        ref = p.in_reference()
         return AffinePoint(self, chart, _frozen(self._transition(chart).invert(ref)))
 
 
@@ -135,7 +129,7 @@ class AffinePoint(Immutable):
         fill_slots(self, space, chart, coords)
 
     def in_reference(self) -> np.ndarray:
-        return self.space.to_reference(self)
+        return self.space._transition(self.chart).apply(self.coords)
 
 
 class TangentVec(Immutable):
@@ -145,7 +139,7 @@ class TangentVec(Immutable):
         fill_slots(self, space, chart, components)
 
     def in_reference(self) -> np.ndarray:
-        return self.space.vector_to_reference(self)
+        return self.space._transition(self.chart).apply_vector(self.components)
 
 
 def difference(p: AffinePoint, q: AffinePoint) -> TangentVec:

@@ -66,18 +66,16 @@ class NonAffineSectionError(BracketError):
 
 
 class Patch(Immutable):
-    """Open box in R^m used as the base of a bundle."""
+    """Open box ``(low, high)^m`` in R^m, one axis per name: the base of a bundle."""
 
-    __slots__ = ("names", "lows", "highs")
+    __slots__ = ("names", "low", "high")
 
-    def __init__(self, names: tuple[str, ...] = (), lows: tuple[float, ...] = (),
-                 highs: tuple[float, ...] = ()):
-        fill_slots(self, names, lows, highs)
+    def __init__(self, names: tuple[str, ...], low: float, high: float):
+        fill_slots(self, names, low, high)
 
     @classmethod
     def box(cls, names, low=-1.0, high=1.0) -> "Patch":
-        names = tuple(names)
-        return cls(names, (low,) * len(names), (high,) * len(names))
+        return cls(tuple(names), low, high)
 
     @property
     def dim(self) -> int:
@@ -92,17 +90,13 @@ class Patch(Immutable):
         return dict(zip(self.names, np.atleast_1d(np.asarray(point, float)).T))
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        if self.dim == 0:
-            return np.zeros((count, 0))
-        return rng.uniform(self.lows, self.highs, size=(count, self.dim))
+        """``count`` uniform points; over a point, an empty block and no draw."""
+        return rng.uniform(self.low, self.high, size=(count, self.dim))
 
     def grid(self, per_axis: int) -> np.ndarray:
-        if self.dim == 0:
-            return np.zeros((1, 0))
-        axes = [np.linspace(lo, hi, per_axis)
-                for lo, hi in zip(self.lows, self.highs)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        """``per_axis`` points on each axis, the last axis varying fastest."""
+        axis = np.linspace(self.low, self.high, per_axis)
+        return np.array(list(itertools.product(axis, repeat=self.dim)), float)
 
 
 def random_polynomial(patch: Patch, rng: np.random.Generator,
@@ -320,11 +314,6 @@ def _point_residuals(data: LieAffgebroidData, groups, points) -> list[np.ndarray
     return [per_point_max([next(values) for _ in comps], len(points)) for comps in groups]
 
 
-def _random_sections(data: LieAffgebroidData, rng, count: int):
-    return [[random_polynomial(data.patch, rng) for _ in range(data.rank)]
-            for _ in range(count)]
-
-
 def verify_affgebroid(data: LieAffgebroidData, sample_points,
                       rng: np.random.Generator | None = None) -> Report:
     """Sampled axiom verification: skew, Jacobi, Leibniz, anchor morphism.
@@ -340,7 +329,7 @@ def verify_affgebroid(data: LieAffgebroidData, sample_points,
     def at_point(at):  # at = (case, point)
         return {"point": pts[at[1]].tolist()}
 
-    secs = _random_sections(data, rng, 3)
+    secs = [[random_polynomial(data.patch, rng) for _ in range(data.rank)] for _ in range(3)]
     f1, f2, f3 = secs
     skew = [data.bracket(f, f) for f in secs]
     # the cyclic sum of [f, [g, h]] over (f1, f2, f3), (f2, f3, f1), (f3, f1, f2)
@@ -504,13 +493,13 @@ def aff_jacobi_bracket(data: LieAffgebroidData, sigma: Expression,
 
 
 class AffPoissonResult:
-    __slots__ = ("is_poisson", "derivation_ok", "centrality_ok", "derivation_residual",
+    __slots__ = ("derivation_ok", "centrality_ok", "derivation_residual",
                  "centrality_residual", "witness")
 
-    def __init__(self, is_poisson: bool, derivation_ok: bool, centrality_ok: bool,
+    def __init__(self, derivation_ok: bool, centrality_ok: bool,
                  derivation_residual: float, centrality_residual: float,
                  witness: dict | None = None):
-        fill_slots(self, is_poisson, derivation_ok, centrality_ok, derivation_residual,
+        fill_slots(self, derivation_ok, centrality_ok, derivation_residual,
                    centrality_residual, witness)
 
     @property
@@ -524,7 +513,7 @@ class AffPoissonResult:
         return self.derivation_ok == self.centrality_ok
 
     def __bool__(self) -> bool:
-        return self.is_poisson
+        return self.derivation_ok and self.centrality_ok
 
 
 def is_aff_poisson(data: LieAffgebroidData,
@@ -596,7 +585,6 @@ def is_aff_poisson(data: LieAffgebroidData,
         witness = {"criterion": "centrality", "residual": worst_c,
                    "point": dict(zip(data.patch.names, pts[at_c[0]].tolist()))}
     return AffPoissonResult(
-        is_poisson=derivation_ok and centrality_ok,
         derivation_ok=derivation_ok,
         centrality_ok=centrality_ok,
         derivation_residual=worst_d,
@@ -641,7 +629,7 @@ def affgebra_to_affgebroid(data: LieAffgebraData, v=None) -> LieAffgebroidData:
     beta = [[se.Const(data.D[k, i]) for k in range(n)] for i in range(n)]
     c = [[[se.Const(data.c[i, j, k]) for k in range(n)]
           for j in range(n)] for i in range(n)]
-    return LieAffgebroidData(Patch(), n, beta, c, [], [[] for _ in range(n)], v=v)
+    return LieAffgebroidData(Patch.box(()), n, beta, c, [], [[] for _ in range(n)], v=v)
 
 
 def jet_bundle_affgebroid() -> LieAffgebroidData:

@@ -160,8 +160,10 @@ class Key(NamedTuple):
 
     ``key`` is a name, or a pattern in which ``<name>`` stands for any text
     and ``<i> <j> <k>`` for integers in ``index`` = (lo, hi); its value is
-    then a dict from the tuple of those names or integers to the value.  The
-    key is read only if ``when`` = (section, key, value) holds.
+    then a dict from the tuple of those names or integers to the value.  An
+    entry of two or more integers is antisymmetric in the first two: it may
+    not be given with its partner.  The key is read only if ``when`` =
+    (section, key, value) holds.
     """
     section: str
     key: str
@@ -238,6 +240,10 @@ class Scenario(dict):
                 at = e.match(k).groups()
                 if e.index:
                     at = tuple(self._parse(e, k, i, Int(*e.index)) for i in at)
+                    partner = (*at[1::-1], *at[2:])
+                    if partner != at and partner in value:
+                        raise ScenarioError(f"[{e.section}] {' '.join(map(str, partner))} and "
+                                            f"[{e.section}] {k} set one antisymmetric pair")
                 value[at] = self._parse(e, k, v)
             self[e.section, e.key] = value if "<" in e.key else value.get(())
 
@@ -490,8 +496,7 @@ def run_compare_frames(sc: Scenario, rng, report: Report):
     st, phi, m, x0, p0, h, T = _newton_inputs(sc)
     initial = ObservedPhase(x0, p0, sc["initial", "s"], st.rest_frame())
     boosts = sc["frames", "boosts"]
-    fld, (rest, *lines) = compare_frames(st, m, phi, initial, boosts, h, T)
-    boosted = [gauge_transform(initial, v, m) for v in boosts]
+    fld, (_, *boosted), (rest, *lines) = compare_frames(st, m, phi, initial, boosts, h, T)
     comparisons = []
     for i, (line, v, phase) in enumerate(zip(lines, boosts, boosted), 1):
         # one row per step: a failure names its time
@@ -781,7 +786,3 @@ def main(argv=None) -> int:
     except (se.DomainError, IntegrationError) as err:
         print(f"runtime error: {err}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -74,17 +74,14 @@ class VectorField:
     stay inspectable.  Calling the field on an array evaluates it on
     ``np.float64`` values: a zero divisor or a power overflow gives inf
     or nan there, as numpy does.  ``events`` names the state components
-    that locate the event; :func:`integrate` copies their columns into the
+    that locate the event; :func:`integrate` hands the names on to the
     trajectory.
     """
 
     def __init__(self, names, components, events=()):
         self.names = tuple(names)
         self.events = tuple(events)
-        self._event_index = [self.names.index(e) for e in self.events]
-        self.components = tuple(
-            c if isinstance(c, Expression) else se.Const(float(c))
-            for c in components)
+        self.components = tuple(components)
         if len(self.components) != len(self.names):
             raise MechanicsError("one component per state variable required")
         self._fn = se.compile_field(self.components, self.names)
@@ -94,16 +91,22 @@ class VectorField:
 
 
 class Trajectory:
-    """Uniformly sampled solution curve with optional event columns."""
+    """Uniformly sampled solution curve; ``event_names`` name the event's states."""
 
-    __slots__ = ("names", "times", "states", "event_names", "events")
+    __slots__ = ("names", "times", "states", "event_names")
 
     def __init__(self, names: tuple[str, ...], times: np.ndarray, states: np.ndarray,
-                 event_names: tuple[str, ...] = (), events: np.ndarray | None = None):
-        fill_slots(self, names, times, states, event_names, events)
+                 event_names: tuple[str, ...] = ()):
+        fill_slots(self, names, times, states, event_names)
 
     def __len__(self) -> int:
         return len(self.times)
+
+    @property
+    def events(self) -> np.ndarray | None:
+        """The state columns named by ``event_names``, None if it is empty."""
+        return self.states[:, [self.names.index(e) for e in self.event_names]] \
+            if self.event_names else None
 
     def to_csv(self) -> bytes:
         """The CSV text as bytes: the header ``step,time,names...,event_names...``
@@ -114,17 +117,14 @@ class Trajectory:
         The texts are computed a block of rows at a time by
         :func:`_printf_texts`: by exact numpy arithmetic where
         1e-6 <= |value| < 1e17, by ``"%.17g"`` one value at a time for
-        zeros, non-finite values and all other magnitudes.  A column that is
-        a bit-for-bit copy of an earlier one, as an event column is, is
+        zeros, non-finite values and all other magnitudes.  An event column
+        is a state column: its texts are those of the state it names,
         formatted once.
         """
         import csv
-        events = () if self.events is None else self.events.T
-        columns = (self.times, *self.states.T, *events)
-        seen, where = {}, []  # the distinct column each column copies
-        for column in columns:
-            where.append(seen.setdefault(column.tobytes(), len(seen)))
-        distinct = [columns[where.index(u)] for u in range(len(seen))]
+        distinct = (self.times, *self.states.T)
+        # the formatted column each written column shows: time, states, events
+        where = [*range(len(distinct)), *(1 + self.names.index(e) for e in self.event_names)]
         n_rows = len(self.times)
         step_w = len(str(max(n_rows - 1, 0)))
         shown = 10 ** np.arange(step_w - 1, 0, -1)[:, None]  # leading step digits
@@ -141,13 +141,13 @@ class Trajectory:
             texts = texts.reshape(width, len(distinct), stop - start)
             # one column per row of the block, one byte of its text per row
             # of the table: the step, then "," and a value's text per column
-            table = np.empty((step_w + len(columns) * (width + 1) + 2, stop - start),
+            table = np.empty((step_w + len(where) * (width + 1) + 2, stop - start),
                              np.uint8)
             step = np.arange(start, stop, dtype=np.uint32)
             _digits(step, table[:step_w])
             table[:step_w] += _ZERO
             table[:step_w - 1] *= step >= shown
-            cells = table[step_w:-2].reshape(len(columns), width + 1, -1)
+            cells = table[step_w:-2].reshape(len(where), width + 1, -1)
             cells[:, 0] = ord(",")
             for c, u in enumerate(where):
                 cells[c, 1:] = texts[:, u]
@@ -323,8 +323,8 @@ def integrate(fld: VectorField, y0, h: float, T: float) -> Trajectory:
     Deterministic by construction; raises :class:`IntegrationError` with
     the offending step index if the state stops being finite or the
     field hits a domain error (``exp`` overflow, ``sqrt`` of a negative).
-    The columns of the field's ``events`` are copied into the trajectory's
-    ``events``, none where the field names no events.
+    The field's ``events`` become the trajectory's ``event_names``; its
+    ``events`` are read from the states, not copied.
     """
     if not h > 0:
         raise MechanicsError("step size must be positive")
@@ -355,12 +355,7 @@ def integrate(fld: VectorField, y0, h: float, T: float) -> Trajectory:
         raise IntegrationError(f"domain error ({err})", len(rows)) from None
     states = np.fromiter(itertools.chain.from_iterable(rows), float,
                          len(rows) * len(y)).reshape(n_steps + 1, len(y))
-    times = h * np.arange(n_steps + 1)
-    traj = Trajectory(fld.names, times, states)
-    if fld.events:
-        traj.events = states.T[fld._event_index].T
-        traj.event_names = fld.events
-    return traj
+    return Trajectory(fld.names, h * np.arange(n_steps + 1), states, fld.events)
 
 
 # ---------------------------------------------------------------------------
@@ -652,21 +647,22 @@ def tau_clock_residual(fld: VectorField, traj: Trajectory) -> np.ndarray:
     return np.abs(velocity @ st.tau - 1.0)
 
 
-def compare_frames(st: NewtonSpaceTime, m: float, phi: Expression,
-                   initial: ObservedPhase, boosts, h: float, T: float,
-                   split: ObserverSplit | None = None) -> tuple[VectorField, list[Trajectory]]:
+def compare_frames(
+        st: NewtonSpaceTime, m: float, phi: Expression, initial: ObservedPhase, boosts,
+        h: float, T: float) -> tuple[VectorField, list[ObservedPhase], list[Trajectory]]:
     """Integrate the same initial phase in a frame and in each of its boosts.
 
-    The initial data for each boost comes from the gauge transformation.
+    The initial data for each boost comes from one gauge transformation.
     One :func:`newton_dynamics` call builds the field of the frame and of
-    every boost, which share all but the frame velocity; fields whose
-    velocities have their zero components in the same places compile
-    to one shape.  Returns the frame's own field and the world-lines: the
-    frame's own first, then one per boost.  Frame independence holds of
-    their events in space-time coordinates, not of frame components; the
-    caller compares them and decides.
+    every boost, which share the default observer split and all but the
+    frame velocity; fields whose velocities have their zero components in
+    the same places compile to one shape.  Returns the frame's own field,
+    the initial phases and the world-lines started from them: the frame's
+    own first, then one per boost.  Frame independence holds of their
+    events in space-time coordinates, not of frame components; the caller
+    compares them and decides.
     """
     phases = [initial, *(gauge_transform(initial, v, m) for v in boosts)]
-    fields = newton_dynamics(st, [phase.frame for phase in phases], m, phi, split)
-    return fields[0], [integrate(fld, np.concatenate([phase.x, phase.p]), h, T)
-                       for fld, phase in zip(fields, phases)]
+    fields = newton_dynamics(st, [phase.frame for phase in phases], m, phi)
+    return fields[0], phases, [integrate(fld, np.concatenate([phase.x, phase.p]), h, T)
+                               for fld, phase in zip(fields, phases)]

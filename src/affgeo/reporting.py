@@ -37,8 +37,8 @@ class CheckResult:
 class Report:
     __slots__ = ("scenario", "checks")
 
-    def __init__(self, scenario: str, checks: list[CheckResult] | None = None):
-        fill_slots(self, scenario, [] if checks is None else checks)
+    def __init__(self, scenario: str):
+        fill_slots(self, scenario, [])
 
     def add(self, check: str, passed: bool, residual: float,
             witness: dict | None = None) -> CheckResult:

@@ -289,8 +289,8 @@ def test_criterion_9_frame_independence():
         initial = ObservedPhase([1.0, 0.0, 0.0, 0.0], [0.0, 0.5, -0.2], 0.3,
                                 st.rest_frame())
         for name, phi in potentials.items():
-            _, (rest, *lines) = compare_frames(st, 1.0, phi, initial, boosts, h=1e-3,
-                                               T=10.0)
+            _, _, (rest, *lines) = compare_frames(st, 1.0, phi, initial, boosts, h=1e-3,
+                                                  T=10.0)
             assert len(lines) == len(boosts)
             for v, line in zip(boosts, lines):
                 deviation = np.max(np.abs(rest.events - line.events))

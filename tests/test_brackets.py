@@ -69,6 +69,13 @@ def grid16():
     return Patch.box(("q", "t")).grid(4)
 
 
+def test_a_patch_over_a_point_samples_an_empty_block_and_draws_nothing():
+    rng = np.random.default_rng(4)
+    assert Patch.box(()).sample(rng, 5).shape == (5, 0)
+    assert rng.uniform() == np.random.default_rng(4).uniform()
+    assert Patch.box(()).grid(3).shape == (1, 0)
+
+
 def jet_commutator(f, g):
     """The commutator of d/dt + f d/dq with d/dt + g d/dq, which is
     vertical: the jet bundle's bracket of the sections ``f`` and ``g``."""

@@ -96,11 +96,11 @@ def test_nan_gauge_parameter_fails_the_round_trip_with_a_witness(tmp_path, capsy
 def test_compare_frames_builds_and_integrates_each_world_line_once(
         tmp_path, capsys, monkeypatch):
     from affgeo import mechanics
-    calls = {"integrate": 0, "newton_dynamics": 0}
+    calls = {"integrate": [], "newton_dynamics": [], "gauge_transform": []}  # the results
     for name in calls:
         def counted(*args, _name=name, _original=getattr(mechanics, name), **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+            calls[_name].append(_original(*args, **kwargs))
+            return calls[_name][-1]
         for module in (mechanics, cli):
             monkeypatch.setattr(module, name, counted)
     path = tmp_path / "frames.ini"
@@ -112,11 +112,18 @@ def test_compare_frames_builds_and_integrates_each_world_line_once(
         "[frames]\nboosts = 0.3 0 0; 0 0.2 -0.1; 0.15 0.15 0.15\n")
     assert run(["run", str(path), "--out", str(tmp_path)]) == 0
     # one call builds the fields of the rest frame and the three boosts,
-    # and each world-line is integrated once
-    assert calls == {"integrate": 4, "newton_dynamics": 1}
+    # each world-line is integrated once, and each boost transforms the
+    # initial phase once, then back once for the round trip
+    assert {name: len(results) for name, results in calls.items()} == {
+        "integrate": 4, "newton_dynamics": 1, "gauge_transform": 6}
+    boosted, lines = calls["gauge_transform"][:3], calls["integrate"][1:]
+    for phase, line in zip(boosted, lines):
+        assert line.states[0].tolist() == [*phase.x, *phase.p]
     comparisons = json.loads((tmp_path / "frames_comparisons.json").read_text())
     assert [c["scenario"] for c in comparisons] == [
         "frames/boost1", "frames/boost2", "frames/boost3"]
+    # each boosted frame is that of the phase its world-line started from
+    assert [c["frames"][1] for c in comparisons] == [p.frame.u.tolist() for p in boosted]
 
 
 def test_a_failing_frame_check_names_the_boost_and_the_worst_step(
@@ -149,7 +156,8 @@ def test_a_failing_frame_check_names_the_boost_and_the_worst_step(
         assert witness["residual"] == check["max_residual"]
         # momentum left unboosted drifts the world-line apart: worst at the end
         assert witness["step"] == 100 and witness["time"] == pytest.approx(1.0)
-    assert checks["gauge_round_trip"]["pass"] is True
+    # the round trip starts from the boosted phases that were integrated
+    assert checks["gauge_round_trip"]["pass"] is False
     assert "witness:" in capsys.readouterr().out
 
 
@@ -645,6 +653,20 @@ def test_a_value_the_library_refuses_exits_2(tmp_path, capsys, text, message):
     code, err, out = run_text(tmp_path, capsys, text)
     assert (code, err) == (2, f"error: {message}\n")
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("text, keys", [
+    (AFFGEBRA + "[c]\n1 2 3 = 1.0\n2 1 3 = 1.0\n2 3 1 = 1.0\n3 1 2 = 1.0\n",
+     ("1 2 3", "2 1 3")),
+    (AFFGEBROID.replace("rank = 1\n", "rank = 2\nanchor2 = \"0\", \"0\"\n")
+     + "[c]\n1 2 = \"q\", \"0\"\n2 1 = \"q\", \"0\"\n", ("1 2", "2 1")),
+], ids=["affgebra", "affgebroid"])
+def test_an_entry_given_with_its_antisymmetric_partner_exits_2(tmp_path, capsys, text, keys):
+    # each [c] entry also sets its partner, so the later of the two would win silently
+    code, err, out = run_text(tmp_path, capsys, text)
+    assert code == 2 and err.startswith("error: ")
+    assert all(f"[c] {key}" in err for key in keys)
+    assert not out.exists()
 
 
 def test_equal_deep_sections_bracket_to_zero(tmp_path, capsys):

@@ -46,7 +46,7 @@ def _instances():
         "TangentVec": (difference(point, point), ("space", "chart", "components")),
         "DualElement": (DualElement(space, [1.0, 0.0], 0.5), ("space", "w", "c")),
         "HullPoint": (HullPoint.embed_point(point), ("space", "z", "lam")),
-        "Patch": (patch, ("names", "lows", "highs")),
+        "Patch": (patch, ("names", "low", "high")),
         "InertialFrame": (frame, ("spacetime", "u")),
         "ObservedPhase": (ObservedPhase(np.zeros(3), np.zeros(2), 0.0, frame),
                           ("x", "p", "s", "frame")),

@@ -291,8 +291,8 @@ def test_compare_frames_free_particle():
     st = NewtonSpaceTime(3)
     initial = ObservedPhase([0.0, 0.0, 0.0, 0.0], [0.1, -0.2, 0.0], 0.0,
                             st.rest_frame())
-    _, (rest, boosted) = compare_frames(st, 1.0, Const(0.0), initial, [[0.3, 0.1, -0.4]],
-                                        h=1e-2, T=10.0)
+    _, _, (rest, boosted) = compare_frames(st, 1.0, Const(0.0), initial, [[0.3, 0.1, -0.4]],
+                                           h=1e-2, T=10.0)
     assert np.max(np.abs(rest.events - boosted.events)) < 1e-12
 
 
@@ -302,8 +302,8 @@ def test_compare_frames_harmonic():
     phi = parse("(q1^2 + q2^2 + q3^2)/2", ctx)
     initial = ObservedPhase([1.0, 0.0, 0.0, 0.0], [0.0, 0.5, 0.0], 0.0,
                             st.rest_frame())
-    _, (rest, boosted) = compare_frames(st, 1.0, phi, initial, [[0.3, 0.0, 0.0]],
-                                        h=1e-3, T=10.0)
+    _, _, (rest, boosted) = compare_frames(st, 1.0, phi, initial, [[0.3, 0.0, 0.0]],
+                                           h=1e-3, T=10.0)
     assert np.max(np.abs(rest.events - boosted.events)) < 1e-6
 
 
@@ -312,7 +312,7 @@ def test_compare_frames_zero_boost_bitwise():
     ctx = VarContext.make(base=("q1", "q2", "t"))
     phi = parse("q1 + 2*q2", ctx)
     initial = ObservedPhase([0.0, 1.0, 0.0], [0.2, 0.0], 0.0, st.rest_frame())
-    _, (t1, t2) = compare_frames(st, 1.0, phi, initial, [[0.0, 0.0]], h=1e-2, T=1.0)
+    _, _, (t1, t2) = compare_frames(st, 1.0, phi, initial, [[0.0, 0.0]], h=1e-2, T=1.0)
     assert np.array_equal(t1.states, t2.states)
 
 
@@ -377,7 +377,7 @@ def test_compare_frames_first_world_line_is_the_plain_integration():
     st = NewtonSpaceTime(2)
     phi = parse("q1^2/2 + q2", VarContext.make(base=("q1", "q2"), time="t"))
     initial = ObservedPhase([1.0, 0.0, 0.0], [0.0, 0.5], 0.0, st.rest_frame())
-    field, (first, _) = compare_frames(st, 1.0, phi, initial, [[0.3, 0.1]], h=1e-2, T=1.0)
+    field, _, (first, _) = compare_frames(st, 1.0, phi, initial, [[0.3, 0.1]], h=1e-2, T=1.0)
     [fld] = newton_dynamics(st, [st.rest_frame()], 1.0, phi)
     traj = integrate(fld, [1.0, 0.0, 0.0, 0.0, 0.5], h=1e-2, T=1.0)
     assert np.array_equal(first.states, traj.states)
@@ -390,10 +390,10 @@ def test_compare_frames_of_several_boosts_equal_one_boost_calls():
     initial = ObservedPhase([1.0, 0.0, 0.0, 0.0], [0.0, 0.5, -0.2], 0.3,
                             st.rest_frame())
     boosts = [[0.3, 0.0, 0.0], [0.0, 0.2, -0.1], [0.15, 0.15, 0.15]]
-    field, lines = compare_frames(st, 1.0, phi, initial, boosts, h=1e-2, T=2.0)
+    field, _, lines = compare_frames(st, 1.0, phi, initial, boosts, h=1e-2, T=2.0)
     assert len(lines) == 1 + len(boosts)  # the frame's own, then one per boost
     for v, line in zip(boosts, lines[1:]):
-        alone_field, alone = compare_frames(st, 1.0, phi, initial, [v], h=1e-2, T=2.0)
+        alone_field, _, alone = compare_frames(st, 1.0, phi, initial, [v], h=1e-2, T=2.0)
         assert alone_field.components == field.components
         for mine, theirs in zip([lines[0], line], alone):
             assert mine.states.tobytes() == theirs.states.tobytes()
@@ -801,16 +801,14 @@ _values = st.one_of(_special, st.floats(allow_nan=False, allow_infinity=False))
 
 
 @settings(max_examples=100, deadline=None)
-@given(rows=st.integers(1, 6), n=st.integers(1, 3), n_events=st.integers(0, 2),
-       data=st.data())
-def test_csv_bytes_match_the_csv_writer(tmp_path_factory, rows, n, n_events, data):
-    width = 1 + n + n_events
+@given(rows=st.integers(1, 6), n=st.integers(1, 3), data=st.data())
+def test_csv_bytes_match_the_csv_writer(tmp_path_factory, rows, n, data):
+    width = 1 + n
     table = np.array(data.draw(st.lists(_values, min_size=rows * width,
                                         max_size=rows * width))).reshape(rows, width)
-    traj = Trajectory(tuple(f"v{i}" for i in range(n)), table[:, 0], table[:, 1:1 + n])
-    if n_events:
-        traj.events = table[:, 1 + n:]
-        traj.event_names = tuple(f"e{i}" for i in range(n_events))
+    names = tuple(f"v{i}" for i in range(n))
+    events = data.draw(st.lists(st.sampled_from(names), max_size=n, unique=True))
+    traj = Trajectory(names, table[:, 0], table[:, 1:], tuple(events))
     out = tmp_path_factory.mktemp("csv")
     reference_csv(traj, out / "old.csv")
     assert traj.to_csv() == (out / "old.csv").read_bytes()
@@ -818,18 +816,19 @@ def test_csv_bytes_match_the_csv_writer(tmp_path_factory, rows, n, n_events, dat
 
 def test_csv_formats_copied_columns_once_and_near_copies_apart(tmp_path):
     states = np.array([[0.0, 1.5, 0.1], [-2.0, 0.0, 1e-300], [0.25, -0.0, 7.0]])
-    events = np.column_stack([
-        states[:, 0],                                         # a bit-for-bit copy
+    states = np.column_stack([
+        states,
         np.where(states[:, 1] == 0.0, -states[:, 1], states[:, 1]),  # zeros flipped
         np.nextafter(states[:, 2], np.inf),                   # 1 ulp above
-        states[:, 2],
     ])
-    traj = Trajectory(("a", "b", "c"), np.array([0.0, 0.5, 1.0]), states,
-                      ("a", "b~", "c~", "c"), events)
+    traj = Trajectory(("a", "b", "c", "b~", "c~"), np.array([0.0, 0.5, 1.0]), states,
+                      ("a", "b~", "c~", "c"))
     reference_csv(traj, tmp_path / "old.csv")
     assert traj.to_csv() == (tmp_path / "old.csv").read_bytes()
     rows = traj.to_csv().decode().splitlines()
-    assert rows[2] == "1,0.5,-2,0,1e-300,-2,-0,1.0000000000000002e-300,1e-300"
+    assert rows[0] == "step,time,a,b,c,b~,c~,a,b~,c~,c"
+    assert rows[2] == ("1,0.5,-2,0,1e-300,-0,1.0000000000000002e-300,"
+                       "-2,-0,1.0000000000000002e-300,1e-300")
 
 
 def test_timedep_trajectory_csv_matches_the_csv_writer(tmp_path):
