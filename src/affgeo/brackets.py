@@ -37,16 +37,15 @@ from . import symexpr as se
 from ._immutable import Immutable, fill_slots
 from .affine import AffineSpaceSpec, _matvec
 from .duality import SpecialAffineSpace, SpecialDualSpace, iota_sharp
-from .reporting import Report, first_worst, per_point_max
+from .reporting import Report, per_point_max
 from .symexpr import Expression
 
 __all__ = [
     "BracketError", "NonAffineSectionError", "Patch", "random_polynomial",
     "LieAffgebraData", "LieAffgebroidData", "HullAlgebroidData",
     "verify_affgebra", "verify_affgebroid", "hull_extend",
-    "aff_jacobi_bracket", "is_aff_poisson",
-    "AffPoissonResult", "atiyah_algebroid", "affgebra_to_affgebroid",
-    "jet_bundle_affgebroid",
+    "aff_jacobi_bracket", "is_aff_poisson", "atiyah_algebroid",
+    "affgebra_to_affgebroid", "jet_bundle_affgebroid",
 ]
 
 JACOBI_TOL = 1e-9      # symbolic derivatives, float evaluation only
@@ -99,16 +98,14 @@ class Patch(Immutable):
         return np.array(list(itertools.product(axis, repeat=self.dim)), float)
 
 
-def random_polynomial(patch: Patch, rng: np.random.Generator,
-                      degree: int = 2) -> Expression:
-    """Random polynomial over the patch coordinates, coefficients in [-1, 1]."""
+def random_polynomial(patch: Patch, rng: np.random.Generator) -> Expression:
+    """Random quadratic over the patch coordinates, coefficients in [-1, 1]."""
     expr: Expression = se.Const(rng.uniform(-1.0, 1.0))
     vars_ = [se.Var(n) for n in patch.names]
     for v in vars_:
         expr = expr + se.Const(rng.uniform(-1.0, 1.0)) * v
-    if degree >= 2:
-        for va, vb in itertools.combinations_with_replacement(vars_, 2):
-            expr = expr + se.Const(rng.uniform(-1.0, 1.0)) * va * vb
+    for va, vb in itertools.combinations_with_replacement(vars_, 2):
+        expr = expr + se.Const(rng.uniform(-1.0, 1.0)) * va * vb
     return expr
 
 
@@ -425,17 +422,13 @@ class HullAlgebroidData:
         return se.sub(lhs, weight)
 
 
-def hull_extend(data: LieAffgebroidData,
-                sample_points=None,
-                rng: np.random.Generator | None = None) -> HullAlgebroidData:
+def hull_extend(data: LieAffgebroidData) -> HullAlgebroidData:
     """Extend bundle bracket data to the vector hull.
 
-    The input is verified first; extension of an invalid structure is
-    refused.
+    The input is verified first, on the 3-per-axis grid of its patch;
+    extension of an invalid structure is refused.
     """
-    rng = rng or np.random.default_rng(0)
-    pts = sample_points if sample_points is not None else data.patch.grid(3)
-    report = verify_affgebroid(data, pts, rng=rng)
+    report = verify_affgebroid(data, data.patch.grid(3))
     if not report.passed:
         failing = [c.check for c in report.checks if not c.passed]
         raise BracketError(f"input verification failed: {', '.join(failing)}")
@@ -492,55 +485,30 @@ def aff_jacobi_bracket(data: LieAffgebroidData, sigma: Expression,
     return iota_sharp(data.bracket(a, b), sd)
 
 
-class AffPoissonResult:
-    __slots__ = ("derivation_ok", "centrality_ok", "derivation_residual",
-                 "centrality_residual", "witness")
-
-    def __init__(self, derivation_ok: bool, centrality_ok: bool,
-                 derivation_residual: float, centrality_residual: float,
-                 witness: dict | None = None):
-        fill_slots(self, derivation_ok, centrality_ok, derivation_residual,
-                   centrality_residual, witness)
-
-    @property
-    def residual(self) -> float:
-        """The failing criterion's residual, as in the witness; else the larger one."""
-        return self.witness["residual"] if self.witness else max(
-            self.derivation_residual, self.centrality_residual)
-
-    @property
-    def criteria_agree(self) -> bool:
-        return self.derivation_ok == self.centrality_ok
-
-    def __bool__(self) -> bool:
-        return self.derivation_ok and self.centrality_ok
-
-
 def is_aff_poisson(data: LieAffgebroidData,
-                   rng: np.random.Generator | None = None) -> AffPoissonResult:
-    """Decide whether the induced dual bracket is aff-Poisson.
-
-    Two independent criteria are evaluated and compared:
+                   rng: np.random.Generator | None = None) -> Report:
+    """Evaluate the two criteria for the induced dual bracket to be aff-Poisson.
 
     * derivation test: the partial map of the bracket is always a
       first-order operator ``f -> V(f) + lam*f``; it is a derivation
       iff the zero-order term ``lam`` (the bracket applied to the
-      constant section 1) vanishes.  The reported residual is the
-      Leibniz defect on a product of two affine coordinate functions,
-      which for a first-order operator equals ``-lam * f * g``.
+      constant section 1) vanishes.  The residual is the Leibniz defect
+      on a product of two affine coordinate functions, which for a
+      first-order operator equals ``-lam * f * g``.
     * centrality test: the distinguished section commutes with the
       frame in the hull and is killed by the anchor.
 
-    Both are evaluated at 8 random base points; the derivation residual
-    must stay below :data:`JACOBI_TOL`, the centrality residual below
-    :data:`CENTRALITY_TOL`.  The witness names the failing criterion (of
-    two failing ones, the one with the larger residual), its worst point
-    and that residual.
+    Both are evaluated at 8 random base points.  The report has one check
+    per criterion, ``derivation`` to :data:`JACOBI_TOL` and ``centrality``
+    to :data:`CENTRALITY_TOL`; a failing one's witness names its
+    criterion and its worst point.  The bracket is aff-Poisson iff the
+    report passes, and the criteria agree iff both checks give one verdict.
     """
     rng = rng or np.random.default_rng(0)
     sd = data.special_dual
     names = sd.quotient_var_names()
     pts = data.patch.sample(rng, 8)
+    report = Report("aff-poisson")
 
     # derivation side: lam = {sigma, sigma' + 1} - {sigma, sigma'}
     defects, envs = [], []
@@ -558,8 +526,9 @@ def is_aff_poisson(data: LieAffgebroidData,
         defects.append(per_point_max(
             [se.evaluate(se.mul(lam, se.mul(f, g)), env)], len(pts)))
         envs.append(env)
-    worst_d, at = first_worst(defects)
-    derivation_ok = worst_d < JACOBI_TOL
+    report.check("derivation", defects, JACOBI_TOL, lambda at: {
+        "criterion": "derivation",
+        "point": {n: float(v[at[1]]) for n, v in envs[at[0]].items()}})
 
     # centrality side: hull brackets of v against the frame, and the anchor
     hull = HullAlgebroidData(data)
@@ -573,24 +542,10 @@ def is_aff_poisson(data: LieAffgebroidData,
     for X in frame:
         weight, comps = hull.bracket(v_sec, X)
         central += [weight] + comps
-    worst_c, at_c = first_worst(_point_residuals(data, [central], pts)[0])
-    centrality_ok = worst_c < CENTRALITY_TOL
-
-    # the witness of the failing criterion, or of the worse of two
-    witness = None
-    if not derivation_ok:
-        witness = {"criterion": "derivation", "residual": worst_d,
-                   "point": {n: float(v[at[1]]) for n, v in envs[at[0]].items()}}
-    if not centrality_ok and (derivation_ok or first_worst([worst_d, worst_c])[1] == (1,)):
-        witness = {"criterion": "centrality", "residual": worst_c,
-                   "point": dict(zip(data.patch.names, pts[at_c[0]].tolist()))}
-    return AffPoissonResult(
-        derivation_ok=derivation_ok,
-        centrality_ok=centrality_ok,
-        derivation_residual=worst_d,
-        centrality_residual=worst_c,
-        witness=witness,
-    )
+    report.check("centrality", _point_residuals(data, [central], pts)[0], CENTRALITY_TOL,
+                 lambda at: {"criterion": "centrality",
+                             "point": dict(zip(data.patch.names, pts[at[0]].tolist()))})
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ passes iff that worst residual is below the tolerance.  So a non-finite
 residual never passes, nor does an empty residual set.  Every check names
 a witness builder, so a failing one says where its first worst residual
 sits, in the caller's terms, and its value.  :meth:`Report.add` records
-a verdict given from outside, for the two checks that have one:
-``finite_trajectory`` and the two tolerances of :func:`brackets.is_aff_poisson`.
+a verdict given from outside, for the two CLI rows that have one:
+``finite_trajectory``, and ``aff_poisson_criteria_agree_dim<d>``, which
+folds the two checks of :func:`brackets.is_aff_poisson` into one row.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ class Report:
 
     def add(self, check: str, passed: bool, residual: float,
             witness: dict | None = None) -> CheckResult:
-        """Record a check with a given verdict; a non-finite residual
+        """Record a check whose verdict the caller gives, as when it folds
+        checks that :meth:`check` decided into one; a non-finite residual
         fails it.  A passing check carries no witness, and a failing one
         ``witness`` or else ``{"residual": residual}``."""
         residual = float(residual)
@@ -95,9 +97,7 @@ def per_point_max(values, count: int) -> np.ndarray:
 def first_worst(residuals) -> tuple[float, tuple[int, ...]]:
     """The largest residual (NaN above all) and the index of its first
     occurrence in C order: with one row per case, the first case, then
-    the first point, that reaches it.  Empty input gives ``(0.0, ())``."""
+    the first point, that reaches it."""
     r = np.asarray(residuals, float)
-    if r.size == 0:
-        return 0.0, ()
     at = int(np.argmax(r))
     return float(r.flat[at]), tuple(int(i) for i in np.unravel_index(at, r.shape))

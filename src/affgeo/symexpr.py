@@ -34,7 +34,6 @@ is decided by evaluation in the test suites, not by canonical forms.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from typing import Callable, Iterable, Mapping, NamedTuple, Union
@@ -660,11 +659,11 @@ def _any(mask) -> bool:
     return mask if isinstance(mask, bool) else bool(mask.any())
 
 
-def _each(fn, x, *args):
-    """``fn(x, *args)``, element by element where ``x`` is an array."""
+def _each(fn, x):
+    """``fn(x)``, element by element where ``x`` is an array."""
     if isinstance(x, np.ndarray):
-        return np.array(list(map(fn, x.tolist(), *map(itertools.repeat, args))))
-    return fn(x, *args)
+        return np.array(list(map(fn, x.tolist())))
+    return fn(x)
 
 
 def evaluate(e: Expression | Iterable[Expression],

@@ -123,7 +123,7 @@ def test_criterion_4_hull_extension():
         data = jet_bundle_affgebroid()
         rng = np.random.default_rng(3)
         pts = data.patch.grid(4)  # 16 points
-        hull = hull_extend(data, pts, rng=rng)
+        hull = hull_extend(data)
 
         secs = [(random_polynomial(data.patch, rng),
                  [random_polynomial(data.patch, rng)]) for _ in range(3)]
@@ -185,8 +185,8 @@ def test_criterion_5_dual_bracket_vs_poisson():
                                 np.zeros((2, 2, 2))), v=[0.0, 1.0]),
         ]
         for data in structures:
-            result = is_aff_poisson(data, rng=rng)
-            assert result.criteria_agree
+            report = is_aff_poisson(data, rng=rng)
+            assert report["derivation"].passed == report["centrality"].passed
 
 
 def test_criterion_6_omega_invariance():
@@ -202,7 +202,7 @@ def test_criterion_6_omega_invariance():
         rng = np.random.default_rng(5)
         z2 = Patch.box(("x", "y"))
         for _ in range(4):
-            two = bold_d_oneform(section_one_form(z2, random_polynomial(z2, rng, degree=3)))
+            two = bold_d_oneform(section_one_form(z2, random_polynomial(z2, rng)))
             assert np.max(np.abs(two.matrix(sample_points(("x", "y"), rng, 8)))) < 1e-12
 
 
@@ -254,7 +254,7 @@ def test_criterion_8_timedep_dynamics_recovery():
         grid_envs = [{"q1": a, "p1": b, "t": c}
                      for a in axis for b in axis for c in axis]
         for _ in range(5):
-            H = random_polynomial(patch, rng, degree=2)
+            H = random_polynomial(patch, rng)
             fld = timedep_dynamics(1, H, rng=rng)
             for env in grid_envs:
                 closed = np.array([evaluate(c, env) for c in fld.components])

@@ -327,11 +327,11 @@ def test_aff_jacobi_over_a_point_constant_sections():
 
 
 def test_is_aff_poisson_atiyah_true():
-    result = is_aff_poisson(atiyah_algebroid(Patch.box(("x",))),
+    report = is_aff_poisson(atiyah_algebroid(Patch.box(("x",))),
                             rng=np.random.default_rng(8))
-    assert result.criteria_agree
-    assert bool(result)
-    assert result.derivation_ok and result.centrality_ok
+    assert [c.check for c in report.checks] == ["derivation", "centrality"]
+    assert report["derivation"].passed == report["centrality"].passed
+    assert report.passed
 
 
 def test_is_aff_poisson_false_when_distinguished_vector_not_central():
@@ -339,10 +339,10 @@ def test_is_aff_poisson_false_when_distinguished_vector_not_central():
     D = np.array([[0.0, 1.0], [0.0, 1.0]])
     data = affgebra_to_affgebroid(LieAffgebraData(D, np.zeros((2, 2, 2))),
                                   v=[0.0, 1.0])
-    result = is_aff_poisson(data, rng=np.random.default_rng(9))
-    assert result.criteria_agree
-    assert not bool(result)
-    assert result.witness is not None
+    report = is_aff_poisson(data, rng=np.random.default_rng(9))
+    assert report["derivation"].passed == report["centrality"].passed
+    assert not report.passed
+    assert all(c.witness["criterion"] == c.check for c in report.checks)
 
 
 def test_is_aff_poisson_witness_names_the_one_failing_criterion():
@@ -352,19 +352,20 @@ def test_is_aff_poisson_witness_names_the_one_failing_criterion():
     data = LieAffgebroidData(atiyah.patch, atiyah.rank,
                              [atiyah.beta[0], [se.ZERO, Const(1e-10)]], atiyah.c,
                              atiyah.anchor_ref, atiyah.anchor_lin, v=atiyah.v)
-    result = is_aff_poisson(data, rng=np.random.default_rng(0))
-    assert result.derivation_ok and not result.centrality_ok
-    assert result.derivation_residual > result.centrality_residual
-    assert result.witness["criterion"] == "centrality"
-    assert result.witness["residual"] == result.centrality_residual
-    assert result.residual == result.centrality_residual
-    assert set(result.witness["point"]) == {"x1"}
+    report = is_aff_poisson(data, rng=np.random.default_rng(0))
+    derivation, centrality = report["derivation"], report["centrality"]
+    assert derivation.passed and not centrality.passed
+    assert derivation.residual > centrality.residual
+    assert derivation.witness is None
+    assert centrality.witness["criterion"] == "centrality"
+    assert centrality.witness["residual"] == centrality.residual
+    assert set(centrality.witness["point"]) == {"x1"}
 
 
-def test_is_aff_poisson_residual_of_two_passing_criteria_is_the_larger():
-    result = is_aff_poisson(atiyah_algebroid(Patch.box(("x",))), rng=np.random.default_rng(8))
-    assert result.witness is None
-    assert result.residual == max(result.derivation_residual, result.centrality_residual)
+def test_is_aff_poisson_passing_criteria_carry_no_witness():
+    report = is_aff_poisson(atiyah_algebroid(Patch.box(("x",))), rng=np.random.default_rng(8))
+    assert report.passed
+    assert [c.witness for c in report.checks] == [None, None]
 
 
 @pytest.mark.parametrize("data", [jet_bundle_affgebroid(),
@@ -391,8 +392,9 @@ def test_is_aff_poisson_abelian_true():
     data = affgebra_to_affgebroid(
         LieAffgebraData(np.zeros((3, 3)), np.zeros((3, 3, 3))),
         v=[1.0, 2.0, 0.5])
-    result = is_aff_poisson(data, rng=np.random.default_rng(10))
-    assert result.criteria_agree and bool(result)
+    report = is_aff_poisson(data, rng=np.random.default_rng(10))
+    assert report["derivation"].passed == report["centrality"].passed
+    assert report.passed
 
 
 def test_aff_jacobi_bracket_partial_map_is_a_derivation():

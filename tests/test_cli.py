@@ -171,6 +171,16 @@ def test_a_scenario_file_that_is_not_utf8_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_scenario_refused_by_its_runner_leaves_no_output_directory(tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[scenario]\nkind = affgebra-verify\nname = bad\n"
+                   "[structure]\ndim = 2\nD = zero\nc = cross3\n")
+    fresh = tmp_path / "fresh"
+    assert run(["run", str(bad), "--out", str(fresh / "out")]) == 2
+    assert capsys.readouterr().err == "error: cross3 structure constants need dim = 3\n"
+    assert not fresh.exists()
+
+
 def test_an_output_path_that_is_a_file_exits_2(tmp_path, capsys):
     afile = tmp_path / "afile"
     afile.write_text("keep\n")
@@ -224,9 +234,10 @@ def test_a_hull_scenario_verifies_its_structure_once(tmp_path, capsys, monkeypat
     assert len(calls) == 1
 
 
-def test_the_aff_poisson_check_records_the_failing_criterions_residual(monkeypatch):
-    # a vertical beta of 1e-10 fails centrality (tolerance 1e-12), while the
-    # larger derivation residual stays under its own tolerance of 1e-9
+def atiyah_poisson_row(monkeypatch, beta, anchor):
+    """The aff-Poisson report of the dim-1 Atiyah structure with the
+    vertical frame section's beta and anchor set to the given constants,
+    and the CLI row that folds it."""
     import numpy as np
 
     from affgeo import brackets, symexpr as se
@@ -234,23 +245,58 @@ def test_the_aff_poisson_check_records_the_failing_criterions_residual(monkeypat
 
     def perturbed(patch):
         a = brackets.atiyah_algebroid(patch)
-        return brackets.LieAffgebroidData(a.patch, a.rank, [a.beta[0], [se.ZERO, se.Const(1e-10)]],
-                                          a.c, a.anchor_ref, a.anchor_lin, v=a.v)
-    results = []
+        return brackets.LieAffgebroidData(
+            a.patch, a.rank, [a.beta[0], [se.ZERO, se.Const(beta)]], a.c, a.anchor_ref,
+            [a.anchor_lin[0], [se.Const(anchor)]], v=a.v)
+    reports = []
 
     def recorded(data, rng):
-        results.append(brackets.is_aff_poisson(data, rng=rng))
-        return results[-1]
+        reports.append(brackets.is_aff_poisson(data, rng=rng))
+        return reports[-1]
     monkeypatch.setattr(cli, "atiyah_algebroid", perturbed)
     monkeypatch.setattr(cli, "is_aff_poisson", recorded)
     report = Report("atiyah")
     cli._check_atiyah_poisson(1, np.random.default_rng(0), report)
-    (result,) = results
-    assert result.derivation_ok and not result.centrality_ok
-    assert result.derivation_residual > result.centrality_residual
-    check = report["aff_poisson_criteria_agree_dim1"]
-    assert not check.passed and check.witness["criterion"] == "centrality"
-    assert check.residual == check.witness["residual"] == result.centrality_residual
+    (result,) = reports
+    return result, report["aff_poisson_criteria_agree_dim1"]
+
+
+def test_the_aff_poisson_check_records_the_failing_criterions_residual(monkeypatch):
+    # a vertical beta of 1e-10 fails centrality (tolerance 1e-12), while the
+    # larger derivation residual stays under its own tolerance of 1e-9
+    result, check = atiyah_poisson_row(monkeypatch, 1e-10, 0.0)
+    derivation, centrality = result["derivation"], result["centrality"]
+    assert derivation.passed and not centrality.passed
+    assert derivation.residual > centrality.residual
+    assert not check.passed and check.witness == centrality.witness
+    assert check.witness["criterion"] == "centrality"
+    assert check.residual == check.witness["residual"] == centrality.residual
+
+
+# at a vertical beta of 1e-6 both criteria fail, derivation the worse,
+# until a vertical anchor of 1e-3 makes centrality the worse
+@pytest.mark.parametrize("anchor, worse, better", [
+    (0.0, "derivation", "centrality"), (1e-3, "centrality", "derivation")])
+def test_the_aff_poisson_check_of_two_failing_criteria_records_the_worse(
+        monkeypatch, anchor, worse, better):
+    result, check = atiyah_poisson_row(monkeypatch, 1e-6, anchor)
+    assert not result[worse].passed and not result[better].passed
+    assert result[worse].residual > result[better].residual
+    assert not check.passed and check.witness == result[worse].witness
+    assert check.witness["criterion"] == worse
+    assert check.residual == check.witness["residual"] == result[worse].residual
+
+
+# perturbations under both tolerances: derivation the larger residual, then centrality
+@pytest.mark.parametrize("beta, anchor, larger, smaller", [
+    (1e-13, 0.0, "derivation", "centrality"), (1e-14, 5e-13, "centrality", "derivation")])
+def test_the_aff_poisson_check_of_two_passing_criteria_records_the_larger_residual(
+        monkeypatch, beta, anchor, larger, smaller):
+    result, check = atiyah_poisson_row(monkeypatch, beta, anchor)
+    assert result.passed
+    assert result[larger].residual > result[smaller].residual > 0
+    assert check.passed and check.witness is None
+    assert check.residual == result[larger].residual
 
 
 @pytest.mark.parametrize("dim", ["0", "-1"])
@@ -283,6 +329,8 @@ def test_a_trajectory_that_blows_up_exits_3_at_its_first_non_finite_step(tmp_pat
     out.mkdir()
     assert run(["run", str(path), "--out", str(out)]) == 3
     assert capsys.readouterr().err == "runtime error: non-finite state at step 62\n"
+    assert list(out.iterdir()) == []
+    assert run(["run", str(path), "--out", str(out / "fresh")]) == 3
     assert list(out.iterdir()) == []
 
 
@@ -652,7 +700,7 @@ def test_a_value_the_library_refuses_exits_2(tmp_path, capsys, text, message):
     # the library's own error, not a re-raised copy, decides the exit code
     code, err, out = run_text(tmp_path, capsys, text)
     assert (code, err) == (2, f"error: {message}\n")
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text, keys", [
@@ -734,7 +782,7 @@ def test_a_trajectory_named_like_the_report_exits_2(tmp_path, capsys):
     code, err, out = run_text(tmp_path, capsys, text)
     assert code == 2
     assert err.startswith("error:") and "osc_report.json" in err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", ["frames_free", "newton_free", "oscillator_timedep"])

@@ -18,7 +18,7 @@ def test_demos_are_found():
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(script, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+    done = subprocess.run([sys.executable, "-W", "error", str(script)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
 
@@ -28,6 +28,6 @@ def test_readme_library_example_runs(tmp_path):
     section = readme.split("## Library example", 1)[1]
     example = section.split("```python\n", 1)[1].split("```", 1)[0]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, "-c", example], cwd=tmp_path, env=env,
+    done = subprocess.run([sys.executable, "-W", "error", "-c", example], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

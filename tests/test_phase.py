@@ -96,7 +96,7 @@ def test_bold_d_oneform_of_exact_form_is_zero():
     z = line_patch("x", "y")
     rng = np.random.default_rng(0)
     for _ in range(6):
-        two = bold_d_oneform(section_one_form(z, random_polynomial(z, rng, degree=3)))
+        two = bold_d_oneform(section_one_form(z, random_polynomial(z, rng)))
         assert np.max(np.abs(two.matrix(sample_points(z.names, rng, 8)))) < 1e-12
 
 

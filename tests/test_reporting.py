@@ -41,10 +41,6 @@ def test_first_worst_ranks_nan_above_everything():
     assert math.isnan(worst) and at == (1, 0)
 
 
-def test_first_worst_of_nothing_is_zero():
-    assert first_worst([]) == (0.0, ())
-
-
 @pytest.mark.parametrize("residuals", [[], np.zeros((3, 0))])
 def test_check_of_no_residuals_fails(residuals):
     report = Report("x")
