@@ -10,10 +10,10 @@ working directory) and nowhere else, only once every check has run, and
 all of them or none.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 the scenario could not
-be loaded (a file that is not UTF-8 text, an unknown section or key, a key
-its mode does not read, a missing key, a value of the wrong type or out of
-range), holds a value the library rejects, a malformed expression or one
-too deep for the symbolic layer, or an output cannot be written (``--out``
+be loaded (a file that is not UTF-8 INI text as :func:`read_ini` reads it,
+an unknown section or key, a key its mode does not read, a missing key, a
+value of the wrong type or out of range), holds a value the library
+rejects, a malformed expression or one too deep for the symbolic layer, or an output cannot be written (``--out``
 names a file, an output's name is a directory or the report's), 3 a
 runtime domain error interrupted the run.  Only :func:`main` maps library
 errors to codes: refused values (``BracketError``, ``AffineGeometryError``,
@@ -23,7 +23,6 @@ errors to codes: refused values (``BracketError``, ``AffineGeometryError``,
 from __future__ import annotations
 
 import argparse
-import configparser
 import contextlib
 import functools
 import json
@@ -172,10 +171,59 @@ class Key(NamedTuple):
     when: tuple | None = None
     index: tuple | None = None
 
-    @functools.lru_cache(maxsize=4096)  # the same keys recur in every file
-    def match(self, key: str):
-        return re.fullmatch(re.sub(r"<[ijk]>", "(0|[1-9][0-9]*)", self.key)
-                            .replace("<name>", "(.+)"), key)
+
+def read_ini(path: Path) -> dict[str, dict[str, str]]:
+    """The file's sections as {section: {key: text}}, as configparser reads
+    them with ``=`` the only delimiter, ``#`` and ``;`` comments on whole
+    lines, case-sensitive keys, no interpolation and no repeated section or
+    key; the grammar is in README.  A UTF-8 byte-order mark is dropped."""
+    try:
+        with open(path, encoding="utf-8-sig") as handle:  # \r\n and \r read as \n
+            lines = handle.read().split("\n")
+    except (OSError, UnicodeDecodeError) as err:
+        raise ScenarioError(f"cannot load {path}: {err}") from None
+    sections, values, key, indent = {}, None, None, 0
+    for n, line in enumerate(lines, 1):
+        text = line.strip()
+        if not text or text[0] in "#;":
+            if key and not text:
+                values[key].append("")
+            continue
+        depth = len(line) - len(line.lstrip())
+        if key and depth > indent:
+            values[key].append(text)
+            continue
+        indent, end = depth, text.rfind("]")
+        if text[0] == "[" and end > 1:
+            if text[1:end] in sections:
+                raise ScenarioError(f"cannot load {path}: line {n}: {line!r} repeats a section")
+            values = sections[text[1:end]] = {}
+            key = None
+            continue
+        key, eq, value = text.partition("=")
+        key = key.rstrip()
+        if values is None or not eq or not key or key in values:
+            why = ("comes before the first [section]" if values is None else
+                   "repeats a key" if eq and key else "is not key = value")
+            raise ScenarioError(f"cannot load {path}: line {n}: {line!r} {why}")
+        values[key] = [value.lstrip()]
+    return {s: {k: "\n".join(v).rstrip() for k, v in keys.items()}
+            for s, keys in sections.items()}
+
+
+@functools.cache  # built on the first file of each kind, not at import
+def _index(kind: str):
+    """The table of ``kind``, and for each of its sections the entries'
+    places in it: a dict for the plain keys, a compiled regex per pattern."""
+    table, sections = COMMON + KINDS[kind][1], {}
+    for n, e in enumerate(table):
+        plain, patterns = sections.setdefault(e.section, ({}, []))
+        if "<" in e.key:
+            patterns.append((re.compile(re.sub(r"<[ijk]>", "(0|[1-9][0-9]*)", e.key)
+                                        .replace("<name>", "(.+)")), n))
+        else:
+            plain[e.key] = n
+    return table, sections
 
 
 class Scenario(dict):
@@ -186,27 +234,28 @@ class Scenario(dict):
     """
 
     def __init__(self, path: Path):
-        parser = configparser.ConfigParser(
-            delimiters=("=",), comment_prefixes=("#", ";"),
-            inline_comment_prefixes=None, interpolation=None, default_section="")
-        parser.optionxform = str  # keys are case-sensitive
-        try:
-            with open(path, encoding="utf-8") as handle:
-                parser.read_file(handle)
-        except (OSError, UnicodeDecodeError, configparser.Error) as err:
-            raise ScenarioError(f"cannot load {path}: {err}") from None
-        raw = {s: dict(parser[s]) for s in parser.sections()}
-        self._read(COMMON[:1], raw)
+        raw = read_ini(path)
+        kind = raw.get("scenario", {}).get("kind")
+        self._read(COMMON[0], {} if kind is None else {"kind": ((), kind)})
         self.kind = self["scenario", "kind"]
-        table = COMMON + KINDS[self.kind][1]
+        table, sections = _index(self.kind)
+        given = [{} for _ in table]  # per entry: {key in the file: (names or indices, text)}
         for section, keys in raw.items():
-            entries = [e for e in table if e.section == section]
-            if not entries:
+            if section not in sections:
                 raise ScenarioError(f"unknown section [{section}] for kind {self.kind}")
-            for key in keys:
-                if not any(e.match(key) for e in entries):
+            plain, patterns = sections[section]
+            for key, text in keys.items():
+                if key in plain:
+                    given[plain[key]][key] = (), text
+                    continue
+                for regex, n in patterns:
+                    if at := regex.fullmatch(key):
+                        given[n][key] = at.groups(), text
+                        break
+                else:
                     raise ScenarioError(f"unknown key [{section}] {key} for kind {self.kind}")
-        self._read(table[1:], raw)
+        for e, keys in zip(table[1:], given[1:]):
+            self._read(e, keys)
         if self.kind == "reduction-check" and [self["checks", k] for k in (
                 "omega", "eq1", "reduction")] == [False, False, "none"]:
             raise ScenarioError("reduction-check runs no check: set omega, eq1 or reduction")
@@ -221,31 +270,29 @@ class Scenario(dict):
         except ValueError as err:
             raise ScenarioError(f"[{e.section}] {key} = {raw!r}: {err}") from None
 
-    def _read(self, entries: list[Key], raw) -> None:
-        for e in entries:
-            given = {k: v for k, v in raw.get(e.section, {}).items() if e.match(k)}
-            if e.when and self[e.when[:2]] != e.when[2]:
-                if given:
-                    s, k, v = e.when
-                    raise ScenarioError(f"[{e.section}] {next(iter(given))} is read only "
-                                        f"when [{s}] {k} = {str(v).lower()}")
-                self[e.section, e.key] = None
-                continue
-            if not given and e.default == REQUIRED:
-                raise ScenarioError(f"missing [{e.section}] {e.key}")
-            if not given and e.default is not None:
-                given = {e.key: e.default}
-            value = {}  # from the names or indices in a key (none for a plain key)
-            for k, v in given.items():
-                at = e.match(k).groups()
-                if e.index:
-                    at = tuple(self._parse(e, k, i, Int(*e.index)) for i in at)
-                    partner = (*at[1::-1], *at[2:])
-                    if partner != at and partner in value:
-                        raise ScenarioError(f"[{e.section}] {' '.join(map(str, partner))} and "
-                                            f"[{e.section}] {k} set one antisymmetric pair")
-                value[at] = self._parse(e, k, v)
-            self[e.section, e.key] = value if "<" in e.key else value.get(())
+    def _read(self, e: Key, given: dict) -> None:
+        """Set entry ``e`` from ``given``, its keys in the file."""
+        if e.when and self[e.when[:2]] != e.when[2]:
+            if given:
+                s, k, v = e.when
+                raise ScenarioError(f"[{e.section}] {next(iter(given))} is read only "
+                                    f"when [{s}] {k} = {str(v).lower()}")
+            self[e.section, e.key] = None
+            return
+        if not given and e.default == REQUIRED:
+            raise ScenarioError(f"missing [{e.section}] {e.key}")
+        if not given and e.default is not None:
+            given = {e.key: ((), e.default)}
+        value = {}  # from the names or indices in a key (none for a plain key)
+        for k, (at, v) in given.items():
+            if e.index:
+                at = tuple(self._parse(e, k, i, Int(*e.index)) for i in at)
+                partner = (*at[1::-1], *at[2:])
+                if partner != at and partner in value:
+                    raise ScenarioError(f"[{e.section}] {' '.join(map(str, partner))} and "
+                                        f"[{e.section}] {k} set one antisymmetric pair")
+            value[at] = self._parse(e, k, v)
+        self[e.section, e.key] = value if "<" in e.key else value.get(())
 
 
 def _matrix(value, n: int) -> np.ndarray:

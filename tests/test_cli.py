@@ -171,6 +171,18 @@ def test_a_scenario_file_that_is_not_utf8_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_scenario_file_that_starts_with_a_byte_order_mark_loads(tmp_path, capsys):
+    # a UTF-8 BOM is UTF-8 text: the file runs as the one without it
+    source = cli.resolve_scenario("so3_affgebra")
+    bom = tmp_path / "so3_affgebra.ini"
+    bom.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+    for path, out in ((source, tmp_path / "plain"), (bom, tmp_path / "bom")):
+        assert run(["run", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "bom" / "so3_affgebra_report.json").read_bytes() == \
+        (tmp_path / "plain" / "so3_affgebra_report.json").read_bytes()
+
+
 def test_a_scenario_refused_by_its_runner_leaves_no_output_directory(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[scenario]\nkind = affgebra-verify\nname = bad\n"

@@ -124,3 +124,12 @@ def test_importing_a_module_loads_only_its_stack(name):
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert set(done.stdout.split()) == {f"affgeo.{m}" for m in LOADS[name]}
+
+
+def test_importing_the_cli_loads_no_configparser():
+    # cli.read_ini reads scenario files; configparser is the tests' reference only
+    code = "import sys, affgeo.cli; print(*sorted(m for m in sys.modules if 'configparser' in m))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == []

@@ -1,4 +1,9 @@
-"""The scenario tables: a fuzz over corrupted INIs, and the README reference.
+"""The scenario files: their reader against configparser, a fuzz over
+corrupted INIs, and the README reference.
+
+The reader's property compares ``cli.read_ini`` with the standard
+``configparser``, configured for the INI that scenario files are, on texts
+built from lines of headers, keys, comments and free text.
 
 The fuzz draws a valid scenario of each kind by walking the kind's table
 in ``cli.KINDS``, so every key a table lists can get a value and a key is
@@ -6,16 +11,68 @@ set only when its mode reads it.  Dimensions and step counts stay small.
 It then corrupts one thing and runs the file through ``cli.main``.
 """
 
+import configparser
 import contextlib
 import io
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from affgeo import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+END = st.sampled_from(["\n", "\r\n", "\r"])  # universal newlines
+# whitespace to str.strip() but not a line break to a file read as text
+INDENT = st.sampled_from(["", "", " ", "  ", "\t", "\x0c", "\x85", " \u2028"])
+WORD = st.text(st.sampled_from("ab[]=#; \t\x0c\x85\u2028"), max_size=5)
+LINE = st.builds("{}{}{}".format, INDENT, st.one_of(
+    st.builds("{}{}={}".format, st.sampled_from(["a", "A", "b c", "c", ""]),
+              st.sampled_from(["", " ", "\x85"]), WORD),  # a key, or a continued value
+    st.builds(str.__add__, st.sampled_from(["", "#", ";", "x"]), WORD),  # blank, comment, text
+), END)
+HEADER = st.sampled_from(["[s]", "[t]", "[u]", "[v]", " [a]b]", "[]"])  # "[]" is no header
+SECTION = st.builds("{}{}{}".format, HEADER, END, st.lists(LINE, max_size=5).map("".join))
+INI = st.builds(str.__add__, st.sampled_from(["", "", "", "\n", "# c\n", "k = 1\n"]),
+                st.lists(SECTION, min_size=1, max_size=3).map("".join))
+
+
+def configparser_sections(path):
+    """The reference: configparser configured for scenario files, the
+    sections and keys in file order, or None if it refuses the file."""
+    parser = configparser.ConfigParser(
+        delimiters=("=",), comment_prefixes=("#", ";"),
+        inline_comment_prefixes=None, interpolation=None, default_section="")
+    parser.optionxform = str  # keys are case-sensitive
+    with open(path, encoding="utf-8") as handle:
+        try:
+            parser.read_file(handle)
+        except configparser.Error:
+            return None
+    return [(s, list(parser[s].items())) for s in parser.sections()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(INI)
+@example("[s]\nk = 1\n  more\n\n  # a comment\n\n\tlast\n\nb=2\n")  # continued values
+@example("[s]\n  k = 1\n  b = 2\n    c\n")  # an indented key after a header is a key
+@example("[s]\nk = 1\n[t]\n[s]\n")  # a section twice
+@example("[s]\nk = 1\nk = 2\n")  # a key twice
+@example("k = 1\n[s]\n")  # a key before the first header
+@example("[s]\nk\n")  # a line with no =
+def test_the_reader_reads_as_configparser_does(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.ini"
+        path.write_bytes(text.encode())
+        want = configparser_sections(path)
+        try:  # in file order, which orders the errors of an unknown section or key
+            got = [(s, list(keys.items())) for s, keys in cli.read_ini(path).items()]
+        except cli.ScenarioError as err:
+            assert str(err).startswith(f"cannot load {path}: ")
+            got = None
+    assert got == want, text
+
 
 NUMBER = st.sampled_from(["0.5", "-0.25", "1", "0.75", "-1.5", "2"])
 POSITIVE = st.sampled_from(["0.5", "1", "1.5", "2"])
@@ -142,13 +199,15 @@ def scenarios(draw):
 
 CORRUPTIONS = ("none", "drop", "misspell", "section", "type", "range", "nan", "empty",
                "path", "garbage")
+SYNTAX = ("section twice", "key twice", "no =", "before header")  # the file cannot load
 
 
 @st.composite
 def corrupted(draw):
-    """(must exit 2, INI text): a drawn valid scenario with one corruption."""
+    """(what stderr starts with, or None if the run may pass, INI text): a
+    drawn valid scenario with one corruption of a value or of the syntax."""
     kind, sections = draw(scenarios())
-    how = draw(st.sampled_from(CORRUPTIONS))
+    how = draw(st.sampled_from(CORRUPTIONS + SYNTAX))
     keys = [(s, k) for s in sections for k in sections[s] if (s, k) != ("scenario", "kind")]
     s, k = draw(st.sampled_from(keys)) if keys else ("scenario", "kind")
     if how == "drop" and keys:
@@ -170,14 +229,21 @@ def corrupted(draw):
             how = "none"
     text = "".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
                    for s, keys in sections.items())
+    if how in SYNTAX:
+        text = {"section twice": text + f"[{s}]\n",
+                "key twice": text.replace(f"[{s}]\n", f"[{s}]\n{k} = {sections[s][k]}\n", 1),
+                "no =": text + f"{k}\n",
+                "before header": f"{k} = 1\n" + text}[how]
+        return "error: cannot load", text
     # a misspelled chart name is another chart name
-    return how in ("section", "path") or how == "misspell" and s != "charts", text
+    refused = how in ("section", "path") or how == "misspell" and s != "charts"
+    return "error:" if refused else None, text
 
 
 @settings(max_examples=120, deadline=None)
 @given(corrupted())
 def test_fuzzed_scenario_exits_with_a_documented_code(case):
-    must_refuse, text = case
+    refusal, text = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.ini"
         path.write_text(text)
@@ -185,9 +251,9 @@ def test_fuzzed_scenario_exits_with_a_documented_code(case):
                 contextlib.redirect_stderr(io.StringIO()) as err:
             code = cli.main(["run", str(path), "--out", str(Path(tmp) / "out")])
         assert code in (0, 1, 2, 3), text
-        if must_refuse:
+        if refusal:
             assert code == 2, text
-            assert err.getvalue().startswith("error:"), text
+            assert err.getvalue().startswith(refusal), text
             assert not (Path(tmp) / "out").exists(), text
 
 
