@@ -46,7 +46,7 @@ secs = [(random_polynomial(data.patch, rng), [random_polynomial(data.patch, rng)
 total = se.Const(0.0)
 for A, B, C in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
     _, comps = hull.bracket(secs[A], hull.bracket(secs[B], secs[C]))
-    total = total + comps[0]
+    total = se.add(total, comps[0])
 worst = max(abs(se.evaluate(total, {"q": p[0], "t": p[1]}))
             for p in data.patch.grid(4))
 print(f"hull cyclic-identity residual with random weights: {worst:.3e}")

@@ -103,9 +103,9 @@ def random_polynomial(patch: Patch, rng: np.random.Generator) -> Expression:
     expr: Expression = se.Const(rng.uniform(-1.0, 1.0))
     vars_ = [se.Var(n) for n in patch.names]
     for v in vars_:
-        expr = expr + se.Const(rng.uniform(-1.0, 1.0)) * v
+        expr = se.add(expr, se.mul(se.Const(rng.uniform(-1.0, 1.0)), v))
     for va, vb in itertools.combinations_with_replacement(vars_, 2):
-        expr = expr + se.Const(rng.uniform(-1.0, 1.0)) * va * vb
+        expr = se.add(expr, se.mul(se.mul(se.Const(rng.uniform(-1.0, 1.0)), va), vb))
     return expr
 
 
@@ -218,7 +218,7 @@ class LieAffgebroidData:
     def _check_antisymmetry(self):
         env = self.patch.env(self.patch.grid(3))
         for i, j, k in itertools.product(range(self.rank), repeat=3):
-            s = se.evaluate(self.c[i][j][k] + self.c[j][i][k], env)
+            s = se.evaluate(se.add(self.c[i][j][k], self.c[j][i][k]), env)
             if not np.all(np.abs(s) <= 1e-12):
                 raise BracketError(f"structure functions not antisymmetric "
                                    f"at (i={i}, j={j}, k={k})")
@@ -515,9 +515,9 @@ def is_aff_poisson(data: LieAffgebroidData,
     for _ in range(3):
         sigma = se.Const(rng.uniform(-1, 1))
         for name in names:
-            sigma = sigma + se.Const(rng.uniform(-1, 1)) * se.Var(name)
+            sigma = se.add(sigma, se.mul(se.Const(rng.uniform(-1, 1)), se.Var(name)))
         sigma2 = se.Const(rng.uniform(-1, 1))
-        lam = se.sub(aff_jacobi_bracket(data, sigma, sigma2 + 1.0),
+        lam = se.sub(aff_jacobi_bracket(data, sigma, se.add(sigma2, se.Const(1.0))),
                      aff_jacobi_bracket(data, sigma, sigma2))
         f = se.Var(names[0]) if names else se.ONE
         g = (se.Var(data.patch.names[0]) if data.patch.dim else se.ONE)

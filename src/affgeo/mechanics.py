@@ -330,8 +330,11 @@ def integrate(fld: VectorField, y0, h: float, T: float) -> Trajectory:
         raise MechanicsError("step size must be positive")
     if not h <= T < math.inf:
         raise MechanicsError("duration must be finite and cover one step")
-    n_steps = round(T / h)
-    if abs(T / h - n_steps) > 1e-9 * n_steps:
+    steps = T / h
+    if not math.isfinite(steps):
+        raise MechanicsError(f"duration {T!r} is too many steps of {h!r} to count")
+    n_steps = round(steps)
+    if abs(steps - n_steps) > 1e-9 * n_steps:
         raise MechanicsError(
             f"duration {T!r} is not a whole number of steps of {h!r}")
     y = np.array(y0, dtype=float)
@@ -640,10 +643,9 @@ def tau_clock_residual(fld: VectorField, traj: Trajectory) -> np.ndarray:
     """The deviation of the clock rate of the event velocity from one, one
     per state of a trajectory."""
     st = fld.spacetime
-    point = _columns(fld, traj)
     velocity = np.empty((len(traj), st.d + 1))
-    for i, component in enumerate(fld.components[:st.d + 1]):
-        velocity[:, i] = se.evaluate(component, point)
+    for i, value in enumerate(se.evaluate(fld.components[:st.d + 1], _columns(fld, traj))):
+        velocity[:, i] = value
     return np.abs(velocity @ st.tau - 1.0)
 
 

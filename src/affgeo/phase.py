@@ -97,8 +97,7 @@ class TwoForm(Immutable):
         """The matrices at the points of a sample set, as ``(count, n, n)``."""
         n = len(self.coords)
         out = np.zeros((_count(points), n, n))
-        for (i, j), coeff in self.terms.items():
-            value = se.evaluate(coeff, points)
+        for (i, j), value in zip(self.terms, se.evaluate(self.terms.values(), points)):
             out[:, i, j] = value
             out[:, j, i] = -value
         return out

@@ -89,7 +89,8 @@ class DomainError(ExpressionError):
 
 
 class Expression(Immutable):
-    """Base node.  Instances are immutable and freely shareable.
+    """Base node, built by :func:`parse` or the smart constructors (it has
+    no arithmetic operators).  Instances are immutable and freely shareable.
 
     The slots of the base are not fields.  On an interior node,
     ``_partials`` holds the derivatives :func:`differentiate` took of it,
@@ -100,36 +101,6 @@ class Expression(Immutable):
     """
 
     __slots__ = ("_partials", "_free", "__weakref__")
-
-    def __add__(self, other: ExprLike) -> "Expression":
-        return add(self, _coerce(other))
-
-    def __radd__(self, other: ExprLike) -> "Expression":
-        return add(_coerce(other), self)
-
-    def __sub__(self, other: ExprLike) -> "Expression":
-        return sub(self, _coerce(other))
-
-    def __rsub__(self, other: ExprLike) -> "Expression":
-        return sub(_coerce(other), self)
-
-    def __mul__(self, other: ExprLike) -> "Expression":
-        return mul(self, _coerce(other))
-
-    def __rmul__(self, other: ExprLike) -> "Expression":
-        return mul(_coerce(other), self)
-
-    def __truediv__(self, other: ExprLike) -> "Expression":
-        return div(self, _coerce(other))
-
-    def __rtruediv__(self, other: ExprLike) -> "Expression":
-        return div(_coerce(other), self)
-
-    def __pow__(self, exponent: int) -> "Expression":
-        return pow_(self, exponent)
-
-    def __neg__(self) -> "Expression":
-        return neg(self)
 
     def __str__(self) -> str:
         return to_text(self)
@@ -518,6 +489,8 @@ class _Parser:
             kind, value, at = self.peek()
         if kind != _TOK_NUM or any(c in value for c in ".eE"):
             raise ExprSyntaxError("expected integer exponent", at)
+        if float(value) == math.inf:  # the power rule makes a Const of the exponent
+            raise ExprSyntaxError("exponent out of the float range", at)
         self.advance()
         return sign * int(value)
 

@@ -130,8 +130,8 @@ def test_criterion_4_hull_extension():
         total_w, total_c = Const(0.0), Const(0.0)
         for A, B, C in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
             w, comps = hull.bracket(secs[A], hull.bracket(secs[B], secs[C]))
-            total_w = total_w + w
-            total_c = total_c + comps[0]
+            total_w = se.add(total_w, w)
+            total_c = se.add(total_c, comps[0])
         for p in pts:
             env = {"q": p[0], "t": p[1]}
             assert abs(evaluate(total_w, env)) < 1e-9
@@ -163,7 +163,7 @@ def test_criterion_5_dual_bracket_vs_poisson():
             def random_affine():
                 e = random_polynomial(patch, rng)
                 for w in wnames:
-                    e = e + random_polynomial(patch, rng) * Var(w)
+                    e = se.add(e, se.mul(random_polynomial(patch, rng), Var(w)))
                 return e
 
             pairs = list(zip(names, wnames))

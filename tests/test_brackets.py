@@ -82,7 +82,8 @@ def jet_commutator(f, g):
     def d(e, v):
         return se.differentiate(e, v)
     [f], [g] = f, g
-    return [d(g, "t") + f * d(g, "q") - d(f, "t") - g * d(f, "q")]
+    return [se.sub(se.sub(se.add(d(g, "t"), se.mul(f, d(g, "q"))), d(f, "t")),
+                   se.mul(g, d(f, "q")))]
 
 
 def with_bracket(data, bracket):
@@ -193,7 +194,8 @@ def test_hull_weight_zero_sector_is_model_bracket():
     weight, comps = hull.bracket((0.0, f), (0.0, g))
     assert weight == Const(0.0)
     # model sector of this bundle: [f d/dq, g d/dq] = (f g_q - g f_q) d/dq
-    expected = f[0] * se.differentiate(g[0], "q") - g[0] * se.differentiate(f[0], "q")
+    expected = se.sub(se.mul(f[0], se.differentiate(g[0], "q")),
+                      se.mul(g[0], se.differentiate(f[0], "q")))
     for p in grid16():
         env = {"q": p[0], "t": p[1]}
         assert abs(evaluate(comps[0], env) - evaluate(expected, env)) < 1e-12
@@ -215,8 +217,8 @@ def test_hull_jacobi_with_random_weights():
     total_c = Const(0.0)
     for A, B, C in [(X, Y, Z), (Y, Z, X), (Z, X, Y)]:
         w, comps = nested(A, B, C)
-        total_w = total_w + w
-        total_c = total_c + comps[0]
+        total_w = se.add(total_w, w)
+        total_c = se.add(total_c, comps[0])
     for p in grid16():
         env = {"q": p[0], "t": p[1]}
         assert abs(evaluate(total_w, env)) < 1e-9
@@ -275,8 +277,8 @@ def canonical_poisson_oracle(F, G, pairs):
     """Independent Poisson bracket: sum dF/dp dG/dx - dF/dx dG/dp."""
     out = Const(0.0)
     for x, p in pairs:
-        out = out + se.differentiate(F, p) * se.differentiate(G, x) \
-                  - se.differentiate(F, x) * se.differentiate(G, p)
+        out = se.sub(se.add(out, se.mul(se.differentiate(F, p), se.differentiate(G, x))),
+                     se.mul(se.differentiate(F, x), se.differentiate(G, p)))
     return out
 
 
@@ -292,7 +294,7 @@ def test_atiyah_dual_bracket_is_canonical_poisson(names):
     def random_affine():
         e = random_polynomial(patch, rng)
         for w in wnames:
-            e = e + random_polynomial(patch, rng) * Var(w)
+            e = se.add(e, se.mul(random_polynomial(patch, rng), Var(w)))
         return e
 
     for _ in range(2):

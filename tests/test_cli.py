@@ -592,6 +592,25 @@ def test_malformed_number_in_a_scenario_exits_2(tmp_path, capsys, expr):
     assert err.startswith("error: bad expression") and "at offset" in err
 
 
+@pytest.mark.parametrize("exponent", ["1" + "0" * 400, "1" + "0" * 4999],
+                         ids=["401-digits", "5000-digits"])
+def test_an_exponent_past_the_float_range_exits_2(tmp_path, capsys, exponent):
+    # the power rule's Const(exponent) overflowed a float, and int() refuses 5000 digits
+    code, err, out = run_text(tmp_path, capsys, TIMEDEP.format(expr=f"q1^{exponent}"))
+    assert code == 2
+    assert err.startswith("error: bad expression") and "exponent out of the float range" in err
+    assert not out.exists()
+
+
+def test_a_step_too_small_to_count_exits_2(tmp_path, capsys):
+    # duration / step overflowed to inf, which round() cannot convert
+    text = TIMEDEP.format(expr="q1^2/2").replace("step = 0.1", "step = 1e-320")
+    code, err, out = run_text(tmp_path, capsys, text)
+    assert code == 2
+    assert err.startswith("error: ") and "step" in err
+    assert not out.exists()
+
+
 def test_hamiltonian_with_a_variable_divisor_runs(tmp_path, capsys):
     # differentiate once left 0/(1 + q1^2)^2, which failed the unit-slope test
     code, err = run_deep(tmp_path, capsys, "timedep", "1/(1 + q1^2)")

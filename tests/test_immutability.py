@@ -51,7 +51,7 @@ def _instances():
         "ObservedPhase": (ObservedPhase(np.zeros(3), np.zeros(2), 0.0, frame),
                           ("x", "p", "s", "frame")),
         "ObserverSplit": (ObserverSplit.default(st), ("spacetime", "x0", "frame")),
-        "AffineOneForm": (section_one_form(patch, X * Y), ("patch", "tag", "components")),
+        "AffineOneForm": (section_one_form(patch, se.mul(X, Y)), ("patch", "tag", "components")),
         "TwoForm": (TwoForm(("x", "y"), {(0, 1): X}), ("coords", "terms")),
         "TimePhaseSpace": (TimePhaseSpace(("q",), ("p",)), ("q", "p")),
         "AVMorphism": (AVMorphism({"x": X}, se.Var("r"), "r"),

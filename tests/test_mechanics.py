@@ -103,7 +103,7 @@ def test_integrate_oscillator_period_return():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_integrate_reports_nonfinite_step():
-    fld = VectorField(("x",), (Var("x") ** 2,))
+    fld = VectorField(("x",), (se.pow_(Var("x"), 2),))
     with pytest.raises(IntegrationError) as err:
         integrate(fld, [1.0], h=0.5, T=50.0)
     assert err.value.step > 0
@@ -644,11 +644,11 @@ def _integration_error(components, names, y0, h, T):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("component, y0, h, message", [
-    (X ** 2, 1.0, 0.5, "non-finite state at step 5"),
-    (X * X * X, 1.0, 0.5, "non-finite state at step 3"),
+    (se.pow_(X, 2), 1.0, 0.5, "non-finite state at step 5"),
+    (se.mul(se.mul(X, X), X), 1.0, 0.5, "non-finite state at step 3"),
     (se.call("exp", X), 1.0, 0.5, "domain error (math range error) at step 2"),
-    (se.call("exp", X) ** 2, 1.0, 0.5, "domain error (math range error) at step 1"),
-    (-se.call("sqrt", X), 0.5, 0.25, "domain error (math domain error) at step 6"),
+    (se.pow_(se.call("exp", X), 2), 1.0, 0.5, "domain error (math range error) at step 1"),
+    (se.neg(se.call("sqrt", X)), 0.5, 0.25, "domain error (math domain error) at step 6"),
 ])
 def test_integrate_error_outcomes(component, y0, h, message):
     text, step = _integration_error((component,), ("x",), [y0], h, 50.0)
@@ -658,7 +658,7 @@ def test_integrate_error_outcomes(component, y0, h, message):
 
 def test_integrate_passes_through_a_division_by_zero_as_numpy_did():
     # at step 2 the stage time hits t = 0.5: -1/0 = -inf and exp(-inf) = 0
-    bump = se.call("exp", se.div(Const(-1.0), (T_ - 0.5) ** 2))
+    bump = se.call("exp", se.div(Const(-1.0), se.pow_(se.sub(T_, Const(0.5)), 2)))
     fld = VectorField(("x", "t"), (bump, Const(1.0)))
     traj = integrate(fld, [0.0, 0.0], h=0.25, T=1.0)
     assert traj.states[-1, 0] == 0.0017983179416143507

@@ -152,7 +152,7 @@ def test_canonical_poisson_darboux_pairs():
     pairs = [("x", "p")]
     assert canonical_poisson(Var("p"), Var("x"), pairs) == Const(1.0)
     assert canonical_poisson(Var("x"), Var("x"), pairs) == Const(0.0)
-    out = canonical_poisson(Var("p") ** 2, Var("x"), pairs)
+    out = canonical_poisson(se.pow_(Var("p"), 2), Var("x"), pairs)
     assert evaluate(out, {"p": 3.0, "x": 0.0}) == pytest.approx(6.0)
 
 
@@ -162,10 +162,10 @@ def test_canonical_poisson_antisymmetric_and_jacobi():
     patch = Patch.box(names)
     rng = np.random.default_rng(3)
     F, G, H = (random_polynomial(patch, rng) for _ in range(3))
-    anti = canonical_poisson(F, G, pairs) + canonical_poisson(G, F, pairs)
-    cyc = (canonical_poisson(F, canonical_poisson(G, H, pairs), pairs)
-           + canonical_poisson(G, canonical_poisson(H, F, pairs), pairs)
-           + canonical_poisson(H, canonical_poisson(F, G, pairs), pairs))
+    anti = se.add(canonical_poisson(F, G, pairs), canonical_poisson(G, F, pairs))
+    cyc = se.add(se.add(canonical_poisson(F, canonical_poisson(G, H, pairs), pairs),
+                        canonical_poisson(G, canonical_poisson(H, F, pairs), pairs)),
+                 canonical_poisson(H, canonical_poisson(F, G, pairs), pairs))
     points = sample_points(names, rng, 16)
     assert np.max(np.abs(evaluate(anti, points))) < 1e-12
     assert np.max(np.abs(evaluate(cyc, points))) < 1e-9

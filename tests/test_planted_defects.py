@@ -93,7 +93,7 @@ def _one_name_dropped(original):
 
 def _energy_squared(original):
     # the attached function e^2 - sigma: its bracket varies along the energy
-    return lambda self, sigma: se.sub(se.Var(self.energy) ** 2, sigma)
+    return lambda self, sigma: se.sub(se.pow_(se.Var(self.energy), 2), sigma)
 
 
 def _energy_weighted(original):

@@ -14,6 +14,7 @@ It then corrupts one thing and runs the file through ``cli.main``.
 import configparser
 import contextlib
 import io
+import re
 import tempfile
 from pathlib import Path
 
@@ -198,7 +199,7 @@ def scenarios(draw):
 
 
 CORRUPTIONS = ("none", "drop", "misspell", "section", "type", "range", "nan", "empty",
-               "path", "garbage")
+               "path", "garbage", "exponent")
 SYNTAX = ("section twice", "key twice", "no =", "before header")  # the file cannot load
 
 
@@ -221,6 +222,14 @@ def corrupted(draw):
     elif how == "garbage" and keys:
         sections[s][k] = draw(st.text(st.characters(blacklist_categories=("Cs",)),
                                       max_size=12))
+    elif how == "exponent":  # an exponent no float holds, of 401 or 5000 digits
+        exprs = [(s, k) for s, k in keys if sections[s][k].startswith('"')]
+        if exprs:
+            s, k = draw(st.sampled_from(exprs))
+            power = '"2^1' + "0" * draw(st.sampled_from([400, 4999])) + '"'
+            sections[s][k] = re.sub('"[^"]*"', power, sections[s][k], count=1)
+        else:
+            how = "none"
     elif how == "path":
         target = draw(st.sampled_from([("scenario", "name"), ("output", "trajectory")]))
         if target[0] in sections:
@@ -235,6 +244,8 @@ def corrupted(draw):
                 "no =": text + f"{k}\n",
                 "before header": f"{k} = 1\n" + text}[how]
         return "error: cannot load", text
+    if how == "exponent":
+        return "error: bad expression", text
     # a misspelled chart name is another chart name
     refused = how in ("section", "path") or how == "misspell" and s != "charts"
     return "error:" if refused else None, text

@@ -47,6 +47,19 @@ def test_grammar_unary_minus_binds_before_power():
     assert evaluate(e, {"x": 3.0}) == 9.0
 
 
+@pytest.mark.parametrize("exponent", ["1" + "0" * 400, "1" + "0" * 4999, "-1" + "0" * 400],
+                         ids=["401-digits", "5000-digits", "negative-401-digits"])
+def test_parse_rejects_an_exponent_past_the_float_range(exponent):
+    with pytest.raises(ExprSyntaxError, match="exponent out of the float range") as err:
+        parse(f"x^{exponent}", CTX_XY)
+    assert err.value.position == 2 + exponent.startswith("-")
+
+
+def test_parse_admits_the_largest_exponent_a_float_holds():
+    exponent = int(1.7976931348623157e308)
+    assert parse(f"x^{exponent}", CTX_XY) == se.Pow(Var("x"), exponent)
+
+
 def test_parse_numbers():
     e = parse("1.5e-2 + 2", CTX_XY)
     assert evaluate(e, {}) == pytest.approx(2.015)
@@ -105,14 +118,25 @@ def test_evaluate_unbound():
         evaluate(Var("x"), {})
 
 
+@pytest.mark.parametrize("apply", [
+    lambda x: x + x, lambda x: 1.0 + x, lambda x: x - 1.0, lambda x: 1.0 - x,
+    lambda x: x * x, lambda x: 2 * x, lambda x: x / 2, lambda x: 2 / x,
+    lambda x: x ** 2, lambda x: -x,
+], ids=["add", "radd", "sub", "rsub", "mul", "rmul", "truediv", "rtruediv", "pow", "neg"])
+def test_expressions_have_no_arithmetic_operators(apply):
+    # trees are built by parse or the smart constructors, one way
+    with pytest.raises(TypeError):
+        apply(Var("x"))
+
+
 def test_sub_cancels_equal_operands():
     e = parse("sin(x)*y", CTX_XY)
-    assert e - e == Const(0.0)
+    assert se.sub(e, e) == Const(0.0)
 
 
 def test_subst_simplifies():
     s = parse("x^2", CTX_XY)
-    f = Var("y") - s
+    f = se.sub(Var("y"), s)
     assert subst(f, {"y": s}) == Const(0.0)
 
 
@@ -304,8 +328,8 @@ def test_derivative_matches_finite_difference(e, v, x, y):
 @settings(max_examples=40, deadline=None)
 @given(polynomials(), polynomials())
 def test_differentiate_is_additive(e, f):
-    lhs = differentiate(e + f, "x")
-    rhs = differentiate(e, "x") + differentiate(f, "x")
+    lhs = differentiate(se.add(e, f), "x")
+    rhs = se.add(differentiate(e, "x"), differentiate(f, "x"))
     for k in range(32):
         pt = {"x": math.sin(3.1 * k + 0.2), "y": math.cos(1.7 * k)}
         assert abs(evaluate(lhs, pt) - evaluate(rhs, pt)) < 1e-12
@@ -327,7 +351,7 @@ def test_print_parse_round_trip_negated_power():
 
 
 def test_print_parse_round_trip_division():
-    e = se.div(Var("x") + 1.0, Var("y") ** 2 + 1.0)
+    e = se.div(se.add(Var("x"), Const(1.0)), se.add(se.pow_(Var("y"), 2), Const(1.0)))
     reparsed = parse(to_text(e), CTX_XY)
     pt = {"x": 0.3, "y": -0.8}
     assert evaluate(reparsed, pt) == pytest.approx(evaluate(e, pt), abs=1e-15)
