@@ -47,7 +47,7 @@ rng = np.random.default_rng(0)
 x = rng.uniform(-3, 3, 2)
 print("double-dual round trip of", x, "->", maps.backward(maps.forward(x)))
 print("distinguished vector lands on the constant direction:",
-      maps.forward_linear(S.v))
+      maps.forward(S.v))
 
 sigma = se.parse("x^2", se.VarContext.make(base=("x",)))
 F = F_of_section(sigma)

@@ -169,9 +169,6 @@ class AffineMap:
             raise AffineGeometryError("point is not in the domain space")
         return self.codomain.point(_matvec(self.matrix, p.in_reference()) + self.offset)
 
-    def apply_vector(self, v: TangentVec) -> TangentVec:
-        return self.codomain.vector(_matvec(self.matrix, v.in_reference()))
-
     def compose(self, inner: "AffineMap") -> "AffineMap":
         """self after inner."""
         if inner.codomain is not self.domain:

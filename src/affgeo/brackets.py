@@ -225,17 +225,11 @@ class LieAffgebroidData:
 
     # -- anchor ------------------------------------------------------------
 
-    def anchor_of(self, f) -> list[Expression]:
-        """Vector field of the section ``a0 + f^i v_i``."""
-        return self._anchor(self.anchor_ref, f)
-
-    def anchor_model(self, W) -> list[Expression]:
-        """Vector field of the model section ``W^i v_i``."""
-        return self._anchor([se.ZERO] * self.patch.dim, W)
-
-    def _anchor(self, comps, f) -> list[Expression]:
-        """``comps`` plus the frame anchors weighted by ``f``."""
-        f, comps = _coerce_section(f, self.rank), list(comps)
+    def anchor(self, h, f) -> list[Expression]:
+        """Vector field of the hull section ``h a0 + f^i v_i``: with ``h = 1``
+        a section of the bundle, with ``h = 0`` a model section."""
+        h, f = se._coerce(h), _coerce_section(f, self.rank)
+        comps = [se.mul(h, a) for a in self.anchor_ref]
         for i in range(self.rank):
             comps = [se.add(ca, se.mul(f[i], li))
                      for ca, li in zip(comps, self.anchor_lin[i])]
@@ -338,6 +332,7 @@ def verify_affgebroid(data: LieAffgebroidData, sample_points,
     # Leibniz: bracket of a section against (coefficient * frame section)
     leibniz = []
     f = secs[0]
+    rho_f = data.anchor(se.ONE, f)
     for i in range(data.rank):
         coeff = random_polynomial(data.patch, rng)
         unit = [se.ONE if j == i else se.ZERO
@@ -345,7 +340,6 @@ def verify_affgebroid(data: LieAffgebroidData, sample_points,
         scaled = [se.mul(coeff, u) for u in unit]
         lhs = data.second_linear(f, scaled)
         base = data.second_linear(f, unit)
-        rho_f = data.anchor_of(f)
         deriv = data.apply_field(rho_f, coeff)
         rhs = [se.add(se.mul(coeff, b), se.mul(deriv, u))
                for b, u in zip(base, unit)]
@@ -354,8 +348,8 @@ def verify_affgebroid(data: LieAffgebroidData, sample_points,
     # anchor morphism (the anchor of a bracket is the commutator of anchors) on [f1, f2], [f2, f3]
     anchor = []
     for f, g, br in [(f1, f2, inner[2]), (f2, f3, inner[0])]:
-        lhs = data.anchor_model(br)
-        X, Y = data.anchor_of(f), data.anchor_of(g)
+        lhs = data.anchor(se.ZERO, br)
+        X, Y = data.anchor(se.ONE, f), data.anchor(se.ONE, g)
         comm = [se.sub(data.apply_field(X, Y[a]), data.apply_field(Y, X[a]))
                 for a in range(data.patch.dim)]
         anchor.append([se.sub(a, b) for a, b in zip(lhs, comm)])
@@ -386,19 +380,13 @@ class HullAlgebroidData:
     def __init__(self, data: LieAffgebroidData):
         self.data = data
 
-    def anchor(self, h, comps) -> list[Expression]:
-        return self.data._anchor([se.mul(se._coerce(h), a)
-                                  for a in self.data.anchor_ref], comps)
-
     def bracket(self, X, Y) -> tuple[Expression, list[Expression]]:
-        h, f = X
-        h2, g = Y
-        h, h2 = se._coerce(h), se._coerce(h2)
-        f = _coerce_section(f, self.data.rank)
-        g = _coerce_section(g, self.data.rank)
         data = self.data
-        rho_X = self.anchor(h, f)
-        rho_Y = self.anchor(h2, g)
+        (h, f), (h2, g) = X, Y
+        h, h2 = se._coerce(h), se._coerce(h2)
+        f, g = _coerce_section(f, data.rank), _coerce_section(g, data.rank)
+        rho_X = data.anchor(h, f)
+        rho_Y = data.anchor(h2, g)
         weight = se.sub(data.apply_field(rho_X, h2), data.apply_field(rho_Y, h))
         d = [se.sub(se.mul(h, gj), se.mul(h2, fj)) for fj, gj in zip(f, g)]
         comps: list[Expression] = []
@@ -414,11 +402,10 @@ class HullAlgebroidData:
         derivative identity: anchor derivatives of the weights minus the
         weight of the bracket.  Identically zero for a closed one-form.
         """
-        h, f = X
-        h2, g = Y
+        (h, f), (h2, g) = X, Y
         weight, _ = self.bracket(X, Y)
-        lhs = se.sub(self.data.apply_field(self.anchor(h, f), se._coerce(h2)),
-                     self.data.apply_field(self.anchor(h2, g), se._coerce(h)))
+        lhs = se.sub(self.data.apply_field(self.data.anchor(h, f), se._coerce(h2)),
+                     self.data.apply_field(self.data.anchor(h2, g), se._coerce(h)))
         return se.sub(lhs, weight)
 
 
@@ -538,7 +525,7 @@ def is_aff_poisson(data: LieAffgebroidData,
         comps = [se.ONE if j == i else se.ZERO
                  for j in range(data.rank)]
         frame.append((se.ZERO, comps))
-    central = data.anchor_model(list(data.v))
+    central = data.anchor(se.ZERO, list(data.v))
     for X in frame:
         weight, comps = hull.bracket(v_sec, X)
         central += [weight] + comps

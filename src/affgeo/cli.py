@@ -13,9 +13,10 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 the scenario could not
 be loaded (a file that is not UTF-8 INI text as :func:`read_ini` reads it,
 an unknown section or key, a key its mode does not read, a missing key, a
 value of the wrong type or out of range), holds a value the library
-rejects, a malformed expression or one too deep for the symbolic layer, or an output cannot be written (``--out``
-names a file, an output's name is a directory or the report's), 3 a
-runtime domain error interrupted the run.  Only :func:`main` maps library
+rejects, a malformed expression or one too deep for the symbolic layer,
+needs more memory than the host grants, or an output cannot be written
+(``--out`` names a file, an output's name is a directory or the report's),
+3 a runtime domain error interrupted the run.  Only :func:`main` maps library
 errors to codes: refused values (``BracketError``, ``AffineGeometryError``,
 ``MechanicsError``, ``PhaseError``) exit 2, ``DomainError`` and ``IntegrationError`` 3.
 """
@@ -832,6 +833,9 @@ def main(argv=None) -> int:
         # deeper than its source (a chain of quotients about threefold)
         print(f"error: expressions too deep for the symbolic layer (parsed "
               f"trees have at most {se.MAX_DEPTH} levels)", file=sys.stderr)
+        return 2
+    except MemoryError as err:  # an input too large for this host, as one too deep is refused
+        print(f"error: out of memory ({str(err) or 'no detail'})", file=sys.stderr)
         return 2
     except (se.DomainError, IntegrationError) as err:
         print(f"runtime error: {err}", file=sys.stderr)

@@ -48,12 +48,8 @@ class DualElement(Immutable):
         if self.w.shape != (self.space.dim,):
             raise AffineGeometryError("dual coefficient vector has wrong length")
 
-    def __call__(self, p: AffinePoint) -> float:
-        return float(self.w @ p.in_reference() + self.c)
-
     def linear_part_on(self, v) -> float:
-        v = v.in_reference() if isinstance(v, TangentVec) else np.asarray(v, float)
-        return float(self.w @ v)
+        return float(self.w @ np.asarray(v, float))
 
 
 def one(space: AffineSpaceSpec) -> DualElement:
@@ -112,6 +108,9 @@ class SpecialDualElement(DualElement):
         if abs(self.linear_part_on(special.v) - 1.0) > 1e-12:
             raise AffineGeometryError(
                 "linear part does not send the distinguished vector to 1")
+
+    def __reduce__(self):  # rebuilt from its special space, as __init__ takes it
+        return type(self), (self.special, self.w, self.c)
 
 
 class SpecialDualSpace:
@@ -185,15 +184,12 @@ class DoubleDualMaps:
         self._inverse = np.linalg.inv(self._matrix)
 
     def forward(self, p) -> np.ndarray:
-        x = p.in_reference() if isinstance(p, AffinePoint) else np.asarray(p, float)
-        return _matvec(self._matrix, x)
+        """The map is linear in reference coordinates, so it is also its
+        own linear part: on a model vector it gives that vector's image."""
+        return _matvec(self._matrix, np.asarray(p, float))
 
     def backward(self, coords) -> np.ndarray:
         return _matvec(self._inverse, np.asarray(coords, float))
-
-    def forward_linear(self, v) -> np.ndarray:
-        v = v.in_reference() if isinstance(v, TangentVec) else np.asarray(v, float)
-        return _matvec(self._matrix, v)
 
 
 def F_of_section(sigma: Expression) -> Expression:

@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 FRAME_TOL = 1e-6  # the largest event deviation between frames that counts as agreement
+MAX_STEPS = 10**6  # RK4 steps in one run, 100 times the longest bundled one; every state is kept
 
 
 class MechanicsError(ValueError):
@@ -314,7 +315,8 @@ def integrate(fld: VectorField, y0, h: float, T: float) -> Trajectory:
     """Classical fixed-step fourth-order Runge-Kutta, recording every step.
 
     Both mechanics engines come through here with a :class:`VectorField`.
-    The duration must be a whole number of steps (to a relative 1e-9).
+    The duration must be a whole number of steps (to a relative 1e-9),
+    and at most :data:`MAX_STEPS` of them.
     The steps run on Python floats through the field's compiled function
     and the generated loop of :func:`_rk4_kernel`.  Where Python floats
     raise on a zero divisor or a power overflow, that one step is taken
@@ -331,8 +333,9 @@ def integrate(fld: VectorField, y0, h: float, T: float) -> Trajectory:
     if not h <= T < math.inf:
         raise MechanicsError("duration must be finite and cover one step")
     steps = T / h
-    if not math.isfinite(steps):
-        raise MechanicsError(f"duration {T!r} is too many steps of {h!r} to count")
+    if not steps <= MAX_STEPS:
+        raise MechanicsError(f"duration {T!r} is {steps:.3g} steps of {h!r}, "
+                             f"more than the bound of {MAX_STEPS} steps")
     n_steps = round(steps)
     if abs(steps - n_steps) > 1e-9 * n_steps:
         raise MechanicsError(

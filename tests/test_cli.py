@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from importlib import resources
@@ -875,10 +876,10 @@ def test_every_run_reuses_the_one_parser(tmp_path, capsys):
     assert cli._parser() is parser
 
 
-def _module(*args):
+def _module(*args, **options):
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
     return subprocess.run([sys.executable, "-m", "affgeo", *args], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120, **options)
 
 
 def test_the_module_entry_point_prints_help():
@@ -891,3 +892,34 @@ def test_the_module_entry_point_without_a_scenario_prints_usage():
     done = _module("run")
     assert done.returncode == 2
     assert done.stderr.startswith("usage: affgeo run") and done.stdout == ""
+
+
+def _run_in_1_5_gb(tmp_path, text):
+    """``affgeo run`` of ``text`` in a process that may map at most 1.5 GB,
+    so that no host grants an oversize input what it asks for."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+    path = tmp_path / "big.ini"
+    path.write_text(text)
+    done = _module("run", str(path), "--out", str(tmp_path / "out"), preexec_fn=limit)
+    assert done.returncode == 2 and "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+    return done.stderr
+
+
+@pytest.mark.parametrize("text", [
+    "[scenario]\nkind = duality-verify\nname = big\n[params]\ndims = 1000000\n",
+    AFFINE + "[params]\nsamples = 1000000000000\n",
+], ids=["duality-dims", "affine-samples"])
+def test_an_input_too_large_for_memory_exits_2(tmp_path, text):
+    # np.eye and rng.uniform raised numpy's MemoryError, which ended in a traceback and exit 1
+    assert _run_in_1_5_gb(tmp_path, text).startswith("error: out of memory (Unable to allocate")
+
+
+def test_a_run_of_more_steps_than_the_bound_exits_2_before_it_integrates(tmp_path):
+    # a whole number of tiny steps passed every check, then filled memory one state at a time
+    from affgeo.mechanics import MAX_STEPS
+    text = TIMEDEP.format(expr="q1^2/2").replace("step = 0.1", "step = 1e-300")
+    err = _run_in_1_5_gb(tmp_path, text)
+    assert f"more than the bound of {MAX_STEPS} steps" in err

@@ -124,7 +124,7 @@ def test_double_dual_sends_distinguished_vector_to_constant_direction():
     for n in (2, 3, 4):
         v = rng.normal(size=n)
         maps = DoubleDualMaps(special(n, v))
-        image = maps.forward_linear(v)
+        image = maps.forward(v)  # forward is linear, so it is its own linear part
         expect = np.zeros(n)
         expect[-1] = 1.0  # the evaluation-at-origin slot, i.e. the constant
         assert np.max(np.abs(image - expect)) < 1e-12

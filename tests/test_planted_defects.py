@@ -181,9 +181,8 @@ DEFECTS = [
     # a canary for the walkers that skip what does not hold their variable
     ("dual_bracket_matches_poisson_dim1", "atiyah_poisson", se, "free_vars",
      _one_name_dropped),
-    ("anchor_morphism", "jet_bundle_hull", brackets.LieAffgebroidData, "anchor_model",
-     _scaled(1.001)),
-    ("leibniz", "jet_bundle_hull", brackets.LieAffgebroidData, "anchor_of", _scaled(1.001)),
+    ("anchor_morphism", "jet_bundle_hull", brackets.LieAffgebroidData, "anchor", _scaled(1.001)),
+    ("leibniz", "jet_bundle_hull", brackets.LieAffgebroidData, "anchor", _scaled(1.001)),
     ("hull_restriction", "jet_bundle_hull", brackets.HullAlgebroidData, "bracket",
      _hull_bracket_shifted(0.0, 1e-6)),
     ("hull_jacobi", "jet_bundle_hull", brackets.HullAlgebroidData, "bracket",
