@@ -50,6 +50,7 @@ __all__ = [
 
 JACOBI_TOL = 1e-9      # symbolic derivatives, float evaluation only
 CENTRALITY_TOL = 1e-12
+MAX_GRID_POINTS = 10**5  # in one Patch.grid, over 1000 times the largest grid in use (64)
 
 
 class BracketError(ValueError):
@@ -93,9 +94,14 @@ class Patch(Immutable):
         return rng.uniform(self.low, self.high, size=(count, self.dim))
 
     def grid(self, per_axis: int) -> np.ndarray:
-        """``per_axis`` points on each axis, the last axis varying fastest."""
-        axis = np.linspace(self.low, self.high, per_axis)
-        return np.array(list(itertools.product(axis, repeat=self.dim)), float)
+        """``per_axis`` points on each axis, the last axis varying fastest;
+        more than :data:`MAX_GRID_POINTS` points are refused before any is made."""
+        count = per_axis ** self.dim
+        if count > MAX_GRID_POINTS:
+            raise BracketError(f"a grid of {per_axis} points on each of {self.dim} axes has "
+                               f"{count} points, more than the bound of {MAX_GRID_POINTS}")
+        index = np.moveaxis(np.indices((per_axis,) * self.dim), 0, -1)
+        return np.linspace(self.low, self.high, per_axis).take(index.reshape(count, self.dim))
 
 
 def random_polynomial(patch: Patch, rng: np.random.Generator) -> Expression:

@@ -573,8 +573,8 @@ def run_reduction_check(sc: Scenario, rng, report: Report):
         patch = Patch.box(coords)
         sections = _exprs(texts, patch.context())
         base = omega_Z(patch)
-        mesh = np.meshgrid(*([np.linspace(-1.5, 1.5, 5)] * (2 * len(coords))), indexing="ij")
-        points = dict(zip(base.coords, (m.ravel() for m in mesh)))  # the base, then momenta
+        mesh = Patch.box(base.coords, -1.5, 1.5)  # the base, then momenta
+        points = mesh.env(mesh.grid(5))
         report.check("omega_trivialization_invariance", [
             np.abs(omega_Z(patch, via=s).matrix(points) - base.matrix(points))
             for s in sections], 1e-12,

@@ -419,18 +419,6 @@ def timedep_dynamics(dim: int, hamiltonian: Expression,
 # Newtonian space-time
 
 
-def _nullspace_basis(tau: np.ndarray) -> np.ndarray:
-    _, _, vt = np.linalg.svd(tau.reshape(1, -1))
-    basis = vt[1:].T  # columns span the kernel
-    # deterministic signs: first nonzero entry of each column positive
-    for j in range(basis.shape[1]):
-        col = basis[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-13)[0]
-        if len(nz) and col[nz[0]] < 0:
-            basis[:, j] = -col
-    return basis
-
-
 class NewtonSpaceTime:
     """Affine space-time with a clock covector and a spatial metric.
 
@@ -439,6 +427,12 @@ class NewtonSpaceTime:
     positive-definite metric ``g`` measures distances on the spatial
     subspace (the kernel of ``tau``), and velocities of observers and
     particles sit on the level-1 set of ``tau``.
+
+    One spatial basis serves every clock: with ``k`` the first index of the
+    largest ``|tau_k|``, the vectors ``e_j - (tau_j / tau_k) e_k``, ``j != k``.
+    Keeping the entries ``j != k`` reads the components back, exactly on the
+    kernel.  ``g`` is the metric in that basis: for the canonical clock
+    ``e_d``, the metric of the first ``d`` coordinates.
     """
 
     def __init__(self, d: int = 3, tau=None, g=None):
@@ -460,15 +454,19 @@ class NewtonSpaceTime:
         except np.linalg.LinAlgError:
             raise MechanicsError("metric must be positive definite") from None
         self.g_inv = np.linalg.inv(self.g)
-        canonical = np.allclose(self.tau, np.eye(d + 1)[d])
-        if canonical:
-            self.spatial_basis = np.eye(d + 1)[:, :d]
-        else:
-            self.spatial_basis = _nullspace_basis(self.tau)
-        self._spatial_proj = np.linalg.pinv(self.spatial_basis)
+        k = int(np.argmax(np.abs(self.tau)))
+        self._spatial_proj = np.delete(np.eye(d + 1), k, axis=0)
+        self.spatial_basis = self._spatial_proj.T.copy()
+        self.spatial_basis[k] = 0.0 - np.delete(self.tau, k) / self.tau[k]  # no -0.0
 
-    def time_of(self, v) -> float:
-        return float(self.tau @ np.asarray(v, float))
+    def time_of(self, v):
+        """``tau . v`` of a vector, or of each row of a stack ``(N, d + 1)``,
+        summed term by term from the first: a row reads as that vector does."""
+        v = np.asarray(v, float)
+        t = self.tau[0] * v[..., 0]
+        for j in range(1, self.d + 1):
+            t = t + self.tau[j] * v[..., j]
+        return t
 
     def spatial_vector(self, components) -> np.ndarray:
         return self.spatial_basis @ np.asarray(components, float)
@@ -649,7 +647,7 @@ def tau_clock_residual(fld: VectorField, traj: Trajectory) -> np.ndarray:
     velocity = np.empty((len(traj), st.d + 1))
     for i, value in enumerate(se.evaluate(fld.components[:st.d + 1], _columns(fld, traj))):
         velocity[:, i] = value
-    return np.abs(velocity @ st.tau - 1.0)
+    return np.abs(st.time_of(velocity) - 1.0)
 
 
 def compare_frames(

@@ -325,13 +325,7 @@ def call(func: str, arg: Expression) -> Expression:
     return Call(func, arg)
 
 
-def _safe_sqrt(x: float) -> float:
-    if x < 0.0:
-        raise ValueError("sqrt of negative number")
-    return math.sqrt(x)
-
-
-_APPLY = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "sqrt": _safe_sqrt}
+_APPLY = {f: getattr(math, f) for f in FUNCTIONS}  # sqrt of a negative raises ValueError
 
 
 _PREC_ADD = 1
@@ -793,7 +787,7 @@ def to_text(e: Expression) -> str:
 # ---------------------------------------------------------------------------
 # Compilation (hot loops only; `evaluate` is the contract-carrying API)
 
-_NAMESPACE = {f"_{f}": getattr(math, f) for f in FUNCTIONS}
+_NAMESPACE = {f"_{f}": fn for f, fn in _APPLY.items()}
 _FIELD_FACTORIES = {}  # factory source -> compiled factory, one per field shape
 
 

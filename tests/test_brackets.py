@@ -76,6 +76,13 @@ def test_a_patch_over_a_point_samples_an_empty_block_and_draws_nothing():
     assert Patch.box(()).grid(3).shape == (1, 0)
 
 
+def test_a_grid_is_refused_above_its_bound_and_built_up_to_it():
+    from affgeo.brackets import MAX_GRID_POINTS
+    assert Patch.box(("q",)).grid(MAX_GRID_POINTS).shape == (MAX_GRID_POINTS, 1)
+    with pytest.raises(BracketError, match="more than the bound"):
+        Patch.box(("q",)).grid(MAX_GRID_POINTS + 1)
+
+
 def jet_commutator(f, g):
     """The commutator of d/dt + f d/dq with d/dt + g d/dq, which is
     vertical: the jet bundle's bracket of the sections ``f`` and ``g``."""

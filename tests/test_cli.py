@@ -923,3 +923,12 @@ def test_a_run_of_more_steps_than_the_bound_exits_2_before_it_integrates(tmp_pat
     text = TIMEDEP.format(expr="q1^2/2").replace("step = 0.1", "step = 1e-300")
     err = _run_in_1_5_gb(tmp_path, text)
     assert f"more than the bound of {MAX_STEPS} steps" in err
+
+
+def test_a_grid_of_more_points_than_the_bound_exits_2_before_it_is_built(tmp_path):
+    # 10^10 points on q, t were built as a list of tuples until memory ran out
+    from affgeo.brackets import MAX_GRID_POINTS
+    text = AFFGEBROID.replace("coords = q, t\n", "coords = q, t\nsamples = grid:100000\n")
+    err = _run_in_1_5_gb(tmp_path, text)
+    assert err == (f"error: a grid of 100000 points on each of 2 axes has 10000000000 "
+                   f"points, more than the bound of {MAX_GRID_POINTS}\n")

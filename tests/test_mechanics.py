@@ -195,6 +195,27 @@ def test_velocity_split():
     assert st.spatial_components(spatial) == pytest.approx([0.5, 2.0])
 
 
+def test_a_near_canonical_clock_gets_a_basis_of_its_own_kernel():
+    # within allclose of e_d, this clock was once given the basis of e_d,
+    # which it reads as 5e-9, and no unit boost of its rest frame was accepted
+    st = NewtonSpaceTime(2, tau=[5e-9, 0.0, 1.0])
+    assert np.max(np.abs(st.tau @ st.spatial_basis)) <= 1e-16
+    frame = st.rest_frame().boosted([1.0, 0.0])
+    assert abs(st.time_of(frame.u) - 1.0) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.lists(
+    st.floats(-1e3, 1e3, allow_subnormal=False), min_size=d + 1, max_size=d + 1)))
+def test_the_spatial_projection_inverts_the_spatial_basis_exactly(tau):
+    assume(np.linalg.norm(tau) > 0.0)
+    spacetime = NewtonSpaceTime(len(tau) - 1, tau=tau)
+    assert np.array_equal(spacetime._spatial_proj @ spacetime.spatial_basis,
+                          np.eye(spacetime.d))
+    assert np.max(np.abs(spacetime.tau @ spacetime.spatial_basis)) \
+        <= 1e-15 * np.max(np.abs(spacetime.tau))
+
+
 def test_gauge_identity_at_zero_boost():
     st = NewtonSpaceTime(3)
     phase = ObservedPhase([0.0, 0.0, 0.0, 0.0], [0.1, 0.2, 0.3], 1.0,
@@ -1013,9 +1034,20 @@ def test_energy_drift_matches_the_loop_over_states(energy, seed):
     assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
-@pytest.mark.parametrize("canonical", [True, False])
-def test_checks_over_columns_match_the_loops_over_states(canonical):
-    if canonical:
+# seeds of _covariance_case: random clocks, on each of which the clock
+# residual over columns once differed from the loop over states
+CLOCK_SEEDS = range(4)
+
+
+def _clock_run(clock):
+    """A Newton field and a run of it: of the canonical clock for True, of
+    one fixed other clock for False, of the random system that
+    :func:`_covariance_case` draws for a seed."""
+    if type(clock) is int:
+        tree = parse("x^2/2 + sin(x*y) - 0.3*y", VarContext.make(base=("x", "y")))
+        fld, _, x0, p0, *_ = _covariance_case(3, tree, clock)
+        return fld, integrate(fld, [*x0, *p0], h=1e-2, T=2.0)
+    if clock:
         st_ = NewtonSpaceTime(3)
         split = ObserverSplit.default(st_)
     else:
@@ -1026,6 +1058,12 @@ def test_checks_over_columns_match_the_loops_over_states(canonical):
     frame = st_.rest_frame().boosted([-0.2, 0.1, 0.05])
     phi = parse(NEWTON_PHI, VarContext.make(base=("q1", "q2", "q3"), time="t"))
     [fld] = newton_dynamics(st_, [frame], 1.7, phi, split)
-    traj = integrate(fld, [0.1, 0.2, -0.3, 0.0, 0.5, -0.1, 0.2], h=1e-2, T=2.0)
+    return fld, integrate(fld, [0.1, 0.2, -0.3, 0.0, 0.5, -0.1, 0.2], h=1e-2, T=2.0)
+
+
+@pytest.mark.parametrize("clock", [True, False, *(
+    pytest.param(seed, id=f"clock_seed{seed}") for seed in CLOCK_SEEDS)])
+def test_checks_over_columns_match_the_loops_over_states(clock):
+    fld, traj = _clock_run(clock)
     assert energy_drift(fld, traj).max() == _reference_drift(fld, traj)
     assert tau_clock_residual(fld, traj).max() == _reference_clock(fld, traj)
