@@ -106,12 +106,14 @@ class Patch(Immutable):
 
 def random_polynomial(patch: Patch, rng: np.random.Generator) -> Expression:
     """Random quadratic over the patch coordinates, coefficients in [-1, 1]."""
-    expr: Expression = se.Const(rng.uniform(-1.0, 1.0))
     vars_ = [se.Var(n) for n in patch.names]
+    # one draw of all 1 + m + m(m+1)/2 coefficients, the values one draw each gives
+    coefs = iter(rng.uniform(-1.0, 1.0, 1 + len(vars_) * (len(vars_) + 3) // 2).tolist())
+    expr: Expression = se.Const(next(coefs))
     for v in vars_:
-        expr = se.add(expr, se.mul(se.Const(rng.uniform(-1.0, 1.0)), v))
+        expr = se.add(expr, se.mul(se.Const(next(coefs)), v))
     for va, vb in itertools.combinations_with_replacement(vars_, 2):
-        expr = se.add(expr, se.mul(se.mul(se.Const(rng.uniform(-1.0, 1.0)), va), vb))
+        expr = se.add(expr, se.mul(se.mul(se.Const(next(coefs)), va), vb))
     return expr
 
 

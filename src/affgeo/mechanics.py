@@ -443,7 +443,7 @@ class NewtonSpaceTime:
                             else np.eye(d + 1)[d], dtype=float)
         if self.tau.shape != (d + 1,) or not np.isfinite(self.tau).all():
             raise MechanicsError("clock covector must be finite, of length d + 1")
-        if np.linalg.norm(self.tau) == 0.0:
+        if not self.tau.any():  # its norm underflows to 0 below about 1e-162
             raise MechanicsError("clock covector must be nonzero")
         self.g = np.array(g if g is not None else np.eye(d), dtype=float)
         if self.g.shape != (d, d) or not np.isfinite(self.g).all() \
@@ -481,8 +481,10 @@ class NewtonSpaceTime:
         return InertialFrame(self, np.asarray(u, float))
 
     def rest_frame(self) -> "InertialFrame":
-        """The frame defined by the clock covector itself."""
-        u = self.tau / float(self.tau @ self.tau)
+        """The frame defined by the clock covector itself: ``tau / (tau . tau)``."""
+        s = math.ldexp(1.0, math.frexp(max(map(abs, self.tau.tolist())))[1] - 1)
+        t = self.tau / s  # exactly, max |t_k| in [1, 2): t . t neither under- nor overflows
+        u = t / float(t @ t) / s
         return InertialFrame(self, u)
 
 

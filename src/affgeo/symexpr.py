@@ -97,7 +97,9 @@ class Expression(Immutable):
     by variable name, and ``_free`` the names :func:`free_vars` counted
     in it; each is None until then (a leaf never sets them).  Neither
     takes part in ``==``, ``hash``, ``repr`` or :func:`compile_field`.
-    ``__weakref__`` lets a node be held weakly.
+    ``__weakref__`` lets a node be held weakly.  Past the frozen
+    ``__setattr__``, every slot is written through its member descriptor's
+    ``__set__``, bound once at import (``Add.left.__set__``, say).
     """
 
     __slots__ = ("_partials", "_free", "__weakref__")
@@ -106,77 +108,81 @@ class Expression(Immutable):
         return to_text(self)
 
 
-_set = object.__setattr__  # how a node's __init__ writes its slots past the frozen __setattr__
+_set_partials, _set_free = Expression._partials.__set__, Expression._free.__set__
 
 
-def _binary_init(self, left: Expression, right: Expression):  # of Add, Sub, Mul and Div
-    _set(self, "left", left)
-    _set(self, "right", right)
-    _set(self, "_partials", None)
-    _set(self, "_free", None)
+def _interior(cls):
+    """Give ``cls`` the ``__init__`` of its arity: fields in ``__slots__`` order, empty caches."""
+    setters = [getattr(cls, name).__set__ for name in cls.__slots__]
+    if len(setters) == 1:
+        [set_a] = setters
+
+        def __init__(self, a):
+            set_a(self, a)
+            _set_partials(self, None)
+            _set_free(self, None)
+    else:
+        set_a, set_b = setters
+
+        def __init__(self, a, b):
+            set_a(self, a)
+            set_b(self, b)
+            _set_partials(self, None)
+            _set_free(self, None)
+    cls.__init__ = __init__
+    return cls
 
 
 class Const(Expression):
     __slots__ = ("value",)
 
     def __init__(self, value: float):
-        _set(self, "value", float(value))
+        _set_value(self, float(value))
 
 
 class Var(Expression):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
-        _set(self, "name", name)
+        _set_name(self, name)
 
 
+_set_value, _set_name = Const.value.__set__, Var.name.__set__
+
+
+@_interior
 class Add(Expression):
     __slots__ = ("left", "right")
-    __init__ = _binary_init
 
 
+@_interior
 class Sub(Expression):
     __slots__ = ("left", "right")
-    __init__ = _binary_init
 
 
+@_interior
 class Mul(Expression):
     __slots__ = ("left", "right")
-    __init__ = _binary_init
 
 
+@_interior
 class Div(Expression):
     __slots__ = ("left", "right")
-    __init__ = _binary_init
 
 
+@_interior
 class Pow(Expression):
     __slots__ = ("base", "exponent")
 
-    def __init__(self, base: Expression, exponent: int):
-        _set(self, "base", base)
-        _set(self, "exponent", exponent)
-        _set(self, "_partials", None)
-        _set(self, "_free", None)
 
-
+@_interior
 class Neg(Expression):
     __slots__ = ("operand",)
 
-    def __init__(self, operand: Expression):
-        _set(self, "operand", operand)
-        _set(self, "_partials", None)
-        _set(self, "_free", None)
 
-
+@_interior
 class Call(Expression):
     __slots__ = ("func", "arg")
-
-    def __init__(self, func: str, arg: Expression):
-        _set(self, "func", func)
-        _set(self, "arg", arg)
-        _set(self, "_partials", None)
-        _set(self, "_free", None)
 
 
 ZERO = Const(0.0)
@@ -580,7 +586,7 @@ def differentiate(e: Expression, v: str) -> Expression:
     partials = e._partials
     if partials is None:
         partials = {}
-        _set(e, "_partials", partials)
+        _set_partials(e, partials)
     else:
         d = partials.get(v)
         if d is not None:
@@ -747,7 +753,7 @@ def free_vars(e: Expression) -> frozenset[str]:
             more = free_vars(getattr(e, name))
             if not more <= names:
                 names = more if names <= more else names | more
-        _set(e, "_free", names)
+        _set_free(e, names)
     return names
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -523,3 +524,19 @@ def test_constant_beta_and_cross_product_c_give_the_closed_form_bracket():
     env = patch.env(np.linspace(-1.0, 1.0, 9)[:, None])
     F, G, bracket = (np.array(evaluate(s, env)).T for s in (f, g, data.bracket(f, g)))
     assert np.abs(bracket - ((G - F) @ B + np.cross(F, G))).max() < 1e-12
+
+
+@pytest.mark.parametrize("names", [(), ("x",), ("x", "y"), ("x", "y", "z")])
+def test_a_random_polynomial_draws_the_coefficients_of_one_scalar_draw_each(names):
+    # the reference draws one coefficient per call: the constant, the linear
+    # terms, then the quadratic ones; the library's tree and the generator's
+    # state after it are the same
+    rng, ref = np.random.default_rng(17), np.random.default_rng(17)
+    vars_ = [Var(n) for n in names]
+    expected = Const(ref.uniform(-1.0, 1.0))
+    for v in vars_:
+        expected = se.add(expected, se.mul(Const(ref.uniform(-1.0, 1.0)), v))
+    for va, vb in itertools.combinations_with_replacement(vars_, 2):
+        expected = se.add(expected, se.mul(se.mul(Const(ref.uniform(-1.0, 1.0)), va), vb))
+    assert random_polynomial(Patch.box(names), rng) == expected
+    assert rng.bit_generator.state == ref.bit_generator.state

@@ -21,6 +21,9 @@ from affgeo.mechanics import NewtonSpaceTime, ObservedPhase, ObserverSplit
 from affgeo.phase import AVMorphism, TimePhaseSpace, TwoForm, section_one_form
 
 X, Y = se.Var("x"), se.Var("y")
+# each expression node kind: the arguments it is built of, its fields in order
+NODE_ARGS = {"Const": (2.0,), "Var": ("x",), "Add": (X, Y), "Sub": (X, Y), "Mul": (X, Y),
+             "Div": (X, Y), "Pow": (X, 2), "Neg": (X,), "Call": ("sin", X)}
 
 
 def _instances():
@@ -68,7 +71,14 @@ CASES = [(kind, name) for kind, (_, names) in _instances().items() for name in n
 def test_every_node_kind_is_covered():
     kinds = {cls.__name__ for cls in vars(se).values()
              if isinstance(cls, type) and issubclass(cls, se.Expression)}
-    assert kinds - {"Expression"} <= set(_instances())
+    assert kinds - {"Expression"} <= set(_instances()) and kinds - {"Expression"} == set(NODE_ARGS)
+    # a fresh node holds its arguments as its fields, in __slots__ order; an
+    # interior node's caches start empty, and a leaf never sets them
+    for kind, args in NODE_ARGS.items():
+        node = getattr(se, kind)(*args)
+        caches = [getattr(node, name, "unset") for name in ("_partials", "_free")]
+        assert (tuple(getattr(node, name) for name in type(node).__slots__), caches) \
+            == (args, ["unset"] * 2 if kind in ("Const", "Var") else [None, None])
 
 
 @pytest.mark.parametrize("kind, name", CASES, ids=[f"{k}.{n}" for k, n in CASES])

@@ -204,11 +204,37 @@ def test_a_near_canonical_clock_gets_a_basis_of_its_own_kernel():
     assert abs(st.time_of(frame.u) - 1.0) <= 1e-12
 
 
+def test_a_clock_whose_square_underflows_is_nonzero():
+    # the nonzero test took the norm of tau, and its square underflowed to 0
+    for tau in ([0.0, 0.0, 1e-200], [5e-324, 0.0, 0.0], [0.0, -1e-170, 1e-171]):
+        assert NewtonSpaceTime(2, tau=tau).tau.tolist() == tau
+    with pytest.raises(MechanicsError, match="nonzero"):
+        NewtonSpaceTime(2, tau=[0.0, -0.0, 0.0])
+
+
+@pytest.mark.parametrize("tau", [[0.0, 0.0, 1e-160], [3e-170, 0.0, -4e-170],
+                                 [0.0, 0.0, 1e-200], [1e160, 0.0, 2e160]])
+def test_the_rest_frame_of_a_clock_whose_square_under_or_overflows(tau):
+    # the rest frame divided tau by tau . tau, which underflowed (or overflowed),
+    # so its velocity failed the unit clock rate
+    st_ = NewtonSpaceTime(2, tau=tau)
+    assert abs(st_.time_of(st_.rest_frame().u) - 1.0) <= 1e-12
+
+
+def test_the_rest_frame_of_a_clock_in_range_is_tau_over_its_square_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for scale in (1.0, 1e-100, 1e100):
+        for _ in range(200):
+            tau = rng.normal(size=rng.integers(2, 5)) * scale
+            u = NewtonSpaceTime(len(tau) - 1, tau=tau).rest_frame().u
+            assert np.array_equal(u, tau / float(tau @ tau))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda d: st.lists(
     st.floats(-1e3, 1e3, allow_subnormal=False), min_size=d + 1, max_size=d + 1)))
 def test_the_spatial_projection_inverts_the_spatial_basis_exactly(tau):
-    assume(np.linalg.norm(tau) > 0.0)
+    assume(any(tau))  # a nonzero clock, however small: its norm can underflow to 0
     spacetime = NewtonSpaceTime(len(tau) - 1, tau=tau)
     assert np.array_equal(spacetime._spatial_proj @ spacetime.spatial_basis,
                           np.eye(spacetime.d))
