@@ -2,8 +2,9 @@
 ``__slots__``, in the order its ``__init__`` takes them, and that
 ``__init__`` writes them with :func:`fill_slots`.  :class:`Immutable`
 adds what a frozen dataclass has: any later assignment or deletion
-raises, an instance equals one of its own class with equal fields, its
-hash is that of the field tuple, and it shows as ``Name(field=value, ...)``."""
+raises, an instance equals one of its own class with equal fields (at
+any depth of nesting, without recursion), its hash is that of the field
+tuple, and it shows as ``Name(field=value, ...)``."""
 
 
 class ImmutableError(AttributeError):
@@ -30,7 +31,19 @@ class Immutable:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        stack = [(self, other)]  # a field shared by both sides is equal at once
+        while stack:
+            x, y = stack.pop()
+            if x is y:
+                continue
+            if x.__class__ is not y.__class__:
+                return False
+            for a, b in zip(x._fields(), y._fields()):
+                if isinstance(a, Immutable):
+                    stack.append((a, b))
+                elif a is not b and a != b:
+                    return False
+        return True
 
     def __hash__(self):
         return hash(self._fields())

@@ -635,6 +635,7 @@ NEWTON = [
 ]
 NO_ATIYAH = ("structure", "atiyah", False)
 RANK = (1, ("structure", "rank"))
+MAX_RANK = 100  # an affgebroid loads rank^3 c slots; 50 times the largest rank in use (2)
 KINDS = {
     "affine-verify": (run_affine_verify, [
         Key("space", "dim", Int(1), REQUIRED),
@@ -659,7 +660,7 @@ KINDS = {
         Key("base", "low", Float(), "-1", NO_ATIYAH),
         Key("base", "high", Float(above=("base", "low")), "1", NO_ATIYAH),
         Key("base", "samples", SAMPLES, "grid:4", NO_ATIYAH),
-        Key("structure", "rank", Int(1), REQUIRED, NO_ATIYAH),
+        Key("structure", "rank", Int(1, MAX_RANK), REQUIRED, NO_ATIYAH),
         Key("structure", "anchor_ref", EXPRS, REQUIRED, NO_ATIYAH),
         Key("structure", "anchor<i>", EXPRS, None, NO_ATIYAH, RANK),
         Key("structure", "beta<i>", EXPRS, None, NO_ATIYAH, RANK),

@@ -91,12 +91,23 @@ class SpecialAffineSpace:
         self.v = _frozen(v)
         if self.v.shape != (space.dim,):
             raise AffineGeometryError("distinguished vector has wrong length")
-        if np.linalg.norm(self.v) == 0.0:
+        if not self.v.any():  # its norm underflows to 0 below about 1e-162
             raise AffineGeometryError("distinguished vector must be nonzero")
+        if np.isinf(1.0 / float(np.abs(self.v).max())):
+            raise AffineGeometryError("distinguished vector is too small: 1 / its largest "
+                                      "entry overflows, so its special dual has no origin")
 
     @property
     def dim(self) -> int:
         return self.space.dim
+
+
+def _sends_to_one(d: DualElement, v: np.ndarray) -> bool:
+    """``<w, v> = 1`` to 1e-12 plus the rounding bound of its n-term sum;
+    a pairing that is not finite is not 1."""
+    size = sum([abs(a * b) for a, b in zip(d.w.tolist(), v.tolist())])
+    return size < np.inf and \
+        abs(d.linear_part_on(v) - 1.0) <= 1e-12 + 4 * len(v) * 2.0**-52 * size
 
 
 class SpecialDualElement(DualElement):
@@ -105,7 +116,7 @@ class SpecialDualElement(DualElement):
     def __init__(self, special: SpecialAffineSpace, w, c):
         super().__init__(special.space, w, c)
         object.__setattr__(self, "special", special)
-        if abs(self.linear_part_on(special.v) - 1.0) > 1e-12:
+        if not _sends_to_one(self, special.v):
             raise AffineGeometryError(
                 "linear part does not send the distinguished vector to 1")
 
@@ -151,7 +162,7 @@ class SpecialDualSpace:
         return self.special.dim
 
     def is_member(self, d: DualElement) -> bool:
-        return abs(d.linear_part_on(self.special.v) - 1.0) <= 1e-12
+        return _sends_to_one(d, self.special.v)
 
     def element(self, free_w, c: float) -> SpecialDualElement:
         """Member with the given free w-components and constant term."""

@@ -445,6 +445,10 @@ class NewtonSpaceTime:
             raise MechanicsError("clock covector must be finite, of length d + 1")
         if not self.tau.any():  # its norm underflows to 0 below about 1e-162
             raise MechanicsError("clock covector must be nonzero")
+        k = int(np.argmax(np.abs(self.tau)))
+        if math.isinf(1.0 / abs(float(self.tau[k]))):
+            raise MechanicsError("clock covector is too small: 1 / its largest entry "
+                                 "overflows, so it has no finite rest frame")
         self.g = np.array(g if g is not None else np.eye(d), dtype=float)
         if self.g.shape != (d, d) or not np.isfinite(self.g).all() \
                 or np.max(np.abs(self.g - self.g.T)) > 1e-12:
@@ -454,7 +458,6 @@ class NewtonSpaceTime:
         except np.linalg.LinAlgError:
             raise MechanicsError("metric must be positive definite") from None
         self.g_inv = np.linalg.inv(self.g)
-        k = int(np.argmax(np.abs(self.tau)))
         self._spatial_proj = np.delete(np.eye(d + 1), k, axis=0)
         self.spatial_basis = self._spatial_proj.T.copy()
         self.spatial_basis[k] = 0.0 - np.delete(self.tau, k) / self.tau[k]  # no -0.0
@@ -467,15 +470,6 @@ class NewtonSpaceTime:
         for j in range(1, self.d + 1):
             t = t + self.tau[j] * v[..., j]
         return t
-
-    def spatial_vector(self, components) -> np.ndarray:
-        return self.spatial_basis @ np.asarray(components, float)
-
-    def spatial_components(self, v) -> np.ndarray:
-        v = np.asarray(v, float)
-        if abs(self.time_of(v)) > 1e-9:
-            raise MechanicsError("vector is not spatial")
-        return self._spatial_proj @ v
 
     def frame(self, u) -> "InertialFrame":
         return InertialFrame(self, np.asarray(u, float))
@@ -493,13 +487,16 @@ class InertialFrame(Immutable):
 
     def __init__(self, spacetime: NewtonSpaceTime, u: np.ndarray):
         fill_slots(self, spacetime, np.asarray(u, float))
-        if self.u.shape != (spacetime.d + 1,):
+        if self.u.shape != spacetime.tau.shape:
             raise MechanicsError("frame velocity has wrong length")
-        if abs(spacetime.time_of(self.u) - 1.0) > 1e-12:
+        # tau . u = 1 to 1e-12 plus the rounding bound of its n-term sum
+        size = sum([abs(a * b) for a, b in zip(spacetime.tau.tolist(), self.u.tolist())])
+        if not size < math.inf or abs(spacetime.time_of(self.u) - 1.0) \
+                > 1e-12 + 4 * len(self.u) * 2.0**-52 * size:
             raise MechanicsError("frame velocity must have unit clock rate")
 
     def boosted(self, v_components) -> "InertialFrame":
-        shift = self.spacetime.spatial_vector(v_components)
+        shift = self.spacetime.spatial_basis @ np.asarray(v_components, float)
         return InertialFrame(self.spacetime, self.u + shift)
 
 
@@ -515,17 +512,8 @@ class ObservedPhase(Immutable):
             raise MechanicsError("event or momentum has wrong length")
 
 
-def _spatial_comps(st: NewtonSpaceTime, v) -> np.ndarray:
-    v = np.asarray(v, float)
-    if v.shape == (st.d,):
-        return v
-    if v.shape == (st.d + 1,):
-        return st.spatial_components(v)
-    raise MechanicsError("boost velocity has wrong length")
-
-
 def gauge_transform(phase: ObservedPhase, v, m: float) -> ObservedPhase:
-    """Re-express an observed phase in the frame boosted by ``v``.
+    """Re-express an observed phase in the frame boosted by the spatial components ``v``.
 
     The event is untouched; momentum and the action coordinate follow
     the kinematic convention stated in the module docstring, under
@@ -535,7 +523,9 @@ def gauge_transform(phase: ObservedPhase, v, m: float) -> ObservedPhase:
     if not 0 < m < math.inf:
         raise MechanicsError("mass must be positive and finite")
     st = phase.frame.spacetime
-    c = _spatial_comps(st, v)
+    c = np.asarray(v, float)
+    if c.shape != (st.d,):
+        raise MechanicsError("boost velocity has wrong length")
     gv = st.g @ c
     p_new = phase.p - m * gv
     s_new = phase.s - float(phase.p @ c) + 0.5 * m * float(gv @ c)

@@ -198,26 +198,6 @@ def _coerce(x: ExprLike) -> Expression:
     raise TypeError(f"cannot use {type(x).__name__} as an expression")
 
 
-def _equal(a: Expression, b: Expression) -> bool:
-    """``a == b``, compared with an explicit stack instead of recursion;
-    a node shared by both sides (a cached derivative, say) is equal at
-    once."""
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if x is y:
-            continue
-        if type(x) is not type(y):
-            return False
-        for name in type(x).__slots__:
-            cx, cy = getattr(x, name), getattr(y, name)
-            if isinstance(cx, Expression):
-                stack.append((cx, cy))
-            elif cx is not cy and cx != cy:
-                return False
-    return True
-
-
 def _is_const(e: Expression, value: float | None = None) -> bool:
     return type(e) is Const and (value is None or e.value == value)
 
@@ -235,7 +215,7 @@ def add(a: Expression, b: Expression) -> Expression:
             return b
     elif tb is Const and b.value == 0.0:
         return a
-    if ta is Neg and _equal(a.operand, b) or tb is Neg and _equal(b.operand, a):
+    if ta is Neg and a.operand == b or tb is Neg and b.operand == a:
         return ZERO
     # fold constants of nested sums: c1 + (c2 + x) -> (c1+c2) + x
     if ta is Const and tb is Add and type(b.left) is Const:
@@ -252,7 +232,7 @@ def sub(a: Expression, b: Expression) -> Expression:
             return Const(a.value - b.value)
         if b.value == 0.0:
             return a
-    if ta is tb and _equal(a, b):
+    if ta is tb and a == b:
         return ZERO
     if ta is Const and a.value == 0.0:
         return neg(b)

@@ -480,6 +480,14 @@ def test_bad_compare_frames_exits_2(tmp_path, capsys, momentum, boosts):
     assert run(["run", str(path), "--out", str(tmp_path)]) == 2
 
 
+def test_a_boost_of_dim_plus_1_entries_exits_2(tmp_path, capsys):
+    # a spatial four-vector was a second spelling of the boost of its first dim entries
+    code, err, out = run_text(tmp_path, capsys, FRAMES_RUN.replace(
+        "boosts = 0.1 0 0; 0 0.2 0", "boosts = 0.1 0 0 0"))
+    assert (code, err) == (2, "error: boost velocity has wrong length\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", [
     "kind = duality-verify\n[params]\ndims = 1, inf\n",
     "kind = duality-verify\n[params]\ndims = 1, 1.5\n",
@@ -923,6 +931,13 @@ def test_a_run_of_more_steps_than_the_bound_exits_2_before_it_integrates(tmp_pat
     text = TIMEDEP.format(expr="q1^2/2").replace("step = 0.1", "step = 1e-300")
     err = _run_in_1_5_gb(tmp_path, text)
     assert f"more than the bound of {MAX_STEPS} steps" in err
+
+
+def test_a_rank_above_the_bound_exits_2_before_its_tables_are_built(tmp_path):
+    # rank^2 beta and rank^3 c slots were built as lists before anything counted the anchors
+    from affgeo.cli import MAX_RANK
+    err = _run_in_1_5_gb(tmp_path, AFFGEBROID.replace("rank = 1", "rank = 100000"))
+    assert err == f"error: [structure] rank = '100000': want an integer in 1..{MAX_RANK}\n"
 
 
 def test_a_grid_of_more_points_than_the_bound_exits_2_before_it_is_built(tmp_path):

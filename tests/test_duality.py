@@ -104,6 +104,44 @@ def test_special_dual_element_validates():
         SpecialDualElement(S, [1.0, 0.0], 0.0)
 
 
+SCALES = (1e-150, 1e-100, 1e-8, 1.0, 1e4, 1e8, 1e100, 1e150)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_special_dual_elements_of_a_scaled_vector_are_members(scale):
+    # <w, v> = 1 was tested to an absolute 1e-12, and the rounding of the
+    # sum grows with |v|: at 1e8 every one of these members was refused
+    rng = np.random.default_rng(2)
+    for n in range(1, 5):
+        for free in (1e-3, 1.0, 1e3):
+            for _ in range(25):
+                sd = SpecialDualSpace(special(n, rng.normal(size=n) * scale))
+                assert sd.is_member(sd.element(rng.normal(size=n - 1) * free, 0.0))
+
+
+def test_a_distinguished_vector_whose_square_underflows_is_nonzero():
+    # the nonzero test took the norm of v, and its square underflowed to 0
+    S = special(2, [1e-200, 0.0])
+    assert SpecialDualSpace(S).origin.w.tolist() == [1e200, 0.0]
+    with pytest.raises(AffineGeometryError, match="nonzero"):
+        special(2, [0.0, -0.0])
+
+
+@pytest.mark.parametrize("v", [[1e-310, 0.0], [0.0, 5e-324], [-1e-309, 1e-310]])
+def test_a_distinguished_vector_without_a_finite_dual_origin_is_refused(v):
+    # 1 / v_k overflowed in the special dual's origin
+    with pytest.raises(AffineGeometryError, match="too small"):
+        special(2, v)
+
+
+def test_membership_refuses_a_non_finite_pairing():
+    sd = SpecialDualSpace(special(2, [0.0, 1.0]))
+    for w in ([0.0, np.nan], [np.inf, 1.0]):
+        assert not sd.is_member(DualElement(sd.special.space, w, 0.0))
+        with pytest.raises(AffineGeometryError):
+            SpecialDualElement(sd.special, w, 0.0)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_double_dual_round_trip(n):
     rng = np.random.default_rng(10 + n)

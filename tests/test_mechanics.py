@@ -192,7 +192,7 @@ def test_velocity_split():
     spatial = v - dt * u.u
     assert dt == pytest.approx(2.0)
     assert spatial == pytest.approx([0.5, 2.0, 0.0])
-    assert st.spatial_components(spatial) == pytest.approx([0.5, 2.0])
+    assert st._spatial_proj @ spatial == pytest.approx([0.5, 2.0])
 
 
 def test_a_near_canonical_clock_gets_a_basis_of_its_own_kernel():
@@ -206,7 +206,7 @@ def test_a_near_canonical_clock_gets_a_basis_of_its_own_kernel():
 
 def test_a_clock_whose_square_underflows_is_nonzero():
     # the nonzero test took the norm of tau, and its square underflowed to 0
-    for tau in ([0.0, 0.0, 1e-200], [5e-324, 0.0, 0.0], [0.0, -1e-170, 1e-171]):
+    for tau in ([0.0, 0.0, 1e-200], [1e-300, 0.0, 0.0], [0.0, -1e-170, 1e-171]):
         assert NewtonSpaceTime(2, tau=tau).tau.tolist() == tau
     with pytest.raises(MechanicsError, match="nonzero"):
         NewtonSpaceTime(2, tau=[0.0, -0.0, 0.0])
@@ -228,6 +228,48 @@ def test_the_rest_frame_of_a_clock_in_range_is_tau_over_its_square_bit_for_bit()
             tau = rng.normal(size=rng.integers(2, 5)) * scale
             u = NewtonSpaceTime(len(tau) - 1, tau=tau).rest_frame().u
             assert np.array_equal(u, tau / float(tau @ tau))
+
+
+@pytest.mark.parametrize("tau", [[0.0, 0.0, 1e-310], [5e-324, 0.0, 0.0], [0.0, -1e-309, 1e-310]])
+def test_a_clock_without_a_finite_rest_frame_is_refused(tau):
+    # 1 / tau_k overflowed: the rest frame's division warned and then failed
+    # the unit clock rate, under a message that named the wrong fault
+    with pytest.raises(MechanicsError, match="too small"):
+        NewtonSpaceTime(2, tau=tau)
+
+
+SCALES = (1e-150, 1e-100, 1e-8, 1.0, 1e4, 1e8, 1e100, 1e150)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_boosts_of_a_scaled_clock_are_frames(scale):
+    # the unit clock rate was tested to an absolute 1e-12, and the rounding
+    # of tau . u grows with |tau|: at 1e4 a quarter of these boosts were refused
+    rng = np.random.default_rng(1)
+    for d in range(1, 5):
+        for boost in (1e-3, 1.0, 1e3):
+            for _ in range(25):
+                spacetime = NewtonSpaceTime(d, tau=rng.normal(size=d + 1) * scale)
+                rest = spacetime.rest_frame()
+                c = rng.normal(size=d) * boost
+                assert rest.boosted(c).spacetime is spacetime
+                phase = ObservedPhase(np.zeros(d + 1), rng.normal(size=d), 0.0, rest)
+                gauge_transform(phase, c, 1.0)
+
+
+def test_a_frame_velocity_off_the_level_set_or_not_finite_is_refused():
+    spacetime = NewtonSpaceTime(2)
+    for u in ([0.0, 0.0, 1.0 + 1e-11], [0.0, 0.0, math.nan], [math.inf, 0.0, 1.0]):
+        with pytest.raises(MechanicsError, match="unit clock rate"):
+            spacetime.frame(u)
+
+
+def test_a_boost_is_its_spatial_components_only():
+    # a spatial four-vector was a second spelling of the same boost
+    spacetime = NewtonSpaceTime(2)
+    phase = ObservedPhase(np.zeros(3), np.zeros(2), 0.0, spacetime.rest_frame())
+    with pytest.raises(MechanicsError, match="boost velocity has wrong length"):
+        gauge_transform(phase, [0.1, 0.0, 0.0], 1.0)
 
 
 @settings(max_examples=100, deadline=None)

@@ -804,18 +804,35 @@ def test_simplifier_compares_deep_operands_without_recursion():
     assert parse(f"-({total}) + ({total})", CTX_XY) == Const(0.0)
 
 
+def test_equality_of_trees_at_max_depth_needs_no_recursion():
+    # == compared the field tuples recursively and raised RecursionError here
+    text = "+".join(["x*y"] * (se.MAX_DEPTH - 1))
+    a, b = parse(text, CTX_XY), parse(text, CTX_XY)
+    assert a is not b and a == b and not a != b and hash(a) == hash(b)
+    assert a != parse(text[:-1] + "x", CTX_XY)
+    assert a.__eq__(1.0) is NotImplemented and a != 1.0
+
+
 def _rebuild(e):
     """An unshared copy of ``e`` that has never been differentiated."""
     return type(e)(*[_rebuild(c) if isinstance(c, se.Expression) else c
                      for c in (getattr(e, name) for name in type(e).__slots__)])
 
 
+def _same(e, f):
+    """Structural equality by recursion, the reference for ``==``."""
+    return type(e) is type(f) and all(
+        _same(a, b) if isinstance(a, se.Expression) else a is b or a == b
+        for a, b in zip(e._fields(), f._fields()))
+
+
 @settings(max_examples=150, deadline=None)
 @given(all_kinds(), all_kinds())
 def test_structural_comparison_agrees_with_equality(e, f):
-    assert se._equal(e, f) == (e == f)
-    assert se._equal(e, _rebuild(e)) and e == _rebuild(e)
-    assert se._equal(e, e)
+    assert _same(e, f) == (e == f)
+    assert _same(e, _rebuild(e)) and e == _rebuild(e)
+    assert hash(e) == hash(_rebuild(e)) and (e != f or hash(e) == hash(f))
+    assert e == e
 
 
 @settings(max_examples=150, deadline=None)
