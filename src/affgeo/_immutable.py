@@ -4,7 +4,7 @@
 adds what a frozen dataclass has: any later assignment or deletion
 raises, an instance equals one of its own class with equal fields (at
 any depth of nesting, without recursion), its hash is that of the field
-tuple, and it shows as ``Name(field=value, ...)``."""
+tuple, and it shows as ``Name(field=value, ...)`` (at any depth too)."""
 
 
 class ImmutableError(AttributeError):
@@ -49,8 +49,21 @@ class Immutable:
         return hash(self._fields())
 
     def __repr__(self):
-        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
-        return f"{type(self).__qualname__}({fields})"
+        # Name(field=value, ...) built on an explicit stack of texts and of
+        # instances still to open, so a structure of any depth shows
+        texts, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                texts.append(item)
+                continue
+            stack.append(")")
+            for n, name in reversed(list(enumerate(item.__slots__))):
+                value = getattr(item, name)
+                stack += [value if isinstance(value, Immutable) else repr(value),
+                          f"{', ' if n else ''}{name}="]
+            stack.append(f"{type(item).__qualname__}(")
+        return "".join(texts)
 
     def __reduce__(self):  # copy and pickle rebuild through __init__
         return type(self), self._fields()

@@ -40,7 +40,7 @@ import numpy as np
 from . import symexpr as se
 from .affine import AffineGeometryError, AffineMap, AffineSpaceSpec, BiAffineMap, difference
 from .brackets import (
-    BracketError, HullAlgebroidData, LieAffgebraData, LieAffgebroidData, Patch,
+    MAX_GRID_POINTS, BracketError, HullAlgebroidData, LieAffgebraData, LieAffgebroidData, Patch,
     aff_jacobi_bracket, atiyah_algebroid, is_aff_poisson,
     random_polynomial, verify_affgebra, verify_affgebroid,
 )
@@ -636,6 +636,9 @@ NEWTON = [
 NO_ATIYAH = ("structure", "atiyah", False)
 RANK = (1, ("structure", "rank"))
 MAX_RANK = 100  # an affgebroid loads rank^3 c slots; 50 times the largest rank in use (2)
+# the Atiyah algebroid of dim n checks its antisymmetry on 3 points per axis,
+# 3^n in all, so n is at most the 10 that brackets.MAX_GRID_POINTS admits
+MAX_ATIYAH_DIM = max(n for n in range(64) if 3 ** n <= MAX_GRID_POINTS)
 KINDS = {
     "affine-verify": (run_affine_verify, [
         Key("space", "dim", Int(1), REQUIRED),
@@ -655,7 +658,8 @@ KINDS = {
     ]),
     "affgebroid-verify": (run_affgebroid_verify, [
         Key("structure", "atiyah", BOOL, "false"),
-        Key("structure", "dims", INTS, "1, 2", ("structure", "atiyah", True)),
+        Key("structure", "dims", List(Int(1, MAX_ATIYAH_DIM), distinct=True), "1, 2",
+            ("structure", "atiyah", True)),
         Key("base", "coords", NAMES, REQUIRED, NO_ATIYAH),
         Key("base", "low", Float(), "-1", NO_ATIYAH),
         Key("base", "high", Float(above=("base", "low")), "1", NO_ATIYAH),

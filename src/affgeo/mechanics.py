@@ -458,6 +458,7 @@ class NewtonSpaceTime:
         except np.linalg.LinAlgError:
             raise MechanicsError("metric must be positive definite") from None
         self.g_inv = np.linalg.inv(self.g)
+        self._pivot = k
         self._spatial_proj = np.delete(np.eye(d + 1), k, axis=0)
         self.spatial_basis = self._spatial_proj.T.copy()
         self.spatial_basis[k] = 0.0 - np.delete(self.tau, k) / self.tau[k]  # no -0.0
@@ -496,8 +497,14 @@ class InertialFrame(Immutable):
             raise MechanicsError("frame velocity must have unit clock rate")
 
     def boosted(self, v_components) -> "InertialFrame":
-        shift = self.spacetime.spatial_basis @ np.asarray(v_components, float)
-        return InertialFrame(self.spacetime, self.u + shift)
+        """The frame moving at spatial components ``v_components`` relative to
+        this one.  Its pivot entry ``k`` (see :class:`NewtonSpaceTime`) is
+        solved from the others, ``(1 - sum_{j != k} tau_j u_j) / tau_k``, so
+        the velocity sits on the level set however ``u + B v`` rounds."""
+        st, k = self.spacetime, self.spacetime._pivot
+        u = self.u + st.spatial_basis @ np.asarray(v_components, float)
+        u[k] = (1.0 - float(np.delete(st.tau, k) @ np.delete(u, k))) / st.tau[k]
+        return InertialFrame(st, u)
 
 
 class ObservedPhase(Immutable):

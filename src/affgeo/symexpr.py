@@ -20,10 +20,11 @@ Grammar accepted by :func:`parse` (whitespace insignificant)::
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
-    factor := base ('^' int)?
+    factor := base ('^' '-'? digits)?
     base   := number | ident | ident '(' expr ')' | '(' expr ')' | '-' base
 
-Note that per this grammar ``-x^2`` parses as ``(-x)^2``; the printer
+Note that per this grammar ``-x^2`` parses as ``(-x)^2``, so ``exp(-x^2)``
+grows without bound and ``exp(-(x^2))`` is the Gaussian; the printer
 parenthesizes accordingly so that printing round-trips.
 
 Simplification is conservative: constant folding, 0/1 identities,
@@ -106,6 +107,12 @@ class Expression(Immutable):
 
     def __str__(self) -> str:
         return to_text(self)
+
+    def __copy__(self):  # the fields are immutable: a copy, shallow or deep, is the node
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
 
 _set_partials, _set_free = Expression._partials.__set__, Expression._free.__set__
@@ -378,137 +385,98 @@ class VarContext(Immutable):
 # ---------------------------------------------------------------------------
 # Parsing
 
-_TOK_NUM = "num"
-_TOK_IDENT = "ident"
-_TOK_OP = "op"
-_TOK_END = "end"
-# One token, or a run of whitespace.  Numbers and names are ASCII, so a
-# superscript digit is an unexpected character, not a number.
-_TOKEN = re.compile(r"(?P<num>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
-                    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()])|\s+")
+# One token, a run of whitespace (group 1) or an unexpected character (group
+# 2).  Numbers and names are ASCII, so a superscript digit is unexpected.
+_TOKEN = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+                    r"|[A-Za-z_][A-Za-z0-9_]*|[-+*/^()]|(\s+)|(.)", re.S)
+_BINARY = {"+": add, "-": sub, "*": mul, "/": div}
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens, i = [], 0
-    while i < len(text):
-        m = _TOKEN.match(text, i)
-        if m is None:
-            raise ExprSyntaxError(f"unexpected character {text[i]!r}", i)
-        if m.lastgroup:
-            tokens.append((m.lastgroup, m.group(), i))
-        i = m.end()
-    tokens.append((_TOK_END, "", len(text)))
+def _tokenize(text: str) -> list[tuple[str, int]]:
+    """Each token's text and offset, then ``("", len(text))`` for the end."""
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        if m[2]:
+            raise ExprSyntaxError(f"unexpected character {m[2]!r}", m.start())
+        if not m[1]:
+            tokens.append((m[0], m.start()))
+    tokens.append(("", len(text)))
     return tokens
 
 
 class _Parser:
+    """A token is a number, a name, an operator (one character) or the end ("")."""
+
     def __init__(self, text: str, ctx: VarContext):
-        self.text = text
         self.ctx = ctx
         self.tokens = _tokenize(text)
         self.pos = 0
         self.nesting = 0
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
+    def take(self, ops: str = "") -> tuple[str, int] | None:
+        """Consume the next token; given ``ops``, only an operator among
+        them, and return None if the next token is not one."""
+        token = self.tokens[self.pos]
+        if ops and not (token[0] and token[0] in ops):
+            return None
         self.pos += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, value, at = self.peek()
-        if kind != _TOK_OP or value != op:
-            raise ExprSyntaxError(f"expected {op!r}", at)
-        return self.advance()
+        return token
 
     def parse(self) -> Expression:
-        e = self.expr()
-        kind, value, at = self.peek()
-        if kind != _TOK_END:
+        e = self.binary()
+        value, at = self.take()
+        if value:
             raise ExprSyntaxError(f"unexpected {value!r}", at)
         return e
 
-    def expr(self) -> Expression:
-        e = self.term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == _TOK_OP and value in "+-":
-                self.advance()
-                rhs = self.term()
-                e = add(e, rhs) if value == "+" else sub(e, rhs)
-            else:
-                return e
-
-    def term(self) -> Expression:
-        e = self.factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == _TOK_OP and value in "*/":
-                self.advance()
-                rhs = self.factor()
-                e = mul(e, rhs) if value == "*" else div(e, rhs)
-            else:
-                return e
+    def binary(self, level: int = 0) -> Expression:
+        """Terms joined by ``+ -`` (level 0) or factors joined by ``* /``
+        (level 1), from the left."""
+        e = self.factor() if level else self.binary(1)
+        while token := self.take("*/" if level else "+-"):
+            e = _BINARY[token[0]](e, self.factor() if level else self.binary(1))
+        return e
 
     def factor(self) -> Expression:
         e = self.base()
-        kind, value, _ = self.peek()
-        if kind == _TOK_OP and value == "^":
-            self.advance()
-            e = pow_(e, self.int_literal())
+        if self.take("^"):
+            sign = -1 if self.take("-") else 1
+            value, at = self.take()
+            if not value.isdigit():  # a number without '.', 'e' or 'E'
+                raise ExprSyntaxError("expected integer exponent", at)
+            if float(value) == math.inf:  # the power rule makes a Const of the exponent
+                raise ExprSyntaxError("exponent out of the float range", at)
+            e = pow_(e, sign * int(value))
         return e
 
-    def int_literal(self) -> int:
-        sign = 1
-        kind, value, at = self.peek()
-        if kind == _TOK_OP and value == "-":
-            self.advance()
-            sign = -1
-            kind, value, at = self.peek()
-        if kind != _TOK_NUM or any(c in value for c in ".eE"):
-            raise ExprSyntaxError("expected integer exponent", at)
-        if float(value) == math.inf:  # the power rule makes a Const of the exponent
-            raise ExprSyntaxError("exponent out of the float range", at)
-        self.advance()
-        return sign * int(value)
-
     def base(self) -> Expression:
-        kind, value, at = self.advance()
-        if kind == _TOK_NUM:
-            return Const(float(value))
-        if kind == _TOK_OP and value in "-(":
-            self.nest(at)
-            if value == "-":
-                e = neg(self.base())
-            else:
-                e = self.expr()
-                self.expect_op(")")
-            self.nesting -= 1
-            return e
-        if kind == _TOK_IDENT:
-            nk, nv, _ = self.peek()
-            if nk == _TOK_OP and nv == "(":
-                if value not in FUNCTIONS:
+        value, at = self.take()
+        if value.isidentifier():
+            if not self.take("("):
+                if value not in self.ctx:
                     raise UnknownIdentifierError(value, at)
-                self.nest(at)
-                self.advance()
-                arg = self.expr()
-                self.expect_op(")")
-                self.nesting -= 1
-                return call(value, arg)
-            if value not in self.ctx:
+                return Var(value)
+            if value not in FUNCTIONS:
                 raise UnknownIdentifierError(value, at)
-            return Var(value)
-        raise ExprSyntaxError("expected a value", at)
-
-    def nest(self, at: int) -> None:
-        """Enter a bracket, call or unary minus; the parser recurses there."""
+        elif value not in ("-", "("):
+            try:
+                return Const(float(value))
+            except ValueError:  # an operator other than '-' or '(', or the end
+                raise ExprSyntaxError("expected a value", at) from None
+        # a call, bracket or unary minus: the parser recurses here
         self.nesting += 1
         if self.nesting > MAX_NESTING:
-            raise ExprSyntaxError(
-                f"expression nested deeper than {MAX_NESTING} levels", at)
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_NESTING} levels", at)
+        if value == "-":
+            e = neg(self.base())
+        else:
+            e = self.binary()
+            if not self.take(")"):
+                raise ExprSyntaxError("expected ')'", self.tokens[self.pos][1])
+            if value != "(":
+                e = call(value, e)
+        self.nesting -= 1
+        return e
 
 
 def _check_tree(e: Expression) -> None:

@@ -940,6 +940,29 @@ def test_a_rank_above_the_bound_exits_2_before_its_tables_are_built(tmp_path):
     assert err == f"error: [structure] rank = '100000': want an integer in 1..{MAX_RANK}\n"
 
 
+@pytest.mark.parametrize("dims, why", [
+    ("1, 1", "want a non-empty list of distinct items"),
+    ("11", "want an integer in 1..10"),
+    ("3000", "want an integer in 1..10"),
+], ids=["repeated", "grid-past-the-bound", "slots-past-memory"])
+def test_atiyah_dims_are_distinct_and_at_most_10(tmp_path, capsys, dims, why):
+    # a repeated dim wrote its rows twice into one report; dim 11 failed on the
+    # 3^11-point antisymmetry grid the file never asked for; dim 3000 built
+    # (dim + 1)^3 list slots before any check
+    from affgeo.brackets import MAX_GRID_POINTS
+    from affgeo.cli import MAX_ATIYAH_DIM
+    assert MAX_ATIYAH_DIM == 10 and 3 ** 10 <= MAX_GRID_POINTS < 3 ** 11
+    code, err, out = run_text(tmp_path, capsys, ATIYAH + f"dims = {dims}\n")
+    assert (code, err) == (2, f"error: [structure] dims = {dims!r}: {why}\n")
+    assert not out.exists()
+
+
+def test_the_largest_atiyah_dim_runs(tmp_path, capsys):
+    code, err, out = run_text(tmp_path, capsys, ATIYAH + "dims = 10\n")
+    assert (code, err) == (0, "")
+    assert (out / "bad_report.json").exists()
+
+
 def test_a_grid_of_more_points_than_the_bound_exits_2_before_it_is_built(tmp_path):
     # 10^10 points on q, t were built as a list of tuples until memory ran out
     from affgeo.brackets import MAX_GRID_POINTS

@@ -1,7 +1,9 @@
 import cmath
+import copy
 import math
 import operator
 import struct
+import sys
 import weakref
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from affgeo import symexpr as se
+from affgeo._immutable import Immutable
 from affgeo.symexpr import (
     Const, Var, VarContext, parse, differentiate, evaluate, subst,
     free_vars, to_text, ExprSyntaxError, UnknownIdentifierError,
@@ -811,6 +814,57 @@ def test_equality_of_trees_at_max_depth_needs_no_recursion():
     assert a is not b and a == b and not a != b and hash(a) == hash(b)
     assert a != parse(text[:-1] + "x", CTX_XY)
     assert a.__eq__(1.0) is NotImplemented and a != 1.0
+
+
+def _nested_repr(obj):
+    """The text of ``repr``, built by recursion: the reference for deep trees."""
+    if not isinstance(obj, Immutable):
+        return repr(obj)
+    fields = ", ".join([f"{name}={_nested_repr(getattr(obj, name))}" for name in obj.__slots__])
+    return f"{type(obj).__qualname__}({fields})"
+
+
+@pytest.mark.parametrize("text", ["+".join(["x*y"] * (se.MAX_DEPTH - 1)),
+                                  "-".join(["x*y"] * (se.MAX_DEPTH - 1)),
+                                  "/".join(["x"] * (se.MAX_DEPTH - 1))],
+                         ids=["sum", "difference", "quotient"])
+def test_trees_at_max_depth_print_and_copy(text):
+    # repr and copy.deepcopy recursed per level and raised RecursionError here
+    e = parse(text, CTX_XY)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 10 * se.MAX_DEPTH)
+    try:
+        expected = _nested_repr(e)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert repr(e) == expected
+    assert copy.copy(e) is e and copy.deepcopy(e) is e
+    assert copy.deepcopy([e, {"e": e}])[1]["e"] is e
+
+
+def _frames():
+    """The number of frames on the caller's stack."""
+    frame, n = sys._getframe(1), 0
+    while frame:
+        frame, n = frame.f_back, n + 1
+    return n
+
+
+@pytest.mark.parametrize("open_, close, per_level", [("(", ")", 4), ("sin(", ")", 4), ("-", "", 1)],
+                         ids=["bracket", "call", "minus"])
+def test_parser_frames_per_nesting_level(open_, close, per_level):
+    # a bracket or call recurses base -> expr -> term -> factor -> base, a minus
+    # base -> base; the slack holds the frames above the first level and the
+    # leaf's, 9 on CPython 3.11, with room: one more frame per level is 100 more
+    slack = 20
+    text = open_ * se.MAX_NESTING + "x" + close * se.MAX_NESTING
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frames() + per_level * se.MAX_NESTING + slack)
+    try:
+        e = parse(text, CTX_XY)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert free_vars(e) == {"x"}
 
 
 def _rebuild(e):
