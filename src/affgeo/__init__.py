@@ -22,7 +22,7 @@ geometry: ``affine`` <- ``duality`` <- ``brackets``
     and hulls, special affine duals, the function ``s - sigma``
     attached to a section; brackets over points and patches,
     verification, hull extension, dual-side brackets.
-mechanics: ``phase`` <- ``mechanics``
+mechanics: ``phase`` <- ``mechanics``, and ``affine`` for the clock's level set
     Affine 1-forms of sections, canonical two-form, quotient and
     reduction brackets; time-dependent and Newtonian dynamics, the
     fixed-step integrator.

@@ -20,7 +20,7 @@ from ._immutable import Immutable, fill_slots
 
 __all__ = [
     "AffineGeometryError", "AffineSpaceSpec", "AffinePoint", "TangentVec",
-    "AffineMap", "BiAffineMap", "difference",
+    "AffineMap", "BiAffineMap", "LevelSet", "difference",
 ]
 
 # Construction-time identities use this tolerance; anything downstream
@@ -43,6 +43,56 @@ def _frozen(a) -> np.ndarray:
 def _matvec(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``matrix @ x`` row by row, with each row's own bits (``x @ matrix.T`` differs)."""
     return (matrix @ x[..., None])[..., 0]
+
+
+class LevelSet:
+    """The level-1 set ``<a, x> = 1`` of a covector ``a`` on ``R^n``, in one pivot chart.
+
+    ``pivot`` is the first index ``k`` of the largest ``|a_k|``, and the other
+    indices, in order, are ``free``.  The columns of ``basis``, the vectors
+    ``e_j - (a_j / a_k) e_k`` for ``j`` free, span the kernel ``<a, x> = 0``;
+    keeping the free entries reads their components back exactly.  ``a`` is
+    refused by ``error``, naming it ``what``, when it is not finite, zero, or
+    so small that 1 / its largest entry overflows (``e_k / a_k`` is not finite).
+    """
+
+    def __init__(self, a: np.ndarray, what: str, error: type[Exception]):
+        a = self.a = _frozen(a)
+        if not np.isfinite(a).all():
+            raise error(f"{what} must be finite")
+        if not a.any():  # its norm underflows to 0 below about 1e-162
+            raise error(f"{what} must be nonzero")
+        k = self.pivot = int(np.argmax(np.abs(a)))
+        if np.isinf(1.0 / abs(float(a[k]))):
+            raise error(f"{what} is too small: 1 / its largest entry overflows")
+        self.free = tuple(j for j in range(len(a)) if j != k)
+        self.basis = _frozen(np.insert(np.eye(len(a) - 1), k, 0.0 - np.delete(a, k) / a[k],
+                                       axis=0))  # no -0.0
+
+    def value(self, x):
+        """``<a, x>`` of a vector, or of each row of a stack ``(N, n)``: a
+        row reads as that vector does."""
+        x = np.asarray(x, float)
+        t = self.a[0] * x[..., 0]
+        for j in range(1, len(self.a)):
+            t = t + self.a[j] * x[..., j]
+        return t
+
+    def contains(self, x) -> bool:
+        """Whether ``value(x)`` is 1 to 1e-12 plus ``4n 2^-52 sum_j |a_j x_j|``, the rounding
+        bound of its sum (nan and inf are not 1); another length raises ``ValueError``."""
+        terms = zip(self.a.tolist(), np.asarray(x, float).tolist(), strict=True)
+        size = sum([abs(a * b) for a, b in terms])
+        return size < np.inf and \
+            abs(self.value(x) - 1.0) <= 1e-12 + 4 * len(self.a) * 2.0**-52 * size
+
+    def solve(self, x) -> np.ndarray:
+        """``x`` with its pivot entry set to ``(1 - sum_{j free} a_j x_j) / a_k``,
+        so that it is a member however its other entries round."""
+        x = np.array(x, float)
+        x[self.pivot] = 0.0
+        x[self.pivot] = (1.0 - self.value(x)) / self.a[self.pivot]
+        return x
 
 
 class _Transition(Immutable):

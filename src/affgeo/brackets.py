@@ -151,15 +151,17 @@ class LieAffgebraData:
 
     def bracket(self, u, w) -> np.ndarray:
         """Full bracket of ``o + u`` with ``o + w``."""
-        u = np.asarray(u, float)
-        w = np.asarray(w, float)
-        return _matvec(self.D, w - u) + np.einsum("ijk,...i,...j->...k", self.c, u, w)
+        u, w = np.asarray(u, float), np.asarray(w, float)
+        return self._expand(u, w, w - u)
 
     def second_linear(self, u, W) -> np.ndarray:
         """Second-slot linear part: bracket of ``o + u`` against model ``W``."""
-        u = np.asarray(u, float)
         W = np.asarray(W, float)
-        return _matvec(self.D, W) + np.einsum("ijk,...i,...j->...k", self.c, u, W)
+        return self._expand(np.asarray(u, float), W, W)
+
+    def _expand(self, u, w, d) -> np.ndarray:
+        """``D d + c(u, w)``: with ``d = w - u`` the bracket, with ``d = w`` its second slot."""
+        return _matvec(self.D, d) + np.einsum("ijk,...i,...j->...k", self.c, u, w)
 
 
 def verify_affgebra(data: LieAffgebraData) -> Report:
@@ -459,7 +461,7 @@ def section_for_dual_function(data: LieAffgebroidData,
     coeffs, const = _affine_w_coefficients(sigma, names)
     v = data.v
     comps: list[Expression] = [se.ZERO] * data.rank
-    for j, cj in zip(sd.free_indices, coeffs):
+    for j, cj in zip(sd.special.level.free, coeffs):
         comps[j] = se.neg(cj)
     for j in range(data.rank):
         comps[j] = se.sub(comps[j], se.mul(const, se.Const(v[j])))

@@ -338,9 +338,14 @@ def run_affine_verify(sc: Scenario, rng, report: Report):
     phi = BiAffineMap(C=rng.normal(size=(dim, dim, dim)), D=rng.normal(size=(dim, dim)),
                       E=rng.normal(size=(dim, dim)), F=rng.normal(size=dim))
     x, y, u, w = rng.uniform(-2, 2, (sc["params", "samples"], 4, dim)).transpose(1, 0, 2)
+    # each residual reads three sums of at most (dim+1)^2 terms, none with a larger sum
+    # of |terms| than phi's with |C|, |D|, |E|, |F| at |x| + |u|, |y| + |w|
+    size = np.max(BiAffineMap(*map(abs, (phi.C, phi.D, phi.E, phi.F)))
+                  .apply(abs(x) + abs(u), abs(y) + abs(w)))
     report.check("biaffine_part_identities", np.abs([
         phi.apply(x + u, y) - phi.apply(x, y) - phi.part_first(u, y),
-        phi.apply(x, y + w) - phi.apply(x, y) - phi.part_second(x, w)]), 1e-12,
+        phi.apply(x, y + w) - phi.apply(x, y) - phi.part_second(x, w)]),
+        1e-12 + 4 * (dim + 1) ** 2 * 2.0**-52 * size,
         lambda at: {"slot": ("first", "second")[at[0]], "sample": at[1]})
 
     amap = AffineMap(spec, spec, rng.normal(size=(dim, dim)), rng.normal(size=dim))
@@ -639,6 +644,8 @@ MAX_RANK = 100  # an affgebroid loads rank^3 c slots; 50 times the largest rank 
 # the Atiyah algebroid of dim n checks its antisymmetry on 3 points per axis,
 # 3^n in all, so n is at most the 10 that brackets.MAX_GRID_POINTS admits
 MAX_ATIYAH_DIM = max(n for n in range(64) if 3 ** n <= MAX_GRID_POINTS)
+# an affgebra's Jacobi check takes (n+1)^3 cases of an n^3 sum: 10^8 products (1 s) admit 21
+MAX_AFFGEBRA_DIM = max(n for n in range(64) if (n + 1) ** 3 * n ** 3 <= 10 ** 8)
 KINDS = {
     "affine-verify": (run_affine_verify, [
         Key("space", "dim", Int(1), REQUIRED),
@@ -650,7 +657,7 @@ KINDS = {
         Key("params", "points", Int(1), "100"),
     ]),
     "affgebra-verify": (run_affgebra_verify, [
-        Key("structure", "dim", Int(1), REQUIRED),
+        Key("structure", "dim", Int(1, MAX_AFFGEBRA_DIM), REQUIRED),
         Key("structure", "D", MATRIX, "zero"),
         Key("structure", "c", Enum("entries", "zero", "cross3"), "entries"),
         Key("c", "<i> <j> <k>", Float(), when=("structure", "c", "entries"),

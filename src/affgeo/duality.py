@@ -22,8 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from ._immutable import Immutable, fill_slots
-from .affine import (AffineGeometryError, AffinePoint, AffineSpaceSpec, TangentVec, _frozen,
-                     _matvec)
+from .affine import (AffineGeometryError, AffinePoint, AffineSpaceSpec, LevelSet, TangentVec,
+                     _frozen, _matvec)
 from . import symexpr as se
 from .symexpr import Expression
 
@@ -84,30 +84,18 @@ def pair(h: HullPoint, d: DualElement) -> float:
 
 
 class SpecialAffineSpace:
-    """Affine space with a distinguished nonzero model vector."""
+    """Affine space with a distinguished nonzero model vector ``v``; ``level`` is ``<w, v> = 1``."""
 
     def __init__(self, space: AffineSpaceSpec, v: np.ndarray):
         self.space = space
-        self.v = _frozen(v)
-        if self.v.shape != (space.dim,):
+        if np.shape(v) != (space.dim,):
             raise AffineGeometryError("distinguished vector has wrong length")
-        if not self.v.any():  # its norm underflows to 0 below about 1e-162
-            raise AffineGeometryError("distinguished vector must be nonzero")
-        if np.isinf(1.0 / float(np.abs(self.v).max())):
-            raise AffineGeometryError("distinguished vector is too small: 1 / its largest "
-                                      "entry overflows, so its special dual has no origin")
+        self.level = LevelSet(v, "distinguished vector", AffineGeometryError)
+        self.v = self.level.a
 
     @property
     def dim(self) -> int:
         return self.space.dim
-
-
-def _sends_to_one(d: DualElement, v: np.ndarray) -> bool:
-    """``<w, v> = 1`` to 1e-12 plus the rounding bound of its n-term sum;
-    a pairing that is not finite is not 1."""
-    size = sum([abs(a * b) for a, b in zip(d.w.tolist(), v.tolist())])
-    return size < np.inf and \
-        abs(d.linear_part_on(v) - 1.0) <= 1e-12 + 4 * len(v) * 2.0**-52 * size
 
 
 class SpecialDualElement(DualElement):
@@ -116,7 +104,7 @@ class SpecialDualElement(DualElement):
     def __init__(self, special: SpecialAffineSpace, w, c):
         super().__init__(special.space, w, c)
         object.__setattr__(self, "special", special)
-        if not _sends_to_one(self, special.v):
+        if not special.level.contains(self.w):
             raise AffineGeometryError(
                 "linear part does not send the distinguished vector to 1")
 
@@ -127,34 +115,17 @@ class SpecialDualElement(DualElement):
 class SpecialDualSpace:
     """Description of the special affine dual as a subset of the dual.
 
-    Membership is ``<w, v> = 1``.  The model is the hyperplane
-    ``<w, v> = 0`` (which contains ``one(A)``).  The pivot-solved
-    parametrization drops the pivot component of ``w`` and uses the
-    remaining ones, named after their original indices, as coordinates
-    on the quotient by the ``one(A)`` direction.
+    Membership is ``<w, v> = 1``, the special space's ``level``, whose basis
+    spans the model ``<w, v> = 0`` (which also contains ``one(A)``).  The
+    pivot-solved parametrization drops the pivot component of ``w`` and uses
+    the free ones, named after their original indices, as coordinates on the
+    quotient by the ``one(A)`` direction; ``origin`` has them all 0.
     """
 
     def __init__(self, special: SpecialAffineSpace):
         self.special = special
-        space = special.space
-        n = space.dim
-        v = special.v
-        self.pivot = int(np.argmax(np.abs(v)))
-        k = self.pivot
-        origin_w = np.zeros(n)
-        origin_w[k] = 1.0 / v[k]
-        self.origin = SpecialDualElement(special, origin_w, 0.0)
-        basis = []
-        for j in range(n):
-            if j == k:
-                continue
-            e = np.zeros(n)
-            e[j] = 1.0
-            e[k] = -v[j] / v[k]
-            basis.append(DualElement(space, e, 0.0))
-        self.model_basis = tuple(basis)       # w-directions with <w, v> = 0
-        self.one = one(space)                 # also in the model
-        self.free_indices = tuple(j for j in range(n) if j != k)
+        self.origin = self.element(np.zeros(special.dim - 1), 0.0)
+        self.one = one(special.space)         # also in the model
 
     @property
     def dim(self) -> int:
@@ -162,18 +133,16 @@ class SpecialDualSpace:
         return self.special.dim
 
     def is_member(self, d: DualElement) -> bool:
-        return _sends_to_one(d, self.special.v)
+        return self.special.level.contains(d.w)
 
     def element(self, free_w, c: float) -> SpecialDualElement:
         """Member with the given free w-components and constant term."""
-        w = self.origin.w.copy()
-        for basis_el, value in zip(self.model_basis, np.asarray(free_w, float)):
-            w = w + value * basis_el.w
-        return SpecialDualElement(self.special, w, c)
+        level = self.special.level
+        return SpecialDualElement(self.special, level.solve(np.insert(free_w, level.pivot, 0.0)), c)
 
     def quotient_var_names(self) -> tuple[str, ...]:
         """Coordinates on the quotient of the dual by the one(A) direction."""
-        return tuple(f"w{j + 1}" for j in self.free_indices)
+        return tuple(f"w{j + 1}" for j in self.special.level.free)
 
 
 class DoubleDualMaps:
@@ -190,8 +159,7 @@ class DoubleDualMaps:
     def __init__(self, special: SpecialAffineSpace):
         self.special = special
         self.dual = SpecialDualSpace(special)
-        rows = [b.w for b in self.dual.model_basis] + [self.dual.origin.w]
-        self._matrix = np.array(rows)      # invertible: basis plus origin span
+        self._matrix = np.vstack([special.level.basis.T, self.dual.origin.w])  # invertible
         self._inverse = np.linalg.inv(self._matrix)
 
     def forward(self, p) -> np.ndarray:
@@ -225,8 +193,7 @@ def iota_sharp(components, sd: SpecialDualSpace) -> Expression:
     sees ``c``, hence is invariant along the constant-function
     direction and descends to the pivot-solved quotient coordinates.
     """
-    v = sd.special.v
-    k = sd.pivot
+    v, level = sd.special.v, sd.special.level
     comps = [c if isinstance(c, Expression) else se.Const(float(c))
              for c in components]
     if len(comps) != sd.special.dim:
@@ -234,10 +201,10 @@ def iota_sharp(components, sd: SpecialDualSpace) -> Expression:
     names = sd.quotient_var_names()
     # on the constraint set the pivot coordinate is (1 - sum_j v_j w_j) / v_k
     pivot_w: Expression = se.ONE
-    for j, name in zip(sd.free_indices, names):
+    for j, name in zip(level.free, names):
         pivot_w = se.sub(pivot_w, se.mul(se.Const(v[j]), se.Var(name)))
-    pivot_w = se.div(pivot_w, se.Const(v[k]))
-    result: Expression = se.mul(pivot_w, comps[k])
-    for j, name in zip(sd.free_indices, names):
+    pivot_w = se.div(pivot_w, se.Const(v[level.pivot]))
+    result: Expression = se.mul(pivot_w, comps[level.pivot])
+    for j, name in zip(level.free, names):
         result = se.add(result, se.mul(se.Var(name), comps[j]))
     return result

@@ -36,6 +36,7 @@ import numpy as np
 
 from . import symexpr as se
 from ._immutable import Immutable, fill_slots
+from .affine import LevelSet
 from .phase import TimePhaseSpace, canonical_poisson, sample_points
 from .reporting import per_point_max
 from .symexpr import Expression
@@ -426,29 +427,21 @@ class NewtonSpaceTime:
     ``tau`` measures time intervals between events, the symmetric
     positive-definite metric ``g`` measures distances on the spatial
     subspace (the kernel of ``tau``), and velocities of observers and
-    particles sit on the level-1 set of ``tau``.
-
-    One spatial basis serves every clock: with ``k`` the first index of the
-    largest ``|tau_k|``, the vectors ``e_j - (tau_j / tau_k) e_k``, ``j != k``.
-    Keeping the entries ``j != k`` reads the components back, exactly on the
-    kernel.  ``g`` is the metric in that basis: for the canonical clock
-    ``e_d``, the metric of the first ``d`` coordinates.
+    particles sit on the level-1 set of ``tau``, the :class:`affine.LevelSet`
+    ``clock``.  Its kernel basis is the spatial basis of every clock, and
+    ``g`` is the metric in that basis: for the canonical clock ``e_d``, the
+    metric of the first ``d`` coordinates.
     """
 
     def __init__(self, d: int = 3, tau=None, g=None):
         if d < 1:
             raise MechanicsError("space dimension must be positive")
         self.d = d
-        self.tau = np.array(tau if tau is not None
-                            else np.eye(d + 1)[d], dtype=float)
-        if self.tau.shape != (d + 1,) or not np.isfinite(self.tau).all():
+        tau = np.eye(d + 1)[d] if tau is None else tau
+        if np.shape(tau) != (d + 1,):
             raise MechanicsError("clock covector must be finite, of length d + 1")
-        if not self.tau.any():  # its norm underflows to 0 below about 1e-162
-            raise MechanicsError("clock covector must be nonzero")
-        k = int(np.argmax(np.abs(self.tau)))
-        if math.isinf(1.0 / abs(float(self.tau[k]))):
-            raise MechanicsError("clock covector is too small: 1 / its largest entry "
-                                 "overflows, so it has no finite rest frame")
+        self.clock = LevelSet(tau, "clock covector", MechanicsError)
+        self.tau = self.clock.a
         self.g = np.array(g if g is not None else np.eye(d), dtype=float)
         if self.g.shape != (d, d) or not np.isfinite(self.g).all() \
                 or np.max(np.abs(self.g - self.g.T)) > 1e-12:
@@ -458,19 +451,6 @@ class NewtonSpaceTime:
         except np.linalg.LinAlgError:
             raise MechanicsError("metric must be positive definite") from None
         self.g_inv = np.linalg.inv(self.g)
-        self._pivot = k
-        self._spatial_proj = np.delete(np.eye(d + 1), k, axis=0)
-        self.spatial_basis = self._spatial_proj.T.copy()
-        self.spatial_basis[k] = 0.0 - np.delete(self.tau, k) / self.tau[k]  # no -0.0
-
-    def time_of(self, v):
-        """``tau . v`` of a vector, or of each row of a stack ``(N, d + 1)``,
-        summed term by term from the first: a row reads as that vector does."""
-        v = np.asarray(v, float)
-        t = self.tau[0] * v[..., 0]
-        for j in range(1, self.d + 1):
-            t = t + self.tau[j] * v[..., j]
-        return t
 
     def frame(self, u) -> "InertialFrame":
         return InertialFrame(self, np.asarray(u, float))
@@ -490,21 +470,15 @@ class InertialFrame(Immutable):
         fill_slots(self, spacetime, np.asarray(u, float))
         if self.u.shape != spacetime.tau.shape:
             raise MechanicsError("frame velocity has wrong length")
-        # tau . u = 1 to 1e-12 plus the rounding bound of its n-term sum
-        size = sum([abs(a * b) for a, b in zip(spacetime.tau.tolist(), self.u.tolist())])
-        if not size < math.inf or abs(spacetime.time_of(self.u) - 1.0) \
-                > 1e-12 + 4 * len(self.u) * 2.0**-52 * size:
+        if not spacetime.clock.contains(self.u):
             raise MechanicsError("frame velocity must have unit clock rate")
 
     def boosted(self, v_components) -> "InertialFrame":
-        """The frame moving at spatial components ``v_components`` relative to
-        this one.  Its pivot entry ``k`` (see :class:`NewtonSpaceTime`) is
-        solved from the others, ``(1 - sum_{j != k} tau_j u_j) / tau_k``, so
-        the velocity sits on the level set however ``u + B v`` rounds."""
-        st, k = self.spacetime, self.spacetime._pivot
-        u = self.u + st.spatial_basis @ np.asarray(v_components, float)
-        u[k] = (1.0 - float(np.delete(st.tau, k) @ np.delete(u, k))) / st.tau[k]
-        return InertialFrame(st, u)
+        """The frame moving at spatial components ``v_components`` relative to this
+        one: ``u + B v``, ``B`` the spatial basis, with its pivot entry solved by the clock."""
+        clock = self.spacetime.clock
+        return InertialFrame(self.spacetime, clock.solve(
+            self.u + clock.basis @ np.asarray(v_components, float)))
 
 
 class ObservedPhase(Immutable):
@@ -554,9 +528,8 @@ class ObserverSplit(Immutable):
     def coordinates(self, x) -> tuple[np.ndarray, float]:
         """Observer coordinates (q, t) of an event."""
         rel = np.asarray(x, float) - self.x0
-        t = self.spacetime.time_of(rel)
-        q = self.spacetime._spatial_proj @ (rel - t * self.frame.u)
-        return q, t
+        t = self.spacetime.clock.value(rel)
+        return np.delete(rel - t * self.frame.u, self.spacetime.clock.pivot), t
 
 
 def _affine(coeffs, names, offset: float = 0.0) -> Expression:
@@ -598,9 +571,9 @@ def newton_dynamics(st: NewtonSpaceTime, frames, m: float, phi: Expression,
     p_names = tuple(f"p{i + 1}" for i in range(d))
 
     rows = [se.div(_affine(row, p_names), se.Const(float(m)))
-            for row in st.spatial_basis @ st.g_inv]
-    # q = P (x - x0 - t u) with t = tau.(x - x0), P the spatial projection
-    to_q = st._spatial_proj @ (np.eye(d + 1) - np.outer(split.frame.u, st.tau))
+            for row in st.clock.basis @ st.g_inv]
+    # q = the free entries of x - x0 - t u, with t = tau.(x - x0)
+    to_q = np.delete(np.eye(d + 1) - np.outer(split.frame.u, st.tau), st.clock.pivot, axis=0)
     coords = {q: _affine(row, x_names, -(row @ split.x0))
               for q, row in zip(q_names, to_q)}
     coords["t"] = _affine(st.tau, x_names, -(st.tau @ split.x0))
@@ -646,7 +619,7 @@ def tau_clock_residual(fld: VectorField, traj: Trajectory) -> np.ndarray:
     velocity = np.empty((len(traj), st.d + 1))
     for i, value in enumerate(se.evaluate(fld.components[:st.d + 1], _columns(fld, traj))):
         velocity[:, i] = value
-    return np.abs(st.time_of(velocity) - 1.0)
+    return np.abs(st.clock.value(velocity) - 1.0)
 
 
 def compare_frames(

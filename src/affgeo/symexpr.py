@@ -446,7 +446,7 @@ class _Parser:
                 raise ExprSyntaxError("expected integer exponent", at)
             if float(value) == math.inf:  # the power rule makes a Const of the exponent
                 raise ExprSyntaxError("exponent out of the float range", at)
-            e = pow_(e, sign * int(value))
+            e = pow_(e, sign * int(value.lstrip("0") or "0"))  # int() refuses 4301 digits
         return e
 
     def base(self) -> Expression:

@@ -963,6 +963,31 @@ def test_the_largest_atiyah_dim_runs(tmp_path, capsys):
     assert (out / "bad_report.json").exists()
 
 
+def test_an_affgebra_dim_above_the_bound_exits_2(tmp_path, capsys):
+    # the Jacobi check takes (dim + 1)^3 cases of a dim^3 sum each: dim 40 ran for 35 s
+    from affgeo.cli import MAX_AFFGEBRA_DIM
+    assert MAX_AFFGEBRA_DIM == 21 and 22 ** 3 * 21 ** 3 <= 10 ** 8 < 23 ** 3 * 22 ** 3
+    code, err, out = run_text(tmp_path, capsys, AFFGEBRA.replace("dim = 3", "dim = 22"))
+    assert (code, err) == (2, "error: [structure] dim = '22': want an integer in 1..21\n")
+    assert not out.exists()
+
+
+def test_the_largest_affgebra_dim_runs(tmp_path, capsys):
+    code, err, out = run_text(tmp_path, capsys, AFFGEBRA.replace("dim = 3", "dim = 21"))
+    assert (code, err) == (0, "")
+    assert (out / "bad_report.json").exists()
+
+
+@pytest.mark.parametrize("dim", [40, 50])
+def test_the_biaffine_identities_hold_at_a_large_dim(tmp_path, capsys, dim):
+    # the residuals are sums of dim^2 terms, judged to an absolute 1e-12:
+    # at seed 0, dim 40 failed at 1.03e-12 and dim 50 at 1.28e-12
+    code, err, out = run_text(tmp_path, capsys, AFFINE.replace("dim = 2", f"dim = {dim}"))
+    assert (code, err) == (0, "")
+    report = json.loads((out / "bad_report.json").read_text())
+    assert report["seed"] == 0 and report["pass"] is True
+
+
 def test_a_grid_of_more_points_than_the_bound_exits_2_before_it_is_built(tmp_path):
     # 10^10 points on q, t were built as a list of tuples until memory ran out
     from affgeo.brackets import MAX_GRID_POINTS

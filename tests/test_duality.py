@@ -74,7 +74,7 @@ def test_special_dual_one_dimensional():
     assert sd.dim == 1
     assert np.allclose(sd.origin.w, [1.0])
     # model is spanned by the constant function only
-    assert len(sd.model_basis) == 0
+    assert S.level.basis.shape[1] == 0
     assert sd.one.linear_part_on(S.v) == 0.0
     assert sd.is_member(DualElement(S.space, [1.0], -7.0))
     assert not sd.is_member(DualElement(S.space, [2.0], 0.0))
@@ -132,6 +132,21 @@ def test_a_distinguished_vector_without_a_finite_dual_origin_is_refused(v):
     # 1 / v_k overflowed in the special dual's origin
     with pytest.raises(AffineGeometryError, match="too small"):
         special(2, v)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_a_distinguished_vector_that_is_not_finite_is_refused(bad):
+    # it was accepted, and building its special dual then failed with a message
+    # about the pairing; a clock covector was refused with these words
+    with pytest.raises(AffineGeometryError, match="^distinguished vector must be finite$"):
+        special(2, [bad, 1.0])
+
+
+@pytest.mark.parametrize("w", [[0.0, 1.0, 5.0], [1.0]], ids=["longer", "shorter"])
+def test_membership_of_a_dual_element_of_another_dimension_raises(w):
+    sd = SpecialDualSpace(special(2, [0.0, 1.0]))
+    with pytest.raises(ValueError):
+        sd.is_member(DualElement(AffineSpaceSpec(len(w)), w, 0.0))
 
 
 def test_membership_refuses_a_non_finite_pairing():

@@ -109,7 +109,7 @@ LOADS = {
     "duality": {"_immutable", "affine", "duality", "symexpr"},
     "brackets": BASE | {"affine", "duality", "brackets"},
     "phase": BASE | {"phase"},
-    "mechanics": BASE | {"phase", "mechanics"},
+    "mechanics": BASE | {"affine", "phase", "mechanics"},
     "cli": BASE | {"affine", "duality", "brackets", "phase", "mechanics", "cli"},
 }
 
@@ -117,7 +117,7 @@ LOADS = {
 @pytest.mark.parametrize("name", sorted(LOADS))
 def test_importing_a_module_loads_only_its_stack(name):
     # the geometry stack (affine, duality, brackets) and the mechanics stack
-    # (phase, mechanics) share only the base; the package re-exports nothing
+    # (phase, mechanics) share only the base and affine; the package re-exports nothing
     code = (f"import sys, affgeo.{name}; "
             "print(*(m for m in sys.modules if m.startswith('affgeo.')))")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))

@@ -58,6 +58,15 @@ def test_parse_rejects_an_exponent_past_the_float_range(exponent):
     assert err.value.position == 2 + exponent.startswith("-")
 
 
+@pytest.mark.parametrize("exponent, value", [
+    ("0" * 5000 + "1", "1"), ("-" + "0" * 5000 + "2", "-2"), ("0" * 5000, "0"),
+], ids=["one", "minus-two", "zero"])
+def test_the_leading_zeros_of_an_exponent_do_not_count(exponent, value):
+    # the value fits a float, but int() refuses a text of more than 4300 digits,
+    # so a ValueError left parse
+    assert parse(f"x^{exponent}", CTX_XY) == parse(f"x^{value}", CTX_XY)
+
+
 def test_parse_admits_the_largest_exponent_a_float_holds():
     exponent = int(1.7976931348623157e308)
     assert parse(f"x^{exponent}", CTX_XY) == se.Pow(Var("x"), exponent)
