@@ -36,7 +36,7 @@ import numpy as np
 from . import symexpr as se
 from ._immutable import Immutable, fill_slots
 from .affine import AffineSpaceSpec, _matvec
-from .duality import SpecialAffineSpace, SpecialDualSpace, iota_sharp
+from .duality import SpecialAffineSpace, iota_sharp
 from .reporting import Report, per_point_max
 from .symexpr import Expression
 
@@ -152,16 +152,17 @@ class LieAffgebraData:
     def bracket(self, u, w) -> np.ndarray:
         """Full bracket of ``o + u`` with ``o + w``."""
         u, w = np.asarray(u, float), np.asarray(w, float)
-        return self._expand(u, w, w - u)
+        return _expand(self.D, self.c, u, w, w - u)
 
     def second_linear(self, u, W) -> np.ndarray:
         """Second-slot linear part: bracket of ``o + u`` against model ``W``."""
         W = np.asarray(W, float)
-        return self._expand(np.asarray(u, float), W, W)
+        return _expand(self.D, self.c, np.asarray(u, float), W, W)
 
-    def _expand(self, u, w, d) -> np.ndarray:
-        """``D d + c(u, w)``: with ``d = w - u`` the bracket, with ``d = w`` its second slot."""
-        return _matvec(self.D, d) + np.einsum("ijk,...i,...j->...k", self.c, u, w)
+
+def _expand(D, c, u, w, d) -> np.ndarray:
+    """``D d + c(u, w)``: with ``d = w - u`` the bracket, with ``d = w`` its second slot."""
+    return _matvec(D, d) + np.einsum("ijk,...i,...j->...k", c, u, w)
 
 
 def verify_affgebra(data: LieAffgebraData) -> Report:
@@ -171,24 +172,30 @@ def verify_affgebra(data: LieAffgebraData) -> Report:
     so each holds identically iff it holds with every argument drawn
     from the origin and the basis translates; the verifier evaluates each
     on the stack of all cases of that cube, and reports the worst residual
-    with a witness.
+    with a witness.  Each check passes below 1e-12 plus ``4 n(n+1) 2^-52``
+    times the largest component of its sums taken with ``|D|``, ``|c|`` and
+    ``|d|``, the sum of ``|terms|`` that bounds their rounding: an expansion
+    has ``n(n+1)`` terms, and Jacobi's outer ones take the inner ones' sizes.
     """
     n = data.n
-    tol = 1e-12  # enumeration is exhaustive; the threshold only absorbs roundoff
     report = Report("affgebra")
-    points = np.vstack([np.zeros(n), np.eye(n)])
+    points = np.vstack([np.zeros(n), np.eye(n)])  # all entries >= 0, so |u| = u
     labels = ["o"] + [f"o+e{i + 1}" for i in range(n)]
+    D, c = np.abs(data.D), np.abs(data.c)
+    size_ops = (lambda u, w: _expand(D, c, u, w, np.abs(w - u)),
+                lambda u, W: _expand(D, c, u, W, W))
 
     def add(check, key, arity, residual):
         cases = list(itertools.product(range(n + 1), repeat=arity))
-        report.check(check, np.abs(residual(*points[np.array(cases).T])),
-                     tol, lambda at: {key: [labels[i] for i in cases[at[0]]]})
+        args = points[np.array(cases).T]
+        size = np.max(residual(*size_ops, *args))
+        report.check(check, np.abs(residual(data.bracket, data.second_linear, *args)),
+                     1e-12 + 4 * n * (n + 1) * 2.0**-52 * size,
+                     lambda at: {key: [labels[i] for i in cases[at[0]]]})
 
-    add("skew", "pair", 2, lambda u, w: data.bracket(u, w) + data.bracket(w, u))
-    add("jacobi", "triple", 3, lambda u1, u2, u3: (
-        data.second_linear(u1, data.bracket(u2, u3))
-        + data.second_linear(u2, data.bracket(u3, u1))
-        + data.second_linear(u3, data.bracket(u1, u2))))
+    add("skew", "pair", 2, lambda bracket, second, u, w: bracket(u, w) + bracket(w, u))
+    add("jacobi", "triple", 3, lambda bracket, second, u1, u2, u3: (
+        second(u1, bracket(u2, u3)) + second(u2, bracket(u3, u1)) + second(u3, bracket(u1, u2))))
     return report
 
 
@@ -300,12 +307,12 @@ class LieAffgebroidData:
     # -- helpers -----------------------------------------------------------
 
     @functools.cached_property
-    def special_dual(self) -> SpecialDualSpace:
-        """The special dual of the fibre, with the quotient coordinates of
-        the dual side; built once per structure."""
+    def special(self) -> SpecialAffineSpace:
+        """The fibre with its distinguished section, whose special dual has the
+        quotient coordinates of the dual side; built once per structure."""
         if self.v is None:
             raise BracketError("no distinguished section on this bundle")
-        return SpecialDualSpace(SpecialAffineSpace(AffineSpaceSpec(self.rank), self.v))
+        return SpecialAffineSpace(AffineSpaceSpec(self.rank), self.v)
 
 
 def _point_residuals(data: LieAffgebroidData, groups, points) -> list[np.ndarray]:
@@ -454,14 +461,14 @@ def section_for_dual_function(data: LieAffgebroidData,
                               sigma: Expression) -> list[Expression]:
     """Section of the bundle corresponding to an affine function on the
     quotient of its special dual (the F identification, dual side)."""
-    sd = data.special_dual
-    names = sd.quotient_var_names()
+    special = data.special
+    names = special.quotient_var_names()
     if set(names) & set(data.patch.names):
         raise BracketError("quotient coordinate names collide with base names")
     coeffs, const = _affine_w_coefficients(sigma, names)
     v = data.v
     comps: list[Expression] = [se.ZERO] * data.rank
-    for j, cj in zip(sd.special.level.free, coeffs):
+    for j, cj in zip(special.level.free, coeffs):
         comps[j] = se.neg(cj)
     for j in range(data.rank):
         comps[j] = se.sub(comps[j], se.mul(const, se.Const(v[j])))
@@ -476,10 +483,9 @@ def aff_jacobi_bracket(data: LieAffgebroidData, sigma: Expression,
     and the result is pushed back down to a function on the quotient of
     the special dual.
     """
-    sd = data.special_dual
     a = section_for_dual_function(data, sigma)
     b = section_for_dual_function(data, sigma2)
-    return iota_sharp(data.bracket(a, b), sd)
+    return iota_sharp(data.bracket(a, b), data.special)
 
 
 def is_aff_poisson(data: LieAffgebroidData,
@@ -502,8 +508,7 @@ def is_aff_poisson(data: LieAffgebroidData,
     report passes, and the criteria agree iff both checks give one verdict.
     """
     rng = rng or np.random.default_rng(0)
-    sd = data.special_dual
-    names = sd.quotient_var_names()
+    names = data.special.quotient_var_names()
     pts = data.patch.sample(rng, 8)
     report = Report("aff-poisson")
 

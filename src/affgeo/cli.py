@@ -125,7 +125,6 @@ EXPRS = Match(rf"({QUOTED})(\s*,\s*({QUOTED}))*", "quoted expressions and commas
               lambda raw: [q[1:-1] for q in re.findall(QUOTED, raw)])
 FLOATS = List(Float(finite=False))
 FINITE_FLOATS = List(Float())  # for the keys that become integration states
-INTS = List(Int(1))
 ROWS = List(FLOATS, ";")
 FINITE_ROWS = List(FINITE_FLOATS, ";")
 
@@ -646,6 +645,8 @@ MAX_RANK = 100  # an affgebroid loads rank^3 c slots; 50 times the largest rank 
 MAX_ATIYAH_DIM = max(n for n in range(64) if 3 ** n <= MAX_GRID_POINTS)
 # an affgebra's Jacobi check takes (n+1)^3 cases of an n^3 sum: 10^8 products (1 s) admit 21
 MAX_AFFGEBRA_DIM = max(n for n in range(64) if (n + 1) ** 3 * n ** 3 <= 10 ** 8)
+# duality's dual_dimension pairs (n+1)^2 elements, one Python call each: 10^5 (1 s) admit 315
+MAX_DUALITY_DIM = max(n for n in range(1024) if (n + 1) ** 2 <= 10 ** 5)
 KINDS = {
     "affine-verify": (run_affine_verify, [
         Key("space", "dim", Int(1), REQUIRED),
@@ -653,7 +654,7 @@ KINDS = {
         Key("params", "samples", Int(1), "64"),
     ]),
     "duality-verify": (run_duality_verify, [
-        Key("params", "dims", INTS, "1, 2, 3, 4"),
+        Key("params", "dims", List(Int(1, MAX_DUALITY_DIM)), "1, 2, 3, 4"),
         Key("params", "points", Int(1), "100"),
     ]),
     "affgebra-verify": (run_affgebra_verify, [

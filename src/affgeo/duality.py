@@ -29,7 +29,7 @@ from .symexpr import Expression
 
 __all__ = [
     "CHI_ORIENTATION", "DualElement", "HullPoint", "SpecialAffineSpace",
-    "SpecialDualElement", "SpecialDualSpace", "FIBER",
+    "SpecialDualElement", "FIBER",
     "one", "pair", "DoubleDualMaps", "F_of_section", "iota_sharp",
 ]
 
@@ -84,7 +84,14 @@ def pair(h: HullPoint, d: DualElement) -> float:
 
 
 class SpecialAffineSpace:
-    """Affine space with a distinguished nonzero model vector ``v``; ``level`` is ``<w, v> = 1``."""
+    """Affine space with a distinguished nonzero model vector ``v``.
+
+    Its special affine dual is the set of dual elements whose linear part is
+    in ``level``, the set ``<w, v> = 1``; the kernel ``<w, v> = 0`` is the
+    model (which also contains ``one(A)``).  Dropping the pivot component of
+    ``w`` leaves the free ones, named after their original indices, as
+    coordinates on the quotient by the ``one(A)`` direction.
+    """
 
     def __init__(self, space: AffineSpaceSpec, v: np.ndarray):
         self.space = space
@@ -96,6 +103,15 @@ class SpecialAffineSpace:
     @property
     def dim(self) -> int:
         return self.space.dim
+
+    def dual_element(self, free_w, c: float) -> "SpecialDualElement":
+        """Member of the special dual with the given free w-components and constant term."""
+        level = self.level
+        return SpecialDualElement(self, level.solve(np.insert(free_w, level.pivot, 0.0)), c)
+
+    def quotient_var_names(self) -> tuple[str, ...]:
+        """Coordinates on the quotient of the special dual by the one(A) direction."""
+        return tuple(f"w{j + 1}" for j in self.level.free)
 
 
 class SpecialDualElement(DualElement):
@@ -112,39 +128,6 @@ class SpecialDualElement(DualElement):
         return type(self), (self.special, self.w, self.c)
 
 
-class SpecialDualSpace:
-    """Description of the special affine dual as a subset of the dual.
-
-    Membership is ``<w, v> = 1``, the special space's ``level``, whose basis
-    spans the model ``<w, v> = 0`` (which also contains ``one(A)``).  The
-    pivot-solved parametrization drops the pivot component of ``w`` and uses
-    the free ones, named after their original indices, as coordinates on the
-    quotient by the ``one(A)`` direction; ``origin`` has them all 0.
-    """
-
-    def __init__(self, special: SpecialAffineSpace):
-        self.special = special
-        self.origin = self.element(np.zeros(special.dim - 1), 0.0)
-        self.one = one(special.space)         # also in the model
-
-    @property
-    def dim(self) -> int:
-        """Dimension as an affine space: same as the underlying space."""
-        return self.special.dim
-
-    def is_member(self, d: DualElement) -> bool:
-        return self.special.level.contains(d.w)
-
-    def element(self, free_w, c: float) -> SpecialDualElement:
-        """Member with the given free w-components and constant term."""
-        level = self.special.level
-        return SpecialDualElement(self.special, level.solve(np.insert(free_w, level.pivot, 0.0)), c)
-
-    def quotient_var_names(self) -> tuple[str, ...]:
-        """Coordinates on the quotient of the dual by the one(A) direction."""
-        return tuple(f"w{j + 1}" for j in self.special.level.free)
-
-
 class DoubleDualMaps:
     """The mutually inverse identifications of a space with its double dual.
 
@@ -158,8 +141,8 @@ class DoubleDualMaps:
 
     def __init__(self, special: SpecialAffineSpace):
         self.special = special
-        self.dual = SpecialDualSpace(special)
-        self._matrix = np.vstack([special.level.basis.T, self.dual.origin.w])  # invertible
+        level = special.level  # the model basis, then the special dual's origin: invertible
+        self._matrix = np.vstack([level.basis.T, level.solve(np.zeros(special.dim))])
         self._inverse = np.linalg.inv(self._matrix)
 
     def forward(self, p) -> np.ndarray:
@@ -184,7 +167,7 @@ def F_of_section(sigma: Expression) -> Expression:
     return se.sub(se.Var(FIBER), sigma)
 
 
-def iota_sharp(components, sd: SpecialDualSpace) -> Expression:
+def iota_sharp(components, special: SpecialAffineSpace) -> Expression:
     """Affine function induced on the quotient of the special dual.
 
     ``components`` are the coefficients (numbers or expressions over
@@ -193,12 +176,12 @@ def iota_sharp(components, sd: SpecialDualSpace) -> Expression:
     sees ``c``, hence is invariant along the constant-function
     direction and descends to the pivot-solved quotient coordinates.
     """
-    v, level = sd.special.v, sd.special.level
+    v, level = special.v, special.level
     comps = [c if isinstance(c, Expression) else se.Const(float(c))
              for c in components]
-    if len(comps) != sd.special.dim:
+    if len(comps) != special.dim:
         raise AffineGeometryError("wrong number of section components")
-    names = sd.quotient_var_names()
+    names = special.quotient_var_names()
     # on the constraint set the pivot coordinate is (1 - sum_j v_j w_j) / v_k
     pivot_w: Expression = se.ONE
     for j, name in zip(level.free, names):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 
@@ -917,12 +919,31 @@ def _run_in_1_5_gb(tmp_path, text):
 
 
 @pytest.mark.parametrize("text", [
-    "[scenario]\nkind = duality-verify\nname = big\n[params]\ndims = 1000000\n",
     AFFINE + "[params]\nsamples = 1000000000000\n",
-], ids=["duality-dims", "affine-samples"])
+], ids=["affine-samples"])
 def test_an_input_too_large_for_memory_exits_2(tmp_path, text):
-    # np.eye and rng.uniform raised numpy's MemoryError, which ended in a traceback and exit 1
+    # rng.uniform raised numpy's MemoryError, which ended in a traceback and exit 1
     assert _run_in_1_5_gb(tmp_path, text).startswith("error: out of memory (Unable to allocate")
+
+
+DUALITY = "[scenario]\nkind = duality-verify\nname = big\n[params]\n"
+
+
+@pytest.mark.parametrize("dims", ["316", "1, 2, 1000000"], ids=["past-the-bound", "past-memory"])
+def test_a_duality_dim_above_the_bound_exits_2_before_it_is_built(tmp_path, dims):
+    # dual_dimension pairs (dim + 1)^2 elements one Python call each: dims = 1500 took
+    # 5.6 s and 335 MB, and dims = 1000000 ended in numpy's MemoryError from np.eye
+    from affgeo.cli import MAX_DUALITY_DIM
+    assert MAX_DUALITY_DIM == 315 and 316 ** 2 <= 10 ** 5 < 317 ** 2
+    err = _run_in_1_5_gb(tmp_path, DUALITY + f"dims = {dims}\n")
+    assert err == f"error: [params] dims = {dims!r}: want an integer in 1..{MAX_DUALITY_DIM}\n"
+
+
+def test_the_largest_duality_dim_runs(tmp_path, capsys):
+    from affgeo.cli import MAX_DUALITY_DIM
+    code, err, out = run_text(tmp_path, capsys, DUALITY + f"dims = {MAX_DUALITY_DIM}\npoints = 4\n")
+    assert (code, err) == (0, "")
+    assert json.loads((out / "big_report.json").read_text())["pass"] is True
 
 
 def test_a_run_of_more_steps_than_the_bound_exits_2_before_it_integrates(tmp_path):
@@ -976,6 +997,32 @@ def test_the_largest_affgebra_dim_runs(tmp_path, capsys):
     code, err, out = run_text(tmp_path, capsys, AFFGEBRA.replace("dim = 3", "dim = 21"))
     assert (code, err) == (0, "")
     assert (out / "bad_report.json").exists()
+
+
+def so5_in_a_random_basis():
+    """The structure constants of so(5) in the basis ``B P`` for the standard basis ``B``
+    (``E_ab`` for a < b) and ``P`` a normal 10 x 10 draw from ``default_rng(0)``."""
+    pairs = list(itertools.combinations(range(5), 2))
+    unit = np.eye(5)
+    basis = [np.outer(unit[a], unit[b]) - np.outer(unit[b], unit[a]) for a, b in pairs]
+    c = np.array([[[(x @ y - y @ x)[a, b] for a, b in pairs] for y in basis] for x in basis])
+    P = np.random.default_rng(0).normal(size=(10, 10))
+    return np.einsum("ai,bj,abc,kc->ijk", P, P, c, np.linalg.inv(P))
+
+
+def test_an_affgebra_is_judged_at_the_scale_of_its_constants(tmp_path, capsys):
+    # so(5) in a random basis has |c| up to 52, and its Jacobi residual, a sum of
+    # 110-term sums, failed the absolute 1e-12 at 1.65e-12; 1e-6 off one constant fails
+    c = so5_in_a_random_basis()
+    for shift, want in ((0.0, [True, True]), (1e-6, [True, False])):
+        c[0, 1, 0] += shift  # the [c] entry 1 2 1
+        entries = "".join(f"{i + 1} {j + 1} {k + 1} = {float(c[i, j, k])!r}\n"
+                          for i, j in itertools.combinations(range(10), 2) for k in range(10))
+        code, err, out = run_text(tmp_path, capsys,
+                                  AFFGEBRA.replace("dim = 3", "dim = 10") + "[c]\n" + entries)
+        report = json.loads((out / "bad_report.json").read_text())
+        assert [check["pass"] for check in report["checks"]] == want
+        assert (code, err) == (1 - all(want), "")
 
 
 @pytest.mark.parametrize("dim", [40, 50])

@@ -16,7 +16,7 @@ import pytest
 from affgeo import symexpr as se
 from affgeo.affine import AffineSpaceSpec, difference
 from affgeo.brackets import Patch
-from affgeo.duality import DualElement, HullPoint, SpecialAffineSpace, SpecialDualSpace
+from affgeo.duality import DualElement, HullPoint, SpecialAffineSpace
 from affgeo.mechanics import NewtonSpaceTime, ObservedPhase, ObserverSplit
 from affgeo.phase import AVMorphism, TimePhaseSpace, TwoForm, section_one_form
 
@@ -49,7 +49,7 @@ def _instances():
         "TangentVec": (difference(point, point), ("space", "chart", "components")),
         "DualElement": (DualElement(space, [1.0, 0.0], 0.5), ("space", "w", "c")),
         "SpecialDualElement": (
-            SpecialDualSpace(SpecialAffineSpace(space, [0.0, 1.0])).element([3.0], -2.0),
+            SpecialAffineSpace(space, [0.0, 1.0]).dual_element([3.0], -2.0),
             ("space", "w", "c", "special")),
         "HullPoint": (HullPoint.embed_point(point), ("space", "z", "lam")),
         "Patch": (patch, ("names", "low", "high")),
@@ -121,7 +121,7 @@ def test_a_pickled_tree_is_an_equal_tree():
 def test_a_special_dual_element_is_rebuilt_from_its_special_space(clone):
     # it was rebuilt through __init__(space, w, c), but its __init__ takes the special space
     special = SpecialAffineSpace(AffineSpaceSpec(2), [0.0, 1.0])
-    member = SpecialDualSpace(special).element([3.0], -2.0)
+    member = special.dual_element([3.0], -2.0)
     twin = clone(member)
     assert type(twin) is type(member)
     assert (twin.w.tolist(), twin.c) == (member.w.tolist(), member.c) == ([3.0, 1.0], -2.0)

@@ -122,6 +122,18 @@ def _force_scaled(original):
     return newton_dynamics
 
 
+def _rule_scaled(rule, applies):
+    # the derivative of each node that ``applies`` holds, times 1.01: differentiate
+    # reaches every node through the module global, so each is planted
+    def defect(original):
+        def differentiate(e, v):
+            d = original(e, v)
+            return se.mul(se.Const(1.01), d) if applies(e) else d
+        return differentiate
+    defect.__name__ = rule
+    return defect
+
+
 def _momentum_shift_flipped(original):
     # p - m g v becomes p + m g v: the boosted world-line starts off the frame's
     def gauge_transform(phase_, v, m):
@@ -193,6 +205,13 @@ DEFECTS = [
      _hull_weight_scaled),
     ("gauge_round_trip", "frames_free", mechanics, "gauge_transform", _action_shifted),
     ("energy_drift", "frames_harmonic", mechanics, "newton_dynamics", _force_scaled),
+    # one derivative rule each, of those that only grammar_timedep's Hamiltonian runs:
+    # the field is then not the Hamiltonian field of the energy it carries
+    *(("energy_drift", "grammar_timedep", se, "differentiate",
+       _rule_scaled(func, lambda e, func=func: type(e) is se.Call and e.func == func))
+      for func in se.FUNCTIONS),
+    ("energy_drift", "grammar_timedep", se, "differentiate",
+     _rule_scaled("quotient", lambda e: type(e) is se.Div and type(e.right) is not se.Const)),
     ("tau_clock", "newton_free", mechanics, "_affine",
      lambda original: lambda *args: se.add(original(*args), se.Const(1e-3))),
     ("reduction_identity", "reduction_eq1", phase.AVMorphism, "pullback_function",
@@ -239,9 +258,13 @@ NO_ROW = {
 
 
 def _row_id(row):
-    """The check's name; a later row of the same check adds the defect's target."""
+    """The check's name; a later row of the same check adds the defect's target, and
+    each of the rows of one check and target the defect's name."""
     first = next(r for r in DEFECTS if r[0] == row[0])
-    return row[0] if row is first else f"{row[0]}-{row[3]}"
+    if row is first:
+        return row[0]
+    twins = [r for r in DEFECTS if r[0] == row[0] and r[3] == row[3]]
+    return f"{row[0]}-{row[3]}" + (f"-{row[4].__name__}" if len(twins) > 1 else "")
 
 
 @pytest.mark.parametrize("check, scenario, owner, name, defect", DEFECTS,
