@@ -234,7 +234,7 @@ class BiAffineMap:
     Stored by tensor coefficients so the partial linear parts are exact
     slice extractions, no numerical differentiation involved.  Each slot
     takes a vector or a stack ``(N, dim)``; rows keep the 1-D bits unless
-    ``out_dim`` is 1 and ``dim1`` 2 (numpy's einsum then sums in another order).
+    C is of shape ``(1, 2, n)`` (numpy's einsum then sums in another order).
     """
 
     def __init__(self, C, D, E, F):
@@ -246,7 +246,6 @@ class BiAffineMap:
         if self.D.shape != (k, n1) or self.E.shape != (k, n2) \
                 or self.F.shape != (k,):
             raise AffineGeometryError("inconsistent coefficient shapes")
-        self.out_dim, self.dim1, self.dim2 = k, n1, n2
 
     def apply(self, x, y) -> np.ndarray:
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)

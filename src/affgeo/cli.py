@@ -433,9 +433,9 @@ def _load_affgebroid(sc: Scenario, patch: Patch) -> LieAffgebroidData:
 
 def _check_atiyah_poisson(dim: int, rng, report: Report):
     names = tuple(f"x{i + 1}" for i in range(dim))
-    wnames = tuple(f"w{j + 1}" for j in range(dim))
     patch = Patch.box(names)
     data = atiyah_algebroid(patch)
+    wnames = data.special.quotient_var_names()
 
     def random_affine():
         e = random_polynomial(patch, rng)
@@ -617,7 +617,7 @@ def run_reduction_check(sc: Scenario, rng, report: Report):
                 (_expr("sin(q)*t", ctx), _expr("p + q^2", ctx))]
     points = sample_points(space.names, rng, 12)
     rho = AVMorphism({n: se.Var(n) for n in space.base_names},
-                     (se.add if flip else se.sub)(se.Var("e"), se.Var("r")), "r")
+                     (se.add if flip else se.sub)(se.Var(space.energy), se.Var("r")), "r")
     report.checks.extend(
         check_affine_reduction(rho, lambda f, g: canonical_poisson(f, g, space.pairs),
                                bracket_y, sections, points).checks)

@@ -9,12 +9,12 @@ Conventions used throughout (all stored in reference-chart coordinates):
   ``lam = 1``, model vectors with ``lam = 0``, and the pairing with a
   dual element is ``<w, z> + c*lam``.
 * For a special space ``(A, v)`` the fundamental field of the
-  translation flow is ``chi = CHI_ORIENTATION * v`` (the generator of
-  ``a -> a + t*v`` run with the group convention ``exp(-tY)``), and the
-  adapted fiber coordinate satisfies ``d/ds = -chi``, i.e. one unit of
-  ``s`` moves a point by ``+v``.  This single constant fixes every
-  sign-sensitive identity downstream (``chi(F_sigma) = -1``, the
-  bracket/Poisson correspondence, and the time-dependent dynamics).
+  translation flow is ``chi = -v`` (the generator of ``a -> a + t*v`` run
+  with the group convention ``exp(-tY)``), and the adapted fiber
+  coordinate satisfies ``d/ds = -chi = +v``, i.e. one unit of ``s`` moves
+  a point by ``+v``.  This sign fixes every sign-sensitive identity
+  downstream (``chi(F_sigma) = -1``, the bracket/Poisson correspondence,
+  and the time-dependent dynamics).
 """
 
 from __future__ import annotations
@@ -28,13 +28,10 @@ from . import symexpr as se
 from .symexpr import Expression
 
 __all__ = [
-    "CHI_ORIENTATION", "DualElement", "HullPoint", "SpecialAffineSpace",
-    "SpecialDualElement", "FIBER",
+    "DualElement", "HullPoint", "SpecialAffineSpace", "FIBER",
     "one", "pair", "DoubleDualMaps", "F_of_section", "iota_sharp",
 ]
 
-# chi = CHI_ORIENTATION * (translation direction v); d/ds = -chi = +v.
-CHI_ORIENTATION = -1.0
 FIBER = "s"  # the adapted fiber coordinate of an AV presentation, oriented by d/ds = -chi
 
 
@@ -47,9 +44,6 @@ class DualElement(Immutable):
         fill_slots(self, space, _frozen(w), float(c))
         if self.w.shape != (self.space.dim,):
             raise AffineGeometryError("dual coefficient vector has wrong length")
-
-    def linear_part_on(self, v) -> float:
-        return float(self.w @ np.asarray(v, float))
 
 
 def one(space: AffineSpaceSpec) -> DualElement:
@@ -104,28 +98,20 @@ class SpecialAffineSpace:
     def dim(self) -> int:
         return self.space.dim
 
-    def dual_element(self, free_w, c: float) -> "SpecialDualElement":
-        """Member of the special dual with the given free w-components and constant term."""
+    def dual_element(self, free_w, c: float) -> DualElement:
+        """Member of the special dual with the given free w-components and constant term;
+        free components whose solve misses the level set (a nan, inf or overflow) are refused."""
         level = self.level
-        return SpecialDualElement(self, level.solve(np.insert(free_w, level.pivot, 0.0)), c)
+        with np.errstate(invalid="ignore", over="ignore"):  # a non-finite solve is refused
+            w = level.solve(np.insert(free_w, level.pivot, 0.0))
+        if not level.contains(w):
+            raise AffineGeometryError(
+                "linear part does not send the distinguished vector to 1")
+        return DualElement(self.space, w, c)
 
     def quotient_var_names(self) -> tuple[str, ...]:
         """Coordinates on the quotient of the special dual by the one(A) direction."""
         return tuple(f"w{j + 1}" for j in self.level.free)
-
-
-class SpecialDualElement(DualElement):
-    """Dual element whose linear part sends the distinguished vector to 1."""
-
-    def __init__(self, special: SpecialAffineSpace, w, c):
-        super().__init__(special.space, w, c)
-        object.__setattr__(self, "special", special)
-        if not special.level.contains(self.w):
-            raise AffineGeometryError(
-                "linear part does not send the distinguished vector to 1")
-
-    def __reduce__(self):  # rebuilt from its special space, as __init__ takes it
-        return type(self), (self.special, self.w, self.c)
 
 
 class DoubleDualMaps:
@@ -140,7 +126,6 @@ class DoubleDualMaps:
     """
 
     def __init__(self, special: SpecialAffineSpace):
-        self.special = special
         level = special.level  # the model basis, then the special dual's origin: invertible
         self._matrix = np.vstack([level.basis.T, level.solve(np.zeros(special.dim))])
         self._inverse = np.linalg.inv(self._matrix)

@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 FRAME_TOL = 1e-6  # the largest event deviation between frames that counts as agreement
-MAX_STEPS = 10**6  # RK4 steps in one run, 100 times the longest bundled one; every state is kept
+MAX_STEPS = 10**6  # RK4 steps in one run, all its world-lines together; every state is kept
 
 
 class MechanicsError(ValueError):
@@ -635,8 +635,13 @@ def compare_frames(
     the initial phases and the world-lines started from them: the frame's
     own first, then one per boost.  Frame independence holds of their
     events in space-time coordinates, not of frame components; the caller
-    compares them and decides.
+    compares them and decides.  The world-lines together take at most
+    :data:`MAX_STEPS` steps, refused before any is integrated.
     """
+    lines = 1 + len(boosts)
+    if h > 0 and T < math.inf and lines * (T / h) > MAX_STEPS:
+        raise MechanicsError(f"{lines} world-lines of {T / h:.3g} steps are "
+                             f"more than the bound of {MAX_STEPS} steps in all")
     phases = [initial, *(gauge_transform(initial, v, m) for v in boosts)]
     fields = newton_dynamics(st, [phase.frame for phase in phases], m, phi)
     return fields[0], phases, [integrate(fld, np.concatenate([phase.x, phase.p]), h, T)

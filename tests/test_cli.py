@@ -954,6 +954,26 @@ def test_a_run_of_more_steps_than_the_bound_exits_2_before_it_integrates(tmp_pat
     assert f"more than the bound of {MAX_STEPS} steps" in err
 
 
+@pytest.mark.parametrize("boosts, code", [("0.1 0 0; 0 0.2 0; 0 0 0.3", 2),
+                                          ("0.1 0 0; 0 0.2 0", 0)], ids=["400", "300"])
+def test_a_frames_run_is_held_to_the_step_bound_in_all(tmp_path, capsys, monkeypatch,
+                                                       boosts, code):
+    # the bound held each world-line alone, so a run of 1 + boosts world-lines of
+    # MAX_STEPS steps each kept 1 + boosts times the states it allows
+    from affgeo import mechanics
+    monkeypatch.setattr(mechanics, "MAX_STEPS", 300)
+    text = FRAMES_RUN.replace("step = 0.1", "step = 0.01").replace(
+        "boosts = 0.1 0 0; 0 0.2 0", f"boosts = {boosts}")
+    done, err, out = run_text(tmp_path, capsys, text)
+    assert done == code
+    if code:
+        assert err == ("error: 4 world-lines of 100 steps are "
+                       "more than the bound of 300 steps in all\n")
+        assert not out.exists()
+    else:
+        assert err == "" and json.loads((out / "bad_report.json").read_text())["pass"]
+
+
 def test_a_rank_above_the_bound_exits_2_before_its_tables_are_built(tmp_path):
     # rank^2 beta and rank^3 c slots were built as lists before anything counted the anchors
     from affgeo.cli import MAX_RANK

@@ -5,7 +5,7 @@ from affgeo import symexpr as se
 from affgeo.affine import AffineGeometryError, AffineSpaceSpec
 from affgeo.duality import (
     FIBER, DoubleDualMaps, DualElement, F_of_section, HullPoint,
-    SpecialAffineSpace, SpecialDualElement, iota_sharp,
+    SpecialAffineSpace, iota_sharp,
     one, pair,
 )
 from affgeo.symexpr import Const, Var, VarContext, evaluate, parse
@@ -74,7 +74,7 @@ def test_special_dual_one_dimensional():
     assert np.allclose(S.level.solve(np.zeros(S.dim)), [1.0])
     # model is spanned by the constant function only
     assert S.level.basis.shape[1] == 0
-    assert one(S.space).linear_part_on(S.v) == 0.0
+    assert one(S.space).w @ S.v == 0.0
     assert S.level.contains(DualElement(S.space, [1.0], -7.0).w)
     assert not S.level.contains(DualElement(S.space, [2.0], 0.0).w)
 
@@ -84,6 +84,7 @@ def test_special_dual_constraint_plane():
     assert S.dim == 2
     # members are exactly those with second w-component equal to one
     member = S.dual_element([3.0], c=-2.0)
+    assert type(member) is DualElement and member.space is S.space
     assert member.w[1] == pytest.approx(1.0)
     assert S.level.contains(member.w)
     assert S.quotient_var_names() == ("w1",)
@@ -92,13 +93,7 @@ def test_special_dual_constraint_plane():
 def test_one_is_not_a_member():
     S = special(2, [0.0, 1.0])
     assert not S.level.contains(one(S.space).w)
-    assert one(S.space).linear_part_on(S.v) == 0.0
-
-
-def test_special_dual_element_validates():
-    S = special(2, [0.0, 1.0])
-    with pytest.raises(AffineGeometryError):
-        SpecialDualElement(S, [1.0, 0.0], 0.0)
+    assert one(S.space).w @ S.v == 0.0
 
 
 SCALES = (1e-150, 1e-100, 1e-8, 1.0, 1e4, 1e8, 1e100, 1e150)
@@ -150,8 +145,14 @@ def test_membership_refuses_a_non_finite_pairing():
     S = special(2, [0.0, 1.0])
     for w in ([0.0, np.nan], [np.inf, 1.0]):
         assert not S.level.contains(DualElement(S.space, w, 0.0).w)
-        with pytest.raises(AffineGeometryError):
-            SpecialDualElement(S, w, 0.0)
+    # the pivot entry is solved, so only a free entry can be nan or inf; free
+    # entries whose terms overflow in the solve are refused too, with no warning
+    cases = [(S, [bad]) for bad in (np.nan, np.inf, -np.inf)]
+    cases.append((special(3, [1.0, 1.0, 1.0]), [1e308, 1e308]))
+    for space, free in cases:
+        with pytest.raises(AffineGeometryError,
+                           match="^linear part does not send the distinguished vector to 1$"):
+            space.dual_element(free, 0.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -37,7 +37,7 @@ def test_stacked_calls_match_the_per_vector_loop_bit_for_bit(dim, count, seed):
     # strided views, as the verifiers unpack one block of draws
     x, y, u, w = rng.uniform(-2, 2, (count, 4, dim)).transpose(1, 0, 2)
 
-    # square, as the affine verifier draws it: with out_dim 1 and dim1 2 the
+    # square, as the affine verifier draws it: with C of shape (1, 2, n) the
     # stacked einsum sums in another order and can differ in the last bit
     phi = BiAffineMap(rng.normal(size=(dim, dim, dim)), rng.normal(size=(dim, dim)),
                       rng.normal(size=(dim, dim)), rng.normal(size=dim))
