@@ -210,7 +210,8 @@ class LieAffgebroidData:
     over the base; ``anchor_ref`` and ``anchor_lin[i]`` are vector
     fields on the base (components over the patch coordinates).  The
     optional ``v`` marks a distinguished model section (constant frame
-    coefficients), making the bundle special.
+    coefficients), making the bundle special.  The structure is fixed at
+    construction: its zero entries are found once, and expansions skip them.
     """
 
     def __init__(self, patch: Patch, rank: int, beta, c, anchor_ref,
@@ -235,8 +236,10 @@ class LieAffgebroidData:
     def _check_antisymmetry(self):
         env = self.patch.env(self.patch.grid(3))
         for i, j, k in itertools.product(range(self.rank), repeat=3):
-            s = se.evaluate(se.add(self.c[i][j][k], self.c[j][i][k]), env)
-            if not np.all(np.abs(s) <= 1e-12):
+            a, b = self.c[i][j][k], self.c[j][i][k]
+            ok = (abs(a.value + b.value) <= 1e-12 if se._is_const(a) and se._is_const(b)
+                  else np.all(np.abs(se.evaluate(se.add(a, b), env)) <= 1e-12))
+            if not ok:
                 raise BracketError(f"structure functions not antisymmetric "
                                    f"at (i={i}, j={j}, k={k})")
 
@@ -272,14 +275,14 @@ class LieAffgebroidData:
     def _expansion(self, f, g, d) -> list[Expression]:
         """The structure-function expansion with ``d`` where ``g - f``
         enters: the bracket, or with ``g = d = W`` its second-slot part."""
-        n = self.rank
+        moving = self._moving_sections
         out: list[Expression] = []
-        for k in range(n):
+        for k in range(self.rank):
             term = self._structure_terms(k, d, self.apply_field(self.anchor_ref, d[k]), f, g)
-            for i in range(n):
+            for i in moving:
                 term = se.add(term, se.mul(
                     f[i], self.apply_field(self.anchor_lin[i], g[k])))
-            for j in range(n):
+            for j in moving:
                 term = se.sub(term, se.mul(
                     g[j], self.apply_field(self.anchor_lin[j], f[k])))
             out.append(term)
@@ -295,16 +298,29 @@ class LieAffgebroidData:
         """Component ``k`` of ``d^j beta_j + middle + f^i g^j c_ij``, added in
         that order, leaving out each term whose structure function is the constant 0."""
         term: Expression = se.ZERO
-        for j in range(self.rank):
-            if not se._is_const(self.beta[j][k], 0.0):
-                term = se.add(term, se.mul(d[j], self.beta[j][k]))
+        beta_terms, c_terms = self._nonzero_terms[k]
+        for j in beta_terms:
+            term = se.add(term, se.mul(d[j], self.beta[j][k]))
         term = se.add(term, middle)
-        for i, j in itertools.product(range(self.rank), repeat=2):
-            if not se._is_const(self.c[i][j][k], 0.0):
-                term = se.add(term, se.mul(se.mul(f[i], g[j]), self.c[i][j][k]))
+        for i, j in c_terms:
+            term = se.add(term, se.mul(se.mul(f[i], g[j]), self.c[i][j][k]))
         return term
 
     # -- helpers -----------------------------------------------------------
+
+    @functools.cached_property
+    def _nonzero_terms(self) -> list[tuple[list[int], list[tuple[int, int]]]]:
+        """For each ``k``, the ``j`` and ``(i, j)`` with nonzero ``beta_j[k]``, ``c_ij[k]``."""
+        pairs = list(itertools.product(range(self.rank), repeat=2))
+        return [([j for j in range(self.rank) if not se._is_const(self.beta[j][k], 0.0)],
+                 [(i, j) for i, j in pairs if not se._is_const(self.c[i][j][k], 0.0)])
+                for k in range(self.rank)]
+
+    @functools.cached_property
+    def _moving_sections(self) -> list[int]:
+        """The frame sections whose anchor is not the zero field."""
+        return [i for i, field in enumerate(self.anchor_lin)
+                if not all(se._is_const(a, 0.0) for a in field)]
 
     @functools.cached_property
     def special(self) -> SpecialAffineSpace:

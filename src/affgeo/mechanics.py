@@ -499,7 +499,7 @@ def gauge_transform(phase: ObservedPhase, v, m: float) -> ObservedPhase:
     The event is untouched; momentum and the action coordinate follow
     the kinematic convention stated in the module docstring, under
     which boosting by ``v`` and back by ``-v`` restores the phase and
-    boosts compose additively.
+    boosts compose additively.  A boost that makes a finite phase non-finite is refused.
     """
     if not 0 < m < math.inf:
         raise MechanicsError("mass must be positive and finite")
@@ -507,9 +507,13 @@ def gauge_transform(phase: ObservedPhase, v, m: float) -> ObservedPhase:
     c = np.asarray(v, float)
     if c.shape != (st.d,):
         raise MechanicsError("boost velocity has wrong length")
-    gv = st.g @ c
-    p_new = phase.p - m * gv
-    s_new = phase.s - float(phase.p @ c) + 0.5 * m * float(gv @ c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gv = st.g @ c
+        p_new = phase.p - m * gv
+        s_new = phase.s - float(phase.p @ c) + 0.5 * m * float(gv @ c)
+    if not (math.isfinite(s_new) and np.isfinite(p_new).all()) and \
+            math.isfinite(phase.s) and np.isfinite(phase.p).all():
+        raise MechanicsError(f"boost {c.tolist()} overflows the gauge transformation")
     return ObservedPhase(phase.x, p_new, s_new, phase.frame.boosted(c))
 
 

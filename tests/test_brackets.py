@@ -145,6 +145,21 @@ def test_affgebroid_construction_rejects_bad_antisymmetry():
         LieAffgebroidData(patch, 1, [[zero]], [[[Const(2.0)]]],
                           [zero, Const(1.0)], [[Const(1.0), zero]])
 
+    def refused_at(c):
+        # constant pairs are judged on their sum, the others on a grid, in one (i, j, k) order
+        rank = len(c)
+        with pytest.raises(BracketError, match="not antisymmetric") as info:
+            LieAffgebroidData(patch, rank, [[zero] * rank] * rank, c,
+                              [zero, Const(1.0)], [[zero, zero]] * rank)
+        return str(info.value).rsplit("at ", 1)[1]
+
+    assert refused_at([[[zero, zero], [Const(1.0), zero]],
+                       [[Const(-0.5), zero], [zero, zero]]]) == "(i=0, j=1, k=0)"
+    for value in (math.nan, math.inf, -math.inf):
+        assert refused_at([[[Const(value)]]]) == "(i=0, j=0, k=0)"
+    assert refused_at([[[zero, Var("q")], [Const(1.0), zero]],
+                       [[Const(1.0), zero], [zero, zero]]]) == "(i=0, j=0, k=1)"
+
 
 def test_doubled_anchor_breaks_leibniz_for_independent_bracket():
     data = jet_bundle_affgebroid()

@@ -974,6 +974,19 @@ def test_a_frames_run_is_held_to_the_step_bound_in_all(tmp_path, capsys, monkeyp
         assert err == "" and json.loads((out / "bad_report.json").read_text())["pass"]
 
 
+@pytest.mark.parametrize("boosts, mass", [("1e308 1e308 0", "1.0"), ("1e200 0 0", "1.0"),
+                                          ("1e308 1e308 0", "1e-300")])
+def test_a_boost_that_overflows_the_gauge_transformation_exits_2(tmp_path, capsys,
+                                                                 boosts, mass):
+    # a finite boost passed the loader, overflowed to a NaN residual and failed two checks
+    text = FRAMES_RUN.replace("boosts = 0.1 0 0; 0 0.2 0", f"boosts = {boosts}").replace(
+        "mass = 1.0", f"mass = {mass}")
+    done, err, out = run_text(tmp_path, capsys, text)
+    assert (done, err) == (2, f"error: boost {[float(x) for x in boosts.split()]} "
+                              "overflows the gauge transformation\n")
+    assert not out.exists()
+
+
 def test_a_rank_above_the_bound_exits_2_before_its_tables_are_built(tmp_path):
     # rank^2 beta and rank^3 c slots were built as lists before anything counted the anchors
     from affgeo.cli import MAX_RANK

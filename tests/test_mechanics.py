@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 from decimal import Decimal
 
 import numpy as np
@@ -283,6 +284,19 @@ def test_a_boost_is_its_spatial_components_only():
     phase = ObservedPhase(np.zeros(3), np.zeros(2), 0.0, spacetime.rest_frame())
     with pytest.raises(MechanicsError, match="boost velocity has wrong length"):
         gauge_transform(phase, [0.1, 0.0, 0.0], 1.0)
+
+
+@pytest.mark.parametrize("g, boost, m", [
+    (np.eye(3), [1e308, 1e308, 0.0], 1.0),   # g v . v overflows
+    (np.eye(3), [1e200, 0.0, 0.0], 1e-300),  # so does it here, before m scales it
+    ([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]], [1e308, 1e308, 0.0], 1.0),  # g v
+])
+def test_a_boost_that_overflows_the_gauge_transformation_is_refused(g, boost, m):
+    spacetime = NewtonSpaceTime(3, g=g)
+    phase = ObservedPhase(np.zeros(4), [0.1, 0.0, 0.0], 0.0, spacetime.rest_frame())
+    with pytest.raises(MechanicsError, match=re.escape(
+            f"boost {boost} overflows the gauge transformation")):
+        gauge_transform(phase, boost, m)
 
 
 @settings(max_examples=100, deadline=None)

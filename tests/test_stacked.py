@@ -145,13 +145,18 @@ def _counting(monkeypatch):
 
 def _expansions(data, rng, expand, hull_bracket):
     """The bracket, a second-slot part and a hull bracket of fresh random
-    sections (so no derivative is cached from an earlier call)."""
+    sections (so no derivative is cached from an earlier call), and the
+    brackets of a section whose components are finite constants of either
+    sign, the shape that ``is_aff_poisson`` brackets, with another such
+    section and with a random one."""
     patch, n = data.patch, data.rank
     f, g = ([random_polynomial(patch, rng) for _ in range(n)] for _ in range(2))
     X = (random_polynomial(patch, rng), f)
     Y = (random_polynomial(patch, rng), g)
+    fc, gc = ([se.Const(x) for x in rng.uniform(-1.0, 1.0, n)] for _ in range(2))
     return [expand(f, g, [se.sub(b, a) for a, b in zip(f, g)]), expand(f, g, g),
-            hull_bracket(HullAlgebroidData(data), X, Y)]
+            hull_bracket(HullAlgebroidData(data), X, Y),
+            *(expand(fc, h, [se.sub(b, a) for a, b in zip(fc, h)]) for h in (gc, g))]
 
 
 def _skipped_and_unskipped(data, seed, monkeypatch):
@@ -174,6 +179,7 @@ def test_skipping_zero_coefficients_builds_the_same_trees(rank, base_dim, zeros,
         skipped, unskipped, n_skipped, n_unskipped = _skipped_and_unskipped(
             data, seed, monkeypatch)
     assert skipped == unskipped
+    assert repr(skipped) == repr(unskipped)  # == takes -0.0 for 0.0
     assert n_skipped <= n_unskipped
     if zeros == 1.0:  # every anchor component is 0: nothing is differentiated
         assert n_skipped == 0 < n_unskipped
