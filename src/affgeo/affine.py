@@ -219,14 +219,6 @@ class AffineMap:
             raise AffineGeometryError("point is not in the domain space")
         return self.codomain.point(_matvec(self.matrix, p.in_reference()) + self.offset)
 
-    def compose(self, inner: "AffineMap") -> "AffineMap":
-        """self after inner."""
-        if inner.codomain is not self.domain:
-            raise AffineGeometryError("maps are not composable")
-        return AffineMap(inner.domain, self.codomain,
-                         self.matrix @ inner.matrix,
-                         self.matrix @ inner.offset + self.offset)
-
 
 class BiAffineMap:
     """Phi(x, y) = C(x (x) y) + D x + E y + F, affine in each slot.

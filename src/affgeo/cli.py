@@ -148,7 +148,7 @@ def SAMPLES(raw, bound):
     """``grid:<n>`` points per axis (4 if left out) or ``random:<n>`` (16)."""
     spec = Match(r"(grid|random)(:.*)?", "grid:<n> or random:<n>")(raw, bound)
     mode, _, n = spec.partition(":")
-    return mode, Int(1)(n or {"grid": "4", "random": "16"}[mode], bound)
+    return mode, Int(1, MAX_GRID_POINTS)(n or {"grid": "4", "random": "16"}[mode], bound)
 
 
 REQUIRED = "required"
@@ -627,8 +627,11 @@ def run_reduction_check(sc: Scenario, rng, report: Report):
 # One table per scenario kind, with the runner that reads it
 
 
+# a scenario's own dim: timedep's set-up grows as dim^2, newton's and compare-frames' memory
+# too, and affine-verify's bi-affine tensor as dim^3; 33 times the largest dim in use (3)
+MAX_DIM = 100
 NEWTON = [
-    Key("spacetime", "dim", Int(1), "3"),
+    Key("spacetime", "dim", Int(1, MAX_DIM), "3"),
     Key("spacetime", "metric", MATRIX),
     Key("system", "potential", EXPR, '"0"'),
     Key("system", "mass", Float(), "1.0"),
@@ -649,7 +652,7 @@ MAX_AFFGEBRA_DIM = max(n for n in range(64) if (n + 1) ** 3 * n ** 3 <= 10 ** 8)
 MAX_DUALITY_DIM = max(n for n in range(1024) if (n + 1) ** 2 <= 10 ** 5)
 KINDS = {
     "affine-verify": (run_affine_verify, [
-        Key("space", "dim", Int(1), REQUIRED),
+        Key("space", "dim", Int(1, MAX_DIM), REQUIRED),
         Key("charts", "<name>", CHART),
         Key("params", "samples", Int(1), "64"),
     ]),
@@ -680,7 +683,7 @@ KINDS = {
         Key("checks", "hull", BOOL, "false", NO_ATIYAH),
     ]),
     "timedep": (run_timedep, [
-        Key("system", "dim", Int(1), REQUIRED),
+        Key("system", "dim", Int(1, MAX_DIM), REQUIRED),
         Key("system", "hamiltonian", EXPR, REQUIRED),
         Key("integration", "step", Float(), REQUIRED),
         Key("integration", "duration", Float(), REQUIRED),

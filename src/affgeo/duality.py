@@ -98,17 +98,6 @@ class SpecialAffineSpace:
     def dim(self) -> int:
         return self.space.dim
 
-    def dual_element(self, free_w, c: float) -> DualElement:
-        """Member of the special dual with the given free w-components and constant term;
-        free components whose solve misses the level set (a nan, inf or overflow) are refused."""
-        level = self.level
-        with np.errstate(invalid="ignore", over="ignore"):  # a non-finite solve is refused
-            w = level.solve(np.insert(free_w, level.pivot, 0.0))
-        if not level.contains(w):
-            raise AffineGeometryError(
-                "linear part does not send the distinguished vector to 1")
-        return DualElement(self.space, w, c)
-
     def quotient_var_names(self) -> tuple[str, ...]:
         """Coordinates on the quotient of the special dual by the one(A) direction."""
         return tuple(f"w{j + 1}" for j in self.level.free)

@@ -134,15 +134,6 @@ def test_affine_map_defining_identity():
         assert np.max(np.abs(lhs - phi.matrix @ u)) < 1e-12
 
 
-def test_linear_part_of_composition():
-    s1, s2, s3 = AffineSpaceSpec(2), AffineSpaceSpec(3), AffineSpaceSpec(2)
-    rng = np.random.default_rng(7)
-    phi = AffineMap(s1, s2, rng.normal(size=(3, 2)), rng.normal(size=3))
-    psi = AffineMap(s2, s3, rng.normal(size=(2, 3)), rng.normal(size=2))
-    comp = psi.compose(phi)
-    assert np.allclose(comp.matrix, psi.matrix @ phi.matrix)
-
-
 def test_biaffine_quadratic_example():
     # Phi(x, y) = xy + x + y + 1 on R x R
     phi = BiAffineMap(C=[[[1.0]]], D=[[1.0]], E=[[1.0]], F=[1.0])

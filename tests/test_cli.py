@@ -1075,3 +1075,59 @@ def test_a_grid_of_more_points_than_the_bound_exits_2_before_it_is_built(tmp_pat
     err = _run_in_1_5_gb(tmp_path, text)
     assert err == (f"error: a grid of 100000 points on each of 2 axes has 10000000000 "
                    f"points, more than the bound of {MAX_GRID_POINTS}\n")
+
+
+# each kind that takes a dim of its own, as (section, file with DIM for the dim)
+SIZED = {
+    "timedep": ("system", TIMEDEP_OUT.format(name="bad", trajectory="x.csv").replace(
+        "dim = 1", "dim = DIM")),
+    "newton": ("spacetime", NEWTON_RUN.replace("dim = 3", "dim = DIM")),
+    "compare-frames": ("spacetime", FRAMES_RUN.replace("dim = 3", "dim = DIM")),
+    "affine-verify": ("space", AFFINE.replace("dim = 2", "dim = DIM")),
+}
+
+
+@pytest.mark.parametrize("dim", ["101", "1600"])
+@pytest.mark.parametrize("kind", SIZED)
+def test_a_dim_above_the_bound_exits_2_at_load(tmp_path, kind, dim):
+    # no dim had an upper bound: timedep's set-up grows as dim^2 (dim 1600 ran 5 s before
+    # it counted the short initial state), newton at dim 2000 peaked at 255 MB before it
+    # refused the short event, and affine-verify's bi-affine tensor holds dim^3 doubles
+    from affgeo.cli import MAX_DIM
+    assert MAX_DIM == 100
+    section, text = SIZED[kind]
+    err = _run_in_1_5_gb(tmp_path, text.replace("DIM", dim))
+    assert err == f"error: [{section}] dim = {dim!r}: want an integer in 1..{MAX_DIM}\n"
+
+
+def test_the_largest_dim_runs(tmp_path, capsys):
+    def zeros(k):
+        return ", ".join(["0"] * k)
+    newton = {"event = 0, 0, 0, 0": f"event = {zeros(101)}",
+              "momentum = 0.1, 0, 0": f"momentum = 0.1, {zeros(99)}",
+              "boosts = 0.1 0 0; 0 0.2 0": f"boosts = 0.1 {zeros(99)}"}
+    edits = {"timedep": {"initial = 1.0, 0.0": f"initial = 1.0, {zeros(199)}"},
+             "newton": newton, "compare-frames": newton,
+             "affine-verify": {"dim = DIM\n": "dim = DIM\n[params]\nsamples = 100\n"}}
+    for kind, (_, text) in SIZED.items():
+        for old, new in edits[kind].items():
+            text = text.replace(old, new)
+        (tmp_path / kind).mkdir()
+        code, err, out = run_text(tmp_path / kind, capsys, text.replace("DIM", "100"))
+        assert (code, err) == (0, "")
+        assert json.loads((out / "bad_report.json").read_text())["pass"] is True
+
+
+def test_a_random_sample_count_is_held_to_the_grid_bound(tmp_path, capsys):
+    # random:<n> took any n: random:1600000 ran to exit 0 through 5 GB
+    from affgeo.brackets import MAX_GRID_POINTS
+    for n, want in ((MAX_GRID_POINTS + 1, 2), (MAX_GRID_POINTS, 0)):
+        text = AFFGEBROID.replace("coords = q, t\n", f"coords = q, t\nsamples = random:{n}\n")
+        (tmp_path / str(n)).mkdir()
+        code, err, out = run_text(tmp_path / str(n), capsys, text)
+        if want:
+            assert (code, err) == (2, f"error: [base] samples = 'random:{n}': want an "
+                                      f"integer in 1..{MAX_GRID_POINTS}\n")
+            assert not out.exists()
+        else:
+            assert (code, err) == (0, "")

@@ -83,10 +83,8 @@ def test_special_dual_constraint_plane():
     S = special(2, [0.0, 1.0])
     assert S.dim == 2
     # members are exactly those with second w-component equal to one
-    member = S.dual_element([3.0], c=-2.0)
-    assert type(member) is DualElement and member.space is S.space
-    assert member.w[1] == pytest.approx(1.0)
-    assert S.level.contains(member.w)
+    assert S.level.contains(DualElement(S.space, [3.0, 1.0], -2.0).w)
+    assert not S.level.contains(DualElement(S.space, [3.0, 1.5], -2.0).w)
     assert S.quotient_var_names() == ("w1",)
 
 
@@ -108,7 +106,8 @@ def test_special_dual_elements_of_a_scaled_vector_are_members(scale):
         for free in (1e-3, 1.0, 1e3):
             for _ in range(25):
                 S = special(n, rng.normal(size=n) * scale)
-                assert S.level.contains(S.dual_element(rng.normal(size=n - 1) * free, 0.0).w)
+                w = np.insert(rng.normal(size=n - 1) * free, S.level.pivot, 0.0)
+                assert S.level.contains(S.level.solve(w))
 
 
 def test_a_distinguished_vector_whose_square_underflows_is_nonzero():
@@ -145,14 +144,6 @@ def test_membership_refuses_a_non_finite_pairing():
     S = special(2, [0.0, 1.0])
     for w in ([0.0, np.nan], [np.inf, 1.0]):
         assert not S.level.contains(DualElement(S.space, w, 0.0).w)
-    # the pivot entry is solved, so only a free entry can be nan or inf; free
-    # entries whose terms overflow in the solve are refused too, with no warning
-    cases = [(S, [bad]) for bad in (np.nan, np.inf, -np.inf)]
-    cases.append((special(3, [1.0, 1.0, 1.0]), [1e308, 1e308]))
-    for space, free in cases:
-        with pytest.raises(AffineGeometryError,
-                           match="^linear part does not send the distinguished vector to 1$"):
-            space.dual_element(free, 0.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
